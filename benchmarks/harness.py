@@ -44,10 +44,7 @@ def _render(report: dict) -> str:
         if case["kind"] == "kernels":
             lines.append(f"  kernels [{case['mesh']}]:")
             for name, rec in case["kernels"].items():
-                lines.append(
-                    f"    {name:<11} seed {rec['seed_ms']:8.3f} ms   "
-                    f"ws {rec['ws_ms']:8.3f} ms   x{rec['speedup']:.2f}"
-                )
+                lines.append(f"    {name:<11} {rec['ws_ms']:8.3f} ms")
             continue
         if case["kind"] == "kernel_tiers":
             gate = " [gate]" if case.get("gate_enforced") else ""
@@ -127,9 +124,8 @@ def _render(report: dict) -> str:
         )
         lines.append(
             f"  {tag:<28} [{case['mesh']:<6}] "
-            f"seed {case['seed_ms_per_step']:8.2f} ms/step   "
-            f"ws {case['ws_ms_per_step']:8.2f} ms/step   "
-            f"x{case['speedup']:.2f}  ({case['steps_per_sec']:.2f} steps/s)"
+            f"{case['ws_ms_per_step']:8.2f} ms/step   "
+            f"({case['steps_per_sec']:.2f} steps/s)"
         )
         if "allocations" in case:
             a = case["allocations"]
@@ -216,8 +212,8 @@ def main(argv: list[str] | None = None) -> int:
 
     # absolute gate: the fused kernel tier must track the reference tier
     # bit for bit, and (where a compiled backend resolved on the medium
-    # mesh) at least double its step rate.  Hosts without a C compiler or
-    # numba run the numpy fallback: recorded, warned about, never gated.
+    # mesh) at least double its step rate.  Hosts without a C compiler
+    # run the numpy fallback: recorded, warned about, never gated.
     tiers = kernel_tier_violations(report, baseline)
     if tiers:
         print("\nKERNEL TIER gate failures:")

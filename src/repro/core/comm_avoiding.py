@@ -38,11 +38,11 @@ from repro.core.halo import PackPool
 from repro.core.workspace import StateRing
 from repro.obs.spans import span
 from repro.operators.smoothing import (
+    FieldSmoother,
     OFFSETS_L,
     OFFSETS_L_PRIME,
     OFFSETS_R,
     OFFSETS_R_PRIME,
-    smoothers_for,
 )
 from repro.operators.vertical import VerticalDiagnostics
 from repro.simmpi.comm import SimComm
@@ -53,6 +53,19 @@ TAG_BUNDLE = 30_000
 
 #: strip width of the former/later smoothing split (the smoother radius)
 STRIP = 2
+
+
+def strip_partial(
+    sm: FieldSmoother, a: np.ndarray, rows: slice, offsets: tuple[int, ...]
+) -> np.ndarray:
+    """Rows ``rows`` of ``sm.partial(a, offsets)``.
+
+    Evaluated on the strip's row window only (``rows +- STRIP``, a view):
+    every offset of a target row stays inside the window, so the values
+    are the whole-array ones at a fraction of the work.
+    """
+    window = a[..., rows.start - STRIP: rows.stop + STRIP, :]
+    return sm.partial(window, offsets)[..., STRIP:-STRIP, :]
 
 
 class CommAvoidingRank(RankContext):
@@ -67,7 +80,6 @@ class CommAvoidingRank(RankContext):
         gz = 3 * M if decomp.pz > 1 else 0
         super().__init__(comm, cfg, gy=gy, gz=gz, gx=0)
         self.halo_updates = 3 * M  # usable y/z halo after smoothing
-        self.smoothers = smoothers_for(cfg.params)
         self.vd_stale: VerticalDiagnostics | None = None
         # y-neighbour ranks for the bundle messages
         self.north_nb = decomp.neighbour(comm.rank, 0, -1, 0)
@@ -131,60 +143,41 @@ class CommAvoidingRank(RankContext):
             req.wait()
         self.comm.set_phase(None)
         # rebuild w / sigma-dot on the refreshed rows (cheap: whole array)
-        if self.ws is not None:
-            t2 = self.ws.take(vd.p_fac.shape)
-            np.divide(vd.pw_iface, vd.p_fac[None], out=vd.w_iface)
-            np.power(vd.p_fac, 2, out=t2)
-            np.divide(vd.pw_iface, t2[None], out=vd.sdot_iface)
-            self.ws.give(t2)
-        else:
-            vd.w_iface[...] = vd.pw_iface / vd.p_fac[None]
-            vd.sdot_iface[...] = vd.pw_iface / (vd.p_fac[None] ** 2)
+        t2 = self.ws.take(vd.p_fac.shape)
+        np.divide(vd.pw_iface, vd.p_fac[None], out=vd.w_iface)
+        np.power(vd.p_fac, 2, out=t2)
+        np.divide(vd.pw_iface, t2[None], out=vd.sdot_iface)
+        self.ws.give(t2)
 
     # ------------------------------------------------------------------
     # the fused smoothing (Sec. 4.3.2)
     # ------------------------------------------------------------------
-    def former_smoothing(
-        self, pre: ModelState, out: ModelState | None = None
-    ) -> ModelState:
-        """``S1``: full smoothing away from rank-boundary strips, partial
-        (locally computable offsets) on the strips.
+    def former_smoothing(self, pre: ModelState, out: ModelState) -> ModelState:
+        """``S1`` into ``out``: full smoothing away from rank-boundary
+        strips, partial (locally computable offsets) on the strips.
 
         Pole-side edges have valid mirror ghosts, so they are smoothed
-        fully; only true rank boundaries need the split.  With a workspace
-        an ``out`` state may be supplied; the full smoothing then runs in
-        place in pooled buffers (bit-identical).
+        fully; only true rank boundaries need the split.
         """
         g = self.geom
         gy = g.gy
         ny_i = self.extent.ny
         self.charge(self.cfg.weights.smoothing, self._wpoints)
-        if out is not None and self.ws is not None:
-            for name in ("U", "V", "Phi", "psa"):
-                self.smoothers[name].full_into(
-                    getattr(pre, name), getattr(out, name), self.ws
-                )
-        else:
-            out = ModelState(
-                U=self.smoothers["U"].full(pre.U),
-                V=self.smoothers["V"].full(pre.V),
-                Phi=self.smoothers["Phi"].full(pre.Phi),
-                psa=self.smoothers["psa"].full(pre.psa),
-            )
-        north_strip = not g.touches_north
-        south_strip = not g.touches_south
+        self.kernels.smooth_state_into(
+            pre, self.cfg.params, out, self.ws, self.smoothers
+        )
         for name in ("U", "V", "Phi", "psa"):
             sm = self.smoothers[name]
             if not sm.has_y_stencil:
                 continue
             a_pre = getattr(pre, name)
             a_out = getattr(out, name)
-            if north_strip:
+            if not g.touches_north:
                 rows = slice(gy, gy + STRIP)
-                a_out[..., rows, :] = sm.partial(a_pre, OFFSETS_R)[..., rows, :]
-            if south_strip:
+                a_out[..., rows, :] = strip_partial(sm, a_pre, rows, OFFSETS_R)
+            if not g.touches_south:
                 rows = slice(gy + ny_i - STRIP, gy + ny_i)
-                a_out[..., rows, :] = sm.partial(a_pre, OFFSETS_L)[..., rows, :]
+                a_out[..., rows, :] = strip_partial(sm, a_pre, rows, OFFSETS_L)
         return out
 
     def later_smoothing(self, smoothed: ModelState, pre: ModelState) -> None:
@@ -208,20 +201,18 @@ class CommAvoidingRank(RankContext):
             if sm.has_y_stencil:
                 if north_strip:
                     rows = slice(gy, gy + STRIP)
-                    a_out[..., rows, :] += sm.partial(a_pre, OFFSETS_R_PRIME)[
-                        ..., rows, :
-                    ]
+                    a_out[..., rows, :] += strip_partial(
+                        sm, a_pre, rows, OFFSETS_R_PRIME
+                    )
                 if south_strip:
                     rows = slice(gy + ny_i - STRIP, gy + ny_i)
-                    a_out[..., rows, :] += sm.partial(a_pre, OFFSETS_L_PRIME)[
-                        ..., rows, :
-                    ]
+                    a_out[..., rows, :] += strip_partial(
+                        sm, a_pre, rows, OFFSETS_L_PRIME
+                    )
             # full smoothing of the received halo rows / levels
-            if self.ws is not None:
-                full = self.ws.take(a_pre.shape)
-                sm.full_into(a_pre, full, self.ws)
-            else:
-                full = sm.full(a_pre)
+            full = self.kernels.smooth_field(
+                sm, a_pre, self.ws.take(a_pre.shape), self.ws
+            )
             if north_strip:
                 a_out[..., :gy, :] = full[..., :gy, :]
             if south_strip:
@@ -231,8 +222,7 @@ class CommAvoidingRank(RankContext):
                     a_out[:gz] = full[:gz]
                 if not g.touches_bottom:
                     a_out[nz_i + gz:] = full[nz_i + gz:]
-            if self.ws is not None:
-                self.ws.give(full)
+            self.ws.give(full)
 
     # ------------------------------------------------------------------
     # overlap helper: charge the inner-block compute before the wait
@@ -259,15 +249,12 @@ def _adaptation_update(
     base: ModelState,
     vd: VerticalDiagnostics,
     dt1: float,
-    out: ModelState | None = None,
+    out: ModelState,
 ) -> ModelState:
     """One internal update ``base + dt1 * F(C + A)(psi)`` on block+halo."""
     tend = ctx.engine.adaptation(psi, vd)
     ctx.engine.apply_filter(tend)
-    if out is not None:
-        out = base.axpy_into(dt1, tend, out)
-    else:
-        out = base.axpy(dt1, tend)
+    base.axpy_into(dt1, tend, out)
     ctx.engine.fill_physical_ghosts(out)
     return out
 
@@ -279,7 +266,6 @@ def ca_rank_program(
     :func:`repro.core.distributed.original_rank_program`."""
     if (
         cfg.executor == "taskgraph"
-        and cfg.use_workspace
         and cfg.decomp.pz == 1
     ):
         from repro.core.taskgraph.ca import ca_rank_program_taskgraph
@@ -296,20 +282,14 @@ def ca_rank_program(
     ctx.fill_bc(xi_pre)
     first_step = True
 
-    ring = StateRing(ctx.ws, ctx.geom.shape3d) if ctx.ws is not None else None
-
-    def scr(*live: ModelState) -> ModelState | None:
-        return ring.scratch(*live) if ring is not None else None
+    scr = StateRing(ctx.ws, ctx.geom.shape3d).scratch
 
     for _step in range(cfg.nsteps):
         with span("step", "step"):
             # ---- fused smoothing + adaptation exchange (1st of 2 per step) ----
             # Algorithm 2 lines 4-12: the smoothing belongs to the *previous*
             # step and is skipped on the first one (k = 1).
-            if ring is not None:
-                pre = xi_pre.copy_into(ring.scratch(xi_pre))
-            else:
-                pre = xi_pre.copy()
+            pre = xi_pre.copy_into(scr(xi_pre))
             smoothed = (
                 None if first_step else ctx.former_smoothing(pre, out=scr(pre))
             )
@@ -373,12 +353,7 @@ def ca_rank_program(
                     ctx, eta1, psi, vd2, dt1, scr(psi, eta1)
                 )
 
-                if ring is not None:
-                    mid = ModelState.midpoint_into(
-                        psi, eta2, ring.scratch(psi, eta2)
-                    )
-                else:
-                    mid = ModelState.midpoint(psi, eta2)
+                mid = ModelState.midpoint_into(psi, eta2, scr(psi, eta2))
                 vd3 = ctx.vertical_fresh(mid)
                 ctx.vd_stale = vd3
                 ctx.charge(W.adaptation, ctx._wpoints)
@@ -411,30 +386,18 @@ def ca_rank_program(
             else:
                 ctx.charge(W.advection, ctx._wpoints)
             tend = ctx.engine.apply_filter(ctx.engine.advection(psi, vd_frozen))
-            zeta1 = (
-                psi.axpy_into(dt2, tend, ring.scratch(psi))
-                if ring is not None else psi.axpy(dt2, tend)
-            )
+            zeta1 = psi.axpy_into(dt2, tend, scr(psi))
             ctx.engine.fill_physical_ghosts(zeta1)
 
             ctx.charge(W.advection, ctx._wpoints)
             tend = ctx.engine.apply_filter(ctx.engine.advection(zeta1, vd_frozen))
-            zeta2 = (
-                psi.axpy_into(dt2, tend, ring.scratch(psi, zeta1))
-                if ring is not None else psi.axpy(dt2, tend)
-            )
+            zeta2 = psi.axpy_into(dt2, tend, scr(psi, zeta1))
             ctx.engine.fill_physical_ghosts(zeta2)
 
-            if ring is not None:
-                mid = ModelState.midpoint_into(psi, zeta2, ring.scratch(psi, zeta2))
-            else:
-                mid = ModelState.midpoint(psi, zeta2)
+            mid = ModelState.midpoint_into(psi, zeta2, scr(psi, zeta2))
             ctx.charge(W.advection, ctx._wpoints)
             tend = ctx.engine.apply_filter(ctx.engine.advection(mid, vd_frozen))
-            xi_pre = (
-                psi.axpy_into(dt2, tend, ring.scratch(psi, mid))
-                if ring is not None else psi.axpy(dt2, tend)
-            )
+            xi_pre = psi.axpy_into(dt2, tend, scr(psi, mid))
             ctx.engine.fill_physical_ghosts(xi_pre)
             ctx.charge(W.update, 3 * ctx._wpoints)
             first_step = False
@@ -452,14 +415,9 @@ def ca_rank_program(
         comm.set_phase(None)
         ctx.fill_bc(xi_pre)
     ctx.charge(cfg.weights.smoothing, ctx._wpoints)
-    from repro.operators.smoothing import smooth_state, smooth_state_into
-
-    if ring is not None:
-        out = smooth_state_into(
-            xi_pre, params, ring.scratch(xi_pre), ctx.ws, ctx.smoothers
-        )
-    else:
-        out = smooth_state(xi_pre, params)
+    out = ctx.kernels.smooth_state_into(
+        xi_pre, params, scr(xi_pre), ctx.ws, ctx.smoothers
+    )
     ctx.fill_bc(out)
     if cfg.forcing is not None:
         cfg.forcing(out, ctx.geom, dt2)

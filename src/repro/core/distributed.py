@@ -27,10 +27,11 @@ from repro.core.workspace import StateRing, Workspace
 from repro.grid.decomposition import Decomposition
 from repro.grid.latlon import LatLonGrid
 from repro.grid.sigma import SigmaLevels
+from repro.kernels import kernel_set
 from repro.obs.spans import span
 from repro.operators.filter import filter_plan
 from repro.operators.geometry import WorkingGeometry
-from repro.operators.smoothing import smooth_state, smooth_state_into, smoothers_for
+from repro.operators.smoothing import smoothers_for
 from repro.operators.vertical import VerticalDiagnostics
 from repro.perf.costs import ComputeWeights, DEFAULT_WEIGHTS
 from repro.simmpi.comm import SimComm, SubComm
@@ -69,21 +70,18 @@ class DistributedConfig:
     #: replicated work) or "transpose" (alltoall row redistribution, the
     #: work-sharing method of parallel FFT libraries; needs equal x-blocks)
     filter_method: str = "allgather"
-    #: run the per-rank pool-backed fast path (bit-identical numerics;
-    #: ``False`` keeps the original allocating implementation)
-    use_workspace: bool = True
     #: kernel tier per rank: ``"reference"`` or ``"fused"`` (bit-identical
-    #: fused kernels with per-operator fallback; requires ``use_workspace``)
+    #: fused kernels with per-call fallback inside the kernel object)
     kernel_tier: str = "reference"
-    #: fused-kernel backend: ``"auto"``, ``"c"``, ``"numba"`` or ``"numpy"``
+    #: fused-kernel backend: ``"auto"``, ``"c"`` or ``"numpy"``
     kernel_backend: str = "auto"
     #: record per-step physics-telemetry partials (local sums/maxes only —
     #: no extra communication; the driver combines them after the run)
     telemetry: bool = False
     #: step executor: ``"sync"`` (bulk-synchronous reference) or
     #: ``"taskgraph"`` (per-rank DAG executor with real comm/compute
-    #: overlap; bit-identical trajectories, needs ``use_workspace``;
-    #: decompositions it cannot overlap fall back to the sync path)
+    #: overlap; bit-identical trajectories; decompositions it cannot
+    #: overlap fall back to the sync path)
     executor: str = "sync"
     #: seed for the executor's poll-interleaving fuzzer (tests only;
     #: ``None`` polls deterministically once per task)
@@ -149,12 +147,8 @@ class RankContext:
             self.xsub = comm.subcomm(decomp.ranks_along("x", comm.rank))
 
         cfg.validate_c_method()
-        self.ws = Workspace() if cfg.use_workspace else None
-        self.kernels = None
-        if self.ws is not None:
-            from repro.kernels import kernel_set
-
-            self.kernels = kernel_set(cfg.kernel_tier, cfg.kernel_backend)
+        self.ws = Workspace()
+        self.kernels = kernel_set(cfg.kernel_tier, cfg.kernel_backend)
         self.smoothers = smoothers_for(cfg.params)
         self._vd_last: VerticalDiagnostics | None = None
         if cfg.c_method == "scan" and decomp.pz > 1:
@@ -270,14 +264,11 @@ class RankContext:
     # ---- operators with charging ----------------------------------------------------
     def vertical_fresh(self, state: ModelState) -> VerticalDiagnostics:
         self.charge(self.cfg.weights.vertical, self._wpoints)
-        if self.ws is not None:
-            # every rank program consumes a C bundle before requesting the
-            # next fresh one, so the previous bundle is dead here: recycle
-            last, self._vd_last = self._vd_last, None
-            self.ws.give_vd(last)
-        vd = self.engine.vertical(state)
-        if self.ws is not None:
-            self._vd_last = vd
+        # every rank program consumes a C bundle before requesting the
+        # next fresh one, so the previous bundle is dead here: recycle
+        last, self._vd_last = self._vd_last, None
+        self.ws.give_vd(last)
+        vd = self._vd_last = self.engine.vertical(state)
         self.c_calls += 1
         return vd
 
@@ -473,10 +464,8 @@ class RankContext:
             )
         )
 
-    def ws_counters(self) -> dict | None:
-        """Pool counters of this rank's workspace (``None`` without one)."""
-        if self.ws is None:
-            return None
+    def ws_counters(self) -> dict:
+        """Pool counters of this rank's workspace."""
         return {
             "fresh_allocations": self.ws.fresh_allocations,
             "reuses": self.ws.reuses,
@@ -509,7 +498,7 @@ class RankResult:
     exchanges: int
     #: per-step local telemetry partials (``cfg.telemetry`` only)
     telemetry: list[tuple[int, dict]] | None = None
-    #: workspace pool counters of this rank (``cfg.use_workspace`` only)
+    #: workspace pool counters of this rank
     ws_counters: dict | None = None
     #: task-graph executor metrics (``cfg.executor == "taskgraph"`` only)
     overlap: dict | None = None
@@ -520,12 +509,10 @@ def _update(
     dt: float,
     tend: ModelState,
     ctx: RankContext,
-    out: ModelState | None = None,
+    out: ModelState,
 ) -> ModelState:
     ctx.charge(ctx.cfg.weights.update, ctx._wpoints)
-    if out is not None:
-        return psi.axpy_into(dt, tend, out)
-    return psi.axpy(dt, tend)
+    return psi.axpy_into(dt, tend, out)
 
 
 def original_rank_program(
@@ -540,7 +527,6 @@ def original_rank_program(
     decomp = cfg.decomp
     if (
         cfg.executor == "taskgraph"
-        and cfg.use_workspace
         and decomp.px == 1
         and decomp.pz == 1
     ):
@@ -560,10 +546,7 @@ def original_rank_program(
     psi = ctx.pad_local(initial)
     ctx.refresh_halos(psi)
 
-    ring = StateRing(ctx.ws, ctx.geom.shape3d) if ctx.ws is not None else None
-
-    def scr(*live: ModelState) -> ModelState | None:
-        return ring.scratch(*live) if ring is not None else None
+    scr = StateRing(ctx.ws, ctx.geom.shape3d).scratch
 
     for step_no in range(cfg.nsteps):
         with span("step", "step"):
@@ -582,12 +565,7 @@ def original_rank_program(
                 )
                 ctx.refresh_halos(eta2)
 
-                if ring is not None:
-                    mid = ModelState.midpoint_into(
-                        psi, eta2, ring.scratch(psi, eta2)
-                    )
-                else:
-                    mid = ModelState.midpoint(psi, eta2)
+                mid = ModelState.midpoint_into(psi, eta2, scr(psi, eta2))
                 vd = ctx.vertical_fresh(mid)
                 psi = _update(
                     psi, dt1, ctx.filtered_adaptation(mid, vd), ctx,
@@ -607,12 +585,7 @@ def original_rank_program(
                 scr(psi, zeta1),
             )
             ctx.refresh_halos(zeta2)
-            if ring is not None:
-                mid = ModelState.midpoint_into(
-                    psi, zeta2, ring.scratch(psi, zeta2)
-                )
-            else:
-                mid = ModelState.midpoint(psi, zeta2)
+            mid = ModelState.midpoint_into(psi, zeta2, scr(psi, zeta2))
             psi = _update(
                 psi, dt2, ctx.filtered_advection(mid, vd_frozen), ctx,
                 scr(psi, mid),
@@ -621,22 +594,9 @@ def original_rank_program(
 
             # ---- smoothing (the 13th exchange already happened above) ----
             ctx.charge(cfg.weights.smoothing, ctx._wpoints)
-            if ring is not None:
-                out_s = ring.scratch(psi)
-                smoothed = (
-                    ctx.kernels.smooth_state_into(
-                        psi, params, out_s, ctx.ws, ctx.smoothers
-                    )
-                    if ctx.kernels is not None
-                    else None
-                )
-                if smoothed is None:
-                    smooth_state_into(
-                        psi, params, out_s, ctx.ws, ctx.smoothers
-                    )
-                psi = out_s
-            else:
-                psi = smooth_state(psi, params)
+            psi = ctx.kernels.smooth_state_into(
+                psi, params, scr(psi), ctx.ws, ctx.smoothers
+            )
 
             if cfg.forcing is not None:
                 cfg.forcing(psi, ctx.geom, dt2)

@@ -121,13 +121,12 @@ class CoreConfig:
     decomp: Decomposition | None = None
     #: wall-clock deadlock timeout for run_spmd; None → scale with nsteps
     timeout: float | None = None
-    #: pool-backed fast path (bit-identical numerics; False = seed path)
-    use_workspace: bool = True
-    #: kernel tier: ``"reference"`` (oracle) or ``"fused"`` (the compiled/
-    #: fused kernels of :mod:`repro.kernels`, bit-identical with
-    #: per-operator fallback).  Env override: ``REPRO_KERNEL_TIER``.
+    #: kernel tier: ``"fused"`` (the default: the compiled/fused kernels
+    #: of :mod:`repro.kernels`, bit-identical, with per-call fallback to
+    #: numpy inside the kernel object — safe without a compiler) or
+    #: ``"reference"`` (the oracle).  Env override: ``REPRO_KERNEL_TIER``.
     kernel_tier: str | None = None
-    #: fused-kernel backend (``"auto"``/``"c"``/``"numba"``/``"numpy"``).
+    #: fused-kernel backend (``"auto"``/``"c"``/``"numpy"``).
     #: Env override: ``REPRO_KERNEL_BACKEND``.
     kernel_backend: str | None = None
     #: per-rank step executor: ``"sync"`` (the literal loop) or
@@ -166,7 +165,7 @@ class CoreConfig:
         from repro.kernels import BACKENDS, TIERS
 
         if self.kernel_tier is None:
-            self.kernel_tier = os.environ.get("REPRO_KERNEL_TIER", "reference")
+            self.kernel_tier = os.environ.get("REPRO_KERNEL_TIER", "fused")
         if self.kernel_backend is None:
             self.kernel_backend = os.environ.get(
                 "REPRO_KERNEL_BACKEND", "auto"
@@ -370,7 +369,6 @@ class DynamicalCore:
                 sigma=cfg.sigma,
                 params=cfg.params,
                 forcing=cfg.forcing,
-                use_workspace=cfg.use_workspace,
                 kernel_tier=cfg.kernel_tier,
                 kernel_backend=cfg.kernel_backend,
             )
@@ -387,7 +385,7 @@ class DynamicalCore:
 
             out = core.run(state0, nsteps, monitor=monitor)
             diag = StepDiagnostics(c_calls=core.c_calls)
-            if obs is not None and obs.config.metrics and core.ws is not None:
+            if obs is not None and obs.config.metrics:
                 absorb_workspace_counters(
                     obs.registry,
                     {
@@ -407,7 +405,6 @@ class DynamicalCore:
             sigma=cfg.sigma,
             nsteps=nsteps,
             forcing=cfg.forcing,
-            use_workspace=cfg.use_workspace,
             kernel_tier=cfg.kernel_tier,
             kernel_backend=cfg.kernel_backend,
             telemetry=want_telemetry,

@@ -28,11 +28,12 @@ import numpy as np
 from repro.constants import DEFAULT_PARAMETERS, ModelParameters
 from repro.core.tendencies import TendencyEngine
 from repro.core.workspace import StateRing, Workspace
-from repro.obs.spans import span, traced
+from repro.kernels import kernel_set
+from repro.obs.spans import traced
 from repro.grid.latlon import LatLonGrid
 from repro.grid.sigma import SigmaLevels
 from repro.operators.geometry import WorkingGeometry
-from repro.operators.smoothing import smooth_state, smooth_state_into, smoothers_for
+from repro.operators.smoothing import smoothers_for
 from repro.operators.vertical import VerticalDiagnostics
 from repro.state.variables import ModelState
 
@@ -54,14 +55,11 @@ class SerialCore:
     params: ModelParameters = DEFAULT_PARAMETERS
     approximate_c: bool = False
     forcing: ForcingFn | None = None
-    #: run the pool-backed fast path (bit-identical to the allocating
-    #: seed path; ``False`` keeps the original allocating implementation)
-    use_workspace: bool = True
     #: kernel tier: ``"reference"`` (the oracle) or ``"fused"`` (the
     #: compiled/fused kernels of :mod:`repro.kernels`; bit-identical with
-    #: per-operator fallback).  Requires ``use_workspace``.
+    #: per-call fallback inside the kernel object)
     kernel_tier: str = "reference"
-    #: fused-kernel backend: ``"auto"``, ``"c"``, ``"numba"`` or ``"numpy"``
+    #: fused-kernel backend: ``"auto"``, ``"c"`` or ``"numpy"``
     kernel_backend: str = "auto"
 
     engine: TendencyEngine = field(init=False, repr=False)
@@ -74,19 +72,14 @@ class SerialCore:
         geom = WorkingGeometry.build_global(
             self.grid, self.sigma, gy=SERIAL_GHOST_Y, gz=0
         )
-        self.ws = Workspace() if self.use_workspace else None
-        self.kernels = None
-        if self.ws is not None:
-            from repro.kernels import kernel_set
-
-            self.kernels = kernel_set(self.kernel_tier, self.kernel_backend)
+        self.ws = Workspace()
+        self.kernels = kernel_set(self.kernel_tier, self.kernel_backend)
         self.engine = TendencyEngine(
             geom, self.params, ws=self.ws, kernels=self.kernels
         )
         self._vd_stale: VerticalDiagnostics | None = None
-        if self.ws is not None:
-            self._ring = StateRing(self.ws, geom.shape3d)
-            self._smoothers = smoothers_for(self.params)
+        self._ring = StateRing(self.ws, geom.shape3d)
+        self._smoothers = smoothers_for(self.params)
 
     # ---- working-array padding ----------------------------------------------
     @property
@@ -117,12 +110,11 @@ class SerialCore:
     # ---- the C operator with frequency accounting ------------------------------
     def _vertical_fresh(self, state: ModelState) -> VerticalDiagnostics:
         self.c_calls += 1
-        if self.ws is not None:
-            # the previously cached bundle is dead by the time a fresh C is
-            # requested (verified for both the exact and approximate
-            # schedules): recycle its buffers before taking new ones
-            stale, self._vd_stale = self._vd_stale, None
-            self.ws.give_vd(stale)
+        # the previously cached bundle is dead by the time a fresh C is
+        # requested (verified for both the exact and approximate
+        # schedules): recycle its buffers before taking new ones
+        stale, self._vd_stale = self._vd_stale, None
+        self.ws.give_vd(stale)
         vd = self.engine.vertical(state)
         self._vd_stale = vd
         return vd
@@ -130,40 +122,17 @@ class SerialCore:
     # ---- one nonlinear adaptation iteration --------------------------------------
     @traced("adaptation-iteration", "tendency")
     def _adaptation_iteration(self, psi: ModelState) -> ModelState:
-        eng = self.engine
-        dt1 = self.params.dt_adaptation
+        """One nonlinear iteration: three internal updates over ``dt_1``.
 
-        if self.approximate_c and self._vd_stale is not None:
-            vd1 = self._vd_stale  # the stale bundle: C(psi^{i-2}) + O(dt1)
-        else:
-            vd1 = self._vertical_fresh(psi)
-        eta1 = psi.axpy(dt1, eng.apply_filter(eng.adaptation(psi, vd1)))
-        eng.fill_physical_ghosts(eta1)
-
-        vd2 = self._vertical_fresh(eta1)
-        eta2 = psi.axpy(dt1, eng.apply_filter(eng.adaptation(eta1, vd2)))
-        eng.fill_physical_ghosts(eta2)
-
-        mid = ModelState.midpoint(psi, eta2)  # ghost fill is linear: no refill
-        vd3 = self._vertical_fresh(mid)
-        eta3 = psi.axpy(dt1, eng.apply_filter(eng.adaptation(mid, vd3)))
-        eng.fill_physical_ghosts(eta3)
-        return eta3
-
-    @traced("adaptation-iteration", "tendency")
-    def _adaptation_iteration_ws(self, psi: ModelState) -> ModelState:
-        """Ring-buffer variant of :meth:`_adaptation_iteration`.
-
-        Identical update sequence; the iterates rotate through the state
-        ring instead of being freshly allocated (``scratch`` never returns
-        a live state, so no update reads a buffer it is writing).
+        The iterates rotate through the state ring (``scratch`` never
+        returns a live state, so no update reads a buffer it is writing).
         """
         eng = self.engine
         ring = self._ring
         dt1 = self.params.dt_adaptation
 
         if self.approximate_c and self._vd_stale is not None:
-            vd1 = self._vd_stale
+            vd1 = self._vd_stale  # the stale bundle: C(psi^{i-2}) + O(dt1)
         else:
             vd1 = self._vertical_fresh(psi)
         eta1 = psi.axpy_into(
@@ -187,16 +156,19 @@ class SerialCore:
         eng.fill_physical_ghosts(eta3)
         return eta3
 
-    def _step_ws(self, xi: ModelState) -> ModelState:
-        """Ring-buffer variant of :meth:`step` (bit-identical)."""
+    # ---- one full model step ----------------------------------------------------
+    @traced("step", "step")
+    def step(self, xi: ModelState) -> ModelState:
+        """Advance one step of Algorithm 1 on a *working* state."""
         eng = self.engine
         ring = self._ring
         dt2 = self.params.dt_advection
 
         psi = xi
         for _ in range(self.params.m_iterations):
-            psi = self._adaptation_iteration_ws(psi)
+            psi = self._adaptation_iteration(psi)
 
+        # advection with the sigma-dot bundle frozen from the adaptation
         vd = self._vd_stale
         if vd is None:  # pragma: no cover - adaptation always ran
             vd = self._vertical_fresh(psi)
@@ -216,53 +188,9 @@ class SerialCore:
         )
         eng.fill_physical_ghosts(zeta3)
 
-        out = ring.scratch(zeta3)
-        smoothed = (
-            self.kernels.smooth_state_into(
-                zeta3, self.params, out, self.ws, self._smoothers
-            )
-            if self.kernels is not None
-            else None
+        out = self.kernels.smooth_state_into(
+            zeta3, self.params, ring.scratch(zeta3), self.ws, self._smoothers
         )
-        if smoothed is None:
-            smooth_state_into(
-                zeta3, self.params, out, self.ws, self._smoothers
-            )
-        eng.fill_physical_ghosts(out)
-
-        if self.forcing is not None:
-            self.forcing(out, self.geom, dt2)
-            eng.fill_physical_ghosts(out)
-
-        self.steps_taken += 1
-        return out
-
-    # ---- one full model step ----------------------------------------------------
-    @traced("step", "step")
-    def step(self, xi: ModelState) -> ModelState:
-        """Advance one step of Algorithm 1 on a *working* state."""
-        if self.ws is not None:
-            return self._step_ws(xi)
-        eng = self.engine
-        dt2 = self.params.dt_advection
-
-        psi = xi
-        for _ in range(self.params.m_iterations):
-            psi = self._adaptation_iteration(psi)
-
-        # advection with the sigma-dot bundle frozen from the adaptation
-        vd = self._vd_stale
-        if vd is None:  # pragma: no cover - adaptation always ran
-            vd = self._vertical_fresh(psi)
-        zeta1 = psi.axpy(dt2, eng.apply_filter(eng.advection(psi, vd)))
-        eng.fill_physical_ghosts(zeta1)
-        zeta2 = psi.axpy(dt2, eng.apply_filter(eng.advection(zeta1, vd)))
-        eng.fill_physical_ghosts(zeta2)
-        mid = ModelState.midpoint(psi, zeta2)
-        zeta3 = psi.axpy(dt2, eng.apply_filter(eng.advection(mid, vd)))
-        eng.fill_physical_ghosts(zeta3)
-
-        out = smooth_state(zeta3, self.params)
         eng.fill_physical_ghosts(out)
 
         if self.forcing is not None:

@@ -37,8 +37,8 @@ def _fields(s: ModelState) -> list:
 def ca_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResult:
     """Algorithm 2 with the per-rank task-graph executor.
 
-    Caller (``ca_rank_program``) guarantees ``cfg.use_workspace`` and
-    ``pz == 1`` (no z halos), so ``gz == 0`` and the ring is available.
+    Caller (``ca_rank_program``) guarantees ``pz == 1`` (no z halos), so
+    ``gz == 0``.
     """
     ctx = ca_mod.CommAvoidingRank(comm, cfg)
     params = cfg.params
@@ -363,9 +363,7 @@ def ca_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResult:
         comm.set_phase(None)
         ctx.fill_bc(xi_pre)
     ctx.charge(cfg.weights.smoothing, ctx._wpoints)
-    from repro.operators.smoothing import smooth_state_into
-
-    out = smooth_state_into(
+    out = ctx.kernels.smooth_state_into(
         xi_pre, params, ring.scratch(xi_pre), ctx.ws, ctx.smoothers
     )
     ctx.fill_bc(out)

@@ -14,8 +14,8 @@ the smoother.  Boundary rows run after the unpack.  The trajectory stays
 bit-identical to :func:`repro.core.distributed.original_rank_program`
 (pinned with ``==`` by the tests).
 
-The caller guarantees ``full_x`` (one x block, local filter), ``pz == 1``
-(no z halos) and a workspace; ranks whose block is too small for a split
+The caller guarantees ``full_x`` (one x block, local filter) and
+``pz == 1`` (no z halos); ranks whose block is too small for a split
 degenerate to a fully synchronous-shaped graph.
 """
 from __future__ import annotations
@@ -240,19 +240,9 @@ def original_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResul
 
                 def smooth_full(xi=xi, out_s=out_s):
                     ctx.charge(W.smoothing, ctx._wpoints)
-                    got = (
-                        ctx.kernels.smooth_state_into(
-                            xi, params, out_s, ctx.ws, ctx.smoothers
-                        )
-                        if ctx.kernels is not None
-                        else None
+                    ctx.kernels.smooth_state_into(
+                        xi, params, out_s, ctx.ws, ctx.smoothers
                     )
-                    if got is None:
-                        from repro.operators.smoothing import smooth_state_into
-
-                        smooth_state_into(
-                            xi, params, out_s, ctx.ws, ctx.smoothers
-                        )
 
                 t_prev = gr.add("smooth", smooth_full, deps=dep())
                 psi = out_s

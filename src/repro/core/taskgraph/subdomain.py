@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.operators.adaptation import AdaptationGeomCache, adaptation_tendency
-from repro.operators.advection import AdvectionGeomCache, advection_tendency
+from repro.operators.adaptation import AdaptationGeomCache
+from repro.operators.advection import AdvectionGeomCache
 from repro.operators.filter import PolarFilter, apply_filter_rows
 from repro.operators.geometry import WorkingGeometry
 from repro.operators.smoothing import FieldSmoother
@@ -163,11 +163,10 @@ class RowSlab:
         """Rows ``[lo, hi)`` of ``base + dt * F(C-hat + A-hat)(psi)``."""
         if self._adapt_cache is None:
             self._adapt_cache = AdaptationGeomCache(self.geom)
-        tend = self._tendency()
-        adaptation_tendency(
+        tend = ctx.kernels.adaptation(
             state_rows(psi, self.view), vd_rows(vd, self.view),
             self.geom, ctx.cfg.params,
-            ws=ctx.ws, out=tend, cache=self._adapt_cache,
+            ctx.ws, self._tendency(), self._adapt_cache,
         )
         self._apply_filter(tend)
         self._axpy_rows(base, dt, tend, out)
@@ -184,10 +183,9 @@ class RowSlab:
         """Rows ``[lo, hi)`` of ``base + dt * F(L)(psi)``."""
         if self._advec_cache is None:
             self._advec_cache = AdvectionGeomCache(self.geom)
-        tend = self._tendency()
-        advection_tendency(
+        tend = ctx.kernels.advection(
             state_rows(psi, self.view), vd_rows(vd, self.view),
-            self.geom, ws=ctx.ws, out=tend, cache=self._advec_cache,
+            self.geom, ctx.ws, self._tendency(), self._advec_cache,
         )
         self._apply_filter(tend)
         self._axpy_rows(base, dt, tend, out)
@@ -212,7 +210,7 @@ class RowSlab:
     ) -> None:
         """Rows ``[lo, hi)`` of the full smoothing ``S(state)``.
 
-        ``full_into`` writes the whole slab view (its edge rows from
+        The smoother writes the whole slab view (its edge rows from
         in-slab wraps), so it lands in a persistent slab temp and only the
         target rows are copied out.
         """
@@ -222,7 +220,7 @@ class RowSlab:
             if tmp is None:
                 tmp = np.empty(a.shape)
                 self._smooth_tmp[name] = tmp
-            smoothers[name].full_into(a, tmp, ctx.ws)
+            ctx.kernels.smooth_field(smoothers[name], a, tmp, ctx.ws)
             np.copyto(
                 getattr(out, name)[..., self.rows, :],
                 tmp[..., self.inner, :],

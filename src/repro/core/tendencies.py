@@ -18,12 +18,14 @@ job and happens before these evaluations are called.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.constants import ModelParameters
+from repro.core.workspace import Workspace
+from repro.kernels import KernelSet, kernel_set
 from repro.obs.spans import traced
-from repro.operators.adaptation import AdaptationGeomCache, adaptation_tendency
-from repro.operators.advection import AdvectionGeomCache, advection_tendency
+from repro.operators.adaptation import AdaptationGeomCache
+from repro.operators.advection import AdvectionGeomCache
 from repro.operators.filter import PolarFilter
 from repro.operators.geometry import WorkingGeometry
 from repro.operators.shifts import (
@@ -32,20 +34,22 @@ from repro.operators.shifts import (
     fill_z_edge_ghosts,
 )
 from repro.operators.vertical import (
-    DEFAULT_REFERENCE,
     GatherFn,
     VerticalDiagnostics,
     VerticalGeomCache,
-    compute_vertical_diagnostics,
-    compute_vertical_diagnostics_scan,
 )
-from repro.state.standard_atmosphere import StandardAtmosphere
 from repro.state.variables import ModelState
 
 
 @dataclass
 class TendencyEngine:
-    """Operator composition for one rank (or the serial core)."""
+    """Operator composition for one rank (or the serial core).
+
+    Every operator is evaluated through :attr:`kernels` on buffers pooled
+    in :attr:`ws`.  Both tendencies land in **one engine-owned buffer**,
+    valid until the next :meth:`adaptation`/:meth:`advection` call — a
+    caller that wants to hold two tendencies at once must copy the first.
+    """
 
     geom: WorkingGeometry
     params: ModelParameters
@@ -54,24 +58,19 @@ class TendencyEngine:
     #: alternative volume-optimal C collective: (exscan_fn, allreduce_fn)
     #: on the z line; takes precedence over ``gather_z`` when set
     scan_z: tuple | None = None
-    reference: StandardAtmosphere = DEFAULT_REFERENCE
-    #: optional per-rank workspace; when set, the operator evaluations run
-    #: their pool-backed fast paths (bit-identical to the allocating seed
-    #: paths) and tendencies land in one engine-owned buffer
-    ws: object | None = None
-    #: optional fused kernel tier (:class:`repro.kernels.KernelSet`); each
-    #: operator call it cannot fuse falls back to the reference path below,
-    #: so results are identical either way
-    kernels: object | None = None
+    #: per-rank scratch-buffer pool of the operator evaluations
+    ws: Workspace = field(default_factory=Workspace)
+    #: the kernel object (:class:`repro.kernels.KernelSet`) every operator
+    #: call goes through; the reference tier by default
+    kernels: KernelSet = field(default_factory=kernel_set)
 
     def __post_init__(self) -> None:
         if self.polar_filter is None and self.geom.full_x:
             self.polar_filter = PolarFilter(self.geom, self.params)
-        if self.ws is not None:
-            self._vert_cache = VerticalGeomCache(self.geom)
-            self._adapt_cache = AdaptationGeomCache(self.geom)
-            self._advec_cache = AdvectionGeomCache(self.geom)
-            self._tend = ModelState.zeros(self.geom.shape3d)
+        self._vert_cache = VerticalGeomCache(self.geom)
+        self._adapt_cache = AdaptationGeomCache(self.geom)
+        self._advec_cache = AdvectionGeomCache(self.geom)
+        self._tend = ModelState.zeros(self.geom.shape3d)
 
     # ---- boundary conditions -----------------------------------------------
     def fill_physical_ghosts(self, state: ModelState) -> None:
@@ -103,28 +102,9 @@ class TendencyEngine:
         Uses the scan-based variant when ``scan_z`` is configured, the
         allgather variant otherwise.
         """
-        if self.scan_z is not None:
-            exscan, allreduce = self.scan_z
-            return compute_vertical_diagnostics_scan(
-                state.U, state.V, state.Phi, state.psa, self.geom,
-                exscan, allreduce, self.reference,
-            )
-        if self.kernels is not None and self.ws is not None:
-            vd = self.kernels.vertical(
-                state.U, state.V, state.Phi, state.psa, self.geom,
-                self.gather_z, self.ws, self._vert_cache,
-            )
-            if vd is not None:
-                return vd
-        if self.ws is not None:
-            return compute_vertical_diagnostics(
-                state.U, state.V, state.Phi, state.psa, self.geom,
-                self.gather_z, self.reference,
-                ws=self.ws, cache=self._vert_cache,
-            )
-        return compute_vertical_diagnostics(
+        return self.kernels.vertical(
             state.U, state.V, state.Phi, state.psa, self.geom,
-            self.gather_z, self.reference,
+            self.gather_z, self.ws, self._vert_cache, scan=self.scan_z,
         )
 
     # ---- composite tendencies ----------------------------------------------------
@@ -140,23 +120,11 @@ class TendencyEngine:
         whole point of the Sec. 4.2.2 optimization.  The caller applies
         the ``F`` operator (:meth:`apply_filter` locally, or the x-line
         collective of the distributed X-Y core).
-
-        With a workspace configured, the tendency is written into the
-        engine-owned buffer (valid until the next tendency evaluation).
         """
-        if self.kernels is not None and self.ws is not None:
-            out = self.kernels.adaptation(
-                state, vd, self.geom, self.params,
-                self.ws, self._tend, self._adapt_cache,
-            )
-            if out is not None:
-                return out
-        if self.ws is not None:
-            return adaptation_tendency(
-                state, vd, self.geom, self.params,
-                ws=self.ws, out=self._tend, cache=self._adapt_cache,
-            )
-        return adaptation_tendency(state, vd, self.geom, self.params)
+        return self.kernels.adaptation(
+            state, vd, self.geom, self.params,
+            self.ws, self._tend, self._adapt_cache,
+        )
 
     @traced("advection", "tendency")
     def advection(
@@ -164,18 +132,9 @@ class TendencyEngine:
     ) -> ModelState:
         """``L``: the (unfiltered) advection tendency with frozen
         ``sigma-dot``."""
-        if self.kernels is not None and self.ws is not None:
-            out = self.kernels.advection(
-                state, vd, self.geom, self.ws, self._tend, self._advec_cache,
-            )
-            if out is not None:
-                return out
-        if self.ws is not None:
-            return advection_tendency(
-                state, vd, self.geom,
-                ws=self.ws, out=self._tend, cache=self._advec_cache,
-            )
-        return advection_tendency(state, vd, self.geom)
+        return self.kernels.advection(
+            state, vd, self.geom, self.ws, self._tend, self._advec_cache,
+        )
 
     @traced("polar-filter", "tendency")
     def apply_filter(self, tend: ModelState) -> ModelState:

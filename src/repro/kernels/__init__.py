@@ -1,11 +1,11 @@
-"""Opt-in fused/compiled kernel tier for the stencil hot path.
+"""The kernel object every core evaluates its operators through.
 
 ``kernel_tier="fused"`` routes the smoothing, advection, adaptation, and
 vertical-diagnostic operators through single fused passes (compiled C via
-ctypes, numba-JITted loops, or fused numpy over wrap-padded pooled
-buffers) that reproduce the reference tier bit for bit.  The reference
-implementations in :mod:`repro.operators` stay the oracle; every fused
-path falls back to them transparently when it cannot handle a call.
+ctypes, or fused numpy over wrap-padded pooled buffers) that reproduce
+the reference tier bit for bit.  The reference implementations in
+:mod:`repro.operators` stay the oracle; every :class:`KernelSet` method
+runs them itself when it cannot fuse a call.
 
 See ``docs/kernels.md`` for the tier system, the atomic-stage
 decomposition, and the exactness guarantees.
@@ -19,7 +19,6 @@ from repro.kernels.dispatch import (
     kernel_set,
     resolve_backend,
 )
-from repro.kernels.numba_backend import numba_available
 from repro.kernels.plans import (
     KernelPlan,
     clear_plan_cache,
@@ -38,7 +37,6 @@ __all__ = [
     "clear_plan_cache",
     "kernel_plan",
     "kernel_set",
-    "numba_available",
     "plan_cache_stats",
     "registered_plans",
 ]

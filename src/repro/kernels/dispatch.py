@@ -1,17 +1,18 @@
 """Kernel-tier dispatch: resolve a backend and route operator calls.
 
-A :class:`KernelSet` is the object the tendency engine and the integrator
-consult when ``kernel_tier="fused"``.  Each operator method either handles
-the call with a fused kernel and returns the result, or returns ``None`` —
-in which case the caller runs the reference workspace path.  Fallback is
-therefore always transparent and per-operator: a missing compiler, a
+A :class:`KernelSet` is the single door through which the cores evaluate
+``A``, ``L``, ``C`` and ``S``.  Each operator method tries its fused
+kernel and otherwise runs the pooled numpy operator of
+:mod:`repro.operators` itself, so every call returns a result.  Fallback
+is therefore transparent and per-call: a missing compiler, a
 non-contiguous working array, or an unsupported decomposition never
-changes results, only speed.
+changes results, only speed.  The reference tier is the same class with
+nothing covered.
 
 Backend resolution (``backend="auto"``): the compiled C backend when a
-system compiler is available, else numba (smoothing only), else the fused
-numpy passes (smoothing only).  The C backend covers all four operators;
-the equivalence tests pin each backend explicitly.
+system compiler is available, else the fused numpy passes (smoothing
+only).  The C backend covers all four operators; the equivalence tests
+pin each backend explicitly.
 
 Every fused call is wrapped in a ``repro.obs`` span with category
 ``"kernel"`` so kernel-level timings appear next to the operator spans in
@@ -25,18 +26,25 @@ import numpy as np
 
 from repro import constants
 from repro.kernels import cbackend
-from repro.kernels.numba_backend import numba_available, smooth_full_numba
 from repro.kernels.plans import KernelPlan, kernel_plan
 from repro.kernels.stages import smoother_stages, smooth_field_fused_numpy
 from repro.obs.spans import span
+from repro.operators.adaptation import adaptation_tendency, surface_dissipation
+from repro.operators.advection import advection_tendency
+from repro.operators.smoothing import smooth_state_into
+from repro.operators.vertical import (
+    DEFAULT_REFERENCE,
+    VerticalDiagnostics,
+    compute_vertical_diagnostics,
+    compute_vertical_diagnostics_scan,
+)
 
 TIERS = ("reference", "fused")
-BACKENDS = ("auto", "c", "numba", "numpy")
+BACKENDS = ("auto", "c", "numpy")
 
 #: Operators each backend can fuse.  Everything else falls back.
 _COVERAGE = {
     "c": ("smoothing", "advection", "adaptation", "vertical"),
-    "numba": ("smoothing",),
     "numpy": ("smoothing",),
 }
 
@@ -66,8 +74,6 @@ def available_backends() -> list[str]:
     out = []
     if cbackend.c_available():
         out.append("c")
-    if numba_available():
-        out.append("numba")
     out.append("numpy")
     return out
 
@@ -88,7 +94,12 @@ def _ok(*arrays: np.ndarray) -> bool:
 
 
 class KernelSet:
-    """One resolved kernel tier: fused entry points with fallback.
+    """One resolved kernel tier: fused entry points with built-in fallback.
+
+    Every method returns its result — from the fused kernel when this
+    tier/backend covers the call, from the pooled numpy operator
+    otherwise.  ``tier="reference"`` covers nothing, so it *is* the pooled
+    numpy path.
 
     ``exact=True`` (the default) means every fused path must be
     bit-identical to the reference tier — which all shipped backends are;
@@ -101,16 +112,17 @@ class KernelSet:
     ) -> None:
         if tier not in TIERS:
             raise ValueError(f"unknown kernel tier {tier!r}; use {TIERS}")
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown kernel backend {backend!r}; use {BACKENDS}")
         self.tier = tier
         self.requested_backend = backend
-        self.backend = resolve_backend(backend)
+        # the reference tier never compiles anything: it is plain numpy
+        self.backend = resolve_backend(backend) if tier == "fused" else "numpy"
+        self.coverage = _COVERAGE[self.backend] if tier == "fused" else ()
         self.exact = exact
         self._lib = None
 
     # ---- backend plumbing -------------------------------------------------
-
-    def _covers(self, op: str) -> bool:
-        return op in _COVERAGE.get(self.backend, ())
 
     def _library(self):
         """The C library, or ``None`` (with a one-shot warning) if unbuildable."""
@@ -124,6 +136,12 @@ class KernelSet:
                 )
                 self._lib = False
         return self._lib or None
+
+    def _c_library(self, op: str, *arrays: np.ndarray):
+        """The C library iff this call of ``op`` can run its C kernel."""
+        if self.backend != "c" or op not in self.coverage or not _ok(*arrays):
+            return None
+        return self._library()
 
     def _register(self, op: str, shape: tuple, stages: tuple, extra=()) -> KernelPlan:
         return kernel_plan(
@@ -142,43 +160,36 @@ class KernelSet:
 
     # ---- smoothing --------------------------------------------------------
 
-    def smooth_field(self, sm, a: np.ndarray, out: np.ndarray, ws):
-        """Fused smoothing of one field; ``None`` if this call can't fuse."""
-        if not self._covers("smoothing") or not _ok(a, out):
-            return None
+    def smooth_field(self, sm, a: np.ndarray, out: np.ndarray, ws) -> np.ndarray:
+        """``S`` of one field into ``out`` (which must not alias ``a``)."""
+        if "smoothing" not in self.coverage or not _ok(a, out):
+            return sm.full_into(a, out, ws)
         self._register(
             "smoothing", a.shape, smoother_stages(sm),
             (sm.beta_x, sm.beta_y, sm.cross),
         )
-        if self.backend == "c":
-            lib = self._library()
-            if lib is None:
-                return None
-            scratch = ws.take(a.shape)
-            cbackend.smooth_full_c(
-                lib, a, out, scratch, sm.beta_x, sm.beta_y, sm.cross
-            )
-            ws.give(scratch)
-            return out
-        if self.backend == "numba":
-            scratch = ws.take(a.shape)
-            smooth_full_numba(a, out, scratch, sm.beta_x, sm.beta_y, sm.cross)
-            ws.give(scratch)
-            return out
-        return smooth_field_fused_numpy(sm, a, out, ws)
+        if self.backend == "numpy":
+            return smooth_field_fused_numpy(sm, a, out, ws)
+        lib = self._library()
+        if lib is None:
+            return sm.full_into(a, out, ws)
+        scratch = ws.take(a.shape)
+        cbackend.smooth_full_c(
+            lib, a, out, scratch, sm.beta_x, sm.beta_y, sm.cross
+        )
+        ws.give(scratch)
+        return out
 
     def smooth_state_into(self, state, params, out, ws, smoothers):
-        """Fused ``S`` over a whole state; ``None`` to fall back."""
-        if not self._covers("smoothing"):
-            return None
+        """``S`` over a whole state into ``out``."""
+        if "smoothing" not in self.coverage:
+            return smooth_state_into(state, params, out, ws, smoothers)
         with span(f"smoothing-fused[{self.backend}]", "kernel"):
             for name in ("U", "V", "Phi", "psa"):
-                res = self.smooth_field(
+                self.smooth_field(
                     smoothers[name], getattr(state, name), getattr(out, name), ws
                 )
-                if res is None:
-                    return None
-            return out
+        return out
 
     # ---- the stencil tendencies (C backend only) --------------------------
 
@@ -195,16 +206,16 @@ class KernelSet:
         return pf
 
     def advection(self, state, vd, geom, ws, out, cache):
-        """Fused ``L``-tendency; ``None`` if this call can't fuse."""
-        if not self._covers("advection"):
-            return None
+        """The ``L``-tendency into ``out``."""
         U, V, Phi = state.U, state.V, state.Phi
         sdot = vd.sdot_iface
-        if not _ok(U, V, Phi, state.psa, sdot, out.U, out.V, out.Phi):
-            return None
-        lib = self._library()
+        lib = self._c_library(
+            "advection", U, V, Phi, state.psa, sdot, out.U, out.V, out.Phi
+        )
         if lib is None:
-            return None
+            return advection_tendency(
+                state, vd, geom, ws=ws, out=out, cache=cache
+            )
         kg = self._advec_kgeom(geom, cache)
         with span(f"advection-fused[{self.backend}]", "kernel"):
             self._register("advection", U.shape, _STAGES["advection"])
@@ -242,21 +253,19 @@ class KernelSet:
         return kg
 
     def adaptation(self, state, vd, geom, params, ws, out, cache):
-        """Fused ``A-hat``-tendency; ``None`` if this call can't fuse."""
-        if not self._covers("adaptation"):
-            return None
+        """The ``C-hat + A-hat``-tendency into ``out``."""
         U, V, Phi, psa = state.U, state.V, state.Phi, state.psa
         phi_p = vd.phi_prime
         w_if = vd.w_iface
         col_sum = vd.column_sum
-        if not _ok(U, V, Phi, psa, phi_p, w_if, col_sum, out.U, out.V, out.Phi):
-            return None
-        lib = self._library()
+        lib = self._c_library(
+            "adaptation",
+            U, V, Phi, psa, phi_p, w_if, col_sum, out.U, out.V, out.Phi,
+        )
         if lib is None:
-            return None
-        from repro.operators.adaptation import surface_dissipation
-        from repro.operators.vertical import DEFAULT_REFERENCE
-
+            return adaptation_tendency(
+                state, vd, geom, params, ws=ws, out=out, cache=cache
+            )
         kg = self._adapt_kgeom(cache)
         with span(f"adaptation-fused[{self.backend}]", "kernel"):
             self._register("adaptation", U.shape, _STAGES["adaptation"])
@@ -304,31 +313,32 @@ class KernelSet:
             cache._kernel_geom = kg
         return kg
 
-    def vertical(self, U, V, Phi, psa, geom, gather, ws, cache):
-        """Fused ``C`` diagnostics; ``None`` if this call can't fuse.
+    def vertical(self, U, V, Phi, psa, geom, gather, ws, cache, scan=None):
+        """The ``C`` diagnostics bundle (recycle it with ``ws.give_vd``).
 
-        Only the serial / full-column case is fused (no z-gather, no ghost
+        ``scan`` is the ``(exscan, allreduce)`` pair of the volume-optimal
+        z-collective; it takes precedence over ``gather``.  Only the
+        serial / full-column case is fused (no z-collective, no ghost
         levels, identity interface and level maps); everything else runs
-        the reference workspace path.
+        the numpy operators.
         """
-        if not self._covers("vertical"):
-            return None
+        if scan is not None:
+            return compute_vertical_diagnostics_scan(
+                U, V, Phi, psa, geom, *scan
+            )
         nz = geom.grid.nz
-        if (
-            gather is not None
-            or geom.gz != 0
-            or not cache.k_if_identity
-            or not cache.k_lev_identity
-            or U.shape[0] != nz
-        ):
-            return None
-        if not _ok(U, V, Phi, psa):
-            return None
-        lib = self._library()
+        full_column = (
+            gather is None
+            and geom.gz == 0
+            and cache.k_if_identity
+            and cache.k_lev_identity
+            and U.shape[0] == nz
+        )
+        lib = self._c_library("vertical", U, V, Phi, psa) if full_column else None
         if lib is None:
-            return None
-        from repro.operators.vertical import VerticalDiagnostics
-
+            return compute_vertical_diagnostics(
+                U, V, Phi, psa, geom, gather, ws=ws, cache=cache
+            )
         kg = self._vert_kgeom(geom, cache)
         with span(f"vertical-fused[{self.backend}]", "kernel"):
             self._register("vertical", U.shape, _STAGES["vertical"])
@@ -379,7 +389,7 @@ class KernelSet:
             "backend": self.backend,
             "requested_backend": self.requested_backend,
             "exact": self.exact,
-            "coverage": list(_COVERAGE.get(self.backend, ())),
+            "coverage": list(self.coverage),
         }
 
 
@@ -393,10 +403,6 @@ def _flat(a) -> np.ndarray:
 
 def kernel_set(
     tier: str = "reference", backend: str = "auto", exact: bool = True
-) -> KernelSet | None:
-    """Build the kernel set for a tier (``None`` for the reference tier)."""
-    if tier not in TIERS:
-        raise ValueError(f"unknown kernel tier {tier!r}; use {TIERS}")
-    if tier == "reference":
-        return None
+) -> KernelSet:
+    """Build the kernel set for a tier (the reference tier by default)."""
     return KernelSet(tier=tier, backend=backend, exact=exact)

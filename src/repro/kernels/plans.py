@@ -23,7 +23,7 @@ class KernelPlan:
         Operator name (``smoothing``/``advection``/``adaptation``/
         ``vertical``).
     backend:
-        Resolved backend (``c``/``numba``/``numpy``).
+        Resolved backend (``c``/``numpy``).
     shape:
         Working-array shape the plan was built for.
     stages:

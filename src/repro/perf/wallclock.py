@@ -6,7 +6,7 @@ executed kernels and integrators on fixed meshes with pinned seeds, and
 emits a schema-versioned JSON artifact that CI archives and gates on:
 
 * per-kernel timings of the serial hot path (``C`` / adaptation /
-  advection / smoothing), seed path vs workspace path;
+  advection / smoothing);
 * end-to-end step throughput of the serial core and the distributed rank
   programs (original-yz and CA on the simulated cluster);
 * workspace allocation counters (fresh vs reused buffers), which make the
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: pinned RNG seed of the benchmark initial states
 BENCH_SEED = 1234
@@ -68,7 +68,7 @@ def _initial(grid):
 
 
 # ---------------------------------------------------------------------------
-# serial step throughput (seed path vs workspace path)
+# serial step throughput
 # ---------------------------------------------------------------------------
 def bench_serial(mesh: MeshSpec, repeats: int = 1) -> dict:
     """Time the serial core on ``mesh``; returns the case record."""
@@ -76,31 +76,22 @@ def bench_serial(mesh: MeshSpec, repeats: int = 1) -> dict:
 
     grid = _grid(mesh)
     s0 = _initial(grid)
-
-    def run(use_ws: bool) -> tuple[float, SerialCore]:
-        best = float("inf")
-        core = None
-        for _ in range(repeats):
-            core = SerialCore(grid, use_workspace=use_ws)
-            w = core.pad(s0)
-            w = core.step(w)  # warmup: pool fill, code paths hot
-            t0 = time.perf_counter()
-            for _ in range(mesh.nsteps):
-                w = core.step(w)
-            best = min(best, (time.perf_counter() - t0) / mesh.nsteps)
-        return best, core
-
-    t_seed, _ = run(False)
-    t_ws, core = run(True)
+    best = float("inf")
+    for _ in range(repeats):
+        core = SerialCore(grid)
+        w = core.pad(s0)
+        w = core.step(w)  # warmup: pool fill, code paths hot
+        t0 = time.perf_counter()
+        for _ in range(mesh.nsteps):
+            w = core.step(w)
+        best = min(best, (time.perf_counter() - t0) / mesh.nsteps)
     return {
         "kind": "serial_step",
         "mesh": mesh.name,
         "shape": [mesh.nz, mesh.ny, mesh.nx],
         "timed_steps": mesh.nsteps,
-        "seed_ms_per_step": t_seed * 1e3,
-        "ws_ms_per_step": t_ws * 1e3,
-        "speedup": t_seed / t_ws,
-        "steps_per_sec": 1.0 / t_ws,
+        "ws_ms_per_step": best * 1e3,
+        "steps_per_sec": 1.0 / best,
         "allocations": {
             "fresh": core.ws.fresh_allocations,
             "reuses": core.ws.reuses,
@@ -112,40 +103,26 @@ def bench_serial(mesh: MeshSpec, repeats: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 # per-kernel timings on the serial engine
 # ---------------------------------------------------------------------------
-def _filter_bench(core, w, cached: bool):
-    """Polar-filter micro-bench closure: plan construction + application.
-
-    The seed flavour rebuilds the damping tables every call (one build
-    per filter construction, the pre-cache behaviour); the ws flavour
-    goes through the memoised :func:`repro.operators.filter.filter_plan`.
-    """
-    from repro.operators.filter import (
-        apply_filter_rows,
-        damping_factors,
-        filter_plan,
-    )
-
-    geom = core.geom
-    nx = geom.grid.nx
-    lat = core.params.filter_latitude
-    profile = core.params.filter_profile
-    plan = filter_plan if cached else damping_factors
-
-    def run() -> None:
-        mask, factors = plan(geom.sin_c, nx, lat, profile)
-        if mask.any():
-            apply_filter_rows(w.U, mask, factors)
-
-    return run
-
-
 def bench_kernels(mesh: MeshSpec, inner: int = 5) -> dict:
-    """Time each hot-path kernel in isolation, both code paths."""
+    """Time each hot-path kernel of the reference tier in isolation."""
     from repro.core.integrator import SerialCore
-    from repro.operators.smoothing import smooth_state, smooth_state_into
+    from repro.operators.filter import apply_filter_rows, filter_plan
 
     grid = _grid(mesh)
-    s0 = _initial(grid)
+    core = SerialCore(grid)
+    eng = core.engine
+    w = core.pad(_initial(grid))
+    vd = eng.vertical(w)
+    out = core._ring.scratch(w)
+    geom, params = core.geom, core.params
+
+    def polar_filter() -> None:
+        mask, factors = filter_plan(
+            geom.sin_c, geom.grid.nx, params.filter_latitude,
+            params.filter_profile,
+        )
+        if mask.any():
+            apply_filter_rows(w.U, mask, factors)
 
     def timed(fn) -> float:
         fn()  # warmup
@@ -154,32 +131,20 @@ def bench_kernels(mesh: MeshSpec, inner: int = 5) -> dict:
             fn()
         return (time.perf_counter() - t0) / inner * 1e3  # ms
 
-    kernels: dict[str, dict[str, float]] = {}
-    for label, use_ws in (("seed", False), ("ws", True)):
-        core = SerialCore(grid, use_workspace=use_ws)
-        eng = core.engine
-        w = core.pad(s0)
-        vd = eng.vertical(w)
-        rec = {
-            "vertical": timed(lambda: eng.vertical(w)),
-            "adaptation": timed(lambda: eng.adaptation(w, vd)),
-            "advection": timed(lambda: eng.advection(w, vd)),
-        }
-        if use_ws:
-            out = core._ring.scratch(w)
-            rec["smoothing"] = timed(
-                lambda: smooth_state_into(
-                    w, core.params, out, core.ws, core._smoothers
-                )
-            )
-        else:
-            rec["smoothing"] = timed(lambda: smooth_state(w, core.params))
-        rec["polar_filter"] = timed(_filter_bench(core, w, cached=use_ws))
-        for name, ms in rec.items():
-            kernels.setdefault(name, {})[f"{label}_ms"] = ms
-    for rec in kernels.values():
-        rec["speedup"] = rec["seed_ms"] / rec["ws_ms"]
-    return {"kind": "kernels", "mesh": mesh.name, "kernels": kernels}
+    kernels = {
+        "vertical": lambda: eng.vertical(w),
+        "adaptation": lambda: eng.adaptation(w, vd),
+        "advection": lambda: eng.advection(w, vd),
+        "smoothing": lambda: core.kernels.smooth_state_into(
+            w, params, out, core.ws, core._smoothers
+        ),
+        "polar_filter": polar_filter,
+    }
+    return {
+        "kind": "kernels",
+        "mesh": mesh.name,
+        "kernels": {name: {"ws_ms": timed(fn)} for name, fn in kernels.items()},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +153,14 @@ def bench_kernels(mesh: MeshSpec, inner: int = 5) -> dict:
 def bench_kernel_tiers(mesh: MeshSpec, repeats: int = 1) -> dict:
     """Serial step throughput of the reference vs fused kernel tiers.
 
-    Both tiers step the workspace core from the same pinned initial
+    Both tiers step the serial core from the same pinned initial
     state; the final trajectories must be bitwise equal (recorded as
     ``bit_identical``, gated absolutely by
     :func:`kernel_tier_violations`).  The fused-throughput gate is armed
-    only on the medium mesh when a compiled backend (``c``/``numba``)
-    actually resolved — on hosts with neither a C compiler nor numba the
-    numpy fallback is recorded and the gate skipped, so the benchmark
-    degrades gracefully instead of failing.
+    only on the medium mesh when the compiled C backend actually
+    resolved — on hosts without a C compiler the numpy fallback is
+    recorded and the gate skipped, so the benchmark degrades gracefully
+    instead of failing.
     """
     from repro.core.integrator import SerialCore
     from repro.kernels import kernel_set
@@ -224,7 +189,7 @@ def bench_kernel_tiers(mesh: MeshSpec, repeats: int = 1) -> dict:
         for f in ("U", "V", "Phi", "psa")
     )
     backend = kernel_set("fused").backend
-    compiled = backend in ("c", "numba")
+    compiled = backend == "c"
     return {
         "kind": "kernel_tiers",
         "mesh": mesh.name,
@@ -303,25 +268,22 @@ def bench_core(mesh: MeshSpec, algorithm: str, nprocs: int, nsteps: int) -> dict
 
     grid = _grid(mesh)
     s0 = _initial(grid)
-    times = {}
-    for label, use_ws in (("seed", False), ("ws", True)):
-        core = DynamicalCore(
-            grid, algorithm=algorithm, nprocs=nprocs, use_workspace=use_ws
-        )
-        core.run(s0, 1)  # warmup
-        t0 = time.perf_counter()
-        _, diag = core.run(s0, nsteps)
-        times[label] = (time.perf_counter() - t0) / nsteps
+    core = DynamicalCore(
+        grid, algorithm=algorithm, nprocs=nprocs,
+        kernel_tier="reference",  # the tier the baseline was recorded on
+    )
+    core.run(s0, 1)  # warmup
+    t0 = time.perf_counter()
+    core.run(s0, nsteps)
+    per_step = (time.perf_counter() - t0) / nsteps
     return {
         "kind": "distributed_step",
         "mesh": mesh.name,
         "algorithm": algorithm,
         "nprocs": nprocs,
         "timed_steps": nsteps,
-        "seed_ms_per_step": times["seed"] * 1e3,
-        "ws_ms_per_step": times["ws"] * 1e3,
-        "speedup": times["seed"] / times["ws"],
-        "steps_per_sec": 1.0 / times["ws"],
+        "ws_ms_per_step": per_step * 1e3,
+        "steps_per_sec": 1.0 / per_step,
     }
 
 
@@ -355,7 +317,7 @@ def bench_parallel_scaling(
     if nsteps is None:
         nsteps = mesh.nsteps
 
-    score = SerialCore(grid, use_workspace=True)
+    score = SerialCore(grid)
     w = score.pad(s0)
     w = score.step(w)  # warmup
     t0 = time.perf_counter()
@@ -370,7 +332,8 @@ def bench_parallel_scaling(
         base_ms = None  # 1-rank time of this algorithm (efficiency base)
         for nprocs in nprocs_list:
             core = DynamicalCore(
-                grid, algorithm=algorithm, nprocs=nprocs, backend="process"
+                grid, algorithm=algorithm, nprocs=nprocs, backend="process",
+                kernel_tier="reference",  # the tier of the serial base above
             )
             core.run(s0, 1)  # warmup: forks ranks, fills pools
             t0 = time.perf_counter()
@@ -488,6 +451,7 @@ def bench_overlap(
         core = DynamicalCore(
             grid, algorithm=algorithm, nprocs=nprocs,
             backend="process", executor=executor,
+            kernel_tier="reference",  # the tier the baseline was recorded on
         )
         core.run(s0, 1)  # warmup: forks ranks, fills pools
         t0 = time.perf_counter()

@@ -10,6 +10,16 @@ from repro.grid.sigma import SigmaLevels
 from repro.physics import balanced_random_state, perturbed_rest_state
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _warm_kernel_library() -> None:
+    """Build (or find cached) the C kernel library once per session, so no
+    test — the user-facing cores default to the fused tier — pays the cold
+    build under a watchdog.  Hosts without a compiler resolve to numpy."""
+    from repro.kernels import resolve_backend
+
+    resolve_backend("auto")
+
+
 @pytest.fixture
 def small_grid() -> LatLonGrid:
     """A pole-to-pole grid small enough for exhaustive checks."""

@@ -85,7 +85,8 @@ class TestVerticalAdvection:
         vd1 = engine.vertical(w)
         # zero out the vertical velocity: L3 must vanish
         vd1.sdot_iface[:] = 0.0
-        tend = engine.advection(w, vd1)
+        # the engine owns its tendency buffer: copy to hold two at once
+        tend = engine.advection(w, vd1).copy()
         # compare against a run with real sdot
         vd2 = engine.vertical(w)
         tend2 = engine.advection(w, vd2)

@@ -24,8 +24,7 @@ from repro.constants import ModelParameters
 from repro.core.integrator import SerialCore
 from repro.core.workspace import Workspace
 from repro.grid.latlon import LatLonGrid
-from repro.kernels import available_backends, kernel_set, registered_plans
-from repro.kernels.numba_backend import smooth_full_numba
+from repro.kernels import available_backends, registered_plans
 from repro.kernels.stages import (
     apply_stages_sequential,
     smooth_field_fused_numpy,
@@ -86,18 +85,6 @@ def test_fused_numpy_bit_identical_to_reference(a, bx, by, cross):
     ref = sm.full_into(a, np.empty_like(a), Workspace())
     out = np.empty_like(a)
     smooth_field_fused_numpy(sm, a, out, Workspace())
-    assert np.array_equal(ref, out)
-    assert np.array_equal(np.signbit(ref), np.signbit(out))
-
-
-@settings(max_examples=25, deadline=None)
-@given(a=fields, bx=betas, by=betas, cross=st.booleans())
-def test_loop_backend_bit_identical_to_reference(a, bx, by, cross):
-    """The numba loop body (JITted or not: same code) matches bitwise."""
-    sm = FieldSmoother(beta_x=bx, beta_y=by, cross=cross)
-    ref = sm.full_into(a, np.empty_like(a), Workspace())
-    out = np.empty_like(a)
-    smooth_full_numba(a, out, np.empty_like(a), bx, by, cross)
     assert np.array_equal(ref, out)
     assert np.array_equal(np.signbit(ref), np.signbit(out))
 

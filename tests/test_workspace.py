@@ -1,21 +1,44 @@
-"""Workspace pool unit tests + bit-identity of the pooled fast paths.
+"""Workspace pool unit tests + bit-identity of the pooled operators.
 
-The contract of the performance pass is *exact* reproducibility: with
-``use_workspace=True`` (the default) every core must produce the same
-bits as the seed allocating implementation, for multi-step trajectories,
-on every algorithm variant.  These tests assert ``==`` equality, not
-``allclose``.
+The cores evaluate ``A``, ``L``, ``C`` and ``S`` only through
+:class:`repro.kernels.KernelSet`, on pooled buffers.  The allocating
+functions of :mod:`repro.operators` are the readable mathematical oracle;
+the contract is *exact* reproducibility, so these tests assert ``==``
+(not ``allclose``) between the two, operator by operator, on
+hypothesis-drawn meshes, ghost widths (the serial ``gy = 2`` and the CA
+``gy = 3M + 2``) and seeds.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.driver import DynamicalCore
+from repro.constants import ModelParameters
+from repro.core.comm_avoiding import STRIP, strip_partial
 from repro.core.integrator import SerialCore
+from repro.core.tendencies import TendencyEngine
 from repro.core.workspace import StateRing, Workspace
 from repro.grid.latlon import LatLonGrid
+from repro.grid.sigma import SigmaLevels
+from repro.kernels import kernel_set
+from repro.operators.adaptation import AdaptationGeomCache, adaptation_tendency
+from repro.operators.advection import AdvectionGeomCache, advection_tendency
+from repro.operators.geometry import WorkingGeometry
 from repro.operators.shifts import roll_into
-from repro.physics.initial import balanced_random_state, perturbed_rest_state
-from repro.state.variables import ModelState
+from repro.operators.smoothing import (
+    OFFSETS_L,
+    OFFSETS_L_PRIME,
+    OFFSETS_R,
+    OFFSETS_R_PRIME,
+    smooth_state,
+    smoothers_for,
+)
+from repro.operators.vertical import (
+    VerticalGeomCache,
+    compute_vertical_diagnostics,
+    compute_vertical_diagnostics_scan,
+)
+from repro.physics.initial import balanced_random_state
+from repro.state.variables import FIELD_NAMES, ModelState
 
 
 # ---------------------------------------------------------------------------
@@ -109,108 +132,165 @@ class TestRollInto:
 
 
 # ---------------------------------------------------------------------------
-# bit-identity of full multi-step trajectories, ws vs seed path
+# pooled operators == allocating oracle, bit for bit
 # ---------------------------------------------------------------------------
-def _initial(grid: LatLonGrid) -> ModelState:
-    rng = np.random.default_rng(1234)
-    return balanced_random_state(grid, rng)
+VD_FIELDS = (
+    "div_p", "column_sum", "pw_iface", "w_iface", "sdot_iface",
+    "phi_prime", "p_fac",
+)
+
+#: mesh x ghost width x seed; gy = 2 is the serial core's working array,
+#: gy = 3M + 2 (M = 1..3) the communication-avoiding core's
+cases = st.tuples(
+    st.sampled_from([8, 12, 16]),   # nx
+    st.integers(6, 12),             # ny
+    st.integers(2, 4),              # nz
+    st.sampled_from([2, 5, 8, 11]),  # gy
+    st.integers(0, 2**32 - 1),      # seed
+)
 
 
-def _assert_states_identical(a: ModelState, b: ModelState, label: str) -> None:
-    for name in ("U", "V", "Phi", "psa"):
-        xa, xb = getattr(a, name), getattr(b, name)
-        assert np.array_equal(xa, xb), (
-            f"{label}: field {name} differs "
-            f"(max |diff| = {np.abs(xa - xb).max():.3e})"
+def _working_case(nx, ny, nz, gy, seed):
+    """A working geometry and a random (finite, P > 0) working state."""
+    grid = LatLonGrid(nx=nx, ny=ny, nz=nz)
+    geom = WorkingGeometry.build_global(
+        grid, SigmaLevels.uniform(nz), gy=gy, gz=0
+    )
+    rng = np.random.default_rng(seed)
+    shape3d = geom.shape3d
+    state = ModelState(
+        U=10.0 * rng.standard_normal(shape3d),
+        V=10.0 * rng.standard_normal(shape3d),
+        Phi=100.0 * rng.standard_normal(shape3d),
+        psa=100.0 * rng.standard_normal(shape3d[1:]),
+    )
+    return geom, state
+
+
+def _assert_identical(want, got, names, label):
+    for name in names:
+        a, b = getattr(want, name), getattr(got, name)
+        assert np.array_equal(a, b), (
+            f"{label}: {name} differs (max |diff| = {np.abs(a - b).max():.3e})"
         )
 
 
-@pytest.mark.parametrize("approximate_c", [False, True])
-def test_serial_bit_identical(approximate_c):
-    grid = LatLonGrid(nx=24, ny=12, nz=4)
-    s0 = _initial(grid)
-    seed = SerialCore(grid, approximate_c=approximate_c, use_workspace=False)
-    fast = SerialCore(grid, approximate_c=approximate_c, use_workspace=True)
-    out_seed = seed.run(s0, 4)
-    out_fast = fast.run(s0, 4)
-    _assert_states_identical(
-        out_seed, out_fast, f"serial(approximate_c={approximate_c})"
+@settings(max_examples=20, deadline=None)
+@given(case=cases, identity_gather=st.booleans())
+def test_vertical_pooled_equals_allocating(case, identity_gather):
+    """``C`` through the kernel object, without and with the allgather
+    hook (one z-rank: the gathered column is the rank's own)."""
+    geom, s = _working_case(*case)
+    gather = (lambda stack: stack) if identity_gather else None
+    want = compute_vertical_diagnostics(s.U, s.V, s.Phi, s.psa, geom, gather)
+    got = kernel_set().vertical(
+        s.U, s.V, s.Phi, s.psa, geom, gather, Workspace(),
+        VerticalGeomCache(geom),
     )
-    # same C-collective schedule on both paths
-    assert fast.c_calls == seed.c_calls
+    _assert_identical(want, got, VD_FIELDS, "C")
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=cases)
+def test_vertical_scan_goes_through_the_same_door(case):
+    geom, s = _working_case(*case)
+    scan = (lambda x: np.zeros_like(x), lambda x: x.copy())
+    want = compute_vertical_diagnostics_scan(
+        s.U, s.V, s.Phi, s.psa, geom, *scan
+    )
+    got = kernel_set().vertical(
+        s.U, s.V, s.Phi, s.psa, geom, None, Workspace(),
+        VerticalGeomCache(geom), scan=scan,
+    )
+    _assert_identical(want, got, VD_FIELDS, "C(scan)")
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=cases)
+def test_adaptation_pooled_equals_allocating(case):
+    geom, s = _working_case(*case)
+    params = ModelParameters()
+    vd = compute_vertical_diagnostics(s.U, s.V, s.Phi, s.psa, geom)
+    want = adaptation_tendency(s, vd, geom, params)
+    got = kernel_set().adaptation(
+        s, vd, geom, params, Workspace(), ModelState.zeros(geom.shape3d),
+        AdaptationGeomCache(geom),
+    )
+    _assert_identical(want, got, FIELD_NAMES, "A")
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=cases)
+def test_advection_pooled_equals_allocating(case):
+    geom, s = _working_case(*case)
+    vd = compute_vertical_diagnostics(s.U, s.V, s.Phi, s.psa, geom)
+    want = advection_tendency(s, vd, geom)
+    got = kernel_set().advection(
+        s, vd, geom, Workspace(), ModelState.zeros(geom.shape3d),
+        AdvectionGeomCache(geom),
+    )
+    _assert_identical(want, got, FIELD_NAMES, "L")
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=cases, beta_y_uv=st.sampled_from([0.0, 0.06]))
+def test_smoothing_pooled_equals_allocating(case, beta_y_uv):
+    geom, s = _working_case(*case)
+    params = ModelParameters(smoothing_beta_y_uv=beta_y_uv)
+    want = smooth_state(s, params)
+    got = kernel_set().smooth_state_into(
+        s, params, ModelState.zeros(geom.shape3d), Workspace(),
+        smoothers_for(params),
+    )
+    _assert_identical(want, got, FIELD_NAMES, "S")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    case=cases.filter(lambda c: c[3] > 2),  # the CA ghost widths
+    offsets=st.sampled_from(
+        [OFFSETS_R, OFFSETS_L, OFFSETS_R_PRIME, OFFSETS_L_PRIME]
+    ),
+    south=st.booleans(),
+)
+def test_strip_window_partial_equals_whole_array_partial(case, offsets, south):
+    """The former/later smoothing evaluates its strip partials on the
+    strip's row window; the two kept rows equal the whole-array ones."""
+    geom, s = _working_case(*case)
+    gy, ny_i = geom.gy, geom.extent.ny
+    lo = gy + ny_i - STRIP if south else gy
+    rows = slice(lo, lo + STRIP)
+    sm = smoothers_for(ModelParameters(smoothing_beta_y_uv=0.06))
+    for name in FIELD_NAMES:
+        a = getattr(s, name)
+        want = sm[name].partial(a, offsets)[..., rows, :]
+        got = strip_partial(sm[name], a, rows, offsets)
+        assert np.array_equal(want, got), name
+
+
+# ---------------------------------------------------------------------------
+# buffer ownership and steady-state allocation
+# ---------------------------------------------------------------------------
+def test_engine_tendencies_share_one_engine_owned_buffer():
+    """A tendency is valid until the next evaluation: hold two, copy one."""
+    geom, s = _working_case(8, 8, 2, 2, 0)
+    eng = TendencyEngine(geom, ModelParameters())
+    vd = eng.vertical(s)
+    first = eng.adaptation(s, vd)
+    kept = first.copy()
+    second = eng.advection(s, vd)
+    assert second is first
+    assert not np.array_equal(kept.U, second.U)
 
 
 def test_serial_pool_converges():
     """Steady state performs zero heap allocations on the step hot path."""
     grid = LatLonGrid(nx=24, ny=12, nz=4)
-    core = SerialCore(grid, use_workspace=True)
-    w = core.pad(_initial(grid))
+    core = SerialCore(grid)
+    w = core.pad(balanced_random_state(grid, np.random.default_rng(1234)))
     w = core.step(w)
     w = core.step(w)
     fresh_before = core.ws.fresh_allocations
     w = core.step(w)
     assert core.ws.fresh_allocations == fresh_before
     assert core.ws.reuses > 0
-
-
-@pytest.mark.parametrize(
-    "algorithm,nprocs,grid_kw",
-    [
-        ("original-yz", 4, dict(nx=24, ny=16, nz=4)),
-        ("original-xy", 4, dict(nx=24, ny=16, nz=4)),
-        ("original-3d", 4, dict(nx=24, ny=16, nz=4)),
-        ("ca", 2, dict(nx=24, ny=32, nz=4)),
-    ],
-)
-def test_distributed_bit_identical(algorithm, nprocs, grid_kw):
-    grid = LatLonGrid(**grid_kw)
-    s0 = _initial(grid)
-    seed = DynamicalCore(
-        grid, algorithm=algorithm, nprocs=nprocs, use_workspace=False
-    )
-    fast = DynamicalCore(
-        grid, algorithm=algorithm, nprocs=nprocs, use_workspace=True
-    )
-    out_seed, diag_seed = seed.run(s0, 3)
-    out_fast, diag_fast = fast.run(s0, 3)
-    _assert_states_identical(out_seed, out_fast, algorithm)
-    assert diag_fast.c_calls == diag_seed.c_calls
-    assert diag_fast.exchanges == diag_seed.exchanges
-
-
-def test_scan_variant_bit_identical():
-    """The scan-based C collective (whose bundles contain views) composes
-    with the pool and matches its seed path bitwise."""
-    from repro.core.distributed import DistributedConfig, original_rank_program
-    from repro.grid.decomposition import Decomposition
-    from repro.simmpi import run_spmd
-
-    grid = LatLonGrid(nx=16, ny=16, nz=8)
-    s0 = _initial(grid)
-    decomp = Decomposition(grid.nx, grid.ny, grid.nz, 1, 2, 2)
-    outs = {}
-    for use_ws in (False, True):
-        cfg = DistributedConfig(
-            grid=grid, decomp=decomp, nsteps=2, c_method="scan",
-            use_workspace=use_ws,
-        )
-        result = run_spmd(decomp.nranks, original_rank_program, cfg, s0)
-        blocks = [r.state for r in result.results]
-        outs[use_ws] = ModelState(
-            U=decomp.gather([b.U for b in blocks]),
-            V=decomp.gather([b.V for b in blocks]),
-            Phi=decomp.gather([b.Phi for b in blocks]),
-            psa=decomp.gather([b.psa for b in blocks]),
-        )
-    _assert_states_identical(outs[False], outs[True], "original-yz(scan)")
-
-
-def test_forced_run_bit_identical():
-    """Forcing hooks compose with the ring rotation (Held-Suarez path)."""
-    from repro.physics.held_suarez import HeldSuarezForcing
-
-    grid = LatLonGrid(nx=24, ny=12, nz=4)
-    s0 = perturbed_rest_state(grid)
-    seed = SerialCore(grid, forcing=HeldSuarezForcing(), use_workspace=False)
-    fast = SerialCore(grid, forcing=HeldSuarezForcing(), use_workspace=True)
-    _assert_states_identical(seed.run(s0, 3), fast.run(s0, 3), "serial+HS")
