@@ -12,11 +12,21 @@ exactly **two** halo exchanges instead of the original thirteen:
 2. the *advection exchange* — 3-wide halos for the three advection
    updates, also overlapped with the inner-block update.
 
-All ``3M`` adaptation updates then run on block + (shrinking) halo with
-redundant computation and zero additional point-to-point communication;
-the approximate nonlinear iteration (Sec. 4.2.2) reuses the cached ``C``
-bundle for the first internal update of every iteration, so only ``2M``
-z-collectives happen per step instead of ``3M``.
+All ``3M`` adaptation updates then run on block + *shrinking* halo with
+redundant computation and zero additional point-to-point communication:
+update ``u`` of a batch of ``H`` (``H = 3M`` for adaptation, 3 for
+advection) sweeps only the rows that can still be valid — the block plus
+``H - u`` rows on each side that has a y-neighbour, and nothing beyond the
+block towards a pole, whose ghost rows are a local mirror kept filled to
+the stencil reach (:func:`update_windows`, Figure 4).  Every per-update
+operation — ``C``, ``A``/``L``, the polar filter, the axpy/midpoint, the
+pole fill — runs on that row window through views of the working arrays
+(:class:`repro.core.rowslab.RowSlab`); ``S1`` runs on the block
+rows, ``S2`` on the received rows.  The approximate nonlinear iteration
+(Sec. 4.2.2) reuses the cached ``C`` bundle for the first internal update
+of every iteration, so only ``2M`` z-collectives happen per step instead
+of ``3M``.  Under ``p_z > 1`` the windows are in y only: all (ghost) levels
+are swept.
 
 Deviation noted in DESIGN.md: the stale ``C`` bundle must be valid on the
 fresh halo rows for the first internal update; the exchange therefore
@@ -35,8 +45,10 @@ from repro.core.distributed import (
     RankResult,
 )
 from repro.core.halo import PackPool
+from repro.core.rowslab import RowSlab
 from repro.core.workspace import StateRing
 from repro.obs.spans import span
+from repro.operators.geometry import WorkingGeometry
 from repro.operators.smoothing import (
     FieldSmoother,
     OFFSETS_L,
@@ -44,6 +56,7 @@ from repro.operators.smoothing import (
     OFFSETS_R,
     OFFSETS_R_PRIME,
 )
+from repro.operators.stencil_meta import row_window_schedule
 from repro.operators.vertical import VerticalDiagnostics
 from repro.simmpi.comm import SimComm
 from repro.state.variables import ModelState
@@ -53,6 +66,10 @@ TAG_BUNDLE = 30_000
 
 #: strip width of the former/later smoothing split (the smoother radius)
 STRIP = 2
+
+#: ghost rows mirrored across a pole: the deepest y-reach of any pass (the
+#: smoother's; ``C``, ``A`` and ``L`` reach one row)
+POLE_REACH = STRIP
 
 
 def strip_partial(
@@ -66,6 +83,20 @@ def strip_partial(
     """
     window = a[..., rows.start - STRIP: rows.stop + STRIP, :]
     return sm.partial(window, offsets)[..., STRIP:-STRIP, :]
+
+
+def update_windows(
+    geom: WorkingGeometry, batch: int
+) -> tuple[tuple[int, int], ...]:
+    """Working rows ``[lo, hi)`` each of ``batch`` halo-batched updates
+    targets on the rank owning ``geom``: the block plus ``batch - u`` rows
+    on every side that has a y-neighbour, nothing beyond the block towards
+    a pole (:func:`repro.operators.stencil_meta.row_window_schedule`)."""
+    gy = geom.gy
+    return row_window_schedule(
+        gy, gy + geom.extent.ny, batch,
+        north=not geom.touches_north, south=not geom.touches_south,
+    )
 
 
 class CommAvoidingRank(RankContext):
@@ -85,6 +116,39 @@ class CommAvoidingRank(RankContext):
         self.north_nb = decomp.neighbour(comm.rank, 0, -1, 0)
         self.south_nb = decomp.neighbour(comm.rank, 0, +1, 0)
         self._bundle_pool = PackPool(comm)
+        # ---- the row-window schedule (built once per rank) ----
+        slab = self.engine.slab
+        #: row window of each of the 3M adaptation / 3 advection updates.
+        #: One window (reach 1) serves the update's C, A/L, filter, axpy
+        #: and midpoint: C-then-A still has y-reach 1, because the only C
+        #: output A reads off-row is phi' at j + 1, which is column-local
+        #: and hence valid on the window's margin row too.
+        self.adapt = [slab(lo, hi) for lo, hi in update_windows(self.geom, 3 * M)]
+        self.advec = [slab(lo, hi) for lo, hi in update_windows(self.geom, 3)]
+        ny_i, ny_w = self.extent.ny, self.geom.shape2d[0]
+        #: the block rows (S1 and the final smoothing)
+        self.block = slab(gy, gy + ny_i, STRIP)
+        #: the received halo rows S2 can smooth fully, per neighbour side
+        self.received = []
+        if not self.geom.touches_north:
+            self.received.append(slab(STRIP, gy, STRIP))
+        if not self.geom.touches_south:
+            self.received.append(slab(gy + ny_i, ny_w - STRIP, STRIP))
+
+    def state_ring(self) -> StateRing:
+        """The step's state rotation.  Zero-initialised: the windowed
+        sweeps never write (nor read) the rows beyond their reach, and
+        whole-array passes such as the forcing must find finite values
+        there.  ``np.zeros`` maps zero pages lazily, so rows and members
+        never touched cost no memory."""
+        return StateRing.of(
+            ModelState.zeros(self.geom.shape3d) for _ in range(6)
+        )
+
+    def fill_bc(self, state: ModelState) -> None:
+        """Pole mirror to the stencil reach (not all ``gy`` rows) and the
+        z-edge fill; no windowed pass reads further across a pole."""
+        self.engine.fill_physical_ghosts(state, depth=POLE_REACH)
 
     # ------------------------------------------------------------------
     # stale-bundle exchange (y-direction only; bundles are z-complete)
@@ -125,15 +189,17 @@ class CommAvoidingRank(RankContext):
         return sends, recvs
 
     def finish_bundle_exchange(self, vd: VerticalDiagnostics, wy: int, pending) -> None:
-        """Unpack bundle slabs and rebuild the derived interface fields."""
+        """Unpack bundle slabs and rebuild the derived interface fields on
+        the refreshed rows."""
         sends, recvs = pending
         gy = self.geom.gy
         ny_i = self.extent.ny
         self.comm.set_phase(PHASE_STENCIL)
         fields = self._bundle_fields(vd)
+        refreshed = {}
         for req, fi, side in recvs:
             payload = req.wait()
-            rows = (
+            rows = refreshed[side] = (
                 slice(gy - wy, gy) if side == "n"
                 else slice(gy + ny_i, gy + ny_i + wy)
             )
@@ -142,19 +208,29 @@ class CommAvoidingRank(RankContext):
         for req in sends:
             req.wait()
         self.comm.set_phase(None)
-        # rebuild w / sigma-dot on the refreshed rows (cheap: whole array)
-        t2 = self.ws.take(vd.p_fac.shape)
-        np.divide(vd.pw_iface, vd.p_fac[None], out=vd.w_iface)
-        np.power(vd.p_fac, 2, out=t2)
-        np.divide(vd.pw_iface, t2[None], out=vd.sdot_iface)
-        self.ws.give(t2)
+        # rebuild w / sigma-dot where pw and P just changed
+        for rows in refreshed.values():
+            p = vd.p_fac[rows]
+            pw = vd.pw_iface[:, rows]
+            t2 = self.ws.take(p.shape)
+            np.divide(pw, p[None], out=vd.w_iface[:, rows])
+            np.power(p, 2, out=t2)
+            np.divide(pw, t2[None], out=vd.sdot_iface[:, rows])
+            self.ws.give(t2)
 
     # ------------------------------------------------------------------
     # the fused smoothing (Sec. 4.3.2)
     # ------------------------------------------------------------------
+    def smooth_block(self, state: ModelState, out: ModelState) -> ModelState:
+        """``S(state)`` on the block rows of ``out`` (charged)."""
+        self.charge(self.cfg.weights.smoothing, self.block.npoints)
+        self.block.smooth(self.kernels, self.ws, self.smoothers, state, out)
+        return out
+
     def former_smoothing(self, pre: ModelState, out: ModelState) -> ModelState:
-        """``S1`` into ``out``: full smoothing away from rank-boundary
-        strips, partial (locally computable offsets) on the strips.
+        """``S1`` into the block rows of ``out``: full smoothing away from
+        rank-boundary strips, partial (locally computable offsets) on the
+        strips.
 
         Pole-side edges have valid mirror ghosts, so they are smoothed
         fully; only true rank boundaries need the split.
@@ -162,10 +238,7 @@ class CommAvoidingRank(RankContext):
         g = self.geom
         gy = g.gy
         ny_i = self.extent.ny
-        self.charge(self.cfg.weights.smoothing, self._wpoints)
-        self.kernels.smooth_state_into(
-            pre, self.cfg.params, out, self.ws, self.smoothers
-        )
+        self.smooth_block(pre, out)
         for name in ("U", "V", "Phi", "psa"):
             sm = self.smoothers[name]
             if not sm.has_y_stencil:
@@ -182,15 +255,15 @@ class CommAvoidingRank(RankContext):
 
     def later_smoothing(self, smoothed: ModelState, pre: ModelState) -> None:
         """``S2``: complete the strips with the deferred offsets and smooth
-        the freshly received halo regions, in place on ``smoothed``."""
+        the freshly received halo rows / levels, in place on ``smoothed``."""
         g = self.geom
         gy, gz = g.gy, g.gz
         ny_i, nz_i = self.extent.ny, self.extent.nz
-        # deferred offsets on the strips
+        # deferred offsets on the strips + the received rows, per y side
         self.charge(
             self.cfg.weights.smoothing,
             (g.shape3d[0] * g.shape3d[2])
-            * (2 * STRIP + 2 * (gy - STRIP) + 2 * gz),
+            * (len(self.received) * gy + 2 * gz),
         )
         north_strip = not g.touches_north
         south_strip = not g.touches_south
@@ -210,52 +283,92 @@ class CommAvoidingRank(RankContext):
                         sm, a_pre, rows, OFFSETS_L_PRIME
                     )
             # full smoothing of the received halo rows / levels
-            full = self.kernels.smooth_field(
-                sm, a_pre, self.ws.take(a_pre.shape), self.ws
-            )
-            if north_strip:
-                a_out[..., :gy, :] = full[..., :gy, :]
-            if south_strip:
-                a_out[..., gy + ny_i:, :] = full[..., gy + ny_i:, :]
+            for sl in self.received:
+                sl.smooth_field(self.kernels, self.ws, sm, a_pre, a_out)
             if a_pre.ndim == 3 and gz > 0:
+                levels = []
                 if not g.touches_top:
-                    a_out[:gz] = full[:gz]
+                    levels.append(slice(0, gz))
                 if not g.touches_bottom:
-                    a_out[nz_i + gz:] = full[nz_i + gz:]
-            self.ws.give(full)
+                    levels.append(slice(nz_i + gz, None))
+                for lv in levels:
+                    self.kernels.smooth_field(
+                        sm, a_pre[lv], a_out[lv], self.ws
+                    )
+
+    # ------------------------------------------------------------------
+    # the windowed internal updates
+    # ------------------------------------------------------------------
+    def update(
+        self,
+        kind: str,
+        slabs: list[RowSlab],
+        psi: ModelState,
+        base: ModelState,
+        vd: VerticalDiagnostics,
+        dt: float,
+        out: ModelState,
+    ) -> ModelState:
+        """One internal update ``base + dt * F(T(psi))`` (``T`` =
+        ``"adaptation"``: ``C-hat + A-hat`` with the bundle ``vd``;
+        ``"advection"``: ``L``) on the rows of ``slabs``, then the pole /
+        z-edge ghost fill of ``out``."""
+        for sl in slabs:
+            sl.update(self.engine, kind, psi, base, vd, dt, out)
+        self.fill_bc(out)
+        return out
+
+    def midpoint(
+        self, slab: RowSlab, a: ModelState, b: ModelState, out: ModelState
+    ) -> ModelState:
+        """``(a + b) / 2`` on the rows of ``slab`` (+ ghost fill)."""
+        slab.midpoint(a, b, out)
+        self.fill_bc(out)
+        return out
+
+    def charge_update(self, slabs: list[RowSlab]) -> None:
+        """Charge the axpy/midpoint work of the updates on ``slabs``."""
+        self.charge(
+            self.cfg.weights.update, sum(sl.npoints for sl in slabs)
+        )
 
     # ------------------------------------------------------------------
     # overlap helper: charge the inner-block compute before the wait
     # ------------------------------------------------------------------
+    @property
+    def _inner_points(self) -> int:
+        """The region whose stencils need no halo data (Sec. 4.3.1)."""
+        inner_y = max(0, self.extent.ny - 2)
+        inner_z = max(1, self.extent.nz - (2 if self.geom.gz else 0))
+        return inner_z * inner_y * self.geom.shape3d[2]
+
     def charge_inner(self, weight: float) -> None:
-        """Charge the inner-part update (Sec. 4.3.1 overlap): the region
-        whose stencils need no halo data."""
-        nz_w, ny_w, nx_w = self.geom.shape3d
-        inner_y = max(0, self.extent.ny - 2)
-        inner_z = max(1, self.extent.nz - (2 if self.geom.gz else 0))
-        self.charge(weight, inner_z * inner_y * nx_w)
+        """Charge the inner-part update (the overlap of Sec. 4.3.1)."""
+        self.charge(weight, self._inner_points)
 
-    def charge_outer(self, weight: float) -> None:
-        """Charge the remaining (outer + halo) part of a full-array update."""
-        nz_w, ny_w, nx_w = self.geom.shape3d
-        inner_y = max(0, self.extent.ny - 2)
-        inner_z = max(1, self.extent.nz - (2 if self.geom.gz else 0))
-        self.charge(weight, nz_w * ny_w * nx_w - inner_z * inner_y * nx_w)
+    def charge_outer(self, weight: float, slab: RowSlab) -> None:
+        """Charge the remaining (outer + halo) part of the update on
+        ``slab`` whose inner part :meth:`charge_inner` already charged."""
+        self.charge(weight, slab.npoints - self._inner_points)
 
 
-def _adaptation_update(
-    ctx: CommAvoidingRank,
-    psi: ModelState,
-    base: ModelState,
-    vd: VerticalDiagnostics,
-    dt1: float,
-    out: ModelState,
-) -> ModelState:
-    """One internal update ``base + dt1 * F(C + A)(psi)`` on block+halo."""
-    tend = ctx.engine.adaptation(psi, vd)
-    ctx.engine.apply_filter(tend)
-    base.axpy_into(dt1, tend, out)
-    ctx.engine.fill_physical_ghosts(out)
+def final_smoothing(ctx: CommAvoidingRank, xi_pre: ModelState, out: ModelState):
+    """Algorithm 2 line 30: one extra (narrow) exchange, then ``S`` on the
+    block.  The span name is distinct from the per-step pair so trace-based
+    accounting of "halo-exchange" spans per step reads exactly 2."""
+    cfg = ctx.cfg
+    with span("smoothing-exchange", "comm"):
+        ctx.comm.set_phase(PHASE_STENCIL)
+        ctx.halo.exchange(
+            [xi_pre.U, xi_pre.V, xi_pre.Phi, xi_pre.psa], wy=STRIP,
+            wz=min(STRIP, ctx.geom.gz) or None,
+        )
+        ctx.comm.set_phase(None)
+        ctx.fill_bc(xi_pre)
+    ctx.smooth_block(xi_pre, out)
+    ctx.fill_bc(out)
+    if cfg.forcing is not None:
+        cfg.forcing(out, ctx.geom, cfg.params.dt_advection)
     return out
 
 
@@ -276,13 +389,14 @@ def ca_rank_program(
     dt1, dt2, M = params.dt_adaptation, params.dt_advection, params.m_iterations
     W = cfg.weights
     state_fields = lambda s: [s.U, s.V, s.Phi, s.psa]  # noqa: E731
+    A, L = ctx.adapt, ctx.advec
 
     # xi_pre is the *unsmoothed* advected state zeta_3 of the previous step
     xi_pre = ctx.pad_local(initial)
     ctx.fill_bc(xi_pre)
     first_step = True
 
-    scr = StateRing(ctx.ws, ctx.geom.shape3d).scratch
+    scr = ctx.state_ring().scratch
 
     for _step in range(cfg.nsteps):
         with span("step", "step"):
@@ -331,34 +445,38 @@ def ca_rank_program(
                     cfg.forcing(psi, ctx.geom, dt2)
                     ctx.fill_bc(psi)
 
-            # ---- M nonlinear iterations, 3 internal updates each ----
+            # ---- M nonlinear iterations, 3 internal updates each, every
+            # update on its own (shrinking) row window ----
             for i in range(M):
+                w1, w2, w3 = A[3 * i: 3 * i + 3]
                 if cfg.ca_approximate_c and ctx.vd_stale is not None:
                     vd1 = ctx.vd_stale  # C(psi^{i-2}) + O(dt1): no collective
                 else:
-                    vd1 = ctx.vertical_fresh(psi)  # fresh (cold start / ablation)
-                    ctx.vd_stale = vd1
+                    # fresh (cold start / ablation)
+                    vd1 = ctx.vd_stale = ctx.vertical_fresh(psi, w1)
                 if i == 0 and overlap:
                     # the overlapped inner part was charged before the wait;
                     # charge only the remainder here
-                    ctx.charge_outer(W.adaptation)
+                    ctx.charge_outer(W.adaptation, w1)
                 else:
-                    ctx.charge(W.adaptation, ctx._wpoints)
-                eta1 = _adaptation_update(ctx, psi, psi, vd1, dt1, scr(psi))
-
-                vd2 = ctx.vertical_fresh(eta1)
-                ctx.vd_stale = vd2
-                ctx.charge(W.adaptation, ctx._wpoints)
-                eta2 = _adaptation_update(
-                    ctx, eta1, psi, vd2, dt1, scr(psi, eta1)
+                    ctx.charge(W.adaptation, w1.npoints)
+                eta1 = ctx.update(
+                    "adaptation", [w1], psi, psi, vd1, dt1, scr(psi)
                 )
 
-                mid = ModelState.midpoint_into(psi, eta2, scr(psi, eta2))
-                vd3 = ctx.vertical_fresh(mid)
-                ctx.vd_stale = vd3
-                ctx.charge(W.adaptation, ctx._wpoints)
-                psi = _adaptation_update(ctx, mid, psi, vd3, dt1, scr(psi, mid))
-                ctx.charge(W.update, 3 * ctx._wpoints)
+                vd2 = ctx.vd_stale = ctx.vertical_fresh(eta1, w2)
+                ctx.charge(W.adaptation, w2.npoints)
+                eta2 = ctx.update(
+                    "adaptation", [w2], eta1, psi, vd2, dt1, scr(psi, eta1)
+                )
+
+                mid = ctx.midpoint(w2, psi, eta2, scr(psi, eta2))
+                vd3 = ctx.vd_stale = ctx.vertical_fresh(mid, w3)
+                ctx.charge(W.adaptation, w3.npoints)
+                psi = ctx.update(
+                    "adaptation", [w3], mid, psi, vd3, dt1, scr(psi, mid)
+                )
+                ctx.charge_update([w1, w2, w3])
 
             vd_frozen = ctx.vd_stale
 
@@ -382,45 +500,29 @@ def ca_rank_program(
                 ctx.fill_bc(psi)
 
             if overlap:
-                ctx.charge_outer(W.advection)
+                ctx.charge_outer(W.advection, L[0])
             else:
-                ctx.charge(W.advection, ctx._wpoints)
-            tend = ctx.engine.apply_filter(ctx.engine.advection(psi, vd_frozen))
-            zeta1 = psi.axpy_into(dt2, tend, scr(psi))
-            ctx.engine.fill_physical_ghosts(zeta1)
+                ctx.charge(W.advection, L[0].npoints)
+            zeta1 = ctx.update(
+                "advection", [L[0]], psi, psi, vd_frozen, dt2, scr(psi)
+            )
 
-            ctx.charge(W.advection, ctx._wpoints)
-            tend = ctx.engine.apply_filter(ctx.engine.advection(zeta1, vd_frozen))
-            zeta2 = psi.axpy_into(dt2, tend, scr(psi, zeta1))
-            ctx.engine.fill_physical_ghosts(zeta2)
+            ctx.charge(W.advection, L[1].npoints)
+            zeta2 = ctx.update(
+                "advection", [L[1]], zeta1, psi, vd_frozen, dt2,
+                scr(psi, zeta1),
+            )
 
-            mid = ModelState.midpoint_into(psi, zeta2, scr(psi, zeta2))
-            ctx.charge(W.advection, ctx._wpoints)
-            tend = ctx.engine.apply_filter(ctx.engine.advection(mid, vd_frozen))
-            xi_pre = psi.axpy_into(dt2, tend, scr(psi, mid))
-            ctx.engine.fill_physical_ghosts(xi_pre)
-            ctx.charge(W.update, 3 * ctx._wpoints)
+            mid = ctx.midpoint(L[1], psi, zeta2, scr(psi, zeta2))
+            ctx.charge(W.advection, L[2].npoints)
+            xi_pre = ctx.update(
+                "advection", [L[2]], mid, psi, vd_frozen, dt2, scr(psi, mid)
+            )
+            ctx.charge_update(L)
             first_step = False
         ctx.record_telemetry(_step + 1, xi_pre)
 
-    # ---- final smoothing (Algorithm 2 line 30): one extra exchange ----
-    # (span name distinct from the per-step pair so trace-based accounting
-    # of "halo-exchange" spans per step reads exactly 2)
-    with span("smoothing-exchange", "comm"):
-        comm.set_phase(PHASE_STENCIL)
-        ctx.halo.exchange(
-            state_fields(xi_pre), wy=STRIP,
-            wz=min(STRIP, ctx.geom.gz) or None,
-        )
-        comm.set_phase(None)
-        ctx.fill_bc(xi_pre)
-    ctx.charge(cfg.weights.smoothing, ctx._wpoints)
-    out = ctx.kernels.smooth_state_into(
-        xi_pre, params, scr(xi_pre), ctx.ws, ctx.smoothers
-    )
-    ctx.fill_bc(out)
-    if cfg.forcing is not None:
-        cfg.forcing(out, ctx.geom, dt2)
+    out = final_smoothing(ctx, xi_pre, scr(xi_pre))
 
     return RankResult(
         state=ctx.strip_local(out),

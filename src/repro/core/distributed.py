@@ -262,13 +262,20 @@ class RankContext:
         self.exchanges += 1
 
     # ---- operators with charging ----------------------------------------------------
-    def vertical_fresh(self, state: ModelState) -> VerticalDiagnostics:
-        self.charge(self.cfg.weights.vertical, self._wpoints)
+    def vertical_fresh(
+        self, state: ModelState, slab=None
+    ) -> VerticalDiagnostics:
+        """A fresh ``C`` bundle of ``state`` — on the rows of ``slab`` (an
+        ``engine.slab`` row window) when given, else on the whole array."""
+        self.charge(
+            self.cfg.weights.vertical,
+            self._wpoints if slab is None else slab.npoints,
+        )
         # every rank program consumes a C bundle before requesting the
         # next fresh one, so the previous bundle is dead here: recycle
         last, self._vd_last = self._vd_last, None
         self.ws.give_vd(last)
-        vd = self._vd_last = self.engine.vertical(state)
+        vd = self._vd_last = self.engine.vertical(state, slab)
         self.c_calls += 1
         return vd
 

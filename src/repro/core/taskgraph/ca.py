@@ -7,9 +7,14 @@ messages are in flight, and the *wait* tasks apply the completions in the
 synchronous program's order before the later smoothing ``S2`` and the
 boundary rows run.  The advection exchange overlaps the inner rows of the
 first ``zeta`` update the same way.  All other operations are single
-tasks that call the exact synchronous helpers, so the trajectory stays
-bit-identical to :func:`repro.core.comm_avoiding.ca_rank_program` (the
-tests pin this with ``==``).
+tasks that call the exact synchronous helpers on the same row windows
+(:func:`repro.core.comm_avoiding.update_windows`: every update targets
+only the rows that can still be valid), so the trajectory *and* the
+logical clocks stay bit-identical to
+:func:`repro.core.comm_avoiding.ca_rank_program` (the tests pin this with
+``==``).  The split passes are row slabs of the first update's window —
+views of the same working arrays the whole-window passes use, so they run
+the same fused kernels.
 
 Inner-row eligibility (window 1): the first internal update may start
 before the unpack only when its inputs cannot change at the unpack —
@@ -24,8 +29,6 @@ from __future__ import annotations
 from repro.core import comm_avoiding as ca_mod
 from repro.core.distributed import PHASE_STENCIL, RankResult
 from repro.core.taskgraph import GraphExecutor, TaskGraph
-from repro.core.taskgraph.subdomain import RowSlab
-from repro.core.workspace import StateRing
 from repro.obs.spans import span
 from repro.state.variables import ModelState
 
@@ -44,33 +47,27 @@ def ca_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResult:
     params = cfg.params
     dt1, dt2, M = params.dt_adaptation, params.dt_advection, params.m_iterations
     W = cfg.weights
-    g = ctx.geom
-    gy, ny_i, ny_w = g.gy, ctx.extent.ny, g.shape3d[1]
-    pf = ctx.engine.polar_filter
+    gy, ny_i = ctx.geom.gy, ctx.extent.ny
     strip = ca_mod.STRIP
     ex = GraphExecutor(comm, fuzz=cfg.taskgraph_fuzz_seed)
     overlap = cfg.ca_overlap
+    A, L = ctx.adapt, ctx.advec
 
-    # static slab splits (per-rank geometry, built once)
-    a1, b1 = gy + strip + 1, gy + ny_i - strip - 1
-    adapt_slabs = None
-    if b1 - a1 >= 1:
-        adapt_slabs = (
-            RowSlab(g, a1, b1, 1, pf),
-            [RowSlab(g, 0, a1, 1, pf), RowSlab(g, b1, ny_w, 1, pf)],
-        )
-    a2, b2 = gy + 1, gy + ny_i - 1
-    advec_slabs = None
-    if b2 - a2 >= 1:
-        advec_slabs = (
-            RowSlab(g, a2, b2, 1, pf),
-            [RowSlab(g, 0, a2, 1, pf), RowSlab(g, b2, ny_w, 1, pf)],
-        )
+    def split(window, a, b):
+        """(inner slab ``[a, b)``, the rest of ``window``), or ``None``."""
+        if b - a < 1:
+            return None
+        slab = ctx.engine.slab
+        return slab(a, b), [slab(window.lo, a), slab(b, window.hi)]
+
+    # static slab splits of the two overlapped updates (built once)
+    adapt_slabs = split(A[0], gy + strip + 1, gy + ny_i - strip - 1)
+    advec_slabs = split(L[0], gy + 1, gy + ny_i - 1)
 
     xi_pre = ctx.pad_local(initial)
     ctx.fill_bc(xi_pre)
     first_step = True
-    ring = StateRing(ctx.ws, g.shape3d)
+    ring = ctx.state_ring()
 
     for _step in range(cfg.nsteps):
         with span("step", "step"):
@@ -130,8 +127,9 @@ def ca_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResult:
             if inner1:
                 def adapt1_inner():
                     ctx.charge_inner(W.adaptation)
-                    adapt_slabs[0].adaptation_update_rows(
-                        ctx, psi, psi, ctx.vd_stale, dt1, eta1
+                    adapt_slabs[0].update(
+                        ctx.engine, "adaptation", psi, psi, ctx.vd_stale,
+                        dt1, eta1,
                     )
 
                 gr.add("adapt1:inner", adapt1_inner, deps=(t_s1,))
@@ -175,32 +173,32 @@ def ca_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResult:
             # ---- M nonlinear iterations, 3 internal updates each ----
             cur = psi
             for i in range(M):
+                w1, w2, w3 = A[3 * i: 3 * i + 3]
                 e1 = eta1 if i == 0 else ring.scratch(cur)
                 approx = cfg.ca_approximate_c and (have_bundle or i > 0)
                 if i == 0 and inner1:
-                    def adapt1_boundary(cur=cur, e1=e1):
-                        ctx.charge_outer(W.adaptation)
-                        for sl in adapt_slabs[1]:
-                            sl.adaptation_update_rows(
-                                ctx, cur, cur, ctx.vd_stale, dt1, e1
-                            )
-                        ctx.engine.fill_physical_ghosts(e1)
+                    def adapt1_boundary(cur=cur, e1=e1, w1=w1):
+                        ctx.charge_outer(W.adaptation, w1)
+                        ctx.update(
+                            "adaptation", adapt_slabs[1], cur, cur,
+                            ctx.vd_stale, dt1, e1,
+                        )
 
                     t_prev = gr.add(
                         "adapt1:boundary", adapt1_boundary, deps=(t_prev,)
                     )
                 else:
-                    def adapt1_full(cur=cur, e1=e1, i=i, approx=approx):
-                        if approx:
-                            vd1 = ctx.vd_stale
-                        else:
-                            vd1 = ctx.vertical_fresh(cur)
-                            ctx.vd_stale = vd1
+                    def adapt1_full(cur=cur, e1=e1, i=i, approx=approx, w1=w1):
+                        if not approx:
+                            ctx.vd_stale = ctx.vertical_fresh(cur, w1)
                         if i == 0 and overlap:
-                            ctx.charge_outer(W.adaptation)
+                            ctx.charge_outer(W.adaptation, w1)
                         else:
-                            ctx.charge(W.adaptation, ctx._wpoints)
-                        ca_mod._adaptation_update(ctx, cur, cur, vd1, dt1, e1)
+                            ctx.charge(W.adaptation, w1.npoints)
+                        ctx.update(
+                            "adaptation", [w1], cur, cur, ctx.vd_stale,
+                            dt1, e1,
+                        )
 
                     t_prev = gr.add(
                         f"adapt1:i{i}", adapt1_full, deps=(t_prev,)
@@ -208,30 +206,32 @@ def ca_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResult:
 
                 e2 = ring.scratch(cur, e1)
 
-                def adapt2(cur=cur, e1=e1, e2=e2):
-                    vd2 = ctx.vertical_fresh(e1)
-                    ctx.vd_stale = vd2
-                    ctx.charge(W.adaptation, ctx._wpoints)
-                    ca_mod._adaptation_update(ctx, e1, cur, vd2, dt1, e2)
+                def adapt2(cur=cur, e1=e1, e2=e2, w2=w2):
+                    ctx.vd_stale = ctx.vertical_fresh(e1, w2)
+                    ctx.charge(W.adaptation, w2.npoints)
+                    ctx.update(
+                        "adaptation", [w2], e1, cur, ctx.vd_stale, dt1, e2
+                    )
 
                 t_prev = gr.add(f"adapt2:i{i}", adapt2, deps=(t_prev,))
 
                 md = ring.scratch(cur, e2)
                 t_prev = gr.add(
                     f"mid:i{i}",
-                    lambda cur=cur, e2=e2, md=md: ModelState.midpoint_into(
-                        cur, e2, md
+                    lambda cur=cur, e2=e2, md=md, w2=w2: ctx.midpoint(
+                        w2, cur, e2, md
                     ),
                     deps=(t_prev,),
                 )
                 nxt = ring.scratch(cur, md)
 
-                def adapt3(cur=cur, md=md, out=nxt):
-                    vd3 = ctx.vertical_fresh(md)
-                    ctx.vd_stale = vd3
-                    ctx.charge(W.adaptation, ctx._wpoints)
-                    ca_mod._adaptation_update(ctx, md, cur, vd3, dt1, out)
-                    ctx.charge(W.update, 3 * ctx._wpoints)
+                def adapt3(cur=cur, md=md, out=nxt, ws=(w1, w2, w3)):
+                    ctx.vd_stale = ctx.vertical_fresh(md, ws[2])
+                    ctx.charge(W.adaptation, ws[2].npoints)
+                    ctx.update(
+                        "adaptation", [ws[2]], md, cur, ctx.vd_stale, dt1, out
+                    )
+                    ctx.charge_update(ws)
 
                 t_prev = gr.add(f"adapt3:i{i}", adapt3, deps=(t_prev,))
                 cur = nxt
@@ -259,8 +259,9 @@ def ca_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResult:
             if inner2:
                 def advec1_inner(cur=cur, z1=z1):
                     ctx.charge_inner(W.advection)
-                    advec_slabs[0].advection_update_rows(
-                        ctx, cur, cur, ctx.vd_stale, dt2, z1
+                    advec_slabs[0].update(
+                        ctx.engine, "advection", cur, cur, ctx.vd_stale,
+                        dt2, z1,
                     )
 
                 gr.add("advec1:inner", advec1_inner, deps=(t_prev,))
@@ -290,62 +291,45 @@ def ca_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResult:
                 deps=(t_prev,),
             )
 
-            if inner2:
-                def advec1_boundary(cur=cur, z1=z1):
-                    ctx.charge_outer(W.advection)
-                    for sl in advec_slabs[1]:
-                        sl.advection_update_rows(
-                            ctx, cur, cur, ctx.vd_stale, dt2, z1
-                        )
-                    ctx.engine.fill_physical_ghosts(z1)
-
-                t_prev = gr.add(
-                    "advec1:boundary", advec1_boundary, deps=(t_prev,)
+            def advec1(cur=cur, z1=z1):
+                if overlap:
+                    ctx.charge_outer(W.advection, L[0])
+                else:
+                    ctx.charge(W.advection, L[0].npoints)
+                ctx.update(
+                    "advection", advec_slabs[1] if inner2 else [L[0]],
+                    cur, cur, ctx.vd_stale, dt2, z1,
                 )
-            else:
-                def advec1_full(cur=cur, z1=z1):
-                    if overlap:
-                        ctx.charge_outer(W.advection)
-                    else:
-                        ctx.charge(W.advection, ctx._wpoints)
-                    tend = ctx.engine.apply_filter(
-                        ctx.engine.advection(cur, ctx.vd_stale)
-                    )
-                    cur.axpy_into(dt2, tend, z1)
-                    ctx.engine.fill_physical_ghosts(z1)
 
-                t_prev = gr.add("advec1", advec1_full, deps=(t_prev,))
+            t_prev = gr.add(
+                "advec1:boundary" if inner2 else "advec1", advec1,
+                deps=(t_prev,),
+            )
 
             z2 = ring.scratch(cur, z1)
 
             def advec2(cur=cur, z1=z1, z2=z2):
-                ctx.charge(W.advection, ctx._wpoints)
-                tend = ctx.engine.apply_filter(
-                    ctx.engine.advection(z1, ctx.vd_stale)
-                )
-                cur.axpy_into(dt2, tend, z2)
-                ctx.engine.fill_physical_ghosts(z2)
+                ctx.charge(W.advection, L[1].npoints)
+                ctx.update("advection", [L[1]], z1, cur, ctx.vd_stale, dt2, z2)
 
             t_prev = gr.add("advec2", advec2, deps=(t_prev,))
 
             md2 = ring.scratch(cur, z2)
             t_prev = gr.add(
                 "mid:advect",
-                lambda cur=cur, z2=z2, md2=md2: ModelState.midpoint_into(
-                    cur, z2, md2
+                lambda cur=cur, z2=z2, md2=md2: ctx.midpoint(
+                    L[1], cur, z2, md2
                 ),
                 deps=(t_prev,),
             )
             xi_new = ring.scratch(cur, md2)
 
             def advec3(cur=cur, md2=md2, out=xi_new):
-                ctx.charge(W.advection, ctx._wpoints)
-                tend = ctx.engine.apply_filter(
-                    ctx.engine.advection(md2, ctx.vd_stale)
+                ctx.charge(W.advection, L[2].npoints)
+                ctx.update(
+                    "advection", [L[2]], md2, cur, ctx.vd_stale, dt2, out
                 )
-                cur.axpy_into(dt2, tend, out)
-                ctx.engine.fill_physical_ghosts(out)
-                ctx.charge(W.update, 3 * ctx._wpoints)
+                ctx.charge_update(L)
 
             gr.add("advec3", advec3, deps=(t_prev,))
 
@@ -354,21 +338,7 @@ def ca_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResult:
             first_step = False
         ctx.record_telemetry(_step + 1, xi_pre)
 
-    # ---- final smoothing (Algorithm 2 line 30): one extra exchange ----
-    with span("smoothing-exchange", "comm"):
-        comm.set_phase(PHASE_STENCIL)
-        ctx.halo.exchange(
-            _fields(xi_pre), wy=strip, wz=min(strip, ctx.geom.gz) or None
-        )
-        comm.set_phase(None)
-        ctx.fill_bc(xi_pre)
-    ctx.charge(cfg.weights.smoothing, ctx._wpoints)
-    out = ctx.kernels.smooth_state_into(
-        xi_pre, params, ring.scratch(xi_pre), ctx.ws, ctx.smoothers
-    )
-    ctx.fill_bc(out)
-    if cfg.forcing is not None:
-        cfg.forcing(out, ctx.geom, dt2)
+    out = ca_mod.final_smoothing(ctx, xi_pre, ring.scratch(xi_pre))
 
     return RankResult(
         state=ctx.strip_local(out),

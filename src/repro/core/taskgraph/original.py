@@ -25,7 +25,7 @@ import math
 from repro.core import distributed as dist_mod
 from repro.core.distributed import PHASE_STENCIL, RankResult
 from repro.core.taskgraph import GraphExecutor, TaskGraph
-from repro.core.taskgraph.subdomain import RowSlab
+from repro.core.rowslab import RowSlab
 from repro.core.workspace import StateRing
 from repro.obs.spans import span
 from repro.state.variables import ModelState
@@ -176,14 +176,18 @@ def original_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResul
             def advec_inner(src, base, out):
                 pin_pole_v(src)
                 ctx.charge(W.advection, tend_in.npoints)
-                tend_in.advection_update_rows(ctx, src, base, rt["vd"], dt2, out)
+                tend_in.update(
+                    ctx.engine, "advection", src, base, rt["vd"], dt2, out
+                )
                 ctx.charge(W.update, tend_in.npoints)
 
             def advec_boundary(src, base, out):
                 ctx.charge(W.advection, ctx._wpoints - tend_in.npoints)
                 charge_filter()
                 for sl in tend_bd:
-                    sl.advection_update_rows(ctx, src, base, rt["vd"], dt2, out)
+                    sl.update(
+                        ctx.engine, "advection", src, base, rt["vd"], dt2, out
+                    )
                 ctx.charge(W.update, ctx._wpoints - tend_in.npoints)
                 pin_pole_v(out)
 
@@ -282,7 +286,7 @@ def original_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResul
                 md2 = ring.scratch(cur, z2)
                 gr.add(
                     "mid:inner",
-                    lambda cur=cur, z2=z2, md2=md2: mid_in.midpoint_rows(
+                    lambda cur=cur, z2=z2, md2=md2: mid_in.midpoint(
                         cur, z2, md2
                     ),
                     deps=dep(),
@@ -297,7 +301,7 @@ def original_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResul
 
                 def mid_boundary(cur=cur, z2=z2, md2=md2):
                     for sl in mid_bd:
-                        sl.midpoint_rows(cur, z2, md2)
+                        sl.midpoint(cur, z2, md2)
 
                 t_prev = gr.add("mid:boundary", mid_boundary, deps=dep())
                 t_prev = gr.add(
@@ -314,7 +318,7 @@ def original_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResul
 
                 def smooth_inner(xi=xi, out_s=out_s):
                     ctx.charge(W.smoothing, sm_in.npoints)
-                    sm_in.smooth_rows(ctx, ctx.smoothers, xi, out_s)
+                    sm_in.smooth(ctx.kernels, ctx.ws, ctx.smoothers, xi, out_s)
 
                 gr.add("smooth:inner", smooth_inner, deps=dep())
                 t_prev = make_wait("wait-halo:xi", tok, p, xi)
@@ -322,7 +326,9 @@ def original_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResul
                 def smooth_boundary(xi=xi, out_s=out_s):
                     ctx.charge(W.smoothing, ctx._wpoints - sm_in.npoints)
                     for sl in sm_bd:
-                        sl.smooth_rows(ctx, ctx.smoothers, xi, out_s)
+                        sl.smooth(
+                            ctx.kernels, ctx.ws, ctx.smoothers, xi, out_s
+                        )
 
                 t_prev = gr.add("smooth:boundary", smooth_boundary, deps=dep())
                 psi = out_s

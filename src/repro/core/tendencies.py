@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.constants import ModelParameters
+from repro.core.rowslab import RowSlab
 from repro.core.workspace import Workspace
 from repro.kernels import KernelSet, kernel_set
 from repro.obs.spans import traced
@@ -49,6 +50,12 @@ class TendencyEngine:
     in :attr:`ws`.  Both tendencies land in **one engine-owned buffer**,
     valid until the next :meth:`adaptation`/:meth:`advection` call — a
     caller that wants to hold two tendencies at once must copy the first.
+
+    Every evaluation takes an optional *row window*
+    (:meth:`slab`): the operator then runs on that window's rows only,
+    through views of the same working arrays and of the same tendency
+    buffer, and its result is valid on the window's target rows.  The
+    default is the whole working array.
     """
 
     geom: WorkingGeometry
@@ -71,21 +78,36 @@ class TendencyEngine:
         self._adapt_cache = AdaptationGeomCache(self.geom)
         self._advec_cache = AdvectionGeomCache(self.geom)
         self._tend = ModelState.zeros(self.geom.shape3d)
+        self._slabs: dict[tuple[int, int, int], RowSlab] = {}
+
+    def slab(self, lo: int, hi: int, margin: int = 1) -> RowSlab:
+        """The (cached) row window ``[lo, hi)`` of this engine's working
+        arrays, reading ``margin`` rows beyond it."""
+        key = (lo, hi, margin)
+        if key not in self._slabs:
+            self._slabs[key] = RowSlab(
+                self.geom, lo, hi, margin, self.polar_filter
+            )
+        return self._slabs[key]
 
     # ---- boundary conditions -----------------------------------------------
-    def fill_physical_ghosts(self, state: ModelState) -> None:
+    def fill_physical_ghosts(
+        self, state: ModelState, depth: int | None = None
+    ) -> None:
         """Pole mirror + vertical edge ghost fill (no communication).
 
         Also (re)imposes V = 0 on pole interface rows owned by this block.
         Call after every state update and before any stencil evaluation.
+        ``depth`` limits the mirror to that many ghost rows (default: all
+        ``gy``) for callers whose stencils reach no further.
         """
         g = self.geom
         n, s = g.touches_north, g.touches_south
         if g.gy > 0 and (n or s):
-            fill_pole_ghosts(state.U, g.gy, vector=True, north=n, south=s)
-            fill_pole_ghosts(state.Phi, g.gy, vector=False, north=n, south=s)
-            fill_pole_ghosts(state.psa, g.gy, vector=False, north=n, south=s)
-            fill_pole_ghosts_vrow(state.V, g.gy, north=n, south=s)
+            fill_pole_ghosts(state.U, g.gy, True, n, s, depth)
+            fill_pole_ghosts(state.Phi, g.gy, False, n, s, depth)
+            fill_pole_ghosts(state.psa, g.gy, False, n, s, depth)
+            fill_pole_ghosts_vrow(state.V, g.gy, n, s, depth)
         elif s and g.gy == 0:
             # even without ghosts the south-pole interface row exists
             state.V[..., -1, :] = 0.0
@@ -95,13 +117,22 @@ class TendencyEngine:
 
     # ---- the C operator ------------------------------------------------------
     @traced("C", "tendency")
-    def vertical(self, state: ModelState) -> VerticalDiagnostics:
+    def vertical(
+        self, state: ModelState, slab: RowSlab | None = None
+    ) -> VerticalDiagnostics:
         """Apply ``C``: the vertical-integral diagnostics bundle.
 
         This is the only tendency ingredient that needs the z-collective.
         Uses the scan-based variant when ``scan_z`` is configured, the
-        allgather variant otherwise.
+        allgather variant otherwise.  With ``slab`` the (working-height)
+        bundle is computed on the slab's rows only.
         """
+        if slab is not None:
+            vd = self.ws.take_vd(self.geom.shape3d)
+            slab.vertical(
+                self.kernels, self.gather_z, self.scan_z, self.ws, state, vd
+            )
+            return vd
         return self.kernels.vertical(
             state.U, state.V, state.Phi, state.psa, self.geom,
             self.gather_z, self.ws, self._vert_cache, scan=self.scan_z,
@@ -110,7 +141,10 @@ class TendencyEngine:
     # ---- composite tendencies ----------------------------------------------------
     @traced("adaptation", "tendency")
     def adaptation(
-        self, state: ModelState, vd: VerticalDiagnostics
+        self,
+        state: ModelState,
+        vd: VerticalDiagnostics,
+        slab: RowSlab | None = None,
     ) -> ModelState:
         """``C-hat + A-hat``: the (unfiltered) adaptation tendency.
 
@@ -121,6 +155,11 @@ class TendencyEngine:
         the ``F`` operator (:meth:`apply_filter` locally, or the x-line
         collective of the distributed X-Y core).
         """
+        if slab is not None:
+            slab.adaptation(
+                self.kernels, self.params, self.ws, state, vd, self._tend
+            )
+            return self._tend
         return self.kernels.adaptation(
             state, vd, self.geom, self.params,
             self.ws, self._tend, self._adapt_cache,
@@ -128,18 +167,29 @@ class TendencyEngine:
 
     @traced("advection", "tendency")
     def advection(
-        self, state: ModelState, vd: VerticalDiagnostics
+        self,
+        state: ModelState,
+        vd: VerticalDiagnostics,
+        slab: RowSlab | None = None,
     ) -> ModelState:
         """``L``: the (unfiltered) advection tendency with frozen
         ``sigma-dot``."""
+        if slab is not None:
+            slab.advection(self.kernels, self.ws, state, vd, self._tend)
+            return self._tend
         return self.kernels.advection(
             state, vd, self.geom, self.ws, self._tend, self._advec_cache,
         )
 
     @traced("polar-filter", "tendency")
-    def apply_filter(self, tend: ModelState) -> ModelState:
+    def apply_filter(
+        self, tend: ModelState, slab: RowSlab | None = None
+    ) -> ModelState:
         """The ``F`` operator, local full-circle variant (requires
-        ``geom.full_x``)."""
+        ``geom.full_x``); with ``slab``, on its masked target rows only."""
         if self.polar_filter is None:
             raise RuntimeError("no local polar filter on a split-x geometry")
+        if slab is not None:
+            slab.apply_filter(tend)
+            return tend
         return self.polar_filter.apply_state(tend)

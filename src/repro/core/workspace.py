@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.operators.shifts import roll_into  # noqa: F401  (re-export)
+from repro.operators.vertical import VerticalDiagnostics
 from repro.state.variables import ModelState
 
 
@@ -87,6 +88,20 @@ class Workspace:
     def give_state(self, state: ModelState) -> None:
         self.give(state.U, state.V, state.Phi, state.psa)
 
+    def take_vd(self, shape3d: tuple[int, int, int]):
+        """A pooled ``C`` bundle of working shape ``shape3d`` (contents
+        undefined); the counterpart of :meth:`give_vd`."""
+        nz, ny, nx = shape3d
+        return VerticalDiagnostics(
+            div_p=self.take((nz, ny, nx)),
+            column_sum=self.take((ny, nx)),
+            pw_iface=self.take((nz + 1, ny, nx)),
+            w_iface=self.take((nz + 1, ny, nx)),
+            sdot_iface=self.take((nz + 1, ny, nx)),
+            phi_prime=self.take((nz, ny, nx)),
+            p_fac=self.take((ny, nx)),
+        )
+
     def give_vd(self, vd) -> None:
         """Recycle a dead :class:`VerticalDiagnostics` bundle's buffers.
 
@@ -120,6 +135,13 @@ class StateRing:
 
     def __init__(self, ws: Workspace, shape3d: tuple[int, int, int], size: int = 6):
         self._states = [ws.take_state(shape3d) for _ in range(size)]
+
+    @classmethod
+    def of(cls, states) -> "StateRing":
+        """A ring over ready-made states (instead of pooled buffers)."""
+        ring = cls.__new__(cls)
+        ring._states = list(states)
+        return ring
 
     def scratch(self, *live: ModelState | None) -> ModelState:
         for s in self._states:

@@ -89,10 +89,10 @@ _I = ctypes.c_int
 
 #: argtypes per exported kernel (pointers are passed as raw addresses)
 _SIGNATURES = {
-    "smooth_full": [_VP] * 3 + [_L] * 3 + [_D] * 3 + [_I] * 2,
-    "advection": [_VP] * 12 + [_D] * 2 + [_L] * 3 + [_VP] * 9,
-    "adaptation": [_VP] * 15 + [_D] * 5 + [_L] * 3 + [_VP] * 3,
-    "vertical": [_VP] * 9 + [_D] * 3 + [_L] * 3 + [_VP] * 7,
+    "smooth_full": [_VP] * 3 + [_L] * 6 + [_D] * 3 + [_I] * 2,
+    "advection": [_VP] * 12 + [_D] * 2 + [_L] * 4 + [_VP] * 9,
+    "adaptation": [_VP] * 15 + [_D] * 5 + [_L] * 4 + [_VP] * 3,
+    "vertical": [_VP] * 9 + [_D] * 3 + [_L] * 4 + [_VP] * 7,
 }
 
 
@@ -126,34 +126,79 @@ def c_available() -> bool:
 
 
 def _p(a: np.ndarray) -> int:
-    if not a.flags.c_contiguous or a.dtype != np.float64:
-        raise ValueError("kernel arrays must be C-contiguous float64")
+    if a.strides[-1] != 8 or a.dtype != np.float64:
+        raise ValueError("kernel arrays must be unit-x-stride float64")
     return a.ctypes.data
+
+
+def plane_stride(*arrays: np.ndarray) -> int | None:
+    """The common plane stride (in elements) of a kernel call's arrays, or
+    ``None`` when they break the array contract of :mod:`repro.kernels.csrc`.
+
+    Accepted: float64, unit x-stride, row stride ``nx``, and one plane
+    stride shared by every 3-D array — i.e. C-contiguous arrays and
+    row-slab views ``a[:, lo:hi, :]`` of equally tall C-contiguous arrays.
+    """
+    ps = None
+    for a in arrays:
+        nx = a.shape[-1]
+        if (
+            a.dtype != np.float64
+            or a.ndim not in (2, 3)
+            or a.strides[-1] != 8
+            or (a.shape[-2] > 1 and a.strides[-2] != 8 * nx)
+        ):
+            return None
+        if a.ndim == 3 and a.shape[0] > 1:
+            # whole rows apart, so that scratch sliced out of equally tall
+            # buffers (dispatch.RowWindowPool) can share the stride
+            if a.strides[0] % (8 * nx) or a.strides[0] < 8 * nx * a.shape[1]:
+                return None
+            if ps is None:
+                ps = a.strides[0] // 8
+            elif ps != a.strides[0] // 8:
+                return None
+    if ps is None:  # only 2-D / single-plane arrays: any stride will do
+        a = arrays[0]
+        ps = a.shape[-2] * a.shape[-1]
+    return ps
 
 
 def smooth_full_c(
     lib, a: np.ndarray, out: np.ndarray, scratch: np.ndarray,
     beta_x: float, beta_y: float, cross: bool,
+    ps: int | None = None, rows: tuple[int, int] | None = None,
 ) -> None:
-    """One field's full smoothing, bit-identical to ``full_into``."""
+    """One field's full smoothing, bit-identical to ``full_into``.
+
+    ``ps`` is the arrays' common plane stride (default: worked out here);
+    only output rows ``rows`` (default: all) are written.
+    """
+    if ps is None:
+        ps = plane_stride(a, scratch, out)
+        if ps is None:
+            raise ValueError("arrays break the kernel array contract")
     ny, nx = a.shape[-2], a.shape[-1]
-    nl = 1 if a.ndim == 2 else int(np.prod(a.shape[:-2]))
+    nl = 1 if a.ndim == 2 else a.shape[0]
+    j0, j1 = rows or (0, ny)
     lib.smooth_full(
         _p(a), _p(scratch), _p(out),
-        nl, ny, nx,
+        nl, ny, nx, ps, j0, j1,
         beta_x / 16.0, beta_y / 16.0, beta_x * beta_y / 256.0,
         1 if beta_y else 0, 1 if cross else 0,
     )
 
 
 def advection_c(
-    lib, U, V, Phi, pf, sdot, rows, dsig, dlam, dth, scratch, tU, tV, tPhi
+    lib, U, V, Phi, pf, sdot, rows, dsig, dlam, dth, scratch, tU, tV, tPhi,
+    ps: int,
 ) -> None:
     """The full advection tendency (negated), bit-identical to the ws path.
 
     ``rows`` is the dict of flat per-row metric arrays; ``scratch`` a dict
     of pooled buffers (vel/vs/flux 3-D, sstag/fbar interface-sized,
-    p2d a (3, ny, nx) block for the k-invariant pf staggers).
+    p2d a (3, ny, nx) block for the k-invariant pf staggers); ``ps`` the
+    plane stride shared by every 3-D array, scratch included.
     """
     nz, ny, nx = U.shape
     lib.advection(
@@ -162,7 +207,7 @@ def advection_c(
         _p(rows["pre_c"]), _p(rows["pre_v"]),
         _p(rows["tas_c"]), _p(rows["tas_v"]),
         _p(dsig), dlam, dth,
-        nz, ny, nx,
+        nz, ny, nx, ps,
         _p(scratch["vel"]),
         _p(scratch["vs"]), _p(scratch["flux"]),
         _p(scratch["sstag"]), _p(scratch["fbar"]),
@@ -173,7 +218,7 @@ def advection_c(
 
 def adaptation_c(
     lib, U, V, Phi, phi_p, w_if, col_sum, pf, pes, baro, rows,
-    a, dlam, dth, b, coeff, tU, tV, tPhi,
+    a, dlam, dth, b, coeff, tU, tV, tPhi, ps: int,
 ) -> None:
     """The U/V/Phi adaptation tendencies (psa part stays in numpy)."""
     nz, ny, nx = U.shape
@@ -183,14 +228,14 @@ def adaptation_c(
         _p(rows["a_sin_c"]), _p(rows["cot_c"]), _p(rows["omcos_c"]),
         _p(rows["cot_v"]), _p(rows["omcos_v"]), _p(rows["sig_mid"]),
         a, dlam, dth, b, coeff,
-        nz, ny, nx,
+        nz, ny, nx, ps,
         _p(tU), _p(tV), _p(tPhi),
     )
 
 
 def vertical_c(
     lib, U, V, Phi, pf, rows, dlam, dth, bgrav,
-    div_p, col_sum, pw, w, sdot, phi_prime, s2d,
+    div_p, col_sum, pw, w, sdot, phi_prime, s2d, ps: int,
 ) -> None:
     """The ``C`` diagnostics (serial / identity-column case).
 
@@ -203,7 +248,7 @@ def vertical_c(
         _p(rows["sin_v"]), _p(rows["a_sin_c"]),
         _p(rows["dsig"]), _p(rows["ratio"]), _p(rows["sig_if"]),
         dlam, dth, bgrav,
-        nz, ny, nx,
+        nz, ny, nx, ps,
         _p(div_p), _p(col_sum), _p(pw), _p(w), _p(sdot), _p(phi_prime),
         _p(s2d),
     )

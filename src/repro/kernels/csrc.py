@@ -16,6 +16,14 @@ rounding; only ``+ - * / sqrt`` are used (all IEEE-exact and identical
 between numpy and C on the same hardware, at any vector width).  Anything
 involving ``pow`` with a non-integer exponent (the reference-temperature
 profile) stays in numpy, where the caller precomputes it.
+
+Array contract: every array has unit x-stride and row stride ``nx``; all
+3-D arrays of one call (inputs, outputs and scratch alike) share one plane
+stride ``ps`` (in elements, ``>= ny * nx``), so a call may run on a
+*row-slab view* ``a[:, lo:hi, :]`` of taller C-contiguous working arrays —
+the rows of one plane stay contiguous, consecutive planes are ``ps`` apart.
+2-D arrays are plain ``(ny, nx)`` blocks.  Shifted rows wrap inside the
+slab, exactly as ``np.roll`` would on the same view.
 """
 
 C_SOURCE = r"""
@@ -29,10 +37,11 @@ static long wm(long i, long n) {  /* wrap for offsets within +-2 */
 
 /* ---- smoothing: P1/P2 fused over one field --------------------------- */
 /* Stage 1: dx[e] = delta4_x(a)[e]; stage 2: out = a - cx*dx (- cy*dy4(a))
-   (+ cxy*dy4(dx)).  a is (nl, ny, nx) with nl collapsed leading dims.  */
+   (+ cxy*dy4(dx)).  a is (nl, ny, nx) with plane stride ps (see the
+   module docstring); only output rows [j0, j1) are written.            */
 void smooth_full(const double *restrict a, double *restrict dx,
                  double *restrict out,
-                 long nl, long ny, long nx,
+                 long nl, long ny, long nx, long ps, long j0, long j1,
                  double cx, double cy, double cxy,
                  int use_y, int use_cross)
 {
@@ -45,8 +54,8 @@ void smooth_full(const double *restrict a, double *restrict dx,
         d[i_] = v; \
     } while (0)
     for (l = 0; l < nl; l++) {
-        const double *ap = a + l * ny * nx;
-        double *dp = dx + l * ny * nx;
+        const double *ap = a + l * ps;
+        double *dp = dx + l * ps;
         for (j = 0; j < ny; j++) {
             const double *r = ap + j * nx;
             double *d = dp + j * nx;
@@ -66,10 +75,10 @@ void smooth_full(const double *restrict a, double *restrict dx,
     }
 #undef DX4
     for (l = 0; l < nl; l++) {
-        const double *ap = a + l * ny * nx;
-        const double *dp = dx + l * ny * nx;
-        double *op = out + l * ny * nx;
-        for (j = 0; j < ny; j++) {
+        const double *ap = a + l * ps;
+        const double *dp = dx + l * ps;
+        double *op = out + l * ps;
+        for (j = j0; j < j1; j++) {
             long jm2 = wm(j - 2, ny), jm1 = wm(j - 1, ny);
             long jp1 = wm(j + 1, ny), jp2 = wm(j + 2, ny);
             const double *ac = ap + j * nx;
@@ -105,7 +114,7 @@ void smooth_full(const double *restrict a, double *restrict dx,
 
 static void l1_pass(const double *restrict F, const double *restrict u,
                     const double *restrict pre,
-                    double dlam, long nz, long ny, long nx,
+                    double dlam, long nz, long ny, long nx, long ps,
                     double *restrict out)
 {
     long k, j, i;
@@ -121,9 +130,9 @@ static void l1_pass(const double *restrict F, const double *restrict u,
     } while (0)
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
-            const double *Fr = F + (k * ny + j) * nx;
-            const double *ur = u + (k * ny + j) * nx;
-            double *orow = out + (k * ny + j) * nx;
+            const double *Fr = F + k * ps + j * nx;
+            const double *ur = u + k * ps + j * nx;
+            double *orow = out + k * ps + j * nx;
             double pj = pre[j];
             L1(0, nx - 1, 1);
             for (i = 1; i < nx - 1; i++)
@@ -139,26 +148,26 @@ static void l2_centre_pass(const double *restrict F,
                            const double *restrict v_if,
                            const double *restrict sin_if,
                            const double *restrict denom,
-                           double dth, long nz, long ny, long nx,
+                           double dth, long nz, long ny, long nx, long ps,
                            double *restrict vs, double *restrict flux,
                            double *restrict out)
 {
     long k, j, i;
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
-            const double *vr = v_if + (k * ny + j) * nx;
+            const double *vr = v_if + k * ps + j * nx;
             double sj = sin_if[j];
-            double *o = vs + (k * ny + j) * nx;
+            double *o = vs + k * ps + j * nx;
             for (i = 0; i < nx; i++)
                 o[i] = vr[i] * sj;
         }
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
             long jp1 = wm(j + 1, ny);
-            const double *Fc = F + (k * ny + j) * nx;
-            const double *Fp = F + (k * ny + jp1) * nx;
-            const double *vr = vs + (k * ny + j) * nx;
-            double *o = flux + (k * ny + j) * nx;
+            const double *Fc = F + k * ps + j * nx;
+            const double *Fp = F + k * ps + jp1 * nx;
+            const double *vr = vs + k * ps + j * nx;
+            double *o = flux + k * ps + j * nx;
             for (i = 0; i < nx; i++) {
                 double t = Fc[i] + Fp[i];
                 t = t * 0.5;
@@ -168,13 +177,13 @@ static void l2_centre_pass(const double *restrict F,
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
             long jm1 = wm(j - 1, ny);
-            const double *Fc = F + (k * ny + j) * nx;
-            const double *fc = flux + (k * ny + j) * nx;
-            const double *fm = flux + (k * ny + jm1) * nx;
-            const double *vc = vs + (k * ny + j) * nx;
-            const double *vm = vs + (k * ny + jm1) * nx;
+            const double *Fc = F + k * ps + j * nx;
+            const double *fc = flux + k * ps + j * nx;
+            const double *fm = flux + k * ps + jm1 * nx;
+            const double *vc = vs + k * ps + j * nx;
+            const double *vm = vs + k * ps + jm1 * nx;
             double dj = denom[j];
-            double *o = out + (k * ny + j) * nx;
+            double *o = out + k * ps + j * nx;
             for (i = 0; i < nx; i++) {
                 double v = fc[i] - fm[i];
                 v = v / dth;
@@ -192,26 +201,26 @@ static void l2_centre_pass(const double *restrict F,
 static void l2_v_pass(const double *restrict F, const double *restrict v_c,
                       const double *restrict sin_c,
                       const double *restrict denom,
-                      double dth, long nz, long ny, long nx,
+                      double dth, long nz, long ny, long nx, long ps,
                       double *restrict vs, double *restrict flux,
                       double *restrict out)
 {
     long k, j, i;
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
-            const double *vr = v_c + (k * ny + j) * nx;
+            const double *vr = v_c + k * ps + j * nx;
             double sj = sin_c[j];
-            double *o = vs + (k * ny + j) * nx;
+            double *o = vs + k * ps + j * nx;
             for (i = 0; i < nx; i++)
                 o[i] = vr[i] * sj;
         }
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
             long jm1 = wm(j - 1, ny);
-            const double *Fm = F + (k * ny + jm1) * nx;
-            const double *Fc = F + (k * ny + j) * nx;
-            const double *vr = vs + (k * ny + j) * nx;
-            double *o = flux + (k * ny + j) * nx;
+            const double *Fm = F + k * ps + jm1 * nx;
+            const double *Fc = F + k * ps + j * nx;
+            const double *vr = vs + k * ps + j * nx;
+            double *o = flux + k * ps + j * nx;
             for (i = 0; i < nx; i++) {
                 double t = Fm[i] + Fc[i];
                 t = t * 0.5;
@@ -221,13 +230,13 @@ static void l2_v_pass(const double *restrict F, const double *restrict v_c,
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
             long jp1 = wm(j + 1, ny);
-            const double *Fc = F + (k * ny + j) * nx;
-            const double *fc = flux + (k * ny + j) * nx;
-            const double *fp = flux + (k * ny + jp1) * nx;
-            const double *vc = vs + (k * ny + j) * nx;
-            const double *vp = vs + (k * ny + jp1) * nx;
+            const double *Fc = F + k * ps + j * nx;
+            const double *fc = flux + k * ps + j * nx;
+            const double *fp = flux + k * ps + jp1 * nx;
+            const double *vc = vs + k * ps + j * nx;
+            const double *vp = vs + k * ps + jp1 * nx;
             double dj = denom[j];
-            double *o = out + (k * ny + j) * nx;
+            double *o = out + k * ps + j * nx;
             for (i = 0; i < nx; i++) {
                 double v = fp[i] - fc[i];
                 v = v / dth;
@@ -246,31 +255,31 @@ static void l2_v_pass(const double *restrict F, const double *restrict v_c,
    tendency is folded into the same store (an exact sign flip).        */
 static void l3_pass(const double *restrict F, const double *restrict sdot,
                     const double *restrict dsig,
-                    long nz, long ny, long nx,
+                    long nz, long ny, long nx, long ps,
                     double *restrict fbar, double *restrict out)
 {
     long k, e;
     long plane = ny * nx;
     for (k = 1; k < nz; k++)
         for (e = 0; e < plane; e++) {
-            double t = F[(k - 1) * plane + e] + F[k * plane + e];
-            fbar[k * plane + e] = t * 0.5;
+            double t = F[(k - 1) * ps + e] + F[k * ps + e];
+            fbar[k * ps + e] = t * 0.5;
         }
     for (e = 0; e < plane; e++) {
         fbar[e] = F[e];
-        fbar[nz * plane + e] = F[(nz - 1) * plane + e];
+        fbar[nz * ps + e] = F[(nz - 1) * ps + e];
     }
     for (k = 0; k <= nz; k++)
         for (e = 0; e < plane; e++)
-            fbar[k * plane + e] = sdot[k * plane + e] * fbar[k * plane + e];
+            fbar[k * ps + e] = sdot[k * ps + e] * fbar[k * ps + e];
     for (k = 0; k < nz; k++) {
-        const double *fb = fbar + k * plane;
-        const double *fn = fbar + (k + 1) * plane;
-        const double *sb = sdot + k * plane;
-        const double *sn = sdot + (k + 1) * plane;
-        const double *Fk = F + k * plane;
+        const double *fb = fbar + k * ps;
+        const double *fn = fbar + (k + 1) * ps;
+        const double *sb = sdot + k * ps;
+        const double *sn = sdot + (k + 1) * ps;
+        const double *Fk = F + k * ps;
         double dk = dsig[k];
-        double *o = out + k * plane;
+        double *o = out + k * ps;
         for (e = 0; e < plane; e++) {
             double v = fn[e] - fb[e];
             v = v / dk;
@@ -293,7 +302,7 @@ void advection(const double *restrict U, const double *restrict V,
                const double *restrict pre_c, const double *restrict pre_v,
                const double *restrict tas_c, const double *restrict tas_v,
                const double *restrict dsig, double dlam, double dth,
-               long nz, long ny, long nx,
+               long nz, long ny, long nx, long ps,
                double *restrict vel,
                double *restrict vs, double *restrict flux,
                double *restrict sstag, double *restrict fbar,
@@ -302,10 +311,9 @@ void advection(const double *restrict U, const double *restrict V,
                double *restrict tPhi)
 {
     long k, j, i;
-    long plane = ny * nx;
-    double *pu2 = p2d;             /* pf staggered to u-points */
-    double *pv2 = p2d + plane;     /* pf staggered to v-points */
-    double *b2 = p2d + 2 * plane;  /* pv2 staggered back to u-points */
+    double *pu2 = p2d;          /* pf staggered to u-points */
+    double *pv2 = p2d + ps;     /* pf staggered to v-points */
+    double *b2 = p2d + 2 * ps;  /* pv2 staggered back to u-points */
 
     for (j = 0; j < ny; j++) {
         const double *pr = pf + j * nx;
@@ -339,18 +347,18 @@ void advection(const double *restrict U, const double *restrict V,
     /* ---- U --------------------------------------------------------- */
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
-            const double *Ur = U + (k * ny + j) * nx;
+            const double *Ur = U + k * ps + j * nx;
             const double *pr = pu2 + j * nx;
-            double *o = vel + (k * ny + j) * nx;
+            double *o = vel + k * ps + j * nx;
             for (i = 0; i < nx; i++)
                 o[i] = Ur[i] / pr[i];
         }
-    l1_pass(U, vel, pre_c, dlam, nz, ny, nx, tU);
+    l1_pass(U, vel, pre_c, dlam, nz, ny, nx, ps, tU);
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
-            const double *Vr = V + (k * ny + j) * nx;
+            const double *Vr = V + k * ps + j * nx;
             const double *br = b2 + j * nx;
-            double *o = vel + (k * ny + j) * nx;
+            double *o = vel + k * ps + j * nx;
 #define VSTAG(i_, m1_) do { \
             double t = Vr[m1_] + Vr[i_]; \
             t = t * 0.5; \
@@ -361,27 +369,27 @@ void advection(const double *restrict U, const double *restrict V,
                 VSTAG(i, i - 1);
 #undef VSTAG
         }
-    l2_centre_pass(U, vel, sin_v, tas_c, dth, nz, ny, nx, vs, flux, tU);
+    l2_centre_pass(U, vel, sin_v, tas_c, dth, nz, ny, nx, ps, vs, flux, tU);
     for (k = 0; k <= nz; k++)
         for (j = 0; j < ny; j++) {
-            const double *sr = sdot + (k * ny + j) * nx;
-            double *o = sstag + (k * ny + j) * nx;
+            const double *sr = sdot + k * ps + j * nx;
+            double *o = sstag + k * ps + j * nx;
             { double t = sr[nx - 1] + sr[0]; o[0] = t * 0.5; }
             for (i = 1; i < nx; i++) {
                 double t = sr[i - 1] + sr[i];
                 o[i] = t * 0.5;
             }
         }
-    l3_pass(U, sstag, dsig, nz, ny, nx, fbar, tU);
+    l3_pass(U, sstag, dsig, nz, ny, nx, ps, fbar, tU);
 
     /* ---- V --------------------------------------------------------- */
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
             long jp1 = wm(j + 1, ny);
-            const double *U0 = U + (k * ny + j) * nx;
-            const double *U1 = U + (k * ny + jp1) * nx;
+            const double *U0 = U + k * ps + j * nx;
+            const double *U1 = U + k * ps + jp1 * nx;
             const double *pr = pv2 + j * nx;
-            double *o = vel + (k * ny + j) * nx;
+            double *o = vel + k * ps + j * nx;
 #define UBAR(i_, p1_) do { \
             double t = U0[i_] + U0[p1_]; \
             t = t + U1[i_]; \
@@ -394,40 +402,40 @@ void advection(const double *restrict U, const double *restrict V,
             UBAR(nx - 1, 0);
 #undef UBAR
         }
-    l1_pass(V, vel, pre_v, dlam, nz, ny, nx, tV);
+    l1_pass(V, vel, pre_v, dlam, nz, ny, nx, ps, tV);
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
             long jm1 = wm(j - 1, ny);
-            const double *Vm = V + (k * ny + jm1) * nx;
-            const double *Vc = V + (k * ny + j) * nx;
+            const double *Vm = V + k * ps + jm1 * nx;
+            const double *Vc = V + k * ps + j * nx;
             const double *pr = pf + j * nx;
-            double *o = vel + (k * ny + j) * nx;
+            double *o = vel + k * ps + j * nx;
             for (i = 0; i < nx; i++) {
                 double t = Vm[i] + Vc[i];
                 t = t * 0.5;
                 o[i] = t / pr[i];
             }
         }
-    l2_v_pass(V, vel, sin_c, tas_v, dth, nz, ny, nx, vs, flux, tV);
+    l2_v_pass(V, vel, sin_c, tas_v, dth, nz, ny, nx, ps, vs, flux, tV);
     for (k = 0; k <= nz; k++)
         for (j = 0; j < ny; j++) {
             long jp1 = wm(j + 1, ny);
-            const double *s0 = sdot + (k * ny + j) * nx;
-            const double *s1 = sdot + (k * ny + jp1) * nx;
-            double *o = sstag + (k * ny + j) * nx;
+            const double *s0 = sdot + k * ps + j * nx;
+            const double *s1 = sdot + k * ps + jp1 * nx;
+            double *o = sstag + k * ps + j * nx;
             for (i = 0; i < nx; i++) {
                 double t = s0[i] + s1[i];
                 o[i] = t * 0.5;
             }
         }
-    l3_pass(V, sstag, dsig, nz, ny, nx, fbar, tV);
+    l3_pass(V, sstag, dsig, nz, ny, nx, ps, fbar, tV);
 
     /* ---- Phi ------------------------------------------------------- */
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
-            const double *Ur = U + (k * ny + j) * nx;
+            const double *Ur = U + k * ps + j * nx;
             const double *pr = pf + j * nx;
-            double *o = vel + (k * ny + j) * nx;
+            double *o = vel + k * ps + j * nx;
 #define USTAG(i_, p1_) do { \
             double t = Ur[i_] + Ur[p1_]; \
             t = t * 0.5; \
@@ -438,17 +446,17 @@ void advection(const double *restrict U, const double *restrict V,
             USTAG(nx - 1, 0);
 #undef USTAG
         }
-    l1_pass(Phi, vel, pre_c, dlam, nz, ny, nx, tPhi);
+    l1_pass(Phi, vel, pre_c, dlam, nz, ny, nx, ps, tPhi);
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
-            const double *Vr = V + (k * ny + j) * nx;
+            const double *Vr = V + k * ps + j * nx;
             const double *pr = pv2 + j * nx;
-            double *o = vel + (k * ny + j) * nx;
+            double *o = vel + k * ps + j * nx;
             for (i = 0; i < nx; i++)
                 o[i] = Vr[i] / pr[i];
         }
-    l2_centre_pass(Phi, vel, sin_v, tas_c, dth, nz, ny, nx, vs, flux, tPhi);
-    l3_pass(Phi, sdot, dsig, nz, ny, nx, fbar, tPhi);
+    l2_centre_pass(Phi, vel, sin_v, tas_c, dth, nz, ny, nx, ps, vs, flux, tPhi);
+    l3_pass(Phi, sdot, dsig, nz, ny, nx, ps, fbar, tPhi);
 }
 
 /* ---- the adaptation tendency (U/V/Phi parts; psa stays in numpy) ----- */
@@ -462,12 +470,11 @@ void adaptation(const double *restrict U, const double *restrict V,
                 const double *restrict omcos_v,
                 const double *restrict sig_mid,
                 double a, double dlam, double dth, double b, double coeff,
-                long nz, long ny, long nx,
+                long nz, long ny, long nx, long ps,
                 double *restrict tU, double *restrict tV,
                 double *restrict tPhi)
 {
     long k, j, i;
-    long plane = ny * nx;
 
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
@@ -475,13 +482,13 @@ void adaptation(const double *restrict U, const double *restrict V,
             const double *pr = pf + j * nx;
             const double *per = pes + j * nx;
             const double *br = baro + j * nx;
-            const double *Pc = phi_p + (k * ny + j) * nx;
-            const double *Gc = Phi + (k * ny + j) * nx;
-            const double *Uc = U + (k * ny + j) * nx;
-            const double *Vm = V + (k * ny + jm1) * nx;
-            const double *Vc = V + (k * ny + j) * nx;
+            const double *Pc = phi_p + k * ps + j * nx;
+            const double *Gc = Phi + k * ps + j * nx;
+            const double *Uc = U + k * ps + j * nx;
+            const double *Vm = V + k * ps + jm1 * nx;
+            const double *Vc = V + k * ps + j * nx;
             double asj = a_sin_c[j], ccj = cot_c[j], ocj = omcos_c[j];
-            double *o = tU + (k * ny + j) * nx;
+            double *o = tU + k * ps + j * nx;
 #define AD_U(i_, m1_) do { \
             double pu = pr[m1_] + pr[i_]; \
             pu = pu * 0.5; \
@@ -531,14 +538,14 @@ void adaptation(const double *restrict U, const double *restrict V,
             const double *peq = pes + jp1 * nx;
             const double *br = baro + j * nx;
             const double *bq = baro + jp1 * nx;
-            const double *Pc = phi_p + (k * ny + j) * nx;
-            const double *Pp = phi_p + (k * ny + jp1) * nx;
-            const double *Gc = Phi + (k * ny + j) * nx;
-            const double *Gp = Phi + (k * ny + jp1) * nx;
-            const double *Uc = U + (k * ny + j) * nx;
-            const double *Uq = U + (k * ny + jp1) * nx;
+            const double *Pc = phi_p + k * ps + j * nx;
+            const double *Pp = phi_p + k * ps + jp1 * nx;
+            const double *Gc = Phi + k * ps + j * nx;
+            const double *Gp = Phi + k * ps + jp1 * nx;
+            const double *Uc = U + k * ps + j * nx;
+            const double *Uq = U + k * ps + jp1 * nx;
             double cvj = cot_v[j], ovj = omcos_v[j];
-            double *o = tV + (k * ny + j) * nx;
+            double *o = tV + k * ps + j * nx;
 #define AD_V(i_, p1_) do { \
             double pv = pr[i_] + pq[i_]; \
             pv = pv * 0.5; \
@@ -587,13 +594,13 @@ void adaptation(const double *restrict U, const double *restrict V,
             const double *pm = pes + jm1 * nx;
             const double *pp = pes + jp1 * nx;
             const double *csr = col_sum + j * nx;
-            const double *w0 = w_if + k * plane + j * nx;
-            const double *w1 = w_if + (k + 1) * plane + j * nx;
-            const double *Uc = U + (k * ny + j) * nx;
-            const double *Vm = V + (k * ny + jm1) * nx;
-            const double *Vc = V + (k * ny + j) * nx;
+            const double *w0 = w_if + k * ps + j * nx;
+            const double *w1 = w_if + (k + 1) * ps + j * nx;
+            const double *Uc = U + k * ps + j * nx;
+            const double *Vm = V + k * ps + jm1 * nx;
+            const double *Vc = V + k * ps + j * nx;
             double sgk = sig_mid[k], asj = a_sin_c[j];
-            double *o = tPhi + (k * ny + j) * nx;
+            double *o = tPhi + k * ps + j * nx;
 #define AD_P(i_, m1_, p1_) do { \
             double t1 = w0[i_] + w1[i_]; \
             t1 = t1 * 0.5; \
@@ -639,7 +646,7 @@ void vertical(const double *restrict U, const double *restrict V,
               const double *restrict dsig, const double *restrict ratio,
               const double *restrict sig_if,
               double dlam, double dth, double bgrav,
-              long nz, long ny, long nx,
+              long nz, long ny, long nx, long ps,
               double *restrict div_p, double *restrict col_sum,
               double *restrict pw, double *restrict w,
               double *restrict sdot, double *restrict phi_prime,
@@ -647,9 +654,9 @@ void vertical(const double *restrict U, const double *restrict V,
 {
     long k, j, i;
     long plane = ny * nx;
-    double *pu2 = s2d;             /* pf staggered to u-points */
-    double *pv2s = s2d + plane;    /* pf staggered to v-points, x sin_v */
-    double *bf2 = s2d + 2 * plane; /* bgrav / pf */
+    double *pu2 = s2d;          /* pf staggered to u-points */
+    double *pv2s = s2d + ps;    /* pf staggered to v-points, x sin_v */
+    double *bf2 = s2d + 2 * ps; /* bgrav / pf */
 
     for (j = 0; j < ny; j++) {
         const double *pr = pf + j * nx;
@@ -683,14 +690,14 @@ void vertical(const double *restrict U, const double *restrict V,
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
             long jm1 = wm(j - 1, ny);
-            const double *Uc = U + (k * ny + j) * nx;
-            const double *Vc = V + (k * ny + j) * nx;
-            const double *Vm = V + (k * ny + jm1) * nx;
+            const double *Uc = U + k * ps + j * nx;
+            const double *Vc = V + k * ps + j * nx;
+            const double *Vm = V + k * ps + jm1 * nx;
             const double *tu = pu2 + j * nx;
             const double *tv = pv2s + j * nx;
             const double *tm = pv2s + jm1 * nx;
             double asj = a_sin_c[j];
-            double *o = div_p + (k * ny + j) * nx;
+            double *o = div_p + k * ps + j * nx;
 #define DIVB(i_, p1_) do { \
             double fx = tu[p1_] * Uc[p1_] - tu[i_] * Uc[i_]; \
             fx = fx / dlam; \
@@ -712,36 +719,36 @@ void vertical(const double *restrict U, const double *restrict V,
     {
         const double *d0 = div_p;
         double dk = dsig[0];
-        double *s1 = pw + plane;
+        double *s1 = pw + ps;
         for (i = 0; i < plane; i++)
             s1[i] = dk * d0[i];
     }
     for (k = 1; k < nz; k++) {
-        const double *dkp = div_p + k * plane;
-        const double *sk = pw + k * plane;
+        const double *dkp = div_p + k * ps;
+        const double *sk = pw + k * ps;
         double dk = dsig[k];
-        double *sn = pw + (k + 1) * plane;
+        double *sn = pw + (k + 1) * ps;
         for (i = 0; i < plane; i++) {
             double t = dk * dkp[i];
             sn[i] = sk[i] + t;
         }
     }
     for (i = 0; i < plane; i++)
-        col_sum[i] = pw[nz * plane + i];
+        col_sum[i] = pw[nz * ps + i];
 
     /* suffix sums of ratio*Phi build in place inside phi_prime */
     {
-        const double *Pk = Phi + (nz - 1) * plane;
+        const double *Pk = Phi + (nz - 1) * ps;
         double rk = ratio[nz - 1];
-        double *o = phi_prime + (nz - 1) * plane;
+        double *o = phi_prime + (nz - 1) * ps;
         for (i = 0; i < plane; i++)
             o[i] = rk * Pk[i];
     }
     for (k = nz - 2; k >= 0; k--) {
-        const double *Pk = Phi + k * plane;
-        const double *hn = phi_prime + (k + 1) * plane;
+        const double *Pk = Phi + k * ps;
+        const double *hn = phi_prime + (k + 1) * ps;
         double rk = ratio[k];
-        double *o = phi_prime + k * plane;
+        double *o = phi_prime + k * ps;
         for (i = 0; i < plane; i++) {
             double t = rk * Pk[i];
             o[i] = hn[i] + t;
@@ -754,9 +761,9 @@ void vertical(const double *restrict U, const double *restrict V,
         for (j = 0; j < ny; j++) {
             const double *cs = col_sum + j * nx;
             const double *pr = pf + j * nx;
-            double *pwr = pw + k * plane + j * nx;
-            double *wr = w + k * plane + j * nx;
-            double *sdr = sdot + k * plane + j * nx;
+            double *pwr = pw + k * ps + j * nx;
+            double *wr = w + k * ps + j * nx;
+            double *sdr = sdot + k * ps + j * nx;
             for (i = 0; i < nx; i++) {
                 double p = pr[i];
                 double t = sk * cs[i];
@@ -771,12 +778,12 @@ void vertical(const double *restrict U, const double *restrict V,
 
     /* phi_prime: (hs - cphi/2) * bgrav/p, with cphi recomputed bitwise */
     for (k = 0; k < nz; k++) {
-        const double *Pk = Phi + k * plane;
+        const double *Pk = Phi + k * ps;
         double rk = ratio[k];
         for (j = 0; j < ny; j++) {
             const double *Pr = Pk + j * nx;
             const double *bf = bf2 + j * nx;
-            double *o = phi_prime + k * plane + j * nx;
+            double *o = phi_prime + k * ps + j * nx;
             for (i = 0; i < nx; i++) {
                 double c = rk * Pr[i];
                 double t = c * 0.5;

@@ -4,10 +4,18 @@ A :class:`KernelSet` is the single door through which the cores evaluate
 ``A``, ``L``, ``C`` and ``S``.  Each operator method tries its fused
 kernel and otherwise runs the pooled numpy operator of
 :mod:`repro.operators` itself, so every call returns a result.  Fallback
-is therefore transparent and per-call: a missing compiler, a
-non-contiguous working array, or an unsupported decomposition never
-changes results, only speed.  The reference tier is the same class with
-nothing covered.
+is therefore transparent and per-call: a missing compiler, an array that
+breaks the kernels' array contract, or an unsupported decomposition never
+changes results, only speed — and never silently: :attr:`KernelSet.calls`
+counts fused and fallback calls per operator.  The reference tier is the
+same class with nothing covered.
+
+Array contract of the fused C kernels: float64, unit x-stride, row stride
+``nx``, one plane stride shared by all 3-D arrays of a call
+(:func:`repro.kernels.cbackend.plane_stride`).  C-contiguous working
+arrays satisfy it, and so do the *row-slab views* ``a[:, lo:hi, :]`` the
+windowed sweeps of the CA core pass in; their scratch comes from the same
+pool entries as whole-array calls (:class:`RowWindowPool`).
 
 Backend resolution (``backend="auto"``): the compiled C backend when a
 system compiler is available, else the fused numpy passes (smoothing
@@ -31,10 +39,9 @@ from repro.kernels.stages import smoother_stages, smooth_field_fused_numpy
 from repro.obs.spans import span
 from repro.operators.adaptation import adaptation_tendency, surface_dissipation
 from repro.operators.advection import advection_tendency
-from repro.operators.smoothing import smooth_state_into
+from repro.operators.smoothing import FieldSmoother, smooth_state_into
 from repro.operators.vertical import (
     DEFAULT_REFERENCE,
-    VerticalDiagnostics,
     compute_vertical_diagnostics,
     compute_vertical_diagnostics_scan,
 )
@@ -87,10 +94,54 @@ def resolve_backend(backend: str = "auto") -> str:
     return available_backends()[0]
 
 
-def _ok(*arrays: np.ndarray) -> bool:
-    return all(
-        a.flags.c_contiguous and a.dtype == np.float64 for a in arrays
-    )
+class RowWindowPool:
+    """A :class:`repro.core.workspace.Workspace` seen through one row window.
+
+    The windowed sweeps evaluate the operators on row-slab views whose
+    height changes from update to update; pooling their temporaries by
+    exact shape would park one set of buffers per window height.  This
+    facade hands out every buffer whose trailing dims are the window's
+    ``(rows, nx)`` as the leading ``rows`` rows of a pooled buffer of the
+    *working* height ``cap_rows`` — the same pool entries the whole-array
+    sweeps use, and the same plane stride as the slab views themselves —
+    so the pool stays as small as it was before windows existed.  Other
+    shapes pass through.
+    """
+
+    def __init__(self, ws, cap_rows: int, rows: int, nx: int):
+        self._ws = ws
+        self._cap = cap_rows
+        self._tail = (rows, nx)
+
+    def take(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        if len(shape) >= 2 and tuple(shape[-2:]) == self._tail:
+            buf = self._ws.take((*shape[:-2], self._cap, shape[-1]), dtype)
+            return buf[..., : shape[-2], :]
+        return self._ws.take(shape, dtype)
+
+    def give(self, *arrays: np.ndarray | None) -> None:
+        self._ws.give(
+            *(a if a is None or a.base is None else a.base for a in arrays)
+        )
+
+
+def _window_ws(ws, like: np.ndarray, ps: int | None = None):
+    """``ws`` for a call on ``like``: itself when scratch of ``like``'s
+    height already has plane stride ``ps``, else a :class:`RowWindowPool`
+    of the height ``ps`` implies.
+
+    ``ps`` is the plane stride :meth:`KernelSet._c_call` validated; every
+    scratch plane the C kernel indexes must be that far apart.  The numpy
+    fallback (``ps=None``) has no such need — there the window pool only
+    keeps the pool small, so ``like``'s own stride decides.
+    """
+    rows, nx = like.shape[-2:]
+    if ps is None:
+        if like.ndim != 3 or like.shape[0] == 1:
+            return ws
+        ps = like.strides[0] // 8
+    cap = ps // nx
+    return RowWindowPool(ws, cap, rows, nx) if cap > rows else ws
 
 
 class KernelSet:
@@ -121,6 +172,12 @@ class KernelSet:
         self.coverage = _COVERAGE[self.backend] if tier == "fused" else ()
         self.exact = exact
         self._lib = None
+        #: ``{operator: {"fused": n, "fallback": m}}`` — how many calls ran
+        #: the fused kernel and how many the numpy operator (on the
+        #: reference tier nothing is covered, so every call is a fallback)
+        self.calls = {
+            op: {"fused": 0, "fallback": 0} for op in _COVERAGE["c"]
+        }
 
     # ---- backend plumbing -------------------------------------------------
 
@@ -137,11 +194,17 @@ class KernelSet:
                 self._lib = False
         return self._lib or None
 
-    def _c_library(self, op: str, *arrays: np.ndarray):
-        """The C library iff this call of ``op`` can run its C kernel."""
-        if self.backend != "c" or op not in self.coverage or not _ok(*arrays):
-            return None
-        return self._library()
+    def _c_call(self, op: str, *arrays: np.ndarray):
+        """``(lib, plane stride)`` iff this call of ``op`` can run its C
+        kernel, else ``(None, None)``."""
+        if self.backend == "c" and op in self.coverage:
+            ps = cbackend.plane_stride(*arrays)
+            if ps is not None and self._library() is not None:
+                return self._library(), ps
+        return None, None
+
+    def _count(self, op: str, fused: bool) -> None:
+        self.calls[op]["fused" if fused else "fallback"] += 1
 
     def _register(self, op: str, shape: tuple, stages: tuple, extra=()) -> KernelPlan:
         return kernel_plan(
@@ -160,29 +223,51 @@ class KernelSet:
 
     # ---- smoothing --------------------------------------------------------
 
-    def smooth_field(self, sm, a: np.ndarray, out: np.ndarray, ws) -> np.ndarray:
-        """``S`` of one field into ``out`` (which must not alias ``a``)."""
-        if "smoothing" not in self.coverage or not _ok(a, out):
-            return sm.full_into(a, out, ws)
-        self._register(
-            "smoothing", a.shape, smoother_stages(sm),
-            (sm.beta_x, sm.beta_y, sm.cross),
+    def smooth_field(
+        self,
+        sm,
+        a: np.ndarray,
+        out: np.ndarray,
+        ws,
+        rows: tuple[int, int] | None = None,
+    ) -> np.ndarray:
+        """``S`` of one field into ``out`` (which must not alias ``a``).
+
+        With ``rows = (j0, j1)`` only those rows of ``out`` are written
+        (``a`` then is typically a row-slab view ``rows`` +- the smoother
+        radius, whose edge rows would come out of in-slab wraps).
+        """
+        lib, ps = self._c_call("smoothing", a, out)
+        ws = _window_ws(ws, a, ps)
+        fused = lib is not None or (
+            self.backend == "numpy" and "smoothing" in self.coverage
         )
-        if self.backend == "numpy":
-            return smooth_field_fused_numpy(sm, a, out, ws)
-        lib = self._library()
-        if lib is None:
-            return sm.full_into(a, out, ws)
-        scratch = ws.take(a.shape)
-        cbackend.smooth_full_c(
-            lib, a, out, scratch, sm.beta_x, sm.beta_y, sm.cross
-        )
-        ws.give(scratch)
+        self._count("smoothing", fused)
+        if fused:
+            self._register(
+                "smoothing", a.shape, smoother_stages(sm),
+                (sm.beta_x, sm.beta_y, sm.cross),
+            )
+        if lib is not None:
+            scratch = ws.take(a.shape)
+            cbackend.smooth_full_c(
+                lib, a, out, scratch, sm.beta_x, sm.beta_y, sm.cross,
+                ps, rows,
+            )
+            ws.give(scratch)
+            return out
+        full = smooth_field_fused_numpy if fused else FieldSmoother.full_into
+        if not rows:
+            return full(sm, a, out, ws)
+        tmp = full(sm, a, ws.take(a.shape), ws)
+        np.copyto(out[..., rows[0]:rows[1], :], tmp[..., rows[0]:rows[1], :])
+        ws.give(tmp)
         return out
 
     def smooth_state_into(self, state, params, out, ws, smoothers):
         """``S`` over a whole state into ``out``."""
         if "smoothing" not in self.coverage:
+            self.calls["smoothing"]["fallback"] += 4
             return smooth_state_into(state, params, out, ws, smoothers)
         with span(f"smoothing-fused[{self.backend}]", "kernel"):
             for name in ("U", "V", "Phi", "psa"):
@@ -209,9 +294,11 @@ class KernelSet:
         """The ``L``-tendency into ``out``."""
         U, V, Phi = state.U, state.V, state.Phi
         sdot = vd.sdot_iface
-        lib = self._c_library(
+        lib, ps = self._c_call(
             "advection", U, V, Phi, state.psa, sdot, out.U, out.V, out.Phi
         )
+        ws = _window_ws(ws, U, ps)
+        self._count("advection", lib is not None)
         if lib is None:
             return advection_tendency(
                 state, vd, geom, ws=ws, out=out, cache=cache
@@ -232,7 +319,7 @@ class KernelSet:
             cbackend.advection_c(
                 lib, U, V, Phi, pf, sdot, kg.advection, kg.advection_dsig,
                 geom.grid.dlambda, geom.grid.dtheta, scratch,
-                out.U, out.V, out.Phi,
+                out.U, out.V, out.Phi, ps,
             )
             out.psa[...] = 0.0
             ws.give(pf, *scratch.values())
@@ -258,10 +345,12 @@ class KernelSet:
         phi_p = vd.phi_prime
         w_if = vd.w_iface
         col_sum = vd.column_sum
-        lib = self._c_library(
+        lib, ps = self._c_call(
             "adaptation",
             U, V, Phi, psa, phi_p, w_if, col_sum, out.U, out.V, out.Phi,
         )
+        ws = _window_ws(ws, U, ps)
+        self._count("adaptation", lib is not None)
         if lib is None:
             return adaptation_tendency(
                 state, vd, geom, params, ws=ws, out=out, cache=cache
@@ -288,7 +377,7 @@ class KernelSet:
                 kg.adaptation, geom.grid.radius,
                 geom.grid.dlambda, geom.grid.dtheta,
                 b, b * (1.0 + params.delta_c),
-                out.U, out.V, out.Phi,
+                out.U, out.V, out.Phi, ps,
             )
             d_sa = surface_dissipation(psa, geom)
             np.multiply(d_sa, constants.KAPPA_STAR, out=d_sa)
@@ -313,19 +402,29 @@ class KernelSet:
             cache._kernel_geom = kg
         return kg
 
-    def vertical(self, U, V, Phi, psa, geom, gather, ws, cache, scan=None):
+    def vertical(
+        self, U, V, Phi, psa, geom, gather, ws, cache, scan=None, out=None
+    ):
         """The ``C`` diagnostics bundle (recycle it with ``ws.give_vd``).
 
         ``scan`` is the ``(exscan, allreduce)`` pair of the volume-optimal
         z-collective; it takes precedence over ``gather``.  Only the
         serial / full-column case is fused (no z-collective, no ghost
         levels, identity interface and level maps); everything else runs
-        the numpy operators.
+        the numpy operators.  With ``out`` (a bundle of the inputs' shapes,
+        e.g. row-slab views of a working-height bundle) the results are
+        written there instead of into fresh pool buffers.
         """
         if scan is not None:
-            return compute_vertical_diagnostics_scan(
+            self._count("vertical", False)
+            vd = compute_vertical_diagnostics_scan(
                 U, V, Phi, psa, geom, *scan
             )
+            if out is None:
+                return vd
+            for name in vars(vd):
+                np.copyto(getattr(out, name), getattr(vd, name))
+            return out
         nz = geom.grid.nz
         full_column = (
             gather is None
@@ -334,39 +433,38 @@ class KernelSet:
             and cache.k_lev_identity
             and U.shape[0] == nz
         )
-        lib = self._c_library("vertical", U, V, Phi, psa) if full_column else None
+        lib = ps = None
+        if full_column and "vertical" in self.coverage:
+            # the outputs take part in the stride check: a pooled bundle
+            # for row-slab inputs would not share their plane stride
+            if out is None:
+                out = ws.take_vd(U.shape)
+            lib, ps = self._c_call(
+                "vertical", U, V, Phi, psa,
+                out.div_p, out.column_sum, out.pw_iface, out.w_iface,
+                out.sdot_iface, out.phi_prime, out.p_fac,
+            )
+        self._count("vertical", lib is not None)
         if lib is None:
             return compute_vertical_diagnostics(
-                U, V, Phi, psa, geom, gather, ws=ws, cache=cache
+                U, V, Phi, psa, geom, gather, ws=_window_ws(ws, U),
+                cache=cache, out=out,
             )
         kg = self._vert_kgeom(geom, cache)
         with span(f"vertical-fused[{self.backend}]", "kernel"):
             self._register("vertical", U.shape, _STAGES["vertical"])
-            ny_w, nx_w = psa.shape
-            pf = self._pf_into(psa, ws.take((ny_w, nx_w)))
-            div_p = ws.take((nz, ny_w, nx_w))
-            col_sum = ws.take((ny_w, nx_w))
-            pw = ws.take((nz + 1, ny_w, nx_w))
-            w = ws.take((nz + 1, ny_w, nx_w))
-            sdot = ws.take((nz + 1, ny_w, nx_w))
-            phi_prime = ws.take((nz, ny_w, nx_w))
-            s2d = ws.take((3, ny_w, nx_w))
+            ws = _window_ws(ws, U, ps)
+            self._pf_into(psa, out.p_fac)
+            s2d = ws.take((3,) + psa.shape)
             cbackend.vertical_c(
-                lib, U, V, Phi, pf, kg.vertical,
+                lib, U, V, Phi, out.p_fac, kg.vertical,
                 geom.grid.dlambda, geom.grid.dtheta,
                 constants.B_GRAVITY_WAVE,
-                div_p, col_sum, pw, w, sdot, phi_prime, s2d,
+                out.div_p, out.column_sum, out.pw_iface, out.w_iface,
+                out.sdot_iface, out.phi_prime, s2d, ps,
             )
             ws.give(s2d)
-        return VerticalDiagnostics(
-            div_p=div_p,
-            column_sum=col_sum,
-            pw_iface=pw,
-            w_iface=w,
-            sdot_iface=sdot,
-            phi_prime=phi_prime,
-            p_fac=pf,
-        )
+        return out
 
     def _vert_kgeom(self, geom, cache):
         kg = getattr(cache, "_kernel_geom", None)
@@ -390,6 +488,7 @@ class KernelSet:
             "requested_backend": self.requested_backend,
             "exact": self.exact,
             "coverage": list(self.coverage),
+            "calls": {op: dict(n) for op, n in self.calls.items()},
         }
 
 

@@ -99,6 +99,7 @@ def fill_pole_ghosts(
     vector: bool,
     north: bool = True,
     south: bool = True,
+    depth: int | None = None,
 ) -> None:
     """Fill latitude ghost rows by the cross-pole mirror condition, in place.
 
@@ -122,21 +123,27 @@ def fill_pole_ghosts(
     north, south:
         Whether this array's y-range actually touches the north/south
         pole (interior-block ghosts are filled by exchange instead).
+    depth:
+        Number of ghost rows to fill, counted from the block outwards
+        (default: all ``gy``).  Rows beyond ``depth`` are left untouched —
+        a caller whose stencils reach only ``depth`` rows across the pole
+        need not pay for the rest.
     """
     if gy == 0:
         return
+    depth = gy if depth is None else min(depth, gy)
     nx = a.shape[-1]
     if nx % 2 != 0:
         raise ValueError("pole mirror requires even nx")
     half = nx // 2
     if north:
-        for m in range(gy):
+        for m in range(depth):
             # ghost row (gy-1-m) mirrors interior row (gy+m)
             src = a[..., gy + m, :]
             _mirror_row_into(a[..., gy - 1 - m, :], src, half, vector)
     if south:
         ny_w = a.shape[-2]
-        for m in range(gy):
+        for m in range(depth):
             src = a[..., ny_w - 1 - gy - m, :]
             _mirror_row_into(a[..., ny_w - gy + m, :], src, half, vector)
 
@@ -146,6 +153,7 @@ def fill_pole_ghosts_vrow(
     gy: int,
     north: bool = True,
     south: bool = True,
+    depth: int | None = None,
 ) -> None:
     """Pole conditions for fields stored on V (interface) rows, in place.
 
@@ -155,23 +163,26 @@ def fill_pole_ghosts_vrow(
     *last interior row* is the south-pole interface (colatitude pi).  The
     meridional wind is antisymmetric across a pole: it vanishes on the pole
     interface itself and mirror rows pick up a sign flip and the usual
-    half-circle longitude shift.
+    half-circle longitude shift.  ``depth`` limits the fill to that many
+    ghost rows (see :func:`fill_pole_ghosts`); the pole interface row is
+    zeroed regardless.
     """
     if gy == 0:
         return
+    depth = gy if depth is None else min(depth, gy)
     nx = a.shape[-1]
     half = nx // 2
     if north:
         pole = gy - 1  # the theta = 0 interface row
         a[..., pole, :] = 0.0
-        for m in range(1, gy):
+        for m in range(1, depth):
             src = a[..., pole + m, :]
             _mirror_row_into(a[..., pole - m, :], src, half, True)
     if south:
         ny_w = a.shape[-2]
         pole = ny_w - 1 - gy  # the theta = pi interface row (last interior)
         a[..., pole, :] = 0.0
-        for m in range(1, gy + 1):
+        for m in range(1, depth + 1):
             src = a[..., pole - m, :]
             _mirror_row_into(a[..., pole + m, :], src, half, True)
 

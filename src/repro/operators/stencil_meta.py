@@ -112,3 +112,24 @@ def render_table(entries: tuple[StencilEntry, ...], title: str) -> str:
             f"{e.term:<16} {fmt(e.x, 'i'):<26} {fmt(e.y, 'j'):<20} {fmt(e.z, 'k')}"
         )
     return "\n".join(lines)
+
+
+def row_window_schedule(
+    lo: int, hi: int, batch: int, north: bool, south: bool
+) -> tuple[tuple[int, int], ...]:
+    """Target rows ``[lo_u, hi_u)`` of every update of a halo-batched sweep.
+
+    A batch of ``batch`` updates behind one wide halo loses one valid row
+    per update (the y-radius of ``A``, ``L`` and ``C`` alike, Tables 1-2)
+    on every side that is fed by a neighbour (Figure 4), so update ``u``
+    (1-based) can still be valid — and is therefore only computed — on
+    the block ``[lo, hi)`` plus ``batch - u`` rows on each *neighbour*
+    side.  A side without a neighbour (a pole, whose ghost rows are a
+    local mirror of the block) contributes nothing beyond the block.  The
+    executed CA core and the analytic model both take their row counts
+    from here.
+    """
+    return tuple(
+        (lo - (batch - u) * north, hi + (batch - u) * south)
+        for u in range(1, batch + 1)
+    )

@@ -133,6 +133,7 @@ def compute_vertical_diagnostics(
     reference: StandardAtmosphere = DEFAULT_REFERENCE,
     ws=None,
     cache: VerticalGeomCache | None = None,
+    out: VerticalDiagnostics | None = None,
 ) -> VerticalDiagnostics:
     """Apply the ``C`` operator.
 
@@ -151,10 +152,15 @@ def compute_vertical_diagnostics(
         temporaries and the returned bundle's arrays come from the pool
         (recycle them with ``ws.give_vd`` when the bundle dies) and the
         results are bit-identical to the allocating path.
+    out:
+        With ``ws``: write the bundle into these arrays (same shapes as
+        the inputs' — e.g. row-slab views of a working-height bundle)
+        instead of taking fresh ones from the pool.
     """
     if ws is not None:
         return _compute_vertical_diagnostics_ws(
-            U, V, Phi, psa, geom, gather, ws, cache or VerticalGeomCache(geom)
+            U, V, Phi, psa, geom, gather, ws,
+            cache or VerticalGeomCache(geom), out,
         )
     ps = psa + constants.P_REFERENCE
     p_fac = p_factor(ps)
@@ -239,6 +245,7 @@ def _compute_vertical_diagnostics_ws(
     gather: GatherFn | None,
     ws,
     cache: VerticalGeomCache,
+    out: VerticalDiagnostics | None = None,
 ) -> VerticalDiagnostics:
     """Pool-backed ``C`` operator, bit-identical to the allocating path.
 
@@ -253,8 +260,11 @@ def _compute_vertical_diagnostics_ws(
     nz_w = U.shape[0]
     ny_w, nx_w = psa.shape
 
+    def result(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        return ws.take(shape) if out is None else getattr(out, name)
+
     # P = sqrt((psa + p0 - pt) / p0), same op chain as p_factor(psa + p0)
-    p_fac = ws.take((ny_w, nx_w))
+    p_fac = result("p_fac", (ny_w, nx_w))
     np.add(psa, constants.P_REFERENCE, out=p_fac)
     np.subtract(p_fac, constants.P_TOP, out=p_fac)
     if np.any(p_fac <= 0):
@@ -263,7 +273,7 @@ def _compute_vertical_diagnostics_ws(
     np.sqrt(p_fac, out=p_fac)
 
     # D(P), following divergence_dp term by term
-    div_p = ws.take((nz_w, ny_w, nx_w))
+    div_p = result("div_p", (nz_w, ny_w, nx_w))
     t3a = ws.take((nz_w, ny_w, nx_w))
     t3b = ws.take((nz_w, ny_w, nx_w))
     t2a = ws.take((ny_w, nx_w))
@@ -310,7 +320,7 @@ def _compute_vertical_diagnostics_ws(
     s_iface = ws.take((nz + 1, ny_w, nx_w))
     s_iface[0] = 0.0
     np.cumsum(col_div, axis=0, out=s_iface[1:])
-    column_sum = ws.take((ny_w, nx_w))
+    column_sum = result("column_sum", (ny_w, nx_w))
     np.copyto(column_sum, s_iface[-1])
 
     # suffix sums of the phi' contributions
@@ -320,7 +330,7 @@ def _compute_vertical_diagnostics_ws(
     h_suffix[:-1] = tz[::-1]
     h_suffix[-1] = 0.0
 
-    pw_iface = ws.take((nz_w + 1, ny_w, nx_w))
+    pw_iface = result("pw_iface", (nz_w + 1, ny_w, nx_w))
     np.multiply(cache.sig_if3, column_sum[None], out=pw_iface)
     full_column = s_iface.shape[0] == nz_w + 1
     if cache.k_if_identity and full_column:
@@ -331,14 +341,14 @@ def _compute_vertical_diagnostics_ws(
         np.subtract(pw_iface, tif, out=pw_iface)
         ws.give(tif)
 
-    w_iface = ws.take((nz_w + 1, ny_w, nx_w))
+    w_iface = result("w_iface", (nz_w + 1, ny_w, nx_w))
     np.divide(pw_iface, p_fac[None], out=w_iface)
     np.power(p_fac, 2, out=t2a)
-    sdot_iface = ws.take((nz_w + 1, ny_w, nx_w))
+    sdot_iface = result("sdot_iface", (nz_w + 1, ny_w, nx_w))
     np.divide(pw_iface, t2a[None], out=sdot_iface)
 
     # phi'_k = (b / P) * (H_suffix[k] - h_k / 2)
-    phi_prime = ws.take((nz_w, ny_w, nx_w))
+    phi_prime = result("phi_prime", (nz_w, ny_w, nx_w))
     lev_identity = cache.k_lev_identity and nz_w == nz
     if lev_identity:
         h_lev = col_phi

@@ -10,8 +10,9 @@ Model structure (per step, busiest rank):
 
 * **compute** — point-updates x per-operator weight x ``seconds_per_point``.
   The CA core's redundant halo computation is accounted exactly by the
-  trapezoidal shrink: update ``u`` of a batch of ``H`` runs on the block
-  extended by ``H - u`` cells on each decomposed side.
+  trapezoidal shrink the executed core itself follows: update ``u`` of a
+  batch of ``H`` runs on the block extended by ``H - u`` rows on each side
+  that has a y-neighbour (pole sides contribute nothing).
 * **stencil communication** — per exchange round: a round overhead (the
   rendezvous with up-to-8 neighbours, incl. jitter), per-message software
   cost, and payload bytes / bandwidth.  The CA core has 2 rounds per step
@@ -40,6 +41,7 @@ from repro.grid.decomposition import (
     yz_decomposition,
 )
 from repro.grid.latlon import LatLonGrid
+from repro.operators.stencil_meta import row_window_schedule
 from repro.perf.costs import B, ComputeWeights, DEFAULT_WEIGHTS, N_FIELDS
 
 #: model seconds in 10 model years with the paper-scale advection step
@@ -156,18 +158,62 @@ class PerformanceModel:
             * (decomp.nz / decomp.pz)
         )
 
-    def _ca_trapezoid_points(self, decomp: Decomposition, batch: int) -> float:
-        """Mean working points per update of a CA batch of ``batch`` updates.
+    def _ca_window_points(
+        self, decomp: Decomposition, batch: int
+    ) -> list[float]:
+        """Points swept by each update of a CA batch of ``batch`` updates
+        on the busiest rank.
 
-        Update ``u`` (1-based) runs on the block extended by ``batch - u + 1``
-        cells on each decomposed side (y and z; x is full)."""
+        The rows come from the executed core's own schedule
+        (:func:`repro.operators.stencil_meta.row_window_schedule`): update
+        ``u`` (1-based) targets the block plus ``batch - u`` rows on every
+        side with a y-neighbour and nothing beyond the block towards a
+        pole — the busiest rank has two neighbour sides once ``p_y >= 3``,
+        one at ``p_y = 2``, none at ``p_y = 1``.  Under ``p_z > 1`` the
+        level count keeps the calibrated shrinking-z form (``batch - u +
+        1`` levels on each side); the executed core windows y only and
+        sweeps all its ghost levels."""
         ny_l = decomp.ny / decomp.py
         nz_l = decomp.nz / decomp.pz
-        total = 0.0
-        for u in range(1, batch + 1):
-            h = batch - u + 1
-            total += (ny_l + 2 * h) * ((nz_l + 2 * h) if decomp.pz > 1 else nz_l)
-        return decomp.nx * total / batch
+        windows = row_window_schedule(
+            0, ny_l, batch, north=decomp.py >= 3, south=decomp.py >= 2
+        )
+        return [
+            decomp.nx
+            * (hi - lo)
+            * ((nz_l + 2 * (batch - u + 1)) if decomp.pz > 1 else nz_l)
+            for u, (lo, hi) in enumerate(windows, start=1)
+        ]
+
+    def _ca_trapezoid_points(self, decomp: Decomposition, batch: int) -> float:
+        """Mean working points per update of a CA batch (see
+        :meth:`_ca_window_points`)."""
+        return sum(self._ca_window_points(decomp, batch)) / batch
+
+    def ca_compute_work(self, decomp: Decomposition) -> float:
+        """Weighted point-updates of one steady-state CA step on the
+        busiest rank, polar filter excluded — term for term what the
+        executed core charges to its logical clock (the tests pin the two
+        to each other): ``3M`` adaptation updates of which ``2M`` evaluate
+        a fresh ``C`` (the first of each iteration reuses the stale
+        bundle), 3 advection updates, one axpy/midpoint per update, ``S1``
+        on the block and ``S2`` on the ``3M + 2`` strip + received rows of
+        every neighbour side."""
+        M = self.params.m_iterations
+        W = self.weights
+        adapt = self._ca_window_points(decomp, 3 * M)
+        advec = self._ca_window_points(decomp, 3)
+        fresh_c = sum(p for u, p in enumerate(adapt) if u % 3)
+        sides = min(2, decomp.py - 1)
+        nz_w = decomp.nz / decomp.pz + (6 * M if decomp.pz > 1 else 0)
+        smooth_rows = decomp.ny / decomp.py + sides * (3 * M + 2)
+        return (
+            W.adaptation * sum(adapt)
+            + W.vertical * fresh_c
+            + W.advection * sum(advec)
+            + W.update * (sum(adapt) + sum(advec))
+            + W.smoothing * decomp.nx * nz_w * smooth_rows
+        )
 
     def _compute_per_step(self, algorithm: str, decomp: Decomposition) -> float:
         M = self.params.m_iterations
@@ -184,14 +230,7 @@ class PerformanceModel:
             n_updates * W.filter_fft * math.log2(nx) * filt_points
         )
         if algorithm == "ca":
-            adapt_pts = self._ca_trapezoid_points(decomp, 3 * M)
-            adv_pts = self._ca_trapezoid_points(decomp, 3)
-            work = (
-                3 * M * (W.adaptation + W.vertical + W.update) * adapt_pts
-                + 3 * (W.advection + W.update) * adv_pts
-                + W.smoothing * adapt_pts
-                + filter_work
-            )
+            work = self.ca_compute_work(decomp) + filter_work
         else:
             work = (
                 3 * M * (W.adaptation + W.vertical + W.update) * block

@@ -180,3 +180,172 @@ class TestOverlap:
             s.tagged_time.get("stencil_comm", 0.0) for s in res_or.stats
         )
         assert wait_ca < wait_or
+
+
+# ---------------------------------------------------------------------------
+# the row-window schedule: every update sweeps only the rows that can still
+# be valid (block + H - u rows per neighbour side, nothing towards a pole)
+# ---------------------------------------------------------------------------
+def _window_case(M):
+    """Smallest meshes whose thirds still exceed ``gy = 3M + 2`` rows."""
+    if M == 1:
+        grid = LatLonGrid(nx=16, ny=24, nz=4)
+        params = ModelParameters(
+            dt_adaptation=60.0, dt_advection=60.0, m_iterations=1
+        )
+    else:
+        grid = LatLonGrid(nx=16, ny=48, nz=4)
+        params = ModelParameters(
+            dt_adaptation=60.0, dt_advection=180.0, m_iterations=3
+        )
+    return grid, params, perturbed_rest_state(grid, amplitude_k=2.0)
+
+
+def _run_ca(grid, params, state0, py, nsteps=2, **kw):
+    backend = kw.pop("backend", "thread")
+    decomp = Decomposition(grid.nx, grid.ny, grid.nz, 1, py, 1)
+    cfg = DistributedConfig(
+        grid=grid, decomp=decomp, params=params, nsteps=nsteps, **kw
+    )
+    res = run_spmd(py, ca_rank_program, cfg, state0, backend=backend)
+    return gather_states(decomp, res.results), res
+
+
+class TestRowWindows:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["sync", "taskgraph"])
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize("py", [1, 2, 3])
+    def test_windows_change_no_bit_of_the_trajectory(
+        self, monkeypatch, py, M, executor, backend
+    ):
+        """Differential: the production schedule vs whole-array windows
+        (every update sweeping every working row, as before windows
+        existed).  States are ``==``; clocks differ by design — fewer
+        points are charged."""
+        from repro.core import comm_avoiding
+
+        grid, params, state0 = _window_case(M)
+        kw = dict(executor=executor, backend=backend, kernel_tier="fused")
+        windowed, res_w = _run_ca(grid, params, state0, py, **kw)
+        monkeypatch.setattr(
+            comm_avoiding, "update_windows",
+            lambda geom, batch: ((0, geom.shape2d[0]),) * batch,
+        )
+        whole, res_a = _run_ca(grid, params, state0, py, **kw)
+        assert windowed.max_difference(whole) == 0.0
+        assert res_w.makespan < res_a.makespan
+
+    @pytest.mark.parametrize("executor", ["sync", "taskgraph"])
+    def test_single_level_windows_on_the_fused_tier(self, executor):
+        """nz = 1: the single-plane fields carry no plane stride, so the
+        kernels' scratch must take it from the (nz + 1)-plane ``C`` bundle
+        views of the same call."""
+        grid = LatLonGrid(nx=16, ny=24, nz=1)
+        params = ModelParameters(
+            dt_adaptation=60.0, dt_advection=60.0, m_iterations=1
+        )
+        state0 = perturbed_rest_state(grid, amplitude_k=2.0)
+        fused, _ = _run_ca(
+            grid, params, state0, 2, executor=executor, kernel_tier="fused"
+        )
+        ref, _ = _run_ca(
+            grid, params, state0, 2, executor=executor,
+            kernel_tier="reference",
+        )
+        assert fused.max_difference(ref) == 0.0
+
+    @pytest.mark.parametrize("py", [1, 2, 3])
+    def test_charged_points_are_the_schedule_closed_form(self, monkeypatch, py):
+        """Per rank and steady-state step the logical clock is charged
+        exactly the window rows of the schedule; ca@1 charges no redundant
+        row (block rows only, like original@1's interior)."""
+        from repro.core.distributed import RankContext
+
+        grid, params, state0 = _window_case(3)
+        charged = []
+        monkeypatch.setattr(
+            RankContext, "charge",
+            lambda self, weight, npoints: charged.append(
+                (self.comm.rank, weight, npoints)
+            ),
+        )
+
+        def points(nsteps):
+            charged.clear()
+            _run_ca(grid, params, state0, py, nsteps=nsteps)
+            out = {}
+            for rank, weight, n in charged:
+                out[rank, weight] = out.get((rank, weight), 0) + n
+            return out
+
+        three, two = points(3), points(2)
+        from repro.perf.costs import DEFAULT_WEIGHTS as W
+
+        H, ny_i = 3 * params.m_iterations, grid.ny // py
+        plane = grid.nz * grid.nx
+        for rank in range(py):
+            sides = (rank > 0) + (rank < py - 1)
+            adapt = [ny_i + sides * (H - u) for u in range(1, H + 1)]
+            advec = [ny_i + sides * (3 - u) for u in (1, 2, 3)]
+            fresh_c = [r for u, r in enumerate(adapt) if u % 3]
+            want = {
+                W.adaptation: sum(adapt),
+                W.vertical: sum(fresh_c),
+                W.advection: sum(advec),
+                W.update: sum(adapt) + sum(advec),
+                W.smoothing: ny_i + sides * (H + 2),
+            }
+            for weight, rows in want.items():
+                got = three[rank, weight] - two[rank, weight]
+                assert got == rows * plane, (rank, weight)
+        if py == 1:
+            assert want[W.adaptation] == H * ny_i
+
+    @pytest.mark.parametrize("executor", ["sync", "taskgraph"])
+    def test_no_silent_numpy_fallback(self, monkeypatch, executor):
+        """Fused tier, compiler available: every A / L / C / S call of a
+        CA run — whole windows and the task graph's split slabs alike —
+        runs its C kernel."""
+        from repro.core import distributed
+        from repro.kernels import available_backends
+
+        if "c" not in available_backends():
+            pytest.skip("no C compiler on this host")
+        made = []
+        build = distributed.kernel_set
+
+        def recording(*args, **kwargs):
+            made.append(build(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(distributed, "kernel_set", recording)
+        grid, params, state0 = _window_case(3)
+        _run_ca(
+            grid, params, state0, 2, executor=executor, kernel_tier="fused"
+        )
+        assert len(made) == 2
+        for ks in made:
+            calls = ks.describe()["calls"]
+            for op in ("adaptation", "advection", "vertical", "smoothing"):
+                assert calls[op]["fused"] > 0, (op, calls)
+                assert calls[op]["fallback"] == 0, (op, calls)
+
+    def test_polar_rank_filters_block_rows_only(self):
+        """The filter runs on mask ∩ window: the mirror rows beyond the
+        pole (half of the masked working rows at rank 0 of 2) are never
+        transformed."""
+        from repro.core.comm_avoiding import CommAvoidingRank
+
+        grid = LatLonGrid(nx=144, ny=96, nz=2)
+        params = ModelParameters()
+        decomp = Decomposition(grid.nx, grid.ny, grid.nz, 1, 2, 1)
+        cfg = DistributedConfig(grid=grid, decomp=decomp, params=params)
+
+        def rows(comm, cfg):
+            ctx = CommAvoidingRank(comm, cfg)
+            pf, window = ctx.engine.polar_filter, ctx.adapt[0]
+            return int(pf.mask_c.sum()), len(window._filter["c"][1])
+
+        masked, filtered = run_spmd(2, rows, cfg).results[0]
+        assert (masked, filtered) == (22, 11)

@@ -221,6 +221,20 @@ def _strided(state: ModelState) -> ModelState:
     return ModelState(**{f: spread(getattr(state, f)) for f in FIELDS})
 
 
+def test_plane_stride_is_the_array_contract():
+    """One plane stride per call, whole rows apart; single planes and 2-D
+    arrays adopt whatever the multi-plane arrays of the call fix."""
+    tall, nx = np.zeros((3, 10, 8)), 8
+    assert cbackend.plane_stride(tall, tall[0]) == 10 * nx
+    slab, plane = tall[:, 2:7], np.zeros((1, 10, 8))[:, 2:7]
+    assert cbackend.plane_stride(plane, slab) == 10 * nx
+    assert cbackend.plane_stride(plane) == 5 * nx
+    assert cbackend.plane_stride(slab, np.zeros((3, 5, 8))) is None
+    assert cbackend.plane_stride(slab, np.zeros((3, 12, 8))[:, 2:7]) is None
+    assert cbackend.plane_stride(np.zeros((3, 10, 16))[..., ::2]) is None
+    assert cbackend.plane_stride(tall.astype(np.float32)) is None
+
+
 @pytest.mark.parametrize("case", ["reference", "strided", "broken-c-build"])
 def test_every_kernel_method_returns_a_result(
     case, small_grid, rng, monkeypatch
@@ -270,6 +284,11 @@ def test_every_kernel_method_returns_a_result(
     for op, res in got.items():
         assert res is not None, f"{case}: {op} returned None"
         _assert_states_equal(want[op], res, f"{case}: {op}")
+    # ... and none of it silently: x-strided arrays break the kernels'
+    # array contract (row-slab views do not — tests/test_core_ca.py), so
+    # every call here is counted as a fallback
+    for op, n in ks.describe()["calls"].items():
+        assert n["fused"] == 0 and n["fallback"] > 0, (case, op, n)
     one = ks.smooth_field(
         smoothers_for(params)["Phi"], state.Phi, np.empty(w.Phi.shape), ws
     )

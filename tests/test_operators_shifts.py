@@ -81,6 +81,31 @@ class TestPoleGhosts:
         fill_pole_ghosts(a, 0, vector=False)
         assert np.all(a == 1.0)
 
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    def test_depth_fills_the_rows_nearest_the_block_only(self, rng, vector, depth):
+        """``depth < gy``: the ``depth`` ghost rows next to the block equal
+        the full fill's, the rows beyond are untouched."""
+        nx, gy = 8, 5
+        a = rng.standard_normal((2, 6 + 2 * gy, nx))
+        full, part = a.copy(), a.copy()
+        fill_pole_ghosts(full, gy, vector=vector)
+        fill_pole_ghosts(part, gy, vector=vector, depth=depth)
+        near_n, near_s = slice(gy - depth, gy), slice(-gy, -gy + depth)
+        assert np.array_equal(part[:, near_n], full[:, near_n])
+        assert np.array_equal(part[:, near_s], full[:, near_s])
+        assert np.array_equal(part[:, : gy - depth], a[:, : gy - depth])
+        assert np.array_equal(part[:, gy:-gy], a[:, gy:-gy])
+        if depth < gy:
+            assert np.array_equal(part[:, -gy + depth:], a[:, -gy + depth:])
+
+    def test_depth_beyond_gy_is_the_full_fill(self, rng):
+        a = rng.standard_normal((6 + 4, 8))
+        full, deep = a.copy(), a.copy()
+        fill_pole_ghosts(full, 2, vector=True)
+        fill_pole_ghosts(deep, 2, vector=True, depth=7)
+        assert np.array_equal(full, deep)
+
 
 class TestVRowGhosts:
     def test_north_pole_interface_zeroed(self):
@@ -95,6 +120,30 @@ class TestVRowGhosts:
         a[gy, :] = np.arange(nx, dtype=float)  # interface +1 row
         fill_pole_ghosts_vrow(a, gy, north=True, south=False)
         assert np.array_equal(a[gy - 2, :], -np.roll(np.arange(8.0), 4))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_depth_keeps_the_pole_rows_zero(self, rng, depth):
+        """``depth < gy`` on V rows: both pole interface rows are still
+        zeroed, ``depth`` ghost rows per side equal the full fill's, the
+        rest stay untouched."""
+        nx, gy, ny_i = 8, 5, 6
+        a = rng.standard_normal((2, ny_i + 2 * gy, nx))
+        full, part = a.copy(), a.copy()
+        fill_pole_ghosts_vrow(full, gy)
+        fill_pole_ghosts_vrow(part, gy, depth=depth)
+        assert not part[:, gy - 1].any()           # theta = 0 interface
+        assert not part[:, gy + ny_i - 1].any()    # theta = pi interface
+        near_n = slice(gy - depth, gy)
+        near_s = slice(gy + ny_i, gy + ny_i + depth)
+        assert np.array_equal(part[:, near_n], full[:, near_n])
+        assert np.array_equal(part[:, near_s], full[:, near_s])
+        assert np.array_equal(part[:, : gy - depth], a[:, : gy - depth])
+        assert np.array_equal(
+            part[:, gy + ny_i + depth:], a[:, gy + ny_i + depth:]
+        )
+        assert np.array_equal(
+            part[:, gy: gy + ny_i - 1], a[:, gy: gy + ny_i - 1]
+        )
 
     def test_south_pole_interface_on_last_interior_row(self):
         nx, gy = 8, 2

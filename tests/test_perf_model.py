@@ -134,3 +134,47 @@ class TestModelMechanics:
         ratio_big = pm_small._ca_trapezoid_points(d_big, 9) / block_big
         ratio_tiny = pm_small._ca_trapezoid_points(d_tiny, 9) / block_tiny
         assert ratio_tiny > ratio_big > 1.0
+
+
+def test_model_ca_compute_equals_the_executed_cores_charges(monkeypatch):
+    """Model = executed: the model's weighted point-updates of one
+    steady-state CA step on the busiest rank are, term for term, what the
+    executed core charges to its logical clock (polar filter aside, which
+    the CA core does not charge) — both read the same row-window
+    schedule, so a pole side contributes no redundant row in either."""
+    from repro.constants import ModelParameters
+    from repro.core.comm_avoiding import ca_rank_program
+    from repro.core.distributed import DistributedConfig, RankContext
+    from repro.grid.decomposition import Decomposition
+    from repro.grid.latlon import LatLonGrid
+    from repro.physics import perturbed_rest_state
+    from repro.simmpi import run_spmd
+
+    grid = LatLonGrid(nx=16, ny=48, nz=4)
+    params = ModelParameters(
+        dt_adaptation=60.0, dt_advection=180.0, m_iterations=3
+    )
+    state0 = perturbed_rest_state(grid, amplitude_k=2.0)
+    charged = []
+    monkeypatch.setattr(
+        RankContext, "charge",
+        lambda self, weight, npoints: charged.append(
+            (self.comm.rank, weight * npoints)
+        ),
+    )
+    pm = PerformanceModel(grid, params=params)
+    for py in (1, 2, 3):
+        decomp = Decomposition(grid.nx, grid.ny, grid.nz, 1, py, 1)
+
+        def work(nsteps):
+            charged.clear()
+            cfg = DistributedConfig(
+                grid=grid, decomp=decomp, params=params, nsteps=nsteps
+            )
+            run_spmd(py, ca_rank_program, cfg, state0)
+            return [
+                sum(w for r, w in charged if r == rank) for rank in range(py)
+            ]
+
+        per_step = [a - b for a, b in zip(work(3), work(2))]
+        assert max(per_step) == pm.ca_compute_work(decomp)

@@ -288,7 +288,7 @@ class TestRowSlabUnit:
         )
 
     def test_slab_metrics_match_parent_rows(self):
-        from repro.core.taskgraph.subdomain import RowSlab
+        from repro.core.rowslab import RowSlab
 
         g = self._geom()
         slab = RowSlab(g, 3, 17, 1)

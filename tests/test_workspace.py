@@ -6,11 +6,14 @@ functions of :mod:`repro.operators` are the readable mathematical oracle;
 the contract is *exact* reproducibility, so these tests assert ``==``
 (not ``allclose``) between the two, operator by operator, on
 hypothesis-drawn meshes, ghost widths (the serial ``gy = 2`` and the CA
-``gy = 3M + 2``) and seeds.
+``gy = 3M + 2``) and seeds.  The same contract one level up: an operator
+evaluated on a *row window* (the CA core's shrinking-halo sweeps) equals
+the whole-array evaluation on the window's target rows and reads nothing
+beyond window +- stencil reach.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.constants import ModelParameters
 from repro.core.comm_avoiding import STRIP, strip_partial
@@ -111,6 +114,11 @@ class TestStateRing:
         c = ring.scratch(a, b)
         assert len({id(a), id(b), id(c)}) == 3
 
+    def test_ring_over_ready_made_states(self):
+        states = [ModelState.zeros((2, 3, 4)) for _ in range(2)]
+        ring = StateRing.of(states)
+        assert ring.scratch(states[0]) is states[1]
+
     def test_exhaustion_raises(self):
         ws = Workspace()
         ring = StateRing(ws, (2, 3, 4), size=2)
@@ -144,7 +152,7 @@ VD_FIELDS = (
 cases = st.tuples(
     st.sampled_from([8, 12, 16]),   # nx
     st.integers(6, 12),             # ny
-    st.integers(2, 4),              # nz
+    st.integers(1, 4),              # nz (1: the fields carry no plane stride)
     st.sampled_from([2, 5, 8, 11]),  # gy
     st.integers(0, 2**32 - 1),      # seed
 )
@@ -266,6 +274,147 @@ def test_strip_window_partial_equals_whole_array_partial(case, offsets, south):
         want = sm[name].partial(a, offsets)[..., rows, :]
         got = strip_partial(sm[name], a, rows, offsets)
         assert np.array_equal(want, got), name
+
+
+# ---------------------------------------------------------------------------
+# row windows == whole array on the window, reading nothing beyond the reach
+# ---------------------------------------------------------------------------
+def _poisoned(obj, names, view):
+    """Copy of a state / C bundle with every row outside ``view`` NaN."""
+    out = {}
+    for name in names:
+        a = getattr(obj, name)
+        b = np.full_like(a, np.nan)
+        b[..., view, :] = a[..., view, :]
+        out[name] = b
+    return type(obj)(**out)
+
+
+#: interior windows (as every production window is: the outermost
+#: ``STRIP`` working rows are never targets) as fractions of the rows
+windows = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+def _window(geom, fracs, margin):
+    ny_w = geom.shape2d[0]
+    lo = margin + int(fracs[0] * (ny_w - 2 * margin - 1))
+    hi = lo + 1 + int(fracs[1] * (ny_w - margin - lo - 1))
+    return lo, hi
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=cases, fracs=windows,
+    tier=st.sampled_from(["reference", "fused"]),
+)
+@example(case=(16, 12, 1, 5, 0), fracs=(0.3, 0.5), tier="fused")
+def test_windowed_tendencies_equal_whole_array_on_the_window(case, fracs, tier):
+    """``C``, ``A``, ``L``, the polar filter and the axpy on a row window:
+    ``==`` the whole-array result on the target rows, with every input row
+    outside window +- stencil reach NaN-poisoned (nothing beyond the reach
+    is read) and every tendency row outside it untouched."""
+    geom, s = _working_case(*case)
+    params = ModelParameters()
+    eng = TendencyEngine(geom, params, kernels=kernel_set(tier))
+    lo, hi = _window(geom, fracs, 1)
+    sl = eng.slab(lo, hi)
+    rows, view = sl.rows, sl.view
+
+    vd = eng.vertical(s)
+    want_a = eng.apply_filter(eng.adaptation(s, vd)).copy()
+    want_l = eng.apply_filter(eng.advection(s, vd)).copy()
+
+    sp = _poisoned(s, FIELD_NAMES, view)
+    got_vd = eng.vertical(sp, sl)
+    for name in VD_FIELDS:
+        assert np.array_equal(
+            getattr(vd, name)[..., rows, :], getattr(got_vd, name)[..., rows, :]
+        ), f"C[{tier}]: {name}"
+    # phi' is column-local: valid on the margin row A's P_theta reads
+    assert np.array_equal(vd.phi_prime[:, hi], got_vd.phi_prime[:, hi])
+
+    vdp = _poisoned(vd, VD_FIELDS, view)
+    for op, want in ((eng.adaptation, want_a), (eng.advection, want_l)):
+        for f in eng._tend.fields().values():
+            f.fill(7.0)
+        tend = eng.apply_filter(op(sp, vdp, sl), sl)
+        out = ModelState.zeros(geom.shape3d)
+        sl.axpy(s, 0.5, tend, out)
+        full = s.axpy_into(0.5, want, ModelState.zeros(geom.shape3d))
+        for name in FIELD_NAMES:
+            t, w = getattr(tend, name), getattr(want, name)
+            assert np.array_equal(t[..., rows, :], w[..., rows, :]), (
+                f"{op.__name__}[{tier}]: {name}"
+            )
+            assert (t[..., : view.start, :] == 7.0).all()
+            assert (t[..., view.stop:, :] == 7.0).all()
+            o = getattr(out, name)
+            assert np.array_equal(o[..., rows, :], getattr(full, name)[..., rows, :])
+            assert not o[..., : lo, :].any() and not o[..., hi:, :].any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=cases, fracs=windows,
+    tier=st.sampled_from(["reference", "fused"]),
+)
+@example(case=(16, 12, 1, 5, 0), fracs=(0.3, 0.5), tier="fused")
+def test_windowed_smoothing_equals_whole_array_on_the_window(case, fracs, tier):
+    geom, s = _working_case(*case)
+    params = ModelParameters(smoothing_beta_y_uv=0.06)
+    ks = kernel_set(tier)
+    eng = TendencyEngine(geom, params, kernels=ks)
+    sm = smoothers_for(params)
+    lo, hi = _window(geom, fracs, STRIP)
+    sl = eng.slab(lo, hi, STRIP)
+    want = ks.smooth_state_into(
+        s, params, ModelState.zeros(geom.shape3d), Workspace(), sm
+    )
+    got = ModelState.zeros(geom.shape3d)
+    sl.smooth(ks, eng.ws, sm, _poisoned(s, FIELD_NAMES, sl.view), got)
+    for name in FIELD_NAMES:
+        g, w = getattr(got, name), getattr(want, name)
+        assert np.array_equal(g[..., sl.rows, :], w[..., sl.rows, :]), name
+        assert not g[..., :lo, :].any() and not g[..., hi:, :].any(), name
+
+
+def test_window_scratch_reuses_the_whole_array_pool_entries():
+    """Windows of different heights share one set of working-height pool
+    buffers instead of parking one set per height."""
+    geom, s = _working_case(16, 12, 3, 5, 0)
+    eng = TendencyEngine(geom, ModelParameters(), kernels=kernel_set("fused"))
+    vd = eng.vertical(s)
+    eng.adaptation(s, vd), eng.advection(s, vd)
+    parked = eng.ws.pooled_bytes
+    for lo, hi in ((3, 9), (4, 15), (6, 18), (5, 7)):
+        sl = eng.slab(lo, hi)
+        eng.adaptation(s, vd, sl), eng.advection(s, vd, sl)
+    ny_w, nx = geom.shape2d
+    assert eng.ws.pooled_bytes <= parked + 4 * 8 * ny_w * nx
+
+
+@pytest.mark.parametrize("nz", [1, 3])
+def test_slab_inputs_with_a_pooled_c_bundle_stay_correct(nz):
+    """``C`` of row-slab views *without* ``out``: the pooled bundle is
+    plane-contiguous, so unless the inputs are single planes the call
+    breaks the one-plane-stride contract and must run (and count) the
+    numpy operator instead of the C kernel."""
+    geom, s = _working_case(16, 12, nz, 5, 0)
+    sl = TendencyEngine(geom, ModelParameters()).slab(4, 11)
+    v = ModelState(**{
+        name: getattr(s, name)[..., sl.view, :] for name in FIELD_NAMES
+    })
+    want = compute_vertical_diagnostics(
+        *(np.ascontiguousarray(a) for a in (v.U, v.V, v.Phi, v.psa)), sl.geom
+    )
+    ks = kernel_set("fused")
+    got = ks.vertical(
+        v.U, v.V, v.Phi, v.psa, sl.geom, None, Workspace(),
+        VerticalGeomCache(sl.geom),
+    )
+    _assert_identical(want, got, VD_FIELDS, "C")
+    if ks.backend == "c":
+        assert ks.calls["vertical"]["fallback"] == (nz > 1)
 
 
 # ---------------------------------------------------------------------------
