@@ -111,7 +111,6 @@ class CommAvoidingRank(RankContext):
         gz = 3 * M if decomp.pz > 1 else 0
         super().__init__(comm, cfg, gy=gy, gz=gz, gx=0)
         self.halo_updates = 3 * M  # usable y/z halo after smoothing
-        self.vd_stale: VerticalDiagnostics | None = None
         # y-neighbour ranks for the bundle messages
         self.north_nb = decomp.neighbour(comm.rank, 0, -1, 0)
         self.south_nb = decomp.neighbour(comm.rank, 0, +1, 0)
@@ -134,6 +133,11 @@ class CommAvoidingRank(RankContext):
             self.received.append(slab(STRIP, gy, STRIP))
         if not self.geom.touches_south:
             self.received.append(slab(gy + ny_i, ny_w - STRIP, STRIP))
+
+    def restart(self) -> None:
+        """A restart has no previous step: no stale ``C`` bundle."""
+        super().restart()
+        self.vd_stale: VerticalDiagnostics | None = None
 
     def state_ring(self) -> StateRing:
         """The step's state rotation.  Zero-initialised: the windowed
@@ -372,33 +376,38 @@ def final_smoothing(ctx: CommAvoidingRank, xi_pre: ModelState, out: ModelState):
     return out
 
 
-def ca_rank_program(
-    comm: SimComm, cfg: DistributedConfig, initial: ModelState
-) -> RankResult:
-    """Algorithm 2 on one rank.  Same contract as
-    :func:`repro.core.distributed.original_rank_program`."""
+def ca_program(comm: SimComm, cfg: DistributedConfig):
+    """Build Algorithm 2 on one rank.  Same contract as
+    :func:`repro.core.distributed.original_program`: returns
+    ``advance(initial, nsteps) -> RankResult``, every call a restart from
+    ``initial`` (first step unsmoothed, fresh ``C`` bundle, final
+    smoothing) on the context built here."""
     if (
         cfg.executor == "taskgraph"
         and cfg.decomp.pz == 1
     ):
-        from repro.core.taskgraph.ca import ca_rank_program_taskgraph
+        from repro.core.taskgraph.ca import ca_program_taskgraph
 
-        return ca_rank_program_taskgraph(comm, cfg, initial)
+        return ca_program_taskgraph(comm, cfg)
     ctx = CommAvoidingRank(comm, cfg)
     params = cfg.params
     dt1, dt2, M = params.dt_adaptation, params.dt_advection, params.m_iterations
     W = cfg.weights
     state_fields = lambda s: [s.U, s.V, s.Phi, s.psa]  # noqa: E731
     A, L = ctx.adapt, ctx.advec
-
-    # xi_pre is the *unsmoothed* advected state zeta_3 of the previous step
-    xi_pre = ctx.pad_local(initial)
-    ctx.fill_bc(xi_pre)
-    first_step = True
-
     scr = ctx.state_ring().scratch
 
-    for _step in range(cfg.nsteps):
+    def advance(initial: ModelState, nsteps: int) -> RankResult:
+        ctx.restart()
+        # xi_pre is the *unsmoothed* advected state zeta_3 of the previous step
+        xi_pre = ctx.pad_local(initial)
+        ctx.fill_bc(xi_pre)
+        for k in range(nsteps):
+            xi_pre = step(xi_pre, first_step=k == 0)
+            ctx.record_telemetry(k + 1, xi_pre)
+        return ctx.result(final_smoothing(ctx, xi_pre, scr(xi_pre)))
+
+    def step(xi_pre: ModelState, first_step: bool) -> ModelState:
         with span("step", "step"):
             # ---- fused smoothing + adaptation exchange (1st of 2 per step) ----
             # Algorithm 2 lines 4-12: the smoothing belongs to the *previous*
@@ -519,15 +528,14 @@ def ca_rank_program(
                 "advection", [L[2]], mid, psi, vd_frozen, dt2, scr(psi, mid)
             )
             ctx.charge_update(L)
-            first_step = False
-        ctx.record_telemetry(_step + 1, xi_pre)
+        return xi_pre
 
-    out = final_smoothing(ctx, xi_pre, scr(xi_pre))
+    return advance
 
-    return RankResult(
-        state=ctx.strip_local(out),
-        c_calls=ctx.c_calls,
-        exchanges=ctx.exchanges,
-        telemetry=ctx.telemetry_partials if cfg.telemetry else None,
-        ws_counters=ctx.ws_counters(),
-    )
+
+def ca_rank_program(
+    comm: SimComm, cfg: DistributedConfig, initial: ModelState
+) -> RankResult:
+    """Algorithm 2 as a one-shot rank program: build, then advance
+    ``cfg.nsteps`` steps from ``initial``."""
+    return ca_program(comm, cfg)(initial, cfg.nsteps)

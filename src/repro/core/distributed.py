@@ -171,6 +171,12 @@ class RankContext:
             self.fmask_v, self.ffactors_v = filter_plan(
                 self.geom.sin_v, nx, cfg.params.filter_latitude, profile
             )
+        self._ws_seen = (0, 0)  # pool counters at the last result()
+        self.restart()
+
+    def restart(self) -> None:
+        """Zero what a :class:`RankResult` counts; every ``advance`` starts
+        here (geometry, pools and kernels outlive a command, counters not)."""
         self.exchanges = 0
         self.c_calls = 0
         #: ``(step, partials)`` pairs when ``cfg.telemetry`` is on
@@ -471,13 +477,23 @@ class RankContext:
             )
         )
 
-    def ws_counters(self) -> dict:
-        """Pool counters of this rank's workspace."""
-        return {
-            "fresh_allocations": self.ws.fresh_allocations,
-            "reuses": self.ws.reuses,
-            "pooled_bytes": self.ws.pooled_bytes,
-        }
+    def result(self, w: ModelState, overlap: dict | None = None) -> "RankResult":
+        """What an ``advance`` that ended on working state ``w`` returns
+        (pool counters count since the previous result)."""
+        fresh, reuses = self._ws_seen
+        self._ws_seen = (self.ws.fresh_allocations, self.ws.reuses)
+        return RankResult(
+            state=self.strip_local(w),
+            c_calls=self.c_calls,
+            exchanges=self.exchanges,
+            telemetry=self.telemetry_partials if self.cfg.telemetry else None,
+            ws_counters={
+                "fresh_allocations": self.ws.fresh_allocations - fresh,
+                "reuses": self.ws.reuses - reuses,
+                "pooled_bytes": self.ws.pooled_bytes,
+            },
+            overlap=overlap,
+        )
 
     def strip_local(self, w: ModelState) -> ModelState:
         """Interior block of a working state."""
@@ -522,14 +538,13 @@ def _update(
     return psi.axpy_into(dt, tend, out)
 
 
-def original_rank_program(
-    comm: SimComm, cfg: DistributedConfig, initial: ModelState
-) -> RankResult:
-    """Algorithm 1 under ``cfg.decomp`` (X-Y, Y-Z or 3-D).
+def original_program(comm: SimComm, cfg: DistributedConfig):
+    """Build Algorithm 1 under ``cfg.decomp`` (X-Y, Y-Z or 3-D) on one rank.
 
-    ``initial`` is the *global* interior initial state (shared read-only
-    across rank threads).  Returns the local interior block after
-    ``cfg.nsteps`` steps plus communication counters.
+    Returns ``advance(initial, nsteps) -> RankResult``: ``initial`` is the
+    *global* interior state (shared read-only across rank threads), the
+    result the local interior block ``nsteps`` steps later plus counters.
+    Every call restarts from ``initial`` on the context built here.
     """
     decomp = cfg.decomp
     if (
@@ -540,22 +555,27 @@ def original_rank_program(
         # x- or z-decomposed runs have no overlap-safe split (the polar
         # filter is collective / the z halo refreshes mid-stencil rows):
         # they keep the synchronous schedule below
-        from repro.core.taskgraph.original import original_rank_program_taskgraph
+        from repro.core.taskgraph.original import original_program_taskgraph
 
-        return original_rank_program_taskgraph(comm, cfg, initial)
+        return original_program_taskgraph(comm, cfg)
     gy = 2
     gz = 1 if decomp.pz > 1 else 0
     gx = 2 if decomp.px > 1 else 0
     ctx = RankContext(comm, cfg, gy=gy, gz=gz, gx=gx)
     params = cfg.params
     dt1, dt2, M = params.dt_adaptation, params.dt_advection, params.m_iterations
-
-    psi = ctx.pad_local(initial)
-    ctx.refresh_halos(psi)
-
     scr = StateRing(ctx.ws, ctx.geom.shape3d).scratch
 
-    for step_no in range(cfg.nsteps):
+    def advance(initial: ModelState, nsteps: int) -> RankResult:
+        ctx.restart()
+        psi = ctx.pad_local(initial)
+        ctx.refresh_halos(psi)
+        for step_no in range(nsteps):
+            psi = step(psi)
+            ctx.record_telemetry(step_no + 1, psi)
+        return ctx.result(psi)
+
+    def step(psi: ModelState) -> ModelState:
         with span("step", "step"):
             # ---- adaptation: M iterations x 3 internal updates ----
             for _i in range(M):
@@ -608,12 +628,28 @@ def original_rank_program(
             if cfg.forcing is not None:
                 cfg.forcing(psi, ctx.geom, dt2)
             ctx.refresh_halos(psi)
-        ctx.record_telemetry(step_no + 1, psi)
+        return psi
 
-    return RankResult(
-        state=ctx.strip_local(psi),
-        c_calls=ctx.c_calls,
-        exchanges=ctx.exchanges,
-        telemetry=ctx.telemetry_partials if cfg.telemetry else None,
-        ws_counters=ctx.ws_counters(),
-    )
+    return advance
+
+
+def original_rank_program(
+    comm: SimComm, cfg: DistributedConfig, initial: ModelState
+) -> RankResult:
+    """Algorithm 1 as a one-shot rank program: build, then advance
+    ``cfg.nsteps`` steps from ``initial``."""
+    return original_program(comm, cfg)(initial, cfg.nsteps)
+
+
+def resident(build, cfg: DistributedConfig):
+    """The rank function ``program(comm, initial, nsteps)`` of a world that
+    advances one program by commands: ``build(comm, cfg)`` runs on a rank's
+    first command and stays on its communicator — once per world on a
+    persistent (process) rank, once per run on a thread rank."""
+
+    def program(comm: SimComm, initial: ModelState, nsteps: int) -> RankResult:
+        if comm.resident is None:
+            comm.resident = build(comm, cfg)
+        return comm.resident(initial, nsteps)
+
+    return program

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.constants import DEFAULT_PARAMETERS, ModelParameters
-from repro.core.comm_avoiding import ca_rank_program
-from repro.core.distributed import DistributedConfig, original_rank_program
+from repro.core.comm_avoiding import ca_program
+from repro.core.distributed import DistributedConfig, original_program, resident
 from repro.core.integrator import SerialCore
 from repro.obs.config import ObsConfig, Observation
 from repro.obs.metrics import (
@@ -38,6 +38,7 @@ from repro.grid.decomposition import (
 from repro.grid.latlon import LatLonGrid
 from repro.grid.sigma import SigmaLevels
 from repro.simmpi import MachineModel, run_spmd
+from repro.simmpi.launcher import RankWorld
 from repro.simmpi.machine import LAPTOP_LIKE
 from repro.simmpi.transport import TransportConfig
 from repro.state.variables import ModelState
@@ -215,6 +216,12 @@ class DynamicalCore:
         self._staged_telemetry: list = []
         #: "step" spans already folded into the step_wall_seconds histogram
         self._steps_metered = 0
+        #: the process-backend rank world of the call in progress and what
+        #: it was forked for (see _world_scope); worlds forked so far
+        self._world: RankWorld | None = None
+        self._world_key: tuple = ()
+        self._in_call = False
+        self.rank_launches = 0
 
     # ---- observation lifecycle -----------------------------------------------
     @property
@@ -253,6 +260,24 @@ class DynamicalCore:
             if own_profiler:
                 prof.stop()
             set_active(prev)
+
+    @contextmanager
+    def _world_scope(self):
+        """One call of ``run`` / ``run_resilient`` / a bare ``_run_once``:
+        the rank world opened inside serves every chunk of the call and is
+        closed when it returns or raises — no child process or shm segment
+        outlives a call.  Reentrant like :meth:`_obs_scope`."""
+        if self._in_call:
+            yield
+            return
+        self._in_call = True
+        try:
+            yield
+        finally:
+            self._in_call = False
+            if self._world is not None:
+                self._world.close()
+                self._world = None
 
     def _commit_observation(self) -> None:
         """Move staged telemetry into the committed series."""
@@ -320,7 +345,7 @@ class DynamicalCore:
         """
         if transport is _UNSET:
             transport = self.config.transport
-        with self._obs_scope() as obs:
+        with self._obs_scope() as obs, self._world_scope():
             out = self._run_once_observed(
                 state0, nsteps, obs,
                 faults=faults, verify_checksums=verify_checksums,
@@ -338,7 +363,7 @@ class DynamicalCore:
         """
         if obs is None or obs.tracer is None or not obs.config.metrics:
             return
-        steps = [s for s in obs.tracer.spans if s.name == "step"]
+        steps = obs.tracer.named("step")
         new = steps[self._steps_metered:]
         if not new:
             return
@@ -403,15 +428,14 @@ class DynamicalCore:
             decomp=decomp,
             params=cfg.params,
             sigma=cfg.sigma,
-            nsteps=nsteps,
             forcing=cfg.forcing,
             kernel_tier=cfg.kernel_tier,
             kernel_backend=cfg.kernel_backend,
             telemetry=want_telemetry,
             executor=cfg.executor,
         )
-        program = (
-            ca_rank_program if cfg.algorithm == "ca" else original_rank_program
+        program = resident(
+            ca_program if cfg.algorithm == "ca" else original_program, dcfg
         )
         if timeout is None:
             timeout = (
@@ -419,30 +443,44 @@ class DynamicalCore:
                 if cfg.timeout is not None
                 else default_spmd_timeout(nsteps)
             )
+        trace = obs is not None and obs.config.logical_trace
         # fault-injected attempts need the thread backend's deterministic
         # in-process delivery; clean runs honour the configured backend.
         # Node-loss-only plans are the exception: the process backend
         # supports them natively (the victim's OS process is killed), and
         # the elastic-recovery tests exercise exactly that path.
         plan = getattr(faults, "plan", faults)
-        backend = (
-            cfg.backend
-            if faults is None or getattr(plan, "node_loss_only", False)
-            else "thread"
-        )
-        result = run_spmd(
-            decomp.nranks,
-            program,
-            dcfg,
-            state0,
-            machine=cfg.machine,
-            timeout=timeout,
-            trace=obs is not None and obs.config.logical_trace,
-            faults=faults,
-            verify_checksums=verify_checksums,
-            transport=transport,
-            backend=backend,
-        )
+        if (
+            cfg.backend == "process"
+            and decomp.nranks > 1
+            and (faults is None or getattr(plan, "node_loss_only", False))
+        ):
+            # everything a world is forked with; the rest goes per command
+            key = (decomp, want_telemetry, verify_checksums, transport)
+            world = self._world
+            if world is None or not world.is_open or key != self._world_key:
+                if world is not None:
+                    world.close()
+                world = self._world = RankWorld(
+                    decomp.nranks, program, machine=cfg.machine,
+                    verify_checksums=verify_checksums, transport=transport,
+                )
+                self._world_key = key
+                self.rank_launches += 1
+                if obs is not None and obs.config.metrics:
+                    obs.registry.counter(
+                        "spmd_launches_total", "rank worlds forked"
+                    ).inc()
+            result = world.call(
+                state0, nsteps, timeout=timeout, trace=trace, faults=faults
+            )
+        else:
+            result = run_spmd(
+                decomp.nranks, program, state0, nsteps,
+                machine=cfg.machine, timeout=timeout, trace=trace,
+                faults=faults, verify_checksums=verify_checksums,
+                transport=transport,
+            )
         blocks = [r.state for r in result.results]
         gathered = ModelState(
             U=decomp.gather([b.U for b in blocks]),

@@ -44,7 +44,10 @@ vetted before commit:
   near-zero mass proxy, fractional for energy) — an ABFT-style check
   that catches silent corruption checksums cannot see.
 
-Committed chunks refresh the buddy mirror and append a disk checkpoint.
+Committed chunks refresh the buddy mirror and append a disk checkpoint —
+on the process backend while the ranks of the call's one rank world
+already compute the next chunk (a failed command discards that world; the
+retry forks a new one).
 
 Determinism: because the simulated cluster advances logical clocks only,
 a retry replays the chunk bit-identically when no new faults fire — the
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -277,6 +281,8 @@ class ResilienceReport:
     membership_epoch: int = 0
     #: communicator size at the end of the run
     final_nranks: int = 0
+    #: rank worlds forked during the call (process backend: 1 + failed chunks)
+    rank_launches: int = 0
 
     @property
     def nrestarts(self) -> int:
@@ -286,6 +292,7 @@ class ResilienceReport:
         lines = [
             f"chunks committed: {len(self.chunk_makespans)}",
             f"checkpoints written: {len(self.checkpoints)}",
+            f"rank worlds forked: {self.rank_launches}",
             f"restarts: {self.nrestarts} "
             f"({self.buddy_restores} buddy, {self.disk_rollbacks} disk)",
         ]
@@ -458,6 +465,43 @@ def run_resilient(
     restarts_left = rcfg.max_restarts
     chunk_attempt = 1
 
+    def _restore_boundary(lost: tuple[int, ...]) -> tuple[ModelState, str]:
+        """State of the last committed boundary and where it came from:
+        the buddy mirrors that survive ``lost``, else — the escalation
+        path — the disk checkpoint, exactly as a process restarted from
+        scratch would reload it."""
+        if buddy is not None:
+            buddy.drop_ranks(lost)
+            try:
+                with span("buddy-restore", "resilience"):
+                    restored = buddy.restore(step)
+                report.buddy_restores += 1
+                logger.info(
+                    "restored step %d from buddy memory (lost ranks: %s)",
+                    step, list(lost) or "none",
+                )
+                return restored, "buddy"
+            except BuddyLost as why:
+                logger.warning(
+                    "buddy restore unavailable at step %d (%s) — "
+                    "escalating to disk rollback", step, why,
+                )
+        with span("rollback", "resilience"):
+            found = latest_verified_checkpoint(ckdir)
+            if found is None:
+                raise ResilienceExhausted(
+                    f"no checkpoint to roll back to in {ckdir}"
+                )
+            restored, saved_step = load_state(found[0])
+        if saved_step != step:
+            raise ResilienceExhausted(
+                f"latest checkpoint is for step {saved_step}, "
+                f"expected step {step} — checkpoint directory corrupted?"
+            )
+        report.disk_rollbacks += 1
+        logger.info("restored checkpoint for step %d from %s", step, found[0])
+        return restored, "disk"
+
     def _recover(
         kind: str, detail: str, crashed: tuple[int, ...] = ()
     ) -> ModelState:
@@ -487,44 +531,7 @@ def run_resilient(
             )
         chunk_attempt += 1
 
-        restored: ModelState | None = None
-        source = "disk"
-        if buddy is not None:
-            if crashed:
-                buddy.drop_ranks(crashed)
-            try:
-                with span("buddy-restore", "resilience"):
-                    restored = buddy.restore(step)
-                source = "buddy"
-                report.buddy_restores += 1
-                logger.info(
-                    "restored step %d from buddy memory (crashed ranks: %s)",
-                    step, list(crashed) or "none",
-                )
-            except BuddyLost as why:
-                logger.warning(
-                    "buddy restore unavailable at step %d (%s) — "
-                    "escalating to disk rollback", step, why,
-                )
-        if restored is None:
-            # The escalation path: reload from disk, exactly as a process
-            # restarted from scratch would.
-            with span("rollback", "resilience"):
-                found = latest_verified_checkpoint(ckdir)
-                if found is None:
-                    raise ResilienceExhausted(
-                        f"no checkpoint to roll back to in {ckdir}"
-                    )
-                restored, saved_step = load_state(found[0])
-            if saved_step != step:
-                raise ResilienceExhausted(
-                    f"latest checkpoint is for step {saved_step}, "
-                    f"expected step {step} — checkpoint directory corrupted?"
-                )
-            report.disk_rollbacks += 1
-            logger.info(
-                "restored checkpoint for step %d from %s", step, found[0]
-            )
+        restored, source = _restore_boundary(crashed)
         report.restarts.append(
             RestartRecord(step=step, kind=kind, attempt=chunk_attempt - 1,
                           detail=detail, source=source)
@@ -571,35 +578,7 @@ def run_resilient(
 
         # 1. Recover the chunk-boundary state: buddy mirrors first, the
         # disk checkpoint when the loss took a block AND its mirror.
-        restored: ModelState | None = None
-        source = "disk"
-        if buddy is not None:
-            buddy.drop_ranks(lost)
-            try:
-                with span("buddy-restore", "resilience"):
-                    restored = buddy.restore(step)
-                source = "buddy"
-                report.buddy_restores += 1
-            except BuddyLost as why:
-                logger.warning(
-                    "double fault at step %d (%s) — escalating to disk "
-                    "rollback", step, why,
-                )
-        if restored is None:
-            with span("rollback", "resilience"):
-                found = latest_verified_checkpoint(ckdir)
-                if found is None:
-                    raise ResilienceExhausted(
-                        f"no checkpoint to roll back to in {ckdir}"
-                    )
-                restored, saved_step = load_state(found[0])
-            if saved_step != step:
-                raise ResilienceExhausted(
-                    f"latest checkpoint is for step {saved_step}, "
-                    f"expected step {step} — checkpoint directory "
-                    f"corrupted?"
-                )
-            report.disk_rollbacks += 1
+        restored, source = _restore_boundary(lost)
 
         # 2. Rebuild the communicator: spare adoption or survivor shrink.
         with span("membership-rebuild", "resilience",
@@ -695,23 +674,40 @@ def run_resilient(
         )
         return migrated
 
+    def _persist(step: int, state: ModelState) -> None:
+        """Mirror, checkpoint and heartbeat of the chunk committed at ``step``."""
+        if buddy is not None:
+            buddy.store(step, state)
+        path = checkpoint_path(ckdir, step)
+        save_state(path, state, step=step)
+        report.checkpoints.append((step, path))
+        if rcfg.on_chunk is not None:
+            rcfg.on_chunk(step, nsteps)
+
+    launches0 = core.rank_launches
     # Activate the core's span tracer for the whole resilient run, so the
     # chunk/rollback spans below land in the same trace as the per-step
-    # spans; the per-chunk _run_once scope no-ops inside this one.
-    with core._obs_scope():
+    # spans, and own the rank world across the chunks; the per-chunk
+    # _run_once scopes no-op inside these.
+    with core._obs_scope(), core._world_scope():
         while step < nsteps:
             chunk = min(rcfg.checkpoint_interval, nsteps - step)
             try:
-                with span("chunk", "resilience"):
-                    new_state, chunk_diag, stats = core._run_once(
-                        state,
-                        chunk,
-                        faults=injector,
-                        verify_checksums=rcfg.verify_halo_checksums,
-                        transport=rcfg.transport,
-                        timeout=rcfg.spmd_timeout,
-                        step0=step,
-                    )
+                try:
+                    with span("chunk", "resilience"):
+                        new_state, chunk_diag, stats = core._run_once(
+                            state,
+                            chunk,
+                            faults=injector,
+                            verify_checksums=rcfg.verify_halo_checksums,
+                            transport=rcfg.transport,
+                            timeout=rcfg.spmd_timeout,
+                            step0=step,
+                        )
+                finally:
+                    if core._world is not None:
+                        # the deferred _persist no command picked up
+                        core._world.run_meanwhile()
             except _RETRYABLE as exc:
                 kind = classify_failure(exc)
                 if isinstance(exc, SpmdError) and exc.stats:
@@ -791,17 +787,18 @@ def run_resilient(
             accepted = candidate
             diag.accumulate(chunk_diag)
             report.chunk_makespans.append(chunk_diag.makespan)
-            if buddy is not None:
-                buddy.store(step, state)
-            path = checkpoint_path(ckdir, step)
-            save_state(path, state, step=step)
-            report.checkpoints.append((step, path))
             core._commit_observation()
             chunk_attempt = 1
-            if rcfg.on_chunk is not None:
-                rcfg.on_chunk(step, nsteps)
+            world = core._world
+            if step < nsteps and world is not None and world.is_open:
+                # release the ranks first: the next chunk's command goes
+                # out, then this runs while they compute
+                world.meanwhile = partial(_persist, step, state)
+            else:
+                _persist(step, state)
 
     diag.makespan += report.backoff_time + report.recovery_time
+    report.rank_launches = core.rank_launches - launches0
     report.membership_epoch = view.epoch if view is not None else 0
     report.final_nranks = decomp.nranks
     obs = getattr(core, "_observation", None)
@@ -821,11 +818,9 @@ def _blowup_detail(core, new_state: ModelState, rcfg: ResilienceConfig) -> str |
     """
     if not new_state.isfinite():
         return "non-finite fields"
-    if new_state.max_abs() > rcfg.blowup_threshold:
-        return (
-            f"max |field| = {new_state.max_abs():.3e} "
-            f"> {rcfg.blowup_threshold:.3e}"
-        )
+    max_abs = new_state.max_abs()
+    if max_abs > rcfg.blowup_threshold:
+        return f"max |field| = {max_abs:.3e} > {rcfg.blowup_threshold:.3e}"
     for rec in getattr(core, "_staged_telemetry", ()):
         if not rec.finite:
             return f"telemetry: non-finite fields at step {rec.step}"

@@ -37,10 +37,11 @@ def _fields(s: ModelState) -> list:
     return [s.U, s.V, s.Phi, s.psa]
 
 
-def ca_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResult:
-    """Algorithm 2 with the per-rank task-graph executor.
+def ca_program_taskgraph(comm, cfg):
+    """Algorithm 2 with the per-rank task-graph executor: returns
+    ``advance(initial, nsteps)`` like the synchronous build.
 
-    Caller (``ca_rank_program``) guarantees ``pz == 1`` (no z halos), so
+    Caller (``ca_program``) guarantees ``pz == 1`` (no z halos), so
     ``gz == 0``.
     """
     ctx = ca_mod.CommAvoidingRank(comm, cfg)
@@ -49,7 +50,6 @@ def ca_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResult:
     W = cfg.weights
     gy, ny_i = ctx.geom.gy, ctx.extent.ny
     strip = ca_mod.STRIP
-    ex = GraphExecutor(comm, fuzz=cfg.taskgraph_fuzz_seed)
     overlap = cfg.ca_overlap
     A, L = ctx.adapt, ctx.advec
 
@@ -63,13 +63,20 @@ def ca_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResult:
     # static slab splits of the two overlapped updates (built once)
     adapt_slabs = split(A[0], gy + strip + 1, gy + ny_i - strip - 1)
     advec_slabs = split(L[0], gy + 1, gy + ny_i - 1)
-
-    xi_pre = ctx.pad_local(initial)
-    ctx.fill_bc(xi_pre)
-    first_step = True
     ring = ctx.state_ring()
 
-    for _step in range(cfg.nsteps):
+    def advance(initial: ModelState, nsteps: int) -> RankResult:
+        ctx.restart()
+        ex = GraphExecutor(comm, fuzz=cfg.taskgraph_fuzz_seed)
+        xi_pre = ctx.pad_local(initial)
+        ctx.fill_bc(xi_pre)
+        for k in range(nsteps):
+            xi_pre = step(ex, xi_pre, first_step=k == 0)
+            ctx.record_telemetry(k + 1, xi_pre)
+        out = ca_mod.final_smoothing(ctx, xi_pre, ring.scratch(xi_pre))
+        return ctx.result(out, overlap=ex.metrics.as_dict())
+
+    def step(ex: GraphExecutor, xi_pre: ModelState, first_step: bool):
         with span("step", "step"):
             gr = TaskGraph()
             rt: dict = {}  # run-time handles (pending exchanges)
@@ -334,17 +341,6 @@ def ca_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResult:
             gr.add("advec3", advec3, deps=(t_prev,))
 
             ex.run(gr)
-            xi_pre = xi_new
-            first_step = False
-        ctx.record_telemetry(_step + 1, xi_pre)
+        return xi_new
 
-    out = ca_mod.final_smoothing(ctx, xi_pre, ring.scratch(xi_pre))
-
-    return RankResult(
-        state=ctx.strip_local(out),
-        c_calls=ctx.c_calls,
-        exchanges=ctx.exchanges,
-        telemetry=ctx.telemetry_partials if cfg.telemetry else None,
-        ws_counters=ctx.ws_counters(),
-        overlap=ex.metrics.as_dict(),
-    )
+    return advance

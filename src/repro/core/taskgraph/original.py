@@ -35,8 +35,9 @@ def _fields(s: ModelState) -> list:
     return [s.U, s.V, s.Phi, s.psa]
 
 
-def original_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResult:
-    """Algorithm 1 with the per-rank task-graph executor."""
+def original_program_taskgraph(comm, cfg):
+    """Algorithm 1 with the per-rank task-graph executor: returns
+    ``advance(initial, nsteps)`` like the synchronous build."""
     gy = 2
     ctx = dist_mod.RankContext(comm, cfg, gy=gy, gz=0, gx=0)
     params = cfg.params
@@ -45,7 +46,6 @@ def original_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResul
     g = ctx.geom
     ny_i, ny_w = ctx.extent.ny, g.shape3d[1]
     pf = ctx.engine.polar_filter
-    ex = GraphExecutor(comm, fuzz=cfg.taskgraph_fuzz_seed)
 
     # static slab splits (per-rank geometry, built once)
     a, b = gy + 1, gy + ny_i - 1
@@ -79,11 +79,19 @@ def original_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResul
         if g.touches_south:
             state.V[..., ny_w - 1 - gy, :] = 0.0
 
-    psi = ctx.pad_local(initial)
-    ctx.refresh_halos(psi)
     ring = StateRing(ctx.ws, g.shape3d)
 
-    for step_no in range(cfg.nsteps):
+    def advance(initial: ModelState, nsteps: int) -> RankResult:
+        ctx.restart()
+        ex = GraphExecutor(comm, fuzz=cfg.taskgraph_fuzz_seed)
+        psi = ctx.pad_local(initial)
+        ctx.refresh_halos(psi)
+        for step_no in range(nsteps):
+            psi = step(ex, psi)
+            ctx.record_telemetry(step_no + 1, psi)
+        return ctx.result(psi, overlap=ex.metrics.as_dict())
+
+    def step(ex: GraphExecutor, psi: ModelState) -> ModelState:
         with span("step", "step"):
             gr = TaskGraph()
             rt: dict = {}  # run-time handles (pending exchange, frozen vd)
@@ -344,13 +352,6 @@ def original_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResul
                 deps=dep(),
             )
             ex.run(gr)
-        ctx.record_telemetry(step_no + 1, psi)
+        return psi
 
-    return RankResult(
-        state=ctx.strip_local(psi),
-        c_calls=ctx.c_calls,
-        exchanges=ctx.exchanges,
-        telemetry=ctx.telemetry_partials if cfg.telemetry else None,
-        ws_counters=ctx.ws_counters(),
-        overlap=ex.metrics.as_dict(),
-    )
+    return advance

@@ -356,6 +356,15 @@ class SpanTracer:
         out.sort(key=lambda s: (s.t_start, s.rank))
         return out
 
+    def named(self, name: str) -> list[Span]:
+        """The completed spans called ``name``, ordered by start time —
+        filtered before the sort, so cheap on a long-lived tracer."""
+        with self._lock:
+            bufs = list(self._bufs)
+        out = [s for buf in bufs for s in buf.spans if s.name == name]
+        out.sort(key=lambda s: (s.t_start, s.rank))
+        return out
+
     def count(self, name: str | None = None, cat: str | None = None) -> int:
         """Number of completed spans matching ``name`` and/or ``cat``."""
         return sum(
@@ -367,11 +376,11 @@ class SpanTracer:
 
     def total_duration(self, name: str) -> float:
         """Summed duration (seconds) of all spans named ``name``."""
-        return sum(s.duration for s in self.spans if s.name == name)
+        return sum(s.duration for s in self.named(name))
 
     def durations(self, name: str) -> list[float]:
         """Durations (seconds) of all spans named ``name``, in order."""
-        return [s.duration for s in self.spans if s.name == name]
+        return [s.duration for s in self.named(name)]
 
 
 #: the process-global active tracer; ``None`` means tracing is disabled

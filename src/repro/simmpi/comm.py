@@ -224,11 +224,20 @@ class SimComm:
         self._world = world
         self.rank = rank
         self.size = world.nranks
+        #: what the rank program keeps across the commands of a persistent
+        #: rank world (its built program); never touched by the communicator
+        self.resident: Any = None
+        self.restart()
+
+    def restart(self) -> None:
+        """Fresh logical clock, statistics, collective generations and
+        transport sequence numbers: every command a persistent rank serves
+        starts where a newly launched rank would."""
         self.clock = 0.0
         self.stats = CommStats()
         self._generations: dict[tuple[int, ...], int] = {}
         self._phase: str | None = None
-        self._injector = world.injector
+        self._injector = self._world.injector
         self._comm_calls = 0
         self.tracer = None  # TraceRecorder, attached by the launcher
         # reliable-transport state (all single-threaded: owned by this rank)

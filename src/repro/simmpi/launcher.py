@@ -4,7 +4,8 @@
 own :class:`SimComm`, and collects the per-rank return values, statistics
 and final logical clocks.  Exceptions on any rank abort the run promptly
 — the world's abort flag wakes every blocked receive and collective — and
-are re-raised on the caller with rank attribution.
+are re-raised on the caller with rank attribution.  ``backend="process"``
+is a :class:`RankWorld` — forked ranks serving commands — of one command.
 
 Fault injection: pass ``faults=FaultPlan(...)`` (or a reusable
 :class:`~repro.simmpi.faults.FaultInjector`) to have the communicators
@@ -18,11 +19,11 @@ import pickle
 import threading
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.obs.spans import (
-    NULL_SPAN,
     SpanTracer,
     active_tracer,
     current_trace_context,
@@ -224,15 +225,6 @@ def run_spmd(
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; pick from {BACKENDS}")
-    # Causal launch span: when tracing is on, every rank's spans — thread
-    # or forked process — parent under this span, so the whole SPMD run
-    # exports as one subtree of the caller's trace.
-    wall_tracer = active_tracer()
-    launch_cm = (
-        wall_tracer.span(f"spmd[{nranks}]", "spmd")
-        if wall_tracer is not None
-        else NULL_SPAN
-    )
     if backend == "process":
         if faults is not None:
             plan = faults.plan if isinstance(faults, FaultInjector) else faults
@@ -244,35 +236,18 @@ def run_spmd(
                     "deterministic in-process delivery (backend='thread')"
                 )
         if nranks > 1:
-            injector = (
-                faults.injector() if isinstance(faults, FaultPlan) else faults
+            # a rank world of one command
+            world = RankWorld(
+                nranks, fn, machine=machine, join_grace=join_grace,
+                verify_checksums=verify_checksums, transport=transport,
+                link_bytes=shm_link_bytes,
             )
-            faults_state = None
-            if injector is not None:
-                injector.begin_attempt()
-                # children fork *copies* of the injector: ship the plan
-                # plus the fired-spec snapshot so one-shot semantics and
-                # the attempt number survive the fork boundary
-                faults_state = (injector.plan, injector.snapshot())
-            with launch_cm as launch:
-                trace_ctx = None
-                if wall_tracer is not None:
-                    ctx_trace, _ = current_trace_context()
-                    trace_ctx = (
-                        ctx_trace or wall_tracer.trace_id, launch.span_id
-                    )
-                return _run_spmd_process(
-                    nranks, fn, args,
-                    machine=machine or LAPTOP_LIKE,
-                    timeout=timeout,
-                    trace=trace,
-                    verify_checksums=verify_checksums,
-                    transport=transport,
-                    shm_link_bytes=shm_link_bytes,
-                    join_grace=join_grace,
-                    trace_ctx=trace_ctx,
-                    faults_state=faults_state,
+            try:
+                return world.call(
+                    *args, timeout=timeout, trace=trace, faults=faults
                 )
+            finally:
+                world.close()
         # single rank: the serial fast path below is already process-free
     injector = faults.injector() if isinstance(faults, FaultPlan) else faults
     if injector is not None:
@@ -295,7 +270,6 @@ def run_spmd(
     failures: dict[int, str] = {}
     exceptions: dict[int, BaseException] = {}
     failures_lock = threading.Lock()
-    launch_ctx: tuple[str, int] | None = None
 
     def runner(rank: int) -> None:
         # Label wall-clock spans with the simulated rank and hand the
@@ -319,10 +293,7 @@ def run_spmd(
                 set_trace_context(*prev_ctx)
             set_rank(prev_rank)
 
-    with launch_cm as launch:
-        if wall_tracer is not None:
-            ctx_trace, _ = current_trace_context()
-            launch_ctx = (ctx_trace or wall_tracer.trace_id, launch.span_id)
+    with _launch_span(nranks) as launch_ctx:
         if nranks == 1:
             # Fast path: no threads for serial runs.
             runner(0)
@@ -339,18 +310,9 @@ def run_spmd(
                 t.join(timeout=timeout + join_grace)
             hung = [t.name for t in threads if t.is_alive()]
             if hung and not failures:
-                backlog = {
-                    r: world.mailboxes[r].pending_summary()
-                    for r in range(nranks)
-                }
-                detail = (
-                    f"rank threads still alive: {hung}; "
-                    f"per-rank mailbox backlog: {backlog}"
-                )
-                raise SpmdError(
-                    {-1: detail},
-                    exceptions={-1: DeadlockError(detail)},
-                    stats=[c.stats for c in comms],
+                raise _wedged(
+                    f"rank threads still alive: {hung}", world,
+                    [c.stats for c in comms],
                 )
         if failures:
             raise SpmdError(
@@ -362,6 +324,30 @@ def run_spmd(
         clocks=[c.clock for c in comms],
         traces=tracers,
     )
+
+
+def _wedged(what: str, world, stats: list[CommStats]) -> SpmdError:
+    """The join watchdog's verdict: ranks that neither reported nor died."""
+    backlog = {r: mb.pending_summary() for r, mb in enumerate(world.mailboxes)}
+    detail = f"{what}; per-rank mailbox backlog: {backlog}"
+    return SpmdError(
+        {-1: detail}, exceptions={-1: DeadlockError(detail)}, stats=stats
+    )
+
+
+@contextmanager
+def _launch_span(nranks: int):
+    """The causal launch span of one SPMD run or command: yields the
+    ``(trace_id, span_id)`` every rank's spans — thread or forked process —
+    parent under, so the run exports as one subtree of the caller's trace;
+    ``None`` when tracing is off."""
+    tracer = active_tracer()
+    if tracer is None:
+        yield None
+        return
+    with tracer.span(f"spmd[{nranks}]", "spmd") as launch:
+        ctx_trace, _ = current_trace_context()
+        yield ctx_trace or tracer.trace_id, launch.span_id
 
 
 # ---------------------------------------------------------------------------
@@ -376,209 +362,232 @@ def _picklable(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _process_rank_main(
-    world, rank: int, fn, args, trace: bool, ends, trace_ctx=None,
-    faults_state=None,
-) -> None:
-    """Entry point of one rank process (after fork).
-
-    Runs the rank program against the shared-memory world and ships a
-    status dict — result, stats, clock, logical trace, wall-clock spans —
-    back through ``conn``.  Failures abort the world (fail fast for the
-    peers) and ship the traceback instead.
-    """
-    import os
-
-    status: dict[str, Any] = {
-        "rank": rank, "ok": False, "result": None, "stats": None,
-        "clock": 0.0, "trace": None, "spans": None, "tb": None, "exc": None,
-    }
-    # fork copies every rank's pipe write-end into every child; close the
-    # other ranks' ends so a dead peer's pipe EOFs promptly in the parent
-    conn = ends[rank]
-    for i, end in enumerate(ends):
-        if i != rank:
-            end.close()
-    comm = None
+def _serve_command(shm, comm: SimComm, fn, cmd) -> dict:
+    """One command on a rank: ``fn(comm, *args)`` on a restarted
+    communicator.  Returns the status dict — result, stats, clock, logical
+    trace, wall-clock spans; a failure aborts the world (fail fast for the
+    peers) and ships the traceback instead."""
+    args, timeout, trace, trace_ctx, epoch, faults_state = cmd
+    status: dict[str, Any] = {"ok": False, "result": None, "tb": None, "exc": None}
+    shm.timeout = timeout
+    shm.injector = None
+    if faults_state is not None:
+        # this rank's injector from the launcher's snapshot: same plan,
+        # attempt number and consumed one-shot specs, so node-loss triggers
+        # fire at the same logical point as on the thread backend
+        plan, snap = faults_state
+        shm.injector = FaultInjector(plan)
+        shm.injector.restore_snapshot(snap)
     tracer = None
+    if trace_ctx is not None:
+        # fresh tracer per command on the parent's epoch (perf_counter is
+        # CLOCK_MONOTONIC on Linux, shared across processes): this rank's
+        # spans land on the parent's timeline, under the launch span
+        tracer = SpanTracer()
+        tracer.epoch = epoch
+        tracer.trace_id = trace_ctx[0]
+        set_trace_context(*trace_ctx)
+    set_active(tracer)
+    comm.restart()
+    if trace:
+        comm.tracer = TraceRecorder(comm.rank)
     try:
-        world.attach(rank)
-        if faults_state is not None:
-            # rebuild this rank's injector from the launcher's snapshot:
-            # same plan, same attempt number, same consumed one-shot
-            # specs — so node-loss triggers fire at the same logical
-            # point as they would on the thread backend
-            plan, snap = faults_state
-            inj = FaultInjector(plan)
-            inj.restore_snapshot(snap)
-            world.injector = inj
-        set_rank(rank)
-        parent_tracer = active_tracer()  # inherited through fork
-        if parent_tracer is not None:
-            # fresh tracer on the parent's epoch: perf_counter is
-            # CLOCK_MONOTONIC on Linux, shared across processes, so the
-            # child's spans land on the parent's timeline directly —
-            # without re-shipping the spans the parent recorded pre-fork
-            tracer = SpanTracer()
-            tracer.epoch = parent_tracer.epoch
-            if trace_ctx is not None:
-                # join the launcher's causal tree: spans recorded in this
-                # process parent under the launch span and carry its
-                # trace id across the fork boundary
-                tracer.trace_id = trace_ctx[0]
-                set_trace_context(*trace_ctx)
-            set_active(tracer)
-        comm = SimComm(world, rank)
-        if trace:
-            comm.tracer = TraceRecorder(rank)
         status["result"] = fn(comm, *args)
         status["ok"] = True
     except BaseException as exc:  # noqa: BLE001 - report everything to caller
         status["tb"] = traceback.format_exc()
         status["exc"] = _picklable(exc)
-        world.abort(f"rank {rank} failed with {type(exc).__name__}: {exc}")
-    finally:
-        if comm is not None:
-            status["stats"] = comm.stats
-            status["clock"] = comm.clock
-            status["trace"] = comm.tracer
-        if tracer is not None:
-            status["spans"] = tracer.spans
-        try:
-            conn.send(status)
-        except Exception as exc:  # e.g. unpicklable rank result
-            status.update(
-                ok=False, result=None, trace=None, spans=None,
-                tb=traceback.format_exc(),
-                exc=RuntimeError(
-                    f"rank {rank}: could not ship its result back: {exc}"
-                ),
-            )
-            try:
-                conn.send(status)
-            except Exception:
-                os._exit(70)
-        finally:
-            conn.close()
-
-
-def _run_spmd_process(
-    nranks: int,
-    fn: Callable[..., Any],
-    args: tuple,
-    *,
-    machine: MachineModel,
-    timeout: float,
-    trace: bool,
-    verify_checksums: bool,
-    transport: TransportConfig | None,
-    shm_link_bytes: int | None,
-    join_grace: float,
-    trace_ctx: tuple[str, int] | None = None,
-    faults_state=None,
-) -> SpmdResult:
-    """One OS process per rank over shared-memory rings (fork start method).
-
-    Fork keeps the launch cheap and pickle-free: the rank function, its
-    arguments and the world object are inherited copy-on-write.  Results
-    come back over per-rank pipes; a child that dies without reporting
-    (hard crash, ``os._exit``) is detected by its pipe's EOF and surfaces
-    as a :class:`SpmdError` carrying a ``ChildProcessError``.
-    """
-    from multiprocessing.connection import wait as conn_wait
-
-    from repro.simmpi.shm import ShmWorld, sweep_stale_segments
-
-    world = ShmWorld(
-        nranks, machine,
-        timeout=timeout,
-        verify_checksums=verify_checksums,
-        transport=transport,
-        link_bytes=shm_link_bytes,
+        shm.abort(f"rank {comm.rank} failed with {type(exc).__name__}: {exc}")
+    status.update(
+        stats=comm.stats, clock=comm.clock, trace=comm.tracer,
+        spans=tracer.spans if tracer is not None else None,
     )
-    ctx = world.ctx
-    procs: dict[int, Any] = {}
-    conns: dict[int, Any] = {}
-    try:
-        child_ends = []
-        for r in range(nranks):
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            conns[r] = recv_end
-            child_ends.append(send_end)
-        for r in range(nranks):
-            procs[r] = ctx.Process(
-                target=_process_rank_main,
-                args=(world, r, fn, args, trace, child_ends, trace_ctx,
-                      faults_state),
-                daemon=True,
-                name=f"rank{r}",
-            )
-        for p in procs.values():
-            p.start()
-        for end in child_ends:
-            end.close()  # EOF on a rank's pipe now means "its process died"
+    return status
 
-        rank_of = {conn: r for r, conn in conns.items()}
-        pending = dict(conns)
+
+def _rank_main(shm, rank: int, fn, cmd, pipes) -> None:
+    """Entry point of one rank process (after fork): serve ``cmd``, then
+    every command the launcher sends, until one fails or the pipe EOFs
+    (world closed, or launcher dead)."""
+    conn = pipes[rank][1]
+    # fork copied every pipe end into every child; keep only ours, so a
+    # dead peer's pipe EOFs in the parent and a dead parent's EOFs here
+    for i, (parent_end, child_end) in enumerate(pipes):
+        parent_end.close()
+        if i != rank:
+            child_end.close()
+    shm.attach(rank)
+    set_rank(rank)
+    comm = SimComm(shm, rank)
+    try:
+        while True:
+            status = _serve_command(shm, comm, fn, cmd)
+            try:
+                payload = shm.dump(status, rank + 1)
+            except Exception as exc:  # e.g. unpicklable rank result
+                status.update(
+                    ok=False, result=None, trace=None, spans=None,
+                    tb=traceback.format_exc(),
+                    exc=RuntimeError(
+                        f"rank {rank}: could not ship its result back: {exc}"
+                    ),
+                )
+                payload = shm.dump(status, rank + 1)
+            conn.send(payload)
+            if not status["ok"]:
+                break  # a failed command discards the world
+            cmd = shm.load(*conn.recv(), 0)
+    except (EOFError, OSError):
+        pass
+    finally:
+        conn.close()
+
+
+class RankWorld:
+    """The process backend: one OS process per rank over shared-memory
+    rings, forked by the first :meth:`call` and serving one command per
+    call until :meth:`close`.
+
+    Fork keeps the launch cheap and the first command pickle-free: ``fn``
+    (closures welcome), the first arguments and the shared world are
+    inherited copy-on-write; later arguments and every result travel
+    pickled, bulk buffers through the world's data segment.  A rank that
+    dies without reporting is detected by its pipe's EOF and surfaces as a
+    :class:`SpmdError` carrying a ``ChildProcessError``.  A failed command
+    discards the world; whoever opened it must :meth:`close` it.
+    """
+
+    def __init__(
+        self,
+        nranks: int,
+        fn: Callable[..., Any],
+        *,
+        machine: MachineModel | None = None,
+        join_grace: float = DEFAULT_JOIN_GRACE,
+        **shm_options: Any,
+    ) -> None:
+        """``shm_options``: ``verify_checksums``, ``transport`` and
+        ``link_bytes`` of :class:`~repro.simmpi.shm.ShmWorld`."""
+        from repro.simmpi.shm import ShmWorld
+
+        self.nranks = nranks
+        self.fn = fn
+        self.join_grace = join_grace
+        self.shm = ShmWorld(nranks, machine or LAPTOP_LIKE, **shm_options)
+        self._procs: dict[int, Any] = {}
+        self._conns: dict[int, Any] = {}
+        #: one-shot work the next :meth:`call` runs while its ranks compute
+        self.meanwhile: Callable[[], None] | None = None
+
+    @property
+    def is_open(self) -> bool:
+        return self.shm is not None
+
+    def call(
+        self,
+        *args: Any,
+        timeout: float = 120.0,
+        trace: bool = False,
+        faults: FaultPlan | FaultInjector | None = None,
+    ) -> SpmdResult:
+        """One command: ``fn(comm, *args)`` on every rank (``timeout``,
+        ``trace`` and ``faults`` as in :func:`run_spmd`; the join watchdog
+        deadline is per command)."""
+        injector = faults.injector() if isinstance(faults, FaultPlan) else faults
+        faults_state = None
+        if injector is not None:
+            injector.begin_attempt()
+            # ranks hold *copies* of the injector: ship the plan plus the
+            # fired-spec snapshot so one-shot semantics and the attempt
+            # number survive the process boundary
+            faults_state = (injector.plan, injector.snapshot())
+        with _launch_span(self.nranks) as trace_ctx:
+            epoch = active_tracer().epoch if trace_ctx is not None else None
+            cmd = (args, timeout, trace, trace_ctx, epoch, faults_state)
+            deadline = time.monotonic() + timeout + self.join_grace
+            try:
+                self._dispatch(cmd)
+                self.run_meanwhile()
+                return self._collect(deadline, trace, trace_ctx)
+            except BaseException:
+                self.close()
+                raise
+
+    def run_meanwhile(self) -> None:
+        """Run (and clear) :attr:`meanwhile`, if any is pending."""
+        work, self.meanwhile = self.meanwhile, None
+        if work is not None:
+            work()
+
+    def _dispatch(self, cmd) -> None:
+        if self._procs:
+            payload = self.shm.dump(cmd, 0)
+            for conn in self._conns.values():
+                try:
+                    conn.send(payload)
+                except OSError:
+                    pass  # died while idle: _collect reads its pipe's EOF
+            return
+        ctx = self.shm.ctx
+        pipes = [ctx.Pipe() for _ in range(self.nranks)]
+        for r, (parent_end, _) in enumerate(pipes):
+            self._conns[r] = parent_end
+            self._procs[r] = ctx.Process(
+                target=_rank_main, args=(self.shm, r, self.fn, cmd, pipes),
+                daemon=True, name=f"rank{r}",
+            )
+        for p in self._procs.values():
+            p.start()
+        for _, child_end in pipes:
+            child_end.close()  # EOF on a rank's pipe now means "its process died"
+
+    def _collect(self, deadline: float, trace: bool, trace_ctx) -> SpmdResult:
+        from multiprocessing.connection import wait as conn_wait
+
+        shm, procs, nranks = self.shm, self._procs, self.nranks
+        rank_of = {conn: r for r, conn in self._conns.items()}
+        pending = dict(self._conns)
         reports: dict[int, dict] = {}
         crashed: dict[int, int | None] = {}
-        deadline = time.monotonic() + timeout + join_grace
-        while pending:
-            ready = conn_wait(list(pending.values()), timeout=0.5)
-            for conn in ready:
-                r = rank_of[conn]
-                try:
-                    reports[r] = conn.recv()
-                except (EOFError, OSError):
-                    procs[r].join(timeout=2.0)
-                    crashed[r] = procs[r].exitcode
-                    world.abort(
-                        f"rank {r} process died with exit code "
-                        f"{procs[r].exitcode} before reporting"
-                    )
-                del pending[r]
-            if pending and time.monotonic() > deadline:
-                world.abort(
-                    f"SPMD run exceeded its {timeout + join_grace:.0f}s "
-                    "deadline"
+
+        def receive(conn) -> None:
+            r = rank_of[conn]
+            try:
+                reports[r] = shm.load(*conn.recv(), r + 1)
+            except (EOFError, OSError):
+                procs[r].join(timeout=2.0)
+                crashed[r] = procs[r].exitcode
+                shm.abort(
+                    f"rank {r} process died with exit code "
+                    f"{procs[r].exitcode} before reporting"
                 )
+            del pending[r]
+
+        while pending:
+            for conn in conn_wait(list(pending.values()), timeout=0.5):
+                receive(conn)
+            if pending and time.monotonic() > deadline:
+                shm.abort("SPMD command exceeded its join deadline")
                 # one last short grace period for in-flight reports
                 for conn in conn_wait(list(pending.values()), timeout=2.0):
-                    r = rank_of[conn]
-                    try:
-                        reports[r] = conn.recv()
-                    except (EOFError, OSError):
-                        crashed[r] = procs[r].exitcode
-                    del pending[r]
+                    receive(conn)
                 break
-        hung = sorted(pending)
 
-        results: list[Any] = [None] * nranks
-        stats = [CommStats() for _ in range(nranks)]
-        clocks = [0.0] * nranks
-        tracers: list[TraceRecorder] | None = (
-            [TraceRecorder(r) for r in range(nranks)] if trace else None
-        )
+        stats = [
+            reports[r]["stats"] if r in reports else CommStats()
+            for r in range(nranks)
+        ]
         failures: dict[int, str] = {}
         exceptions: dict[int, BaseException] = {}
         tracer = active_tracer()
         for r, rep in sorted(reports.items()):
-            if rep.get("stats") is not None:
-                stats[r] = rep["stats"]
-            clocks[r] = rep.get("clock", 0.0)
-            if tracers is not None and rep.get("trace") is not None:
-                tracers[r] = rep["trace"]
-            if tracer is not None and rep.get("spans"):
+            if tracer is not None and rep["spans"]:
                 tracer.absorb(
-                    rep["spans"],
-                    trace_id=trace_ctx[0] if trace_ctx else None,
-                    parent_id=trace_ctx[1] if trace_ctx else None,
+                    rep["spans"], trace_id=trace_ctx[0], parent_id=trace_ctx[1]
                 )
-            if rep.get("ok"):
-                results[r] = rep["result"]
-            else:
-                failures[r] = rep.get("tb") or "(no traceback captured)"
-                exceptions[r] = rep.get("exc") or RuntimeError(
+            if not rep["ok"]:
+                failures[r] = rep["tb"] or "(no traceback captured)"
+                exceptions[r] = rep["exc"] or RuntimeError(
                     f"rank {r} failed without detail"
                 )
         for r, code in sorted(crashed.items()):
@@ -590,29 +599,33 @@ def _run_spmd_process(
             exceptions[r] = ChildProcessError(detail)
         if failures:
             raise SpmdError(failures, exceptions=exceptions, stats=stats)
-        if hung:
-            backlog = {
-                r: world.mailboxes[r].pending_summary() for r in range(nranks)
-            }
-            detail = (
-                f"rank processes still running: {hung}; "
-                f"per-rank mailbox backlog: {backlog}"
+        if pending:
+            raise _wedged(
+                f"rank processes still running: {sorted(pending)}", shm, stats
             )
-            raise SpmdError(
-                {-1: detail},
-                exceptions={-1: DeadlockError(detail)},
-                stats=stats,
-            )
+        done = [reports[r] for r in range(nranks)]
         return SpmdResult(
-            results=results, stats=stats, clocks=clocks, traces=tracers
+            results=[rep["result"] for rep in done],
+            stats=stats,
+            clocks=[rep["clock"] for rep in done],
+            traces=[rep["trace"] for rep in done] if trace else None,
         )
-    finally:
-        # hard reap: a child wedged in a handler (or ignoring SIGTERM)
-        # must never outlive the run — escalate join -> TERM -> KILL
-        reap_processes(procs.values())
-        for conn in conns.values():
+
+    def close(self) -> None:
+        """Discard the world (idempotent): idle ranks leave at their pipe's
+        EOF, busy ones at the abort flag, wedged ones by TERM -> KILL — a
+        child must never outlive its world — then the segments go."""
+        if self.shm is None:
+            return
+        from repro.simmpi.shm import sweep_stale_segments
+
+        shm, self.shm = self.shm, None
+        if self._procs:
+            shm.abort("rank world closed")
+        for conn in self._conns.values():
             conn.close()
-        world.destroy()
+        reap_processes(self._procs.values())
+        shm.destroy()
         # reclaim segments a *previous*, SIGKILLed launcher left behind
         # (our own are covered by destroy() and the shm atexit hook)
         sweep_stale_segments()

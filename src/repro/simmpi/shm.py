@@ -33,6 +33,11 @@ Design notes
   t_end)`` with ``t_end = max(clocks) + max(durations)``.  Logical clocks
   are therefore bit-identical between backends.
 
+* **A data segment for the launcher.**  Command arguments and rank results
+  travel as protocol-5 pickles whose buffers go out-of-band into the
+  writer's slot of a third segment (:meth:`ShmWorld.dump` / ``load``); the
+  pipes carry only the small stream, and what does not fit stays in-band.
+
 Fault injection stays on the thread backend (deterministic in-process
 delivery) with one exception: *node-loss-only* plans, whose victims
 SIGKILL their own OS process (see ``SimComm._die_hard``) — the genuine
@@ -462,31 +467,34 @@ class ShmWorld:
         self,
         nranks: int,
         machine: MachineModel,
-        timeout: float = 120.0,
         verify_checksums: bool = False,
         transport: TransportConfig | None = None,
         link_bytes: int | None = None,
-        ctx=None,
     ) -> None:
         if nranks < 1:
             raise ValueError("nranks must be >= 1")
         self.nranks = nranks
         self.machine = machine
-        self.timeout = timeout
-        self.injector = None  # fault injection is thread-backend only
+        # per command: each rank sets both on its copy before it serves one
+        self.timeout = 120.0
+        self.injector = None
         self.verify_checksums = verify_checksums
         self.transport = transport
         self.link_bytes = int(link_bytes or default_link_bytes(nranks))
-        self.ctx = ctx if ctx is not None else get_context("fork")
+        self.ctx = get_context("fork")
         self.cond = self.ctx.Condition()
         self.rank = -1  # parent; children set this in attach()
+        self._creator = os.getpid()
+        # data-slot capacity per writer, ~256 MB per world; address space
+        # only: tmpfs backs a page when it is first written
+        self._slot = min(32 << 20, (256 << 20) // (nranks + 1))
         stride = _RING_HDR + self.link_bytes
         self._stride = stride
         # Named segments: the creating pid in the name lets a stale sweep
         # identify leaked segments; the live registry plus its atexit hook
         # guarantees cleanup even when the caller never reaches destroy().
         base = f"{SEGMENT_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}"
-        self._rings = self._ctrl = None
+        self._rings = self._ctrl = self._data = None
         try:
             # POSIX shared memory is zero-filled on creation, which is
             # exactly the initial ring state (head == tail == 0, abort
@@ -497,6 +505,12 @@ class ShmWorld:
             )
             self._ctrl = SharedMemory(
                 name=f"{base}-ctrl", create=True, size=_CTRL_SIZE
+            )
+            # slot 0: the parent's command arguments; slot r + 1: rank r's
+            # results
+            self._data = SharedMemory(
+                name=f"{base}-data", create=True,
+                size=(nranks + 1) * self._slot,
             )
         except BaseException:
             # partial construction (e.g. the ctrl segment failed after the
@@ -522,7 +536,7 @@ class ShmWorld:
         atexit, so only the creating parent unlinks.
         """
         _live_worlds.discard(self)
-        for shm in (self._rings, self._ctrl):
+        for shm in (self._rings, self._ctrl, self._data):
             if shm is None:
                 continue
             try:
@@ -530,7 +544,35 @@ class ShmWorld:
                 shm.unlink()
             except (FileNotFoundError, OSError):
                 pass
-        self._rings = self._ctrl = None
+        self._rings = self._ctrl = self._data = None
+
+    # ---- bulk data between the launcher and its ranks ----------------------
+    def dump(self, obj: Any, slot: int) -> tuple[bytes, list[int]]:
+        """Pickle ``obj`` for the reader of data slot ``slot``: contiguous
+        buffers go out-of-band into the slot while they fit (in-band
+        otherwise); returns the stream and the out-of-band lengths."""
+        buf, base, lens, used = self._data.buf, slot * self._slot, [], 0
+
+        def place(pb: pickle.PickleBuffer) -> bool:
+            nonlocal used
+            raw = pb.raw()
+            if used + raw.nbytes > self._slot:
+                return True  # in-band
+            buf[base + used : base + used + raw.nbytes] = raw
+            lens.append(raw.nbytes)
+            used += raw.nbytes
+            return False
+
+        return pickle.dumps(obj, protocol=5, buffer_callback=place), lens
+
+    def load(self, stream: bytes, lens: list[int], slot: int) -> Any:
+        """Inverse of :meth:`dump`; the buffers are copied out of the slot,
+        so the result stays valid when the writer reuses it."""
+        buf, off, buffers = self._data.buf, slot * self._slot, []
+        for n in lens:
+            buffers.append(bytearray(buf[off : off + n]))
+            off += n
+        return pickle.loads(stream, buffers=buffers)
 
     # ---- SimWorld surface --------------------------------------------------
     def group(self, ranks: tuple[int, ...]) -> ShmGroupContext:
@@ -560,6 +602,10 @@ class ShmWorld:
     def _check_abort(self, what: str) -> None:
         if self._ctrl.buf[0]:
             raise DeadlockError(f"{what} aborted — {self.abort_reason()}")
+        if self.rank >= 0 and os.getppid() != self._creator:
+            # a SIGKILLed launcher can set no flag: its orphans must not
+            # wait out the timeout
+            raise DeadlockError(f"{what} aborted — the launcher is gone")
 
     # ---- ring primitives (caller holds ``self.cond``) ----------------------
     def _ring_off(self, src: int, dst: int) -> int:

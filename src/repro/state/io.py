@@ -168,7 +168,8 @@ def quarantine_file(path: str | Path, quarantine_dir: str | Path) -> Path:
 def state_npz_bytes(state: ModelState, step: int = 0) -> bytes:
     """The ``.npz`` serialization of one checkpoint, as bytes."""
     buf = io.BytesIO()
-    np.savez_compressed(
+    # stored, not deflated: float64 fields shrink ~8 % for ~12x the write time
+    np.savez(
         buf,
         version=np.int64(CHECKPOINT_VERSION),
         step=np.int64(step),
@@ -282,9 +283,6 @@ def load_state(
                 f"(expected {CHECKPOINT_VERSION})"
             )
         state = ModelState(
-            U=data["U"].copy(),
-            V=data["V"].copy(),
-            Phi=data["Phi"].copy(),
-            psa=data["psa"].copy(),
+            U=data["U"], V=data["V"], Phi=data["Phi"], psa=data["psa"],
         )
         return state, int(data["step"])

@@ -119,6 +119,48 @@ class TestCheckpointRestartProperty:
         assert report.resumed_from_step == 2
         assert full.max_difference(resumed) == 0.0
 
+    def test_resume_from_a_deflated_checkpoint_of_an_older_writer(
+        self, tmp_path, grid, params, state0
+    ):
+        """Checkpoints used to be ``np.savez_compressed``; the container
+        and version are unchanged, so one written that way still verifies,
+        loads and resumes to the same bits."""
+        import io
+
+        import numpy as np
+
+        from repro.state.io import (
+            CHECKPOINT_VERSION, atomic_write_bytes, load_state, verify_sidecar,
+        )
+
+        core = make_core(grid, params, "ca")
+        d_full, d_old = tmp_path / "full", tmp_path / "old"
+        full, _, rep = core.run_resilient(
+            state0, 4,
+            ResilienceConfig(checkpoint_dir=d_full, checkpoint_interval=2),
+        )
+        mid, step = load_state(rep.checkpoints[1][1])
+        assert step == 2
+        buf = io.BytesIO()
+        np.savez_compressed(
+            buf, version=np.int64(CHECKPOINT_VERSION), step=np.int64(step),
+            **mid.fields(),
+        )
+        d_old.mkdir()
+        old = checkpoint_path(d_old, step)
+        atomic_write_bytes(old, buf.getvalue())
+        assert old.stat().st_size < rep.checkpoints[1][1].stat().st_size
+        assert verify_sidecar(old) is True
+        assert load_state(old)[0].max_difference(mid) == 0.0
+        resumed, _, report = make_core(grid, params, "ca").run_resilient(
+            state0, 4,
+            ResilienceConfig(
+                checkpoint_dir=d_old, checkpoint_interval=2, resume=True
+            ),
+        )
+        assert report.resumed_from_step == 2
+        assert full.max_difference(resumed) == 0.0
+
 
 class TestCrashRecovery:
     @pytest.mark.parametrize("algorithm", ["original-yz", "ca"])
