@@ -2,36 +2,45 @@
 
 The C source (:mod:`repro.kernels.csrc`) is compiled at first use with the
 system C compiler into a shared object cached under a content-addressed
-path (sha256 of source + flags), written with an atomic rename so
-concurrent ranks / process-backend children race safely.  No third-party
-packages are involved: ``cc``/``gcc`` + ``ctypes`` only.  When no working
-compiler exists, :func:`load_library` raises :class:`KernelBuildError` and
-the dispatch layer falls back to the next backend.
+path (:func:`build_tag`), written with an atomic rename so concurrent
+ranks / process-backend children race safely.  No third-party packages
+are involved: ``cc``/``gcc`` + ``ctypes`` only.  When no working compiler
+exists, :func:`load_library` raises :class:`KernelBuildError` and the
+dispatch layer falls back to the next backend.
 
-``-ffp-contract=off`` is mandatory: FMA contraction would change rounding
-and break the bit-identity contract with the reference tier.  The first
-flag set adds ``-march=native`` so the division-bound stencil loops get
-the widest SIMD divides the host has; since every generated op is still a
-plain IEEE ``+ - * /``/``sqrt`` (FMA stays disabled), results do not
-depend on the vector width.  Hosts whose compiler rejects the flag fall
-through to the portable set.
+``-ffp-contract=off`` is mandatory: FMA *contraction* would change
+rounding and break the bit-identity contract with the reference tier.
+The first flag set adds ``-march=native``: it widens the SIMD lanes and,
+where the host has hardware FMA, lets ``rdiv`` (the one sanctioned FMA
+use, see :mod:`repro.kernels.csrc`) replace every inner-loop divide by a
+multiply and two fused multiply-adds that return the same correctly
+rounded quotient.  Hosts whose compiler rejects the flag fall through to
+the portable set, where ``rdiv`` is a plain ``/``: same bits,
+divider-bound speed.  ``-fno-math-errno`` only lets ``sqrt`` vectorize
+(nothing reads ``errno``); ``-Werror=vla`` keeps scratch out of the
+library's own stack — all of it comes from the caller's workspace.
 """
 from __future__ import annotations
 
 import ctypes
 import hashlib
 import os
+import platform
 import subprocess
 import tempfile
 
 import numpy as np
 
+from repro import constants
 from repro.kernels.csrc import C_SOURCE
 
+_COMMON_FLAGS = (
+    "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno", "-Werror=vla",
+)
 #: flag sets tried in order; each is content-addressed separately
 CFLAGS_SETS = (
-    ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off"),
-    ("-O3", "-fPIC", "-shared", "-ffp-contract=off"),
+    ("-O3", "-march=native", *_COMMON_FLAGS),
+    ("-O3", *_COMMON_FLAGS),
 )
 #: the portable flags (kept as the stable name for tests/docs)
 CFLAGS = CFLAGS_SETS[-1]
@@ -41,8 +50,9 @@ class KernelBuildError(RuntimeError):
     """The C kernel library could not be built or loaded."""
 
 
-_LIB: ctypes.CDLL | None = None
-_LIB_ERROR: Exception | None = None
+#: loaded libraries (or the error that stopped the build) per requested
+#: flag set; ``None`` keys the default "first set that compiles"
+_LIBS: dict[tuple | None, ctypes.CDLL | Exception] = {}
 
 
 def _cache_dir() -> str:
@@ -53,32 +63,67 @@ def _cache_dir() -> str:
     return d
 
 
-def _build_so() -> str:
-    """Compile the kernel library (or reuse the content-addressed cache)."""
+def _cpu_identity() -> str:
+    """What ``-march=native`` resolves against on this host."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith(("flags", "Features")):
+                    return line.strip()
+    except OSError:
+        pass
+    return platform.machine() + "|" + platform.processor()
+
+
+def _compiler_banner(cc: str) -> str:
+    """First line of ``cc --version`` (raises if ``cc`` cannot run)."""
+    out = subprocess.run(
+        [cc, "--version"], check=True, capture_output=True, text=True,
+        timeout=30,
+    ).stdout
+    return out.splitlines()[0] if out else ""
+
+
+def build_tag(cflags: tuple, banner: str, cpu: str) -> str:
+    """Cache key of one build: source, flags, compiler and — for a
+    ``-march=native`` build, whose code is only valid on CPUs with the
+    same features — the host CPU identity, so a cache that travels
+    between hosts never loads instructions the new host lacks."""
+    parts = [C_SOURCE, " ".join(cflags), banner]
+    if "-march=native" in cflags:
+        parts.append(cpu)
+    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+
+
+def _build_so(cflags_sets=None) -> str:
+    """Compile the kernel library with the first of ``cflags_sets``
+    (default: :data:`CFLAGS_SETS`) that builds, or reuse the cache."""
     last_err: Exception | None = None
-    for cflags in CFLAGS_SETS:
-        tag = hashlib.sha256(
-            (C_SOURCE + "|" + " ".join(cflags)).encode()
-        ).hexdigest()[:16]
-        so_path = os.path.join(_cache_dir(), f"repro_kernels_{tag}.so")
-        if os.path.exists(so_path):
-            return so_path
-        workdir = tempfile.mkdtemp(dir=_cache_dir())
-        c_path = os.path.join(workdir, "kernels.c")
-        tmp_so = os.path.join(workdir, "kernels.so")
-        with open(c_path, "w") as fh:
-            fh.write(C_SOURCE)
+    cache = _cache_dir()
+    cpu = _cpu_identity()
+    banners: dict[str, str] = {}
+    for cflags in cflags_sets or CFLAGS_SETS:
         for cc in ("cc", "gcc", "clang"):
             try:
-                subprocess.run(
-                    [cc, *cflags, c_path, "-o", tmp_so, "-lm"],
-                    check=True, capture_output=True, timeout=120,
-                )
+                if cc not in banners:
+                    banners[cc] = _compiler_banner(cc)
+                tag = build_tag(cflags, banners[cc], cpu)
+                so_path = os.path.join(cache, f"repro_kernels_{tag}.so")
+                if os.path.exists(so_path):
+                    return so_path
+                with tempfile.TemporaryDirectory(dir=cache) as workdir:
+                    c_path = os.path.join(workdir, "kernels.c")
+                    tmp_so = os.path.join(workdir, "kernels.so")
+                    with open(c_path, "w") as fh:
+                        fh.write(C_SOURCE)
+                    subprocess.run(
+                        [cc, *cflags, c_path, "-o", tmp_so, "-lm"],
+                        check=True, capture_output=True, timeout=120,
+                    )
+                    os.replace(tmp_so, so_path)  # atomic: builders converge
+                return so_path
             except (OSError, subprocess.SubprocessError) as exc:
                 last_err = exc
-                continue
-            os.replace(tmp_so, so_path)  # atomic: concurrent builders converge
-            return so_path
     raise KernelBuildError(f"no working C compiler: {last_err}")
 
 
@@ -87,33 +132,46 @@ _L = ctypes.c_long
 _D = ctypes.c_double
 _I = ctypes.c_int
 
-#: argtypes per exported kernel (pointers are passed as raw addresses)
+#: ``(restype, argtypes)`` per exported function (pointers are passed as
+#: raw addresses); the stencil kernels return nonzero for a surface
+#: pressure at or below the model top
 _SIGNATURES = {
-    "smooth_full": [_VP] * 3 + [_L] * 6 + [_D] * 3 + [_I] * 2,
-    "advection": [_VP] * 12 + [_D] * 2 + [_L] * 4 + [_VP] * 9,
-    "adaptation": [_VP] * 15 + [_D] * 5 + [_L] * 4 + [_VP] * 3,
-    "vertical": [_VP] * 9 + [_D] * 3 + [_L] * 4 + [_VP] * 7,
+    "smooth_full": (None, [_VP] * 3 + [_L] * 6 + [_D] * 3 + [_I] * 2),
+    "advection": (_I, [_VP] * 12 + [_D] * 4 + [_L] * 4 + [_VP] * 9),
+    "adaptation": (_I, [_VP] * 17 + [_D] * 11 + [_L] * 4 + [_VP] * 5),
+    "vertical": (_I, [_VP] * 9 + [_D] * 5 + [_L] * 4 + [_VP] * 8),
+    "rdiv_array": (None, [_VP] * 3 + [_L]),
+    "division_is_reciprocal_fma": (_I, []),
 }
 
 
-def load_library() -> ctypes.CDLL:
-    """The compiled kernel library (memoised; raises KernelBuildError)."""
-    global _LIB, _LIB_ERROR
-    if _LIB is not None:
-        return _LIB
-    if _LIB_ERROR is not None:
-        raise KernelBuildError(str(_LIB_ERROR))
-    try:
-        lib = ctypes.CDLL(_build_so())
-    except (KernelBuildError, OSError) as exc:
-        _LIB_ERROR = exc
-        raise KernelBuildError(str(exc)) from exc
-    for name, argtypes in _SIGNATURES.items():
-        fn = getattr(lib, name)
-        fn.restype = None
-        fn.argtypes = argtypes
-    _LIB = lib
+def load_library(cflags: tuple | None = None) -> ctypes.CDLL:
+    """The compiled kernel library (memoised; raises KernelBuildError).
+
+    ``cflags`` pins one flag set of :data:`CFLAGS_SETS` instead of "the
+    first that compiles" — the seam through which the tests run the
+    portable expansion on hosts that accept ``-march=native``.
+    """
+    lib = _LIBS.get(cflags)
+    if lib is None:
+        try:
+            lib = ctypes.CDLL(_build_so(cflags and (cflags,)))
+        except (KernelBuildError, OSError) as exc:
+            lib = exc
+        else:
+            for name, (restype, argtypes) in _SIGNATURES.items():
+                fn = getattr(lib, name)
+                fn.restype = restype
+                fn.argtypes = argtypes
+        _LIBS[cflags] = lib
+    if isinstance(lib, Exception):
+        raise KernelBuildError(str(lib)) from lib
     return lib
+
+
+def division_mode(lib: ctypes.CDLL) -> str:
+    """Which expansion of ``rdiv`` ``lib`` was compiled with."""
+    return "reciprocal-fma" if lib.division_is_reciprocal_fma() else "divide"
 
 
 def c_available() -> bool:
@@ -189,66 +247,79 @@ def smooth_full_c(
     )
 
 
+def _check_pressure(bad: int) -> None:
+    if bad:
+        raise ValueError("surface pressure must exceed the model-top pressure")
+
+
 def advection_c(
-    lib, U, V, Phi, pf, sdot, rows, dsig, dlam, dth, scratch, tU, tV, tPhi,
+    lib, U, V, Phi, psa, sdot, rows, dsig, dlam, dth, scratch, tU, tV, tPhi,
     ps: int,
 ) -> None:
     """The full advection tendency (negated), bit-identical to the ws path.
 
     ``rows`` is the dict of flat per-row metric arrays; ``scratch`` a dict
-    of pooled buffers (vel/vs/flux 3-D, sstag/fbar interface-sized,
-    p2d a (3, ny, nx) block for the k-invariant pf staggers); ``ps`` the
-    plane stride shared by every 3-D array, scratch included.
+    of pooled buffers (vel/vs/flux 3-D, sstag/fbar interface-sized, tab
+    the ``(TABLE_PLANES, ny, nx)`` table block); ``ps`` the plane stride
+    shared by every 3-D array, scratch included.
     """
     nz, ny, nx = U.shape
-    lib.advection(
-        _p(U), _p(V), _p(Phi), _p(pf), _p(sdot),
+    _check_pressure(lib.advection(
+        _p(U), _p(V), _p(Phi), _p(psa), _p(sdot),
         _p(rows["sin_c"]), _p(rows["sin_v"]),
         _p(rows["pre_c"]), _p(rows["pre_v"]),
         _p(rows["tas_c"]), _p(rows["tas_v"]),
-        _p(dsig), dlam, dth,
+        _p(dsig), dlam, dth, constants.P_REFERENCE, constants.P_TOP,
         nz, ny, nx, ps,
         _p(scratch["vel"]),
         _p(scratch["vs"]), _p(scratch["flux"]),
         _p(scratch["sstag"]), _p(scratch["fbar"]),
-        _p(scratch["p2d"]),
+        _p(scratch["tab"]),
         _p(tU), _p(tV), _p(tPhi),
-    )
+    ))
 
 
 def adaptation_c(
-    lib, U, V, Phi, phi_p, w_if, col_sum, pf, pes, baro, rows,
-    a, dlam, dth, b, coeff, tU, tV, tPhi, ps: int,
+    lib, U, V, Phi, psa, t_ref, phi_p, w_if, col_sum, rows,
+    a, dlam, dth, coeff, tab, tU, tV, tPhi, tpsa, ps: int,
 ) -> None:
-    """The U/V/Phi adaptation tendencies (psa part stays in numpy)."""
+    """The whole adaptation tendency, ``p'_sa`` part included.
+
+    ``t_ref`` is the reference temperature at the surface pressure (the
+    one non-integer ``pow``, which stays in numpy); ``tab`` the
+    ``(TABLE_PLANES, ny, nx)`` table block.
+    """
     nz, ny, nx = U.shape
-    lib.adaptation(
-        _p(U), _p(V), _p(Phi), _p(phi_p), _p(w_if), _p(col_sum),
-        _p(pf), _p(pes), _p(baro),
-        _p(rows["a_sin_c"]), _p(rows["cot_c"]), _p(rows["omcos_c"]),
+    _check_pressure(lib.adaptation(
+        _p(U), _p(V), _p(Phi), _p(psa), _p(t_ref),
+        _p(phi_p), _p(w_if), _p(col_sum),
+        _p(rows["sin_v"]), _p(rows["a_sin_c"]),
+        _p(rows["a2_sin_c"]), _p(rows["a2_sin2_c"]),
+        _p(rows["cot_c"]), _p(rows["omcos_c"]),
         _p(rows["cot_v"]), _p(rows["omcos_v"]), _p(rows["sig_mid"]),
-        a, dlam, dth, b, coeff,
+        a, dlam, dth, dlam**2, constants.B_GRAVITY_WAVE, coeff,
+        constants.P_REFERENCE, constants.P_TOP, constants.R_DRY,
+        constants.K_SA * constants.NU_SA / constants.P_REFERENCE,
+        constants.KAPPA_STAR,
         nz, ny, nx, ps,
-        _p(tU), _p(tV), _p(tPhi),
-    )
+        _p(tab), _p(tU), _p(tV), _p(tPhi), _p(tpsa),
+    ))
 
 
 def vertical_c(
-    lib, U, V, Phi, pf, rows, dlam, dth, bgrav,
-    div_p, col_sum, pw, w, sdot, phi_prime, s2d, ps: int,
+    lib, U, V, Phi, psa, rows, dlam, dth,
+    p_fac, div_p, col_sum, pw, w, sdot, phi_prime, tab, ps: int,
 ) -> None:
-    """The ``C`` diagnostics (serial / identity-column case).
-
-    ``s2d`` is a (3, ny, nx) scratch block for the k-invariant 2-D
-    factors (staggered ``pf`` and ``bgrav/pf``).
-    """
+    """The ``C`` diagnostics (serial / identity-column case), ``P``
+    included; ``tab`` is the ``(TABLE_PLANES, ny, nx)`` table block."""
     nz, ny, nx = U.shape
-    lib.vertical(
-        _p(U), _p(V), _p(Phi), _p(pf),
+    _check_pressure(lib.vertical(
+        _p(U), _p(V), _p(Phi), _p(psa),
         _p(rows["sin_v"]), _p(rows["a_sin_c"]),
         _p(rows["dsig"]), _p(rows["ratio"]), _p(rows["sig_if"]),
-        dlam, dth, bgrav,
+        dlam, dth, constants.B_GRAVITY_WAVE,
+        constants.P_REFERENCE, constants.P_TOP,
         nz, ny, nx, ps,
-        _p(div_p), _p(col_sum), _p(pw), _p(w), _p(sdot), _p(phi_prime),
-        _p(s2d),
-    )
+        _p(p_fac), _p(div_p), _p(col_sum), _p(pw), _p(w), _p(sdot),
+        _p(phi_prime), _p(tab),
+    ))

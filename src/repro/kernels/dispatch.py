@@ -34,10 +34,11 @@ import numpy as np
 
 from repro import constants
 from repro.kernels import cbackend
+from repro.kernels.csrc import TABLE_PLANES
 from repro.kernels.plans import KernelPlan, kernel_plan
 from repro.kernels.stages import smoother_stages, smooth_field_fused_numpy
 from repro.obs.spans import span
-from repro.operators.adaptation import adaptation_tendency, surface_dissipation
+from repro.operators.adaptation import adaptation_tendency
 from repro.operators.advection import advection_tendency
 from repro.operators.smoothing import FieldSmoother, smooth_state_into
 from repro.operators.vertical import (
@@ -278,18 +279,6 @@ class KernelSet:
 
     # ---- the stencil tendencies (C backend only) --------------------------
 
-    def _pf_into(self, psa: np.ndarray, pf: np.ndarray) -> np.ndarray:
-        """``P`` with the exact reference op chain (and its guard)."""
-        np.add(psa, constants.P_REFERENCE, out=pf)
-        np.subtract(pf, constants.P_TOP, out=pf)
-        if np.any(pf <= 0):
-            raise ValueError(
-                "surface pressure must exceed the model-top pressure"
-            )
-        np.divide(pf, constants.P_REFERENCE, out=pf)
-        np.sqrt(pf, out=pf)
-        return pf
-
     def advection(self, state, vd, geom, ws, out, cache):
         """The ``L``-tendency into ``out``."""
         U, V, Phi = state.U, state.V, state.Phi
@@ -307,22 +296,21 @@ class KernelSet:
         with span(f"advection-fused[{self.backend}]", "kernel"):
             self._register("advection", U.shape, _STAGES["advection"])
             nz, ny, nx = U.shape
-            pf = self._pf_into(state.psa, ws.take(state.psa.shape))
             scratch = {
                 "vel": ws.take((nz, ny, nx)),
                 "vs": ws.take((nz, ny, nx)),
                 "flux": ws.take((nz, ny, nx)),
                 "sstag": ws.take((nz + 1, ny, nx)),
                 "fbar": ws.take((nz + 1, ny, nx)),
-                "p2d": ws.take((3, ny, nx)),
+                "tab": ws.take((TABLE_PLANES, ny, nx)),
             }
             cbackend.advection_c(
-                lib, U, V, Phi, pf, sdot, kg.advection, kg.advection_dsig,
-                geom.grid.dlambda, geom.grid.dtheta, scratch,
-                out.U, out.V, out.Phi, ps,
+                lib, U, V, Phi, state.psa, sdot, kg.advection,
+                kg.advection_dsig, geom.grid.dlambda, geom.grid.dtheta,
+                scratch, out.U, out.V, out.Phi, ps,
             )
             out.psa[...] = 0.0
-            ws.give(pf, *scratch.values())
+            ws.give(*scratch.values())
         return out
 
     def _advec_kgeom(self, geom, cache) -> _RowsOnly:
@@ -346,8 +334,8 @@ class KernelSet:
         w_if = vd.w_iface
         col_sum = vd.column_sum
         lib, ps = self._c_call(
-            "adaptation",
-            U, V, Phi, psa, phi_p, w_if, col_sum, out.U, out.V, out.Phi,
+            "adaptation", U, V, Phi, psa, phi_p, w_if, col_sum,
+            out.U, out.V, out.Phi, out.psa,
         )
         ws = _window_ws(ws, U, ps)
         self._count("adaptation", lib is not None)
@@ -355,44 +343,37 @@ class KernelSet:
             return adaptation_tendency(
                 state, vd, geom, params, ws=ws, out=out, cache=cache
             )
-        kg = self._adapt_kgeom(cache)
+        kg = self._adapt_kgeom(geom, cache)
         with span(f"adaptation-fused[{self.backend}]", "kernel"):
             self._register("adaptation", U.shape, _STAGES["adaptation"])
-            pf = self._pf_into(psa, ws.take(psa.shape))
-            pes = ws.take(psa.shape)
-            np.power(pf, 2, out=pes)
-            np.multiply(pes, constants.P_REFERENCE, out=pes)
             # The reference-temperature profile uses a non-integer power,
             # whose numpy SIMD routine libm does not reproduce bitwise —
             # it stays in numpy, exactly as the reference computes it.
             t_ref_surf = DEFAULT_REFERENCE.temperature(
                 psa + constants.P_REFERENCE
             )
-            baro = ws.take(psa.shape)
-            np.multiply(pf, constants.R_DRY, out=baro)
-            np.multiply(baro, t_ref_surf, out=baro)
-            b = constants.B_GRAVITY_WAVE
+            tab = ws.take((TABLE_PLANES,) + psa.shape)
             cbackend.adaptation_c(
-                lib, U, V, Phi, phi_p, w_if, col_sum, pf, pes, baro,
+                lib, U, V, Phi, psa, t_ref_surf, phi_p, w_if, col_sum,
                 kg.adaptation, geom.grid.radius,
                 geom.grid.dlambda, geom.grid.dtheta,
-                b, b * (1.0 + params.delta_c),
-                out.U, out.V, out.Phi, ps,
+                constants.B_GRAVITY_WAVE * (1.0 + params.delta_c),
+                tab, out.U, out.V, out.Phi, out.psa, ps,
             )
-            d_sa = surface_dissipation(psa, geom)
-            np.multiply(d_sa, constants.KAPPA_STAR, out=d_sa)
-            np.subtract(d_sa, col_sum, out=d_sa)
-            np.multiply(d_sa, constants.P_REFERENCE, out=d_sa)
-            np.copyto(out.psa, d_sa)
-            ws.give(pf, pes, baro)
+            ws.give(tab)
         return out
 
-    def _adapt_kgeom(self, cache):
+    def _adapt_kgeom(self, geom, cache):
         kg = getattr(cache, "_kernel_geom", None)
         if kg is None:
             kg = _RowsOnly()
+            # the row divisors of surface_dissipation, by its expressions
+            a, sin_c = geom.grid.radius, geom.row2(geom.sin_c)
             kg.adaptation = {
+                "sin_v": _flat(geom.sin_v),
                 "a_sin_c": _flat(cache.a_sin_c3),
+                "a2_sin_c": _flat(a**2 * sin_c),
+                "a2_sin2_c": _flat(a**2 * sin_c**2),
                 "cot_c": _flat(cache.cot_c3),
                 "omcos_c": _flat(cache.two_omega_cos_c3),
                 "cot_v": _flat(cache.cot_v3),
@@ -454,16 +435,14 @@ class KernelSet:
         with span(f"vertical-fused[{self.backend}]", "kernel"):
             self._register("vertical", U.shape, _STAGES["vertical"])
             ws = _window_ws(ws, U, ps)
-            self._pf_into(psa, out.p_fac)
-            s2d = ws.take((3,) + psa.shape)
+            tab = ws.take((TABLE_PLANES,) + psa.shape)
             cbackend.vertical_c(
-                lib, U, V, Phi, out.p_fac, kg.vertical,
+                lib, U, V, Phi, psa, kg.vertical,
                 geom.grid.dlambda, geom.grid.dtheta,
-                constants.B_GRAVITY_WAVE,
-                out.div_p, out.column_sum, out.pw_iface, out.w_iface,
-                out.sdot_iface, out.phi_prime, s2d, ps,
+                out.p_fac, out.div_p, out.column_sum, out.pw_iface,
+                out.w_iface, out.sdot_iface, out.phi_prime, tab, ps,
             )
-            ws.give(s2d)
+            ws.give(tab)
         return out
 
     def _vert_kgeom(self, geom, cache):
@@ -481,13 +460,17 @@ class KernelSet:
         return kg
 
     def describe(self) -> dict:
-        """Summary for traces / bench reports."""
+        """Summary for traces / bench reports; ``division`` says which
+        expansion of ``rdiv`` the stencil kernels ran (``"divide"``: the
+        portable C build, the numpy backend and the reference tier)."""
+        lib = self._library() if self.backend == "c" and self.coverage else None
         return {
             "tier": self.tier,
             "backend": self.backend,
             "requested_backend": self.requested_backend,
             "exact": self.exact,
             "coverage": list(self.coverage),
+            "division": cbackend.division_mode(lib) if lib else "divide",
             "calls": {op: dict(n) for op, n in self.calls.items()},
         }
 

@@ -188,7 +188,8 @@ def bench_kernel_tiers(mesh: MeshSpec, repeats: int = 1) -> dict:
         )
         for f in ("U", "V", "Phi", "psa")
     )
-    backend = kernel_set("fused").backend
+    fused = kernel_set("fused").describe()
+    backend = fused["backend"]
     compiled = backend == "c"
     return {
         "kind": "kernel_tiers",
@@ -200,6 +201,7 @@ def bench_kernel_tiers(mesh: MeshSpec, repeats: int = 1) -> dict:
         "speedup": times["reference"] / times["fused"],
         "steps_per_sec": 1.0 / times["fused"],
         "backend": backend,
+        "division": fused["division"],
         "compiled": compiled,
         "bit_identical": bit_identical,
         "gate_min_speedup": 2.0,

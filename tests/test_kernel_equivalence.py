@@ -9,12 +9,16 @@ per-trajectory across the thread and process SPMD backends.
 """
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from repro.constants import ModelParameters
 from repro.core.driver import DynamicalCore
 from repro.core.integrator import SerialCore
+from repro.core.tendencies import TendencyEngine
 from repro.core.workspace import Workspace
 from repro.grid.latlon import LatLonGrid
 from repro.kernels import (
@@ -185,6 +189,157 @@ def test_ca_algorithm_trajectory_bit_identical(one_iter_params):
         )
         finals[tier], _ = core.run(s0, 2)
     _assert_states_equal(finals["reference"], finals["fused"], "ca algorithm")
+
+
+def test_thread_ranks_share_no_kernel_scratch(one_iter_params):
+    """Thread-backend ranks are threads of one process calling the
+    GIL-released C kernels concurrently; every table and temporary of a
+    call comes from the calling rank's own workspace, so three ranks of two
+    different shapes — more than this suite's hosts have cores, switching
+    often, on a mesh wide enough that their kernel calls overlap — still
+    reproduce the serial oracle bit for bit.  (A ``static`` table inside
+    the library fails this test most of the time.)"""
+    grid = LatLonGrid(nx=144, ny=49, nz=8)  # 3 ranks: 17 + 16 + 16 rows
+    s0 = balanced_random_state(grid, np.random.default_rng(20180813))
+    want = SerialCore(grid, params=one_iter_params).run(s0, 5)
+    core = DynamicalCore(
+        grid, algorithm="original-yz", nprocs=3, params=one_iter_params,
+        backend="thread", kernel_tier="fused",
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got, _ = core.run(s0, 5)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_states_equal(want, got, "3 fused thread ranks vs serial")
+
+
+# ---------------------------------------------------------------------------
+# both expansions of the division primitive: FMA form and portable '/'
+# ---------------------------------------------------------------------------
+@pytest.fixture(params=cbackend.CFLAGS_SETS, ids=["native", "portable"])
+def c_library(request, monkeypatch):
+    """Pin every kernel set the test builds to the library of one flag set
+    (``load_library(cflags)`` is the seam: ``_build_so`` alone returns the
+    first set that compiles, so the portable one would never run here)."""
+    if not c_available():
+        pytest.skip("no C compiler on this host")
+    try:
+        lib = cbackend.load_library(request.param)
+    except cbackend.KernelBuildError as exc:
+        pytest.skip(f"flag set does not build here: {exc}")
+    monkeypatch.setattr(cbackend, "load_library", lambda: lib)
+    return request.param
+
+
+def test_describe_says_which_division_ran(c_library):
+    mode = cbackend.division_mode(cbackend.load_library())
+    assert mode in ("reciprocal-fma", "divide")
+    assert KernelSet("fused", backend="c").describe()["division"] == mode
+    if c_library == cbackend.CFLAGS:
+        assert mode == "divide"  # the portable set never reports fast FMA
+    for ks in (kernel_set("reference"), kernel_set("fused", backend="numpy")):
+        assert ks.describe()["division"] == "divide"
+
+
+def test_operators_bit_identical_on_both_expansions(c_library, small_grid, rng):
+    oracle = SerialCore(small_grid)
+    w = oracle.pad(balanced_random_state(small_grid, rng))
+    ks = KernelSet("fused", backend="c")
+    engines = [
+        TendencyEngine(oracle.engine.geom, oracle.params, kernels=k)
+        for k in (oracle.kernels, ks)
+    ]
+    vds = [eng.vertical(w) for eng in engines]
+    for f in vars(vds[0]):
+        a, b = getattr(vds[0], f), getattr(vds[1], f)
+        assert np.array_equal(a, b), f
+        assert np.array_equal(np.signbit(a), np.signbit(b)), f
+    for op in ("adaptation", "advection"):
+        want, got = (getattr(eng, op)(w, vds[0]) for eng in engines)
+        _assert_states_equal(want, got, op)
+    smooth = [
+        k.smooth_state_into(
+            w, oracle.params, ModelState.zeros(w.U.shape), Workspace(),
+            smoothers_for(oracle.params),
+        )
+        for k in (oracle.kernels, ks)
+    ]
+    _assert_states_equal(*smooth, "smoothing")
+    assert all(n["fallback"] == 0 for n in ks.describe()["calls"].values())
+
+
+def test_trajectories_bit_identical_on_both_expansions(
+    c_library, small_grid, rng, one_iter_params
+):
+    s0 = balanced_random_state(small_grid, rng)
+    ref = _serial_trajectory(small_grid, s0, "reference")
+    fused = _serial_trajectory(small_grid, s0, "fused", backend="c")
+    _assert_states_equal(ref, fused, "serial")
+    grid = LatLonGrid(nx=32, ny=32, nz=6)
+    s0 = balanced_random_state(grid, np.random.default_rng(20180813))
+    finals = []
+    for tier in ("reference", "fused"):
+        core = DynamicalCore(
+            grid, algorithm="ca", nprocs=2, params=one_iter_params,
+            kernel_tier=tier,
+        )
+        finals.append(core.run(s0, 2)[0])
+    _assert_states_equal(*finals, "ca")
+
+
+# ---------------------------------------------------------------------------
+# the build cache: one shared object per build, keyed by what it depends on
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def empty_cache(tmp_path, monkeypatch):
+    """An empty cache directory and a source that compiles in no time."""
+    if not c_available():
+        pytest.skip("no C compiler on this host")
+    monkeypatch.setenv("REPRO_KERNELS_CACHE", str(tmp_path))
+    monkeypatch.setattr(cbackend, "C_SOURCE", "int one(void) { return 1; }")
+    return tmp_path
+
+
+def test_builds_leave_one_shared_object_and_no_directory(empty_cache):
+    tmp_path = empty_cache
+    first = cbackend._build_so()
+    assert cbackend._build_so() == first  # the second call is a cache hit
+    assert os.listdir(tmp_path) == [os.path.basename(first)]
+    os.remove(first)  # ... and a rebuild leaves the same single file
+    assert cbackend._build_so() == first
+    assert os.listdir(tmp_path) == [os.path.basename(first)]
+
+
+def test_build_tag_covers_compiler_and_native_cpu():
+    native, portable = cbackend.CFLAGS_SETS
+    tag = cbackend.build_tag(native, "cc 12.2.0", "flags: fma avx2 avx512f")
+    assert tag == cbackend.build_tag(native, "cc 12.2.0", "flags: fma avx2 avx512f")
+    # -march=native code is only valid on the CPU it was built on
+    assert tag != cbackend.build_tag(native, "cc 12.2.0", "flags: sse2")
+    assert tag != cbackend.build_tag(native, "cc 13.1.0", "flags: fma avx2 avx512f")
+    assert tag != cbackend.build_tag(portable, "cc 12.2.0", "flags: fma avx2 avx512f")
+    # the portable build runs anywhere: one tag whatever the host
+    assert cbackend.build_tag(portable, "cc 12.2.0", "a") == cbackend.build_tag(
+        portable, "cc 12.2.0", "b"
+    )
+
+
+def test_a_travelled_cache_is_not_reused_on_another_cpu(empty_cache, monkeypatch):
+    """The path ``_build_so`` looks up changes with the host's CPU identity,
+    so a native build restored onto a different machine is rebuilt."""
+    tmp_path = empty_cache
+    try:
+        here = cbackend._build_so((cbackend.CFLAGS_SETS[0],))
+    except cbackend.KernelBuildError as exc:
+        pytest.skip(f"no -march=native here: {exc}")
+    monkeypatch.setattr(cbackend, "_cpu_identity", lambda: "flags: another cpu")
+    elsewhere = cbackend._build_so((cbackend.CFLAGS_SETS[0],))
+    assert elsewhere != here
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        os.path.basename(p) for p in (here, elsewhere)
+    )
 
 
 # ---------------------------------------------------------------------------

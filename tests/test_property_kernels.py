@@ -1,6 +1,6 @@
 """Property-based tests of the fused-kernel stage algebra.
 
-Two claims, checked with hypothesis-drawn fields:
+Three claims, checked with hypothesis-drawn fields:
 
 1. *Stage algebra*: fusing the atomic smoothing stages and applying them
    in one pass equals applying the stages sequentially (the unfused
@@ -8,8 +8,12 @@ Two claims, checked with hypothesis-drawn fields:
    across stages.
 2. *Exactness*: every fused backend equals the reference operator **bit
    for bit** — the stronger guarantee the kernel tier ships with.
+3. *Exactness of the stencil kernels*: ``A``, ``L`` and ``C`` through the
+   C backend — in both expansions of its division primitive — equal the
+   reference tier in every output, value and sign bit, on drawn meshes,
+   row windows, field magnitudes and identically-zero fields.
 
-Both are swept over every stencil-plan shape registered by real fused
+The first two are swept over every stencil-plan shape registered by real fused
 runs (``registered_plans()``), so the shapes the model actually uses are
 always among the tested ones.
 """
@@ -17,14 +21,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro import constants
 from repro.constants import ModelParameters
 from repro.core.integrator import SerialCore
+from repro.core.tendencies import TendencyEngine
 from repro.core.workspace import Workspace
 from repro.grid.latlon import LatLonGrid
-from repro.kernels import available_backends, registered_plans
+from repro.kernels import (
+    KernelSet,
+    available_backends,
+    cbackend,
+    kernel_set,
+    registered_plans,
+)
 from repro.kernels.stages import (
     apply_stages_sequential,
     smooth_field_fused_numpy,
@@ -32,6 +44,7 @@ from repro.kernels.stages import (
 )
 from repro.operators.smoothing import FieldSmoother
 from repro.physics import balanced_random_state
+from repro.state.variables import FIELD_NAMES, ModelState
 
 betas = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -112,3 +125,116 @@ def test_every_registered_plan_declares_its_stages():
         if plan.op == "smoothing":
             # every smoother fuses at least the x-direction stages
             assert plan.stages[: len(x_only)] == x_only
+
+
+# ---------------------------------------------------------------------------
+# A, L, C: the C backend == the reference tier, in both division expansions
+# ---------------------------------------------------------------------------
+def fused_on(cflags: tuple) -> KernelSet:
+    """A fused C kernel set bound to the library of one flag set."""
+    lib = cbackend.load_library(cflags)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cbackend, "load_library", lambda: lib)
+        ks = KernelSet("fused", backend="c")
+        assert ks._library() is lib
+    return ks
+
+
+def _same_bits(want, got, names, rows, label):
+    for name in names:
+        a = getattr(want, name)[..., rows, :]
+        b = getattr(got, name)[..., rows, :]
+        assert np.array_equal(a, b), (
+            f"{label}: {name} differs (max |diff| = {np.abs(a - b).max():.3e})"
+        )
+        assert np.array_equal(np.signbit(a), np.signbit(b)), (
+            f"{label}: {name} differs in signed zeros"
+        )
+
+
+scales = st.floats(1e-3, 1e3)
+stencil_cases = st.fixed_dictionaries({
+    "nx": st.integers(4, 72).map(lambda h: 2 * h),      # 8 .. 144, even
+    "ny": st.integers(6, 14),
+    "nz": st.integers(1, 5),     # 1: the fields carry no plane stride
+    "seed": st.integers(0, 2**32 - 1),
+    "scale": st.fixed_dictionaries({f: scales for f in FIELD_NAMES}),
+    "zeroed": st.sets(st.sampled_from(["U", "V", "psa"])),
+    # None: the whole working array; else a row window as fractions
+    "window": st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+})
+
+
+@pytest.mark.skipif(
+    "c" not in available_backends(), reason="no C compiler on this host"
+)
+@settings(max_examples=40, deadline=None)
+@given(case=stencil_cases)
+@example(case=dict(
+    nx=16, ny=8, nz=1, seed=0, scale=dict.fromkeys(FIELD_NAMES, 1.0),
+    zeroed={"U", "V", "psa"}, window=(0.3, 0.5),
+))
+@example(case=dict(
+    nx=144, ny=6, nz=2, seed=1, scale=dict(U=1e3, V=1e-3, Phi=1e3, psa=1e-3),
+    zeroed=set(), window=None,
+))
+def test_stencil_kernels_bit_identical_to_reference(case):
+    grid = LatLonGrid(nx=case["nx"], ny=case["ny"], nz=case["nz"])
+    core = SerialCore(grid)
+    s = core.pad(
+        balanced_random_state(grid, np.random.default_rng(case["seed"]))
+    )
+    for name in FIELD_NAMES:
+        field = getattr(s, name)
+        field *= 0.0 if name in case["zeroed"] else case["scale"][name]
+    assume(np.all(s.psa + constants.P_REFERENCE - constants.P_TOP > 0))
+    geom, params = core.engine.geom, core.params
+
+    def outputs(ks):
+        """C, then A and L of one tier, on the window (or everywhere)."""
+        eng = TendencyEngine(geom, params, kernels=ks)
+        sl, rows = None, slice(None)
+        if case["window"] is not None:
+            ny_w, (f0, f1) = geom.shape2d[0], case["window"]
+            lo = 1 + int(f0 * (ny_w - 3))
+            sl = eng.slab(lo, lo + 1 + int(f1 * (ny_w - 2 - lo)))
+            rows = sl.view
+        vd = eng.vertical(s, sl)
+        return (
+            vd, eng.adaptation(s, vd, sl).copy(), eng.advection(s, vd, sl).copy(),
+            rows,
+        )
+
+    want_vd, want_a, want_l, rows = outputs(kernel_set("reference"))
+    for cflags in cbackend.CFLAGS_SETS:
+        try:
+            ks = fused_on(cflags)
+        except cbackend.KernelBuildError:
+            continue  # e.g. a compiler without -march=native
+        label = ks.describe()["division"]
+        vd, a, l, _ = outputs(ks)
+        _same_bits(want_vd, vd, vars(want_vd), rows, f"C[{label}]")
+        _same_bits(want_a, a, FIELD_NAMES, rows, f"A[{label}]")
+        _same_bits(want_l, l, FIELD_NAMES, rows, f"L[{label}]")
+        for op in ("vertical", "adaptation", "advection"):
+            assert ks.describe()["calls"][op] == {"fused": 1, "fallback": 0}, op
+
+
+@pytest.mark.skipif(
+    "c" not in available_backends(), reason="no C compiler on this host"
+)
+def test_fused_kernels_reject_pressure_below_the_model_top():
+    """The guard of the reference ``P`` moved into the table pass with it."""
+    grid = LatLonGrid(nx=16, ny=8, nz=3)
+    core = SerialCore(grid, kernel_tier="fused", kernel_backend="c")
+    s = core.pad(balanced_random_state(grid, np.random.default_rng(0)))
+    vd = core.engine.vertical(s)
+    s.psa[3, 5] = constants.P_TOP - constants.P_REFERENCE
+    for call in (
+        lambda: core.engine.vertical(s),
+        lambda: core.engine.adaptation(s, vd),
+        lambda: core.engine.advection(s, vd),
+    ):
+        with pytest.raises(ValueError, match="model-top"):
+            call()
+    assert core.kernels.calls["vertical"]["fallback"] == 0
