@@ -28,7 +28,6 @@ from repro.perf.wallclock import (  # noqa: E402
     compare_reports,
     kernel_tier_violations,
     load_report,
-    overlap_violations,
     parallel_scaling_violations,
     recovery_mttr_violations,
     run_benchmarks,
@@ -90,21 +89,6 @@ def _render(report: dict) -> str:
                     f"-> {rec['final_nranks']} ranks via {rec['source']} "
                     f"({anomaly})"
                 )
-            continue
-        if case["kind"] == "overlap":
-            tag = f"overlap {case['algorithm']}@{case['nprocs']}"
-            gate = " [gate]" if case.get("gate_enforced") else ""
-            lines.append(
-                f"  {tag:<28} [{case['mesh']:<6}] "
-                f"sync {case['sync_ms_per_step']:8.2f} ms/step   "
-                f"taskgraph {case['taskgraph_ms_per_step']:8.2f} ms/step   "
-                f"x{case['taskgraph_over_sync']:.2f}{gate}"
-            )
-            lines.append(
-                f"  {'':<28} {case['overlap_windows']} comm windows, "
-                f"{case['overlap_seconds'] * 1e3:.1f} ms compute "
-                f"overlapped (sum over ranks)"
-            )
             continue
         if case["kind"] == "parallel_scaling":
             tag = f"scaling {case['algorithm']}@{case['nprocs']}"
@@ -251,25 +235,6 @@ def main(argv: list[str] | None = None) -> int:
         for v in recovery:
             print(f"  {v}")
         return 1
-
-    # absolute gate: the task-graph executor must keep its per-step wall
-    # time within the configured factor of the sync executor's and must
-    # have actually opened comm windows — enforced only where the host
-    # has the cores for the process ranks to genuinely overlap
-    overlap = overlap_violations(report)
-    if overlap:
-        print("\nOVERLAP EXECUTOR gate failures:")
-        for v in overlap:
-            print(f"  {v}")
-        return 1
-    soft_overlap = [
-        c for c in report["cases"]
-        if c.get("kind") == "overlap" and not c.get("gate_enforced")
-    ]
-    for c in soft_overlap:
-        print(f"\nnote: overlap-executor gate recorded but not enforced "
-              f"on {c['mesh']} (host has {c['cpu_count']} core(s), "
-              f"case uses {c['nprocs']} ranks)")
 
     # absolute gate: CA on process ranks must beat the serial step —
     # enforced only where the host actually has the cores

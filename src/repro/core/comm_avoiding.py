@@ -306,7 +306,7 @@ class CommAvoidingRank(RankContext):
     def update(
         self,
         kind: str,
-        slabs: list[RowSlab],
+        slab: RowSlab,
         psi: ModelState,
         base: ModelState,
         vd: VerticalDiagnostics,
@@ -315,10 +315,9 @@ class CommAvoidingRank(RankContext):
     ) -> ModelState:
         """One internal update ``base + dt * F(T(psi))`` (``T`` =
         ``"adaptation"``: ``C-hat + A-hat`` with the bundle ``vd``;
-        ``"advection"``: ``L``) on the rows of ``slabs``, then the pole /
+        ``"advection"``: ``L``) on the rows of ``slab``, then the pole /
         z-edge ghost fill of ``out``."""
-        for sl in slabs:
-            sl.update(self.engine, kind, psi, base, vd, dt, out)
+        slab.update(self.engine, kind, psi, base, vd, dt, out)
         self.fill_bc(out)
         return out
 
@@ -382,13 +381,6 @@ def ca_program(comm: SimComm, cfg: DistributedConfig):
     ``advance(initial, nsteps) -> RankResult``, every call a restart from
     ``initial`` (first step unsmoothed, fresh ``C`` bundle, final
     smoothing) on the context built here."""
-    if (
-        cfg.executor == "taskgraph"
-        and cfg.decomp.pz == 1
-    ):
-        from repro.core.taskgraph.ca import ca_program_taskgraph
-
-        return ca_program_taskgraph(comm, cfg)
     ctx = CommAvoidingRank(comm, cfg)
     params = cfg.params
     dt1, dt2, M = params.dt_adaptation, params.dt_advection, params.m_iterations
@@ -470,20 +462,20 @@ def ca_program(comm: SimComm, cfg: DistributedConfig):
                 else:
                     ctx.charge(W.adaptation, w1.npoints)
                 eta1 = ctx.update(
-                    "adaptation", [w1], psi, psi, vd1, dt1, scr(psi)
+                    "adaptation", w1, psi, psi, vd1, dt1, scr(psi)
                 )
 
                 vd2 = ctx.vd_stale = ctx.vertical_fresh(eta1, w2)
                 ctx.charge(W.adaptation, w2.npoints)
                 eta2 = ctx.update(
-                    "adaptation", [w2], eta1, psi, vd2, dt1, scr(psi, eta1)
+                    "adaptation", w2, eta1, psi, vd2, dt1, scr(psi, eta1)
                 )
 
                 mid = ctx.midpoint(w2, psi, eta2, scr(psi, eta2))
                 vd3 = ctx.vd_stale = ctx.vertical_fresh(mid, w3)
                 ctx.charge(W.adaptation, w3.npoints)
                 psi = ctx.update(
-                    "adaptation", [w3], mid, psi, vd3, dt1, scr(psi, mid)
+                    "adaptation", w3, mid, psi, vd3, dt1, scr(psi, mid)
                 )
                 ctx.charge_update([w1, w2, w3])
 
@@ -513,19 +505,19 @@ def ca_program(comm: SimComm, cfg: DistributedConfig):
             else:
                 ctx.charge(W.advection, L[0].npoints)
             zeta1 = ctx.update(
-                "advection", [L[0]], psi, psi, vd_frozen, dt2, scr(psi)
+                "advection", L[0], psi, psi, vd_frozen, dt2, scr(psi)
             )
 
             ctx.charge(W.advection, L[1].npoints)
             zeta2 = ctx.update(
-                "advection", [L[1]], zeta1, psi, vd_frozen, dt2,
+                "advection", L[1], zeta1, psi, vd_frozen, dt2,
                 scr(psi, zeta1),
             )
 
             mid = ctx.midpoint(L[1], psi, zeta2, scr(psi, zeta2))
             ctx.charge(W.advection, L[2].npoints)
             xi_pre = ctx.update(
-                "advection", [L[2]], mid, psi, vd_frozen, dt2, scr(psi, mid)
+                "advection", L[2], mid, psi, vd_frozen, dt2, scr(psi, mid)
             )
             ctx.charge_update(L)
         return xi_pre

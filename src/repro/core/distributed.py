@@ -78,24 +78,12 @@ class DistributedConfig:
     #: record per-step physics-telemetry partials (local sums/maxes only —
     #: no extra communication; the driver combines them after the run)
     telemetry: bool = False
-    #: step executor: ``"sync"`` (bulk-synchronous reference) or
-    #: ``"taskgraph"`` (per-rank DAG executor with real comm/compute
-    #: overlap; bit-identical trajectories; decompositions it cannot
-    #: overlap fall back to the sync path)
-    executor: str = "sync"
-    #: seed for the executor's poll-interleaving fuzzer (tests only;
-    #: ``None`` polls deterministically once per task)
-    taskgraph_fuzz_seed: int | None = None
 
-    def validate_c_method(self) -> None:
+    def __post_init__(self) -> None:
         if self.c_method not in ("allgather", "scan"):
             raise ValueError(f"unknown c_method {self.c_method!r}")
         if self.filter_method not in ("allgather", "transpose"):
             raise ValueError(f"unknown filter_method {self.filter_method!r}")
-        if self.executor not in ("sync", "taskgraph"):
-            raise ValueError(f"unknown executor {self.executor!r}")
-
-    def __post_init__(self) -> None:
         if self.sigma is None:
             self.sigma = SigmaLevels.uniform(self.grid.nz)
         d, g = self.decomp, self.grid
@@ -146,7 +134,6 @@ class RankContext:
         if decomp.px > 1:
             self.xsub = comm.subcomm(decomp.ranks_along("x", comm.rank))
 
-        cfg.validate_c_method()
         self.ws = Workspace()
         self.kernels = kernel_set(cfg.kernel_tier, cfg.kernel_backend)
         self.smoothers = smoothers_for(cfg.params)
@@ -477,7 +464,7 @@ class RankContext:
             )
         )
 
-    def result(self, w: ModelState, overlap: dict | None = None) -> "RankResult":
+    def result(self, w: ModelState) -> "RankResult":
         """What an ``advance`` that ended on working state ``w`` returns
         (pool counters count since the previous result)."""
         fresh, reuses = self._ws_seen
@@ -492,7 +479,6 @@ class RankContext:
                 "reuses": self.ws.reuses - reuses,
                 "pooled_bytes": self.ws.pooled_bytes,
             },
-            overlap=overlap,
         )
 
     def strip_local(self, w: ModelState) -> ModelState:
@@ -523,8 +509,6 @@ class RankResult:
     telemetry: list[tuple[int, dict]] | None = None
     #: workspace pool counters of this rank
     ws_counters: dict | None = None
-    #: task-graph executor metrics (``cfg.executor == "taskgraph"`` only)
-    overlap: dict | None = None
 
 
 def _update(
@@ -547,17 +531,6 @@ def original_program(comm: SimComm, cfg: DistributedConfig):
     Every call restarts from ``initial`` on the context built here.
     """
     decomp = cfg.decomp
-    if (
-        cfg.executor == "taskgraph"
-        and decomp.px == 1
-        and decomp.pz == 1
-    ):
-        # x- or z-decomposed runs have no overlap-safe split (the polar
-        # filter is collective / the z halo refreshes mid-stencil rows):
-        # they keep the synchronous schedule below
-        from repro.core.taskgraph.original import original_program_taskgraph
-
-        return original_program_taskgraph(comm, cfg)
     gy = 2
     gz = 1 if decomp.pz > 1 else 0
     gx = 2 if decomp.px > 1 else 0

@@ -25,7 +25,6 @@ from repro.core.integrator import SerialCore
 from repro.obs.config import ObsConfig, Observation
 from repro.obs.metrics import (
     absorb_comm_stats,
-    absorb_overlap_metrics,
     absorb_workspace_counters,
 )
 from repro.obs.spans import active_tracer, set_active
@@ -65,11 +64,6 @@ class StepDiagnostics:
     exchanges: int = 0
     #: failed wire attempts healed by the reliable transport (sum over ranks)
     retransmits: int = 0
-    #: wall seconds of compute executed inside open comm windows, summed
-    #: over ranks (taskgraph executor only; 0.0 under the sync executor)
-    overlap_seconds: float = 0.0
-    #: post->wait communication windows opened (sum over ranks)
-    overlap_windows: int = 0
 
     @property
     def comm_time(self) -> float:
@@ -93,8 +87,6 @@ class StepDiagnostics:
         self.c_calls += other.c_calls
         self.exchanges += other.exchanges
         self.retransmits += other.retransmits
-        self.overlap_seconds += other.overlap_seconds
-        self.overlap_windows += other.overlap_windows
 
 
 def default_spmd_timeout(nsteps: int) -> float:
@@ -130,11 +122,6 @@ class CoreConfig:
     #: fused-kernel backend (``"auto"``/``"c"``/``"numpy"``).
     #: Env override: ``REPRO_KERNEL_BACKEND``.
     kernel_backend: str | None = None
-    #: per-rank step executor: ``"sync"`` (the literal loop) or
-    #: ``"taskgraph"`` (DAG executor overlapping compute with halo/bundle
-    #: exchanges; bit-identical trajectories).  Env override:
-    #: ``REPRO_EXECUTOR``.
-    executor: str | None = None
     #: SPMD execution backend: ``"thread"`` (default; deterministic fault
     #: injection) or ``"process"`` (one OS process per rank over
     #: shared-memory rings — true multicore, bit-identical numerics).
@@ -179,13 +166,6 @@ class CoreConfig:
             raise ValueError(
                 f"unknown kernel_backend {self.kernel_backend!r}; "
                 f"pick from {BACKENDS}"
-            )
-        if self.executor is None:
-            self.executor = os.environ.get("REPRO_EXECUTOR", "sync")
-        if self.executor not in ("sync", "taskgraph"):
-            raise ValueError(
-                f"unknown executor {self.executor!r}; "
-                "pick 'sync' or 'taskgraph'"
             )
         self.observe = ObsConfig.coerce(self.observe)
 
@@ -432,7 +412,6 @@ class DynamicalCore:
             kernel_tier=cfg.kernel_tier,
             kernel_backend=cfg.kernel_backend,
             telemetry=want_telemetry,
-            executor=cfg.executor,
         )
         program = resident(
             ca_program if cfg.algorithm == "ca" else original_program, dcfg
@@ -505,16 +484,6 @@ class DynamicalCore:
             c_calls=result.results[0].c_calls,
             exchanges=result.results[0].exchanges,
             retransmits=sum(s.retransmits for s in result.stats),
-            overlap_seconds=sum(
-                r.overlap["overlap_seconds"]
-                for r in result.results
-                if r.overlap is not None
-            ),
-            overlap_windows=sum(
-                r.overlap["windows"]
-                for r in result.results
-                if r.overlap is not None
-            ),
         )
         if obs is not None:
             self._absorb_distributed(obs, result, step0)
@@ -541,7 +510,5 @@ class DynamicalCore:
                     absorb_workspace_counters(
                         obs.registry, r.ws_counters, rank
                     )
-                if r.overlap is not None:
-                    absorb_overlap_metrics(obs.registry, r.overlap, rank)
         if obs.config.logical_trace and result.traces:
             obs.logical_traces.extend(result.traces)

@@ -11,9 +11,12 @@ Supports the three decomposition families:
 Each exchange sends **one message per field per neighbour** (matching how
 the paper counts communication operations: "one communication involves
 about 20 MPI_Isend and MPI_Recv operations due to the length of xi").
-Non-blocking start/finish pairs expose the computation-communication
-overlap of Sec. 4.3.1: the caller updates the inner block between
-``start`` and ``finish``.
+Non-blocking start/finish pairs carry the computation-communication
+overlap of Sec. 4.3.1 on the logical clock: between ``start`` and
+``finish`` the CA core charges the inner-block part of its next update
+(``CommAvoidingRank.charge_inner``), so the waits in ``finish`` find a
+later local clock and the exchange hides behind that compute; the
+arithmetic itself runs after ``finish``, on the whole row window.
 
 Pole ranks additionally need the cross-pole mirror values; when the
 longitude axis is distributed the mirror columns live on the *antipodal*

@@ -6,11 +6,10 @@ working arrays.  It owns everything such a pass needs: a real
 slab's view rows (so the per-row metric arrays are the same elementwise
 expressions on the same global row indices as the parent geometry —
 bit-identical), per-slab operator caches, and the polar-filter row subset
-restricted to the slab's target rows.  Two users share it: the CA core's
+restricted to the slab's target rows.  Its user is the CA core's
 halo-batched sweeps, where a slab is one update's still-valid rows
-(:func:`repro.operators.stencil_meta.row_window_schedule`), and the
-task-graph executor, where a slab is the *inner* (halo-independent) or a
-*boundary* half of a split update (:mod:`repro.core.taskgraph.subdomain`).
+(:func:`repro.operators.stencil_meta.row_window_schedule`), the block rows
+of ``S1`` or the received rows of ``S2``.
 
 Bit-identity contract: a slab invocation reproduces, on its target rows
 ``[lo, hi)``, the exact floating-point results of the corresponding
@@ -19,10 +18,11 @@ radius, so every target row sees the same neighbour values as the full
 pass.  Edge slabs are clipped at the working-array boundary; there the
 in-slab periodic wrap of the y-shifts reads different rows than the full
 array's wrap would, which can alter only the outermost working rows —
-rows that are *invalid* under the halo budget of both rank programs and
+rows that are *invalid* under the halo budget of the rank program and
 are refreshed by the next exchange (or pole mirror) before any read that
-reaches the interior.  ``tests/test_taskgraph.py`` pins the resulting
-trajectories to the synchronous executor with exact ``==``.
+reaches the interior.  ``tests/test_rowslab.py`` pins the slab metric rows
+and the filter-mask partition, ``tests/test_core_ca.py::TestRowWindows``
+the windowed trajectories against whole-array sweeps, with exact ``==``.
 """
 from __future__ import annotations
 

@@ -357,37 +357,3 @@ def absorb_workspace_counters(
         rank=r,
     ).set(counters["pooled_bytes"])
 
-
-def absorb_overlap_metrics(
-    registry: MetricsRegistry, overlap: dict, rank: int
-) -> None:
-    """Accumulate one rank's task-graph executor metrics into the registry.
-
-    ``overlap`` is the :meth:`ExecutorMetrics.as_dict` payload a rank
-    running under ``executor="taskgraph"`` attaches to its result.
-    """
-    r = str(rank)
-    for field, name, help in (
-        ("tasks", "taskgraph_tasks_total", "graph tasks executed"),
-        ("windows", "taskgraph_windows_total",
-         "post->wait communication windows opened"),
-        ("early_claims", "taskgraph_early_claims_total",
-         "requests claimed by polling before their wait task"),
-        ("poll_sweeps", "taskgraph_poll_sweeps_total",
-         "nonblocking test() sweeps over in-flight requests"),
-    ):
-        registry.counter(name, help, rank=r).inc(overlap[field])
-    for field, name, help in (
-        ("overlap_seconds", "taskgraph_overlap_seconds_total",
-         "wall seconds of compute executed inside open comm windows"),
-        ("window_seconds", "taskgraph_window_seconds_total",
-         "wall seconds the comm windows were open"),
-        ("blocked_seconds", "taskgraph_blocked_seconds_total",
-         "wall seconds blocked claiming outstanding requests"),
-    ):
-        registry.counter(name, help, rank=r).inc(overlap[field])
-    registry.gauge(
-        "taskgraph_max_ready_depth",
-        "high-water mark of tasks runnable inside one comm window",
-        rank=r,
-    ).set(overlap["max_ready_depth"])

@@ -407,100 +407,6 @@ def parallel_scaling_violations(report: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# comm/compute overlap of the task-graph executor
-# ---------------------------------------------------------------------------
-def bench_overlap(
-    mesh: MeshSpec,
-    algorithm: str = "ca",
-    nprocs: int = 4,
-    nsteps: int | None = None,
-    limit: float = 1.10,
-) -> dict:
-    """Sync executor vs task-graph executor on the process backend.
-
-    The task-graph executor buys its comm/compute overlap with graph
-    bookkeeping and split stencil passes; this case measures what that
-    costs (or wins) in wall-clock on real cores, plus the executor's own
-    overlap accounting (seconds of compute executed inside open comm
-    windows).  The gate is an efficiency bound, not a speedup demand:
-    ``taskgraph_ms <= limit * sync_ms`` — the overlap machinery must not
-    tax the step more than ``limit - 1`` even where messages are cheap
-    (shared-memory rings), and it must have actually opened comm windows
-    (otherwise the executor silently fell back to the sync path).  Only
-    enforced when the host has at least ``nprocs`` cores; fewer cores
-    time-share and the ratio measures scheduler noise.
-    """
-    from repro.core.driver import DynamicalCore
-
-    grid = _grid(mesh)
-    s0 = _initial(grid)
-    if nsteps is None:
-        nsteps = mesh.nsteps
-    ncpu = os.cpu_count() or 1
-    case = {
-        "kind": "overlap",
-        "mesh": mesh.name,
-        "algorithm": algorithm,
-        "nprocs": nprocs,
-        "backend": "process",
-        "timed_steps": nsteps,
-        "cpu_count": ncpu,
-        "gate_limit": limit,
-        "gate_enforced": ncpu >= nprocs,
-    }
-    times = {}
-    for executor in ("sync", "taskgraph"):
-        core = DynamicalCore(
-            grid, algorithm=algorithm, nprocs=nprocs,
-            backend="process", executor=executor,
-            kernel_tier="reference",  # the tier the baseline was recorded on
-        )
-        core.run(s0, 1)  # warmup: forks ranks, fills pools
-        t0 = time.perf_counter()
-        _, diag = core.run(s0, nsteps)
-        times[executor] = (time.perf_counter() - t0) / nsteps * 1e3
-        if executor == "taskgraph":
-            case["overlap_seconds"] = diag.overlap_seconds
-            case["overlap_windows"] = diag.overlap_windows
-    case["sync_ms_per_step"] = times["sync"]
-    case["taskgraph_ms_per_step"] = times["taskgraph"]
-    case["taskgraph_over_sync"] = times["taskgraph"] / times["sync"]
-    case["steps_per_sec"] = 1e3 / times["taskgraph"]
-    return case
-
-
-def overlap_violations(report: dict) -> list[str]:
-    """Overlap cases breaking the executor-efficiency gate.
-
-    Absolute gate, no baseline needed: where the host has the cores, the
-    task-graph executor must (a) have opened real communication windows
-    and (b) keep its per-step wall time within ``gate_limit`` of the
-    synchronous executor's.
-    """
-    violations = []
-    for case in report["cases"]:
-        if case.get("kind") != "overlap":
-            continue
-        if not case.get("gate_enforced"):
-            continue
-        if case.get("overlap_windows", 0) <= 0:
-            violations.append(
-                f"{case_key(case)}: taskgraph executor opened no comm "
-                f"windows — the overlapped path did not engage"
-            )
-        limit = case["gate_limit"]
-        if case["taskgraph_ms_per_step"] > limit * case["sync_ms_per_step"]:
-            violations.append(
-                f"{case_key(case)}: taskgraph "
-                f"{case['taskgraph_ms_per_step']:.2f} ms/step exceeds "
-                f"{limit:.2f}x the sync executor "
-                f"({case['sync_ms_per_step']:.2f} ms/step) on a "
-                f"{case['cpu_count']}-core host"
-            )
-    return violations
-
-
-# ---------------------------------------------------------------------------
 # fault-free overhead of the reliable transport
 # ---------------------------------------------------------------------------
 def bench_transport_overhead(mesh: MeshSpec, nsteps: int) -> dict:
@@ -741,12 +647,8 @@ def run_benchmarks(quick: bool = False, repeats: int = 1) -> dict:
         cases.extend(
             bench_parallel_scaling(CA_SMALL, nprocs_list=(1, 2), nsteps=dist_steps)
         )
-        cases.append(
-            bench_overlap(CA_SMALL, nprocs=2, nsteps=dist_steps)
-        )
     else:
         cases.extend(bench_parallel_scaling(MEDIUM, nprocs_list=(1, 2, 4)))
-        cases.append(bench_overlap(MEDIUM, nprocs=4))
     cases.append(bench_transport_overhead(SMALL, nsteps=dist_steps))
     cases.append(bench_recovery_mttr(SMALL, nsteps=4))
     return {

@@ -9,7 +9,6 @@ advances a deterministic logical clock and updates :class:`CommStats`.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Sequence
 
 import numpy as np
@@ -31,7 +30,6 @@ from repro.simmpi.faults import (
 from repro.simmpi.machine import MachineModel
 from repro.simmpi.network import (
     AbortFlag,
-    DeadlockError,
     Mailbox,
     Message,
     MessageLost,
@@ -118,29 +116,6 @@ class Request:
         self._tag = tag
         self._done = kind == "isend"
         self._payload: np.ndarray | None = None
-        self._claimed = None  # physically arrived Message, logically pending
-
-    def test(self) -> bool:
-        """Nonblocking completion probe: ``True`` iff :meth:`wait` would
-        not block.
-
-        For irecv requests this *physically* claims a matching message out
-        of the mailbox (on the process backend that also drains the shared
-        ring, unblocking a writer stalled on a full link) but applies
-        **no logical effects**: no clock merge, no stats, no fault-hook
-        tick, no trace events.  All of those happen in :meth:`wait`, in
-        the caller's canonical program order — which is what keeps logical
-        clocks bit-identical under arbitrary poll interleavings.
-        """
-        if self._done or self._claimed is not None:
-            return True
-        msg = self._comm._world.mailboxes[self._comm.rank].try_collect(
-            self._source, self._tag
-        )
-        if msg is None:
-            return False
-        self._claimed = msg
-        return True
 
     def wait(self) -> np.ndarray | None:
         """Complete the operation; returns the payload for irecv.
@@ -154,13 +129,10 @@ class Request:
         if self._done:
             return self._payload
         self._comm._fault_hook()
-        if self._claimed is not None:
-            msg, self._claimed = self._claimed, None
-        else:
-            with obs_span("recv-wait", "simmpi"):
-                msg = self._comm._world.mailboxes[self._comm.rank].collect(
-                    self._source, self._tag, self._comm._world.timeout
-                )
+        with obs_span("recv-wait", "simmpi"):
+            msg = self._comm._world.mailboxes[self._comm.rank].collect(
+                self._source, self._tag, self._comm._world.timeout
+            )
         comm = self._comm
         transport = comm._world.transport
         if transport is not None and transport.reliable:
@@ -482,48 +454,6 @@ class SimComm:
     def irecv(self, source: int, tag: int = 0) -> Request:
         """Post a non-blocking receive; completion happens in ``wait``."""
         return Request(self, "irecv", source=source, tag=tag)
-
-    def waitany(self, requests: Sequence[Request]) -> int:
-        """Block until at least one request can complete without blocking;
-        return the lowest such index.
-
-        Unlike mpi4py's ``Waitany`` this does **not** complete the
-        request: the winner is only *claimed* (see :meth:`Request.test`),
-        and the caller decides when to apply the logical completion via
-        ``wait()``.  That split is deliberate — physical arrival order is
-        timing-dependent, so letting it drive logical completion order
-        would make logical clocks nondeterministic.  Blocking between
-        poll sweeps uses the mailbox condition variable (with the same
-        bounded timed waits as ``collect`` on the process backend), so
-        there is no busy-wait and the writer-drains-own-incoming rule
-        still holds.
-        """
-        if not requests:
-            raise ValueError("waitany needs at least one request")
-        mailbox = self._world.mailboxes[self.rank]
-        deadline = None
-        while True:
-            for idx, req in enumerate(requests):
-                if req.test():
-                    return idx
-            abort = getattr(self._world, "abort_flag", None)
-            if abort is not None and abort.is_set():
-                raise DeadlockError(
-                    f"rank {self.rank}: waitany aborted — {abort.reason}"
-                )
-            check = getattr(self._world, "_check_abort", None)
-            if check is not None:
-                check(f"rank {self.rank}: waitany")
-            if deadline is None:
-                deadline = time.monotonic() + self._world.timeout
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise DeadlockError(
-                    f"rank {self.rank}: waitany over {len(requests)} "
-                    f"request(s) timed out after {self._world.timeout}s; "
-                    f"mailbox holds {mailbox.pending_summary()}"
-                )
-            mailbox.wait_any(min(remaining, 0.05))
 
     def sendrecv(
         self, dest: int, array: np.ndarray, source: int, tag: int = 0

@@ -148,27 +148,6 @@ class Mailbox:
                     )
                 self._cond.wait(remaining)
 
-    def try_collect(self, source: int, tag: int) -> Message | None:
-        """Nonblocking :meth:`collect`: pop and return the first message
-        matching ``(source, tag)``, or ``None`` if none has arrived.
-
-        Never blocks and never raises; abort/timeout handling stays in the
-        blocking :meth:`collect` so that polling has no failure-injection
-        or accounting side effects.
-        """
-        with self._cond:
-            for idx, msg in enumerate(self._messages):
-                if msg.source == source and msg.tag == tag:
-                    return self._messages.pop(idx)
-        return None
-
-    def wait_any(self, timeout: float) -> None:
-        """Block until *any* delivery (or wake) notifies, at most
-        ``timeout`` seconds.  Used by ``Comm.waitany`` between poll
-        sweeps; spurious wakeups are fine — callers re-poll."""
-        with self._cond:
-            self._cond.wait(timeout)
-
     def pending_count(self) -> int:
         """Number of undelivered messages (used by shutdown sanity checks)."""
         with self._cond:

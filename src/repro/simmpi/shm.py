@@ -324,37 +324,6 @@ class ShmMailbox:
                 # SIGKILLed peer cannot, so never sleep unbounded
                 w.cond.wait(min(remaining, 0.05))
 
-    def try_collect(self, source: int, tag: int) -> Message | None:
-        """Nonblocking :meth:`collect`: drain the incoming rings once and
-        pop the first match, or return ``None``.
-
-        Draining here matters beyond the poll itself: pulling completed
-        records out of the rings frees space, so a peer blocked in
-        ``_stream_write`` on a full link can make progress even while this
-        rank is busy computing between polls.
-        """
-        w = self._world
-        key = (source, tag)
-        with w.cond:
-            q = self._pending.get(key)
-            if q:
-                return q.popleft()
-            self._drain_locked()
-            q = self._pending.get(key)
-            if q:
-                return q.popleft()
-        return None
-
-    def wait_any(self, timeout: float) -> None:
-        """Block until a ring write (or wake) notifies, at most ``timeout``
-        seconds; drains once before sleeping so a ready record is never
-        slept on.  Spurious wakeups are fine — callers re-poll."""
-        w = self._world
-        with w.cond:
-            if self._drain_locked():
-                return
-            w.cond.wait(timeout)
-
     def wake(self) -> None:
         """Wake blocked collectors (fail-fast abort)."""
         with self._world.cond:

@@ -213,11 +213,10 @@ def _run_ca(grid, params, state0, py, nsteps=2, **kw):
 
 class TestRowWindows:
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    @pytest.mark.parametrize("executor", ["sync", "taskgraph"])
     @pytest.mark.parametrize("M", [1, 3])
     @pytest.mark.parametrize("py", [1, 2, 3])
     def test_windows_change_no_bit_of_the_trajectory(
-        self, monkeypatch, py, M, executor, backend
+        self, monkeypatch, py, M, backend
     ):
         """Differential: the production schedule vs whole-array windows
         (every update sweeping every working row, as before windows
@@ -226,7 +225,7 @@ class TestRowWindows:
         from repro.core import comm_avoiding
 
         grid, params, state0 = _window_case(M)
-        kw = dict(executor=executor, backend=backend, kernel_tier="fused")
+        kw = dict(backend=backend, kernel_tier="fused")
         windowed, res_w = _run_ca(grid, params, state0, py, **kw)
         monkeypatch.setattr(
             comm_avoiding, "update_windows",
@@ -236,8 +235,7 @@ class TestRowWindows:
         assert windowed.max_difference(whole) == 0.0
         assert res_w.makespan < res_a.makespan
 
-    @pytest.mark.parametrize("executor", ["sync", "taskgraph"])
-    def test_single_level_windows_on_the_fused_tier(self, executor):
+    def test_single_level_windows_on_the_fused_tier(self):
         """nz = 1: the single-plane fields carry no plane stride, so the
         kernels' scratch must take it from the (nz + 1)-plane ``C`` bundle
         views of the same call."""
@@ -246,13 +244,8 @@ class TestRowWindows:
             dt_adaptation=60.0, dt_advection=60.0, m_iterations=1
         )
         state0 = perturbed_rest_state(grid, amplitude_k=2.0)
-        fused, _ = _run_ca(
-            grid, params, state0, 2, executor=executor, kernel_tier="fused"
-        )
-        ref, _ = _run_ca(
-            grid, params, state0, 2, executor=executor,
-            kernel_tier="reference",
-        )
+        fused, _ = _run_ca(grid, params, state0, 2, kernel_tier="fused")
+        ref, _ = _run_ca(grid, params, state0, 2, kernel_tier="reference")
         assert fused.max_difference(ref) == 0.0
 
     @pytest.mark.parametrize("py", [1, 2, 3])
@@ -302,11 +295,9 @@ class TestRowWindows:
         if py == 1:
             assert want[W.adaptation] == H * ny_i
 
-    @pytest.mark.parametrize("executor", ["sync", "taskgraph"])
-    def test_no_silent_numpy_fallback(self, monkeypatch, executor):
+    def test_no_silent_numpy_fallback(self, monkeypatch):
         """Fused tier, compiler available: every A / L / C / S call of a
-        CA run — whole windows and the task graph's split slabs alike —
-        runs its C kernel."""
+        CA run runs its C kernel."""
         from repro.core import distributed
         from repro.kernels import available_backends
 
@@ -321,9 +312,7 @@ class TestRowWindows:
 
         monkeypatch.setattr(distributed, "kernel_set", recording)
         grid, params, state0 = _window_case(3)
-        _run_ca(
-            grid, params, state0, 2, executor=executor, kernel_tier="fused"
-        )
+        _run_ca(grid, params, state0, 2, kernel_tier="fused")
         assert len(made) == 2
         for ks in made:
             calls = ks.describe()["calls"]

@@ -35,6 +35,36 @@ class TestConfig:
         cfg = CoreConfig(grid=grid, algorithm="original-xy", nprocs=4, params=params)
         assert cfg.resolve_decomposition().pz == 1
 
+    def test_executor_option_is_gone(self, setting):
+        from repro.core.distributed import DistributedConfig
+        from repro.grid.decomposition import Decomposition
+
+        grid, _, _ = setting
+        with pytest.raises(TypeError):
+            DynamicalCore(grid, executor="taskgraph")
+        with pytest.raises(TypeError):
+            CoreConfig(grid=grid, executor="sync")
+        with pytest.raises(TypeError):
+            DistributedConfig(
+                grid=grid,
+                decomp=Decomposition(grid.nx, grid.ny, grid.nz, 1, 1, 1),
+                executor="sync",
+            )
+
+    def test_executor_env_var_selects_nothing(self, setting, monkeypatch):
+        grid, params, state0 = setting
+
+        def two_steps():
+            core = DynamicalCore(grid, algorithm="ca", nprocs=2, params=params)
+            return core.run(state0, 2)
+
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        plain, plain_diag = two_steps()
+        monkeypatch.setenv("REPRO_EXECUTOR", "taskgraph")
+        state, diag = two_steps()
+        assert state.max_difference(plain) == 0.0
+        assert diag == plain_diag
+
 
 class TestRuns:
     def test_serial_run(self, setting):

@@ -79,13 +79,14 @@ class TestTransposeFilter:
         assert ops["transpose"] == 2 * ops["allgather"]
 
     def test_invalid_method_rejected(self, setting):
-        grid, params, state0, _ = setting
+        """Where the config is built — no rank is launched to find out."""
+        grid, params, _, _ = setting
         decomp = Decomposition(grid.nx, grid.ny, grid.nz, 2, 2, 1)
-        cfg = DistributedConfig(
-            grid=grid, decomp=decomp, params=params, filter_method="morse"
-        )
-        with pytest.raises(Exception):
-            run_spmd(decomp.nranks, original_rank_program, cfg, state0)
+        with pytest.raises(ValueError, match="filter_method"):
+            DistributedConfig(
+                grid=grid, decomp=decomp, params=params,
+                filter_method="morse",
+            )
 
 
 class TestAlltoallPrimitive:

@@ -148,153 +148,3 @@ class TestDeterminism:
         r2 = run_spmd(4, prog)
         assert r1.clocks == r2.clocks
 
-
-class TestNonblockingCompletion:
-    """``Request.test`` / ``Comm.waitany``: physical claim, logical defer."""
-
-    def test_test_claims_without_logical_effects(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send(1, np.arange(8.0), tag=7)
-                return None
-            import time as _t
-
-            req = comm.irecv(0, tag=7)
-            deadline = _t.monotonic() + 5.0
-            while not req.test():
-                if _t.monotonic() > deadline:  # pragma: no cover
-                    raise AssertionError("message never arrived")
-                _t.sleep(0.001)
-            # physically claimed, logically untouched
-            clock_before = comm.clock
-            msgs_before = comm.stats.p2p_messages_received
-            assert req.test()  # idempotent
-            assert comm.clock == clock_before
-            assert comm.stats.p2p_messages_received == msgs_before
-            payload = req.wait()  # logical completion happens here
-            assert comm.stats.p2p_messages_received == msgs_before + 1
-            assert comm.clock > clock_before
-            return payload
-
-        res = run_spmd(2, prog)
-        assert np.array_equal(res.results[1], np.arange(8.0))
-
-    def test_test_false_before_arrival(self):
-        def prog(comm):
-            if comm.rank == 0:
-                req = comm.irecv(1, tag=1)
-                assert not req.test()  # nothing sent yet on this stream
-                comm.send(1, np.ones(2), tag=0)
-                return req.wait()
-            comm.recv(0, tag=0)
-            comm.send(0, np.full(3, 9.0), tag=1)
-            return None
-
-        res = run_spmd(2, prog)
-        assert np.array_equal(res.results[0], np.full(3, 9.0))
-
-    def test_isend_request_tests_true(self):
-        def prog(comm):
-            if comm.rank == 0:
-                req = comm.isend(1, np.zeros(4))
-                assert req.test()  # buffered send: complete at creation
-                return None
-            return comm.recv(0)
-
-        run_spmd(2, prog)
-
-    def test_waitany_returns_lowest_ready_index(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send(1, np.array([0.5]), tag=2)
-                comm.send(1, np.array([1.5]), tag=3)
-                return None
-            reqs = [comm.irecv(0, tag=2), comm.irecv(0, tag=3)]
-            idx = comm.waitany(reqs)
-            assert idx == 0  # both arrived; lowest index wins
-            # waitany claims but does not complete
-            msgs_before = comm.stats.p2p_messages_received
-            a = reqs[0].wait()
-            b = reqs[1].wait()
-            assert comm.stats.p2p_messages_received == msgs_before + 2
-            return float(a[0]) + float(b[0])
-
-        res = run_spmd(2, prog)
-        assert res.results[1] == 2.0
-
-    def test_waitany_blocks_until_arrival(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.recv(1, tag=5)  # gate: rank1 is already inside waitany
-                comm.send(1, np.array([4.0]), tag=6)
-                return None
-            req = comm.irecv(0, tag=6)
-            gate = comm.isend(0, np.zeros(1), tag=5)
-            idx = comm.waitany([req])
-            gate.wait()
-            assert idx == 0
-            return float(req.wait()[0])
-
-        res = run_spmd(2, prog)
-        assert res.results[1] == 4.0
-
-    def test_waitany_timeout_raises_deadlock(self):
-        def prog(comm):
-            if comm.rank == 1:
-                req = comm.irecv(0, tag=9)  # never sent
-                comm.waitany([req])
-            return None
-
-        with pytest.raises(Exception) as exc_info:
-            run_spmd(2, prog, timeout=0.3)
-        assert "timed out" in str(exc_info.value)
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_polling_does_not_change_clocks(self, backend):
-        """Fuzzed test() polling must leave logical clocks bit-identical."""
-
-        def make(poll: bool):
-            def prog(comm):
-                rng = np.random.default_rng(123 + comm.rank)
-                fuzz = np.random.default_rng(7 * comm.rank + 1)
-                for _ in range(6):
-                    right = (comm.rank + 1) % comm.size
-                    left = (comm.rank - 1) % comm.size
-                    req_out = comm.isend(right, rng.random(32))
-                    req_in = comm.irecv(left)
-                    comm.compute(float(rng.random()) * 1e-4)
-                    if poll:
-                        for _ in range(fuzz.integers(0, 4)):
-                            req_in.test()
-                    req_in.wait()
-                    req_out.wait()
-                return comm.clock
-
-            return prog
-
-        base = run_spmd(2, make(False), backend=backend)
-        polled = run_spmd(2, make(True), backend=backend)
-        assert base.clocks == polled.clocks
-        for sb, sp in zip(base.stats, polled.stats):
-            assert sb.p2p_time == sp.p2p_time
-            assert sb.synchronizations == sp.synchronizations
-
-    def test_waitany_drains_full_ring_on_process_backend(self):
-        """A receiver parked in waitany must drain its own incoming ring
-        (writer-drains-own-incoming), or a sender stalls forever on a
-        link smaller than the payload."""
-
-        def prog(comm):
-            big = np.arange(65536, dtype=np.float64)  # 512 KiB payload
-            if comm.rank == 0:
-                comm.send(1, big, tag=1)  # blocks until rank 1 drains
-                return None
-            req = comm.irecv(0, tag=1)
-            idx = comm.waitany([req])
-            assert idx == 0
-            return float(req.wait().sum())
-
-        res = run_spmd(
-            2, prog, backend="process", shm_link_bytes=64 * 1024, timeout=30
-        )
-        assert res.results[1] == float(np.arange(65536, dtype=np.float64).sum())
