@@ -9,11 +9,11 @@ def main() -> int:
           f"of an Atmospheric GCM (ICPP 2018 reproduction)")
     print()
     print("entry points:")
-    print("  python -m repro.bench.figures all   reproduce every figure/table")
+    print("  python -m repro.bench.figures all   every figure and table")
     print("  python -m repro.perf.report [f.json] machine-readable report")
     print("  python examples/quickstart.py        run the core")
-    print("  pytest tests/                        500+ tests")
-    print("  pytest benchmarks/ --benchmark-only  asserted benchmarks")
+    print("  pytest tests/                        the test suite")
+    print("  python3 benchmarks/e2e/run.py        the repo benchmark")
     print()
     print("docs: README.md DESIGN.md EXPERIMENTS.md docs/")
     return 0

@@ -10,13 +10,6 @@ from repro.perf.model import (
     PAPER_PROC_SWEEP,
     PerformanceModel,
 )
-from repro.perf.wallclock import (
-    SCHEMA_VERSION as BENCH_SCHEMA_VERSION,
-    compare_reports,
-    load_report,
-    run_benchmarks,
-    write_report,
-)
 
 __all__ = [
     "ComputeWeights",
@@ -29,9 +22,4 @@ __all__ = [
     "DEFAULT_CALIBRATION",
     "PAPER_PROC_SWEEP",
     "PerformanceModel",
-    "BENCH_SCHEMA_VERSION",
-    "compare_reports",
-    "load_report",
-    "run_benchmarks",
-    "write_report",
 ]

@@ -82,20 +82,17 @@ class TestSection53:
         """W_XY >> W_YZ > W_CA with each algorithm on its own (realistic)
         decomposition, as in the paper's evaluation."""
         from repro.grid.decomposition import xy_decomposition, yz_decomposition
+        from repro.perf.model import PAPER_PROC_SWEEP
 
-        dxy = xy_decomposition(720, 360, 30, 1024)
-        dyz = yz_decomposition(720, 360, 30, 1024)
-        w_ca = section53_costs(
-            "ca", 720, 360, 30, dyz.px, dyz.py, dyz.pz
-        ).W
-        w_yz = section53_costs(
-            "yz", 720, 360, 30, dyz.px, dyz.py, dyz.pz
-        ).W
-        w_xy = section53_costs(
-            "xy", 720, 360, 30, dxy.px, dxy.py, dxy.pz
-        ).W
-        assert w_xy > w_yz > w_ca
-        assert w_yz / w_ca == pytest.approx(1.5)  # 3M / 2M
+        for p in PAPER_PROC_SWEEP:
+            dxy = xy_decomposition(720, 360, 30, p)
+            dyz = yz_decomposition(720, 360, 30, p)
+            w = {
+                alg: section53_costs(alg, 720, 360, 30, d.px, d.py, d.pz).W
+                for alg, d in (("ca", dyz), ("yz", dyz), ("xy", dxy))
+            }
+            assert w["xy"] > w["yz"] > w["ca"]
+            assert w["yz"] / w["ca"] == pytest.approx(1.5)  # 3M / 2M
 
     def test_ordering_s(self):
         kw = dict(nx=720, ny=360, nz=30, px=32, py=32, pz=8, m_iterations=3)

@@ -1,11 +1,15 @@
 """Every example script must run end to end (small arguments)."""
 import subprocess
 import sys
+from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+from repro.__main__ import main
+
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 CASES = [
     ("quickstart.py", ["--quick"]),
@@ -39,3 +43,14 @@ def test_all_examples_covered():
     """Every script in examples/ has a smoke case here."""
     scripts = {p.name for p in EXAMPLES.glob("*.py")}
     assert scripts == {c[0] for c in CASES}
+
+
+def test_package_banner_lists_entry_points_that_exist(capsys):
+    """``python -m repro`` names files and modules; each must be there."""
+    assert main() == 0
+    words = capsys.readouterr().out.split()
+    modules = [w for prev, w in zip(words, words[1:]) if prev == "-m"]
+    paths = [w for w in words if "/" in w or w.endswith((".py", ".md"))]
+    assert modules and "benchmarks/e2e/run.py" in paths
+    assert [m for m in modules if find_spec(m) is None] == []
+    assert [p for p in paths if not (ROOT / p).exists()] == []

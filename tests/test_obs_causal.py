@@ -15,18 +15,14 @@ Covers the cross-process observability layer end to end:
   isend/irecv flow events;
 * the sampling profiler (collapsed stacks, ``ObsConfig(profile=...)``);
 * the flight recorder ring, SIGTERM dump-then-die, and the report CLI
-  renderings (``--top``, flight summaries);
-* the bench-trajectory anomaly gate (rolling median + MAD ladder).
+  renderings (``--top``, flight summaries).
 """
-import importlib.util
-import json
 import math
 import os
 import signal
 import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,125 +512,6 @@ class TestReportCli:
         out = capsys.readouterr().out
         assert "watchdog kill" in out
         assert "last-breath" in out
-
-
-# ---------------------------------------------------------------------------
-# bench-trajectory anomaly gate
-# ---------------------------------------------------------------------------
-def _load_trajectory_module():
-    path = Path(__file__).resolve().parent.parent / "benchmarks"
-    spec = importlib.util.spec_from_file_location(
-        "bench_trajectory", path / "trajectory.py"
-    )
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-class TestTrajectoryGate:
-    def _entries(self, rates, key="serial@1"):
-        return [{"cases": {key: {"steps_per_sec": r}}} for r in rates]
-
-    def test_steady_history_no_anomaly(self):
-        tj = _load_trajectory_module()
-        hist = self._entries([10.0, 10.1, 9.9, 10.0, 10.05])
-        fresh = {"cases": {"serial@1": {"steps_per_sec": 9.95}}}
-        assert tj.detect_anomalies(hist, fresh) == {}
-
-    def test_moderate_slowdown_warns(self):
-        tj = _load_trajectory_module()
-        # median 10.0, MAD 0.1 -> scale ~0.148; 9.2 lands between the
-        # warn (3.5) and fail (7.0) rungs
-        hist = self._entries([10.0, 10.2, 9.8, 10.0, 10.1])
-        fresh = {"cases": {"serial@1": {"steps_per_sec": 9.2}}}
-        res = tj.detect_anomalies(hist, fresh)
-        assert res["serial@1"]["severity"] == "warn"
-        assert res["serial@1"]["z"] < -tj.WARN_Z
-
-    def test_extreme_slowdown_fails_immediately(self):
-        tj = _load_trajectory_module()
-        hist = self._entries([10.0, 10.2, 9.8, 10.0, 10.1])
-        fresh = {"cases": {"serial@1": {"steps_per_sec": 2.0}}}
-        res = tj.detect_anomalies(hist, fresh)
-        assert res["serial@1"]["severity"] == "fail"
-
-    def test_repeated_warn_escalates_to_fail(self):
-        tj = _load_trajectory_module()
-        hist = self._entries([10.0, 10.2, 9.8, 10.0, 10.1])
-        fresh1 = {"cases": {"serial@1": {"steps_per_sec": 9.2}}}
-        first = tj.detect_anomalies(hist, fresh1)
-        assert first["serial@1"]["severity"] == "warn"
-        fresh1["anomalies"] = first
-        hist.append(fresh1)
-        fresh2 = {"cases": {"serial@1": {"steps_per_sec": 9.2}}}
-        second = tj.detect_anomalies(hist, fresh2)
-        assert second["serial@1"]["severity"] == "fail"
-
-    def test_speedups_never_flag(self):
-        tj = _load_trajectory_module()
-        hist = self._entries([10.0, 10.1, 9.9, 10.0, 10.05])
-        fresh = {"cases": {"serial@1": {"steps_per_sec": 100.0}}}
-        assert tj.detect_anomalies(hist, fresh) == {}
-
-    def test_short_history_is_inert(self):
-        tj = _load_trajectory_module()
-        hist = self._entries([10.0, 10.0])
-        fresh = {"cases": {"serial@1": {"steps_per_sec": 1.0}}}
-        assert tj.detect_anomalies(hist, fresh) == {}
-
-    def test_flat_history_uses_floor_scale(self):
-        tj = _load_trajectory_module()
-        assert tj.robust_z(9.0, [10.0] * 5) < -tj.WARN_Z
-        assert tj.robust_z(10.0, [10.0] * 5) == 0.0
-
-    def test_main_seeds_from_baseline_and_gates(self, tmp_path):
-        tj = _load_trajectory_module()
-        baseline = (
-            Path(__file__).resolve().parent.parent
-            / "benchmarks" / "baseline" / "BENCH_baseline.json"
-        )
-        report = json.loads(baseline.read_text())
-        rp = tmp_path / "BENCH_fresh.json"
-        rp.write_text(json.dumps(report))
-        out = tmp_path / "BENCH_trajectory.json"
-        rc = tj.main([
-            "--report", str(rp), "--baseline", str(baseline),
-            "--out", str(out),
-        ])
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert [e["source"] for e in doc["entries"]] == ["baseline", "ci"]
-        # build enough identical history for the gate to arm, then tank
-        # one case: the ladder must warn (rc 0) then fail (rc 1)
-        for _ in range(4):
-            rc = tj.main([
-                "--report", str(rp), "--history", str(out),
-                "--out", str(out),
-            ])
-            assert rc == 0
-        # identical repeats -> MAD 0 -> 1%-of-median floor scale; a 5%
-        # drop sits between the warn (3.5) and fail (7.0) rungs
-        slow = json.loads(rp.read_text())
-        for case in slow["cases"]:
-            if "steps_per_sec" in case:
-                case["steps_per_sec"] *= 0.95
-        sp = tmp_path / "BENCH_slow.json"
-        sp.write_text(json.dumps(slow))
-        rc1 = tj.main([
-            "--report", str(sp), "--history", str(out), "--out", str(out),
-        ])
-        assert rc1 == 0  # first moderate slowdown: warn only
-        doc = json.loads(out.read_text())
-        assert doc["entries"][-1].get("anomalies")
-        rc2 = tj.main([
-            "--report", str(sp), "--history", str(out), "--out", str(out),
-        ])
-        assert rc2 == 1  # repeated: the ladder fails
-        rc3 = tj.main([
-            "--report", str(sp), "--history", str(out), "--out", str(out),
-            "--no-gate",
-        ])
-        assert rc3 == 0
 
 
 def test_numpy_is_available_marker():

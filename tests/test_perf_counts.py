@@ -5,6 +5,8 @@ per-step communication *relationships* the projection model assumes
 (exchange frequency 13 vs 2, collective frequency 3M vs 2M, message
 ratios) are measured on the executable cores here.
 """
+import functools
+
 import pytest
 
 from repro.constants import ModelParameters
@@ -16,22 +18,28 @@ from repro.physics import perturbed_rest_state
 from repro.simmpi import run_spmd
 
 
+PARAMS = ModelParameters(dt_adaptation=60.0, dt_advection=60.0, m_iterations=1)
+
+
+def run_core(program, decomp, nsteps, **switches):
+    """One executed run of a rank program on the mesh ``decomp`` splits."""
+    grid = LatLonGrid(nx=decomp.nx, ny=decomp.ny, nz=decomp.nz)
+    cfg = DistributedConfig(
+        grid=grid, decomp=decomp, params=PARAMS, nsteps=nsteps, **switches
+    )
+    state0 = perturbed_rest_state(grid, amplitude_k=2.0)
+    return run_spmd(decomp.nranks, program, cfg, state0)
+
+
 @pytest.fixture(scope="module")
 def measured():
-    grid = LatLonGrid(nx=32, ny=16, nz=8)
-    params = ModelParameters(dt_adaptation=60.0, dt_advection=60.0, m_iterations=1)
-    state0 = perturbed_rest_state(grid, amplitude_k=2.0)
-    decomp = Decomposition(grid.nx, grid.ny, grid.nz, 1, 2, 2)
+    decomp = Decomposition(32, 16, 8, 1, 2, 2)
     nsteps = 3
-    out = {}
-    for name, program in (
-        ("original", original_rank_program), ("ca", ca_rank_program)
-    ):
-        cfg = DistributedConfig(
-            grid=grid, decomp=decomp, params=params, nsteps=nsteps,
-        )
-        out[name] = run_spmd(decomp.nranks, program, cfg, state0)
-    return params, nsteps, decomp, out
+    out = {
+        "original": run_core(original_rank_program, decomp, nsteps),
+        "ca": run_core(ca_rank_program, decomp, nsteps),
+    }
+    return PARAMS, nsteps, decomp, out
 
 
 class TestFrequencies:
@@ -103,3 +111,61 @@ class TestTimeBreakdown:
         t_or = max(s.collective_time for s in out["original"].stats) / ops_or
         t_ca = max(s.collective_time for s in out["ca"].stats) / ops_ca
         assert t_ca < 3.0 * t_or
+
+
+class TestAblations:
+    """Each design choice of Algorithm 2 switched off alone, on the
+    executed CA core (the baseline is ``measured["ca"]``)."""
+
+    @staticmethod
+    def _ca_variant(measured, **switches):
+        _, nsteps, decomp, _ = measured
+        return run_core(ca_rank_program, decomp, nsteps, **switches)
+
+    def test_without_the_approximate_iteration(self, measured):
+        """Sec. 4.2.2 off: the collective frequency is back at 3M per
+        step and the collective time grows."""
+        params, nsteps, _, out = measured
+        exact = self._ca_variant(measured, ca_approximate_c=False)
+        assert exact.results[0].c_calls == 3 * params.m_iterations * nsteps
+        assert max(s.collective_time for s in out["ca"].stats) < max(
+            s.collective_time for s in exact.stats
+        )
+
+    def test_without_overlap(self, measured):
+        """Sec. 4.3.1 off: the exchange latency is exposed, so the
+        makespan grows; the numerics do not change."""
+        _, _, _, out = measured
+        exposed = self._ca_variant(measured, ca_overlap=False)
+        assert out["ca"].makespan < exposed.makespan
+        a, b = out["ca"].results[0].state, exposed.results[0].state
+        assert a.max_difference(b) == 0.0
+
+
+class TestExecutedScaling:
+    """The logical clock of the executed cores over a rank sweep, on a
+    mesh where compute dominates so strong scaling shows at toy size."""
+
+    @staticmethod
+    @functools.cache
+    def _run(program, py, pz):
+        return run_core(program, Decomposition(64, 32, 8, 1, py, pz), nsteps=2)
+
+    def test_original_core_strong_scales(self):
+        t1, t2, t8 = (
+            self._run(original_rank_program, py, pz).makespan
+            for py, pz in ((1, 1), (2, 1), (4, 2))
+        )
+        assert t8 < t2 < t1
+
+    @pytest.mark.parametrize("py,pz", [(2, 1), (4, 2)])
+    def test_ca_sends_less_and_waits_less_at_every_rank_count(self, py, pz):
+        """2 and 8 ranks; ``measured`` above is the 4-rank case."""
+        r_or = self._run(original_rank_program, py, pz)
+        r_ca = self._run(ca_rank_program, py, pz)
+        assert sum(s.p2p_messages_sent for s in r_ca.stats) < sum(
+            s.p2p_messages_sent for s in r_or.stats
+        )
+        assert max(
+            s.tagged_time.get("stencil_comm", 0.0) for s in r_ca.stats
+        ) <= max(s.tagged_time.get("stencil_comm", 0.0) for s in r_or.stats)

@@ -20,8 +20,10 @@ class TestFigure1:
         """Figure 1's message: comm time dominates the dycore runtime
         for the original algorithm at scale."""
         for p in PAPER_PROC_SWEEP:
-            t = model.timing("original-yz", p)
-            assert t.comm_fraction > 0.5
+            assert model.timing("original-yz", p).comm_fraction > 0.5
+            assert model.timing("original-xy", p).comm_fraction > 0.35
+        # thoroughly communication-bound at the scaling limit
+        assert model.timing("original-yz", 1024).comm_fraction > 0.9
 
     def test_comm_share_grows_with_p(self, model):
         f = [model.timing("original-yz", p).comm_fraction for p in PAPER_PROC_SWEEP]
@@ -124,6 +126,15 @@ class TestModelMechanics:
     def test_sync_overhead_grows(self):
         cal = Calibration()
         assert cal.sync_overhead(1024) > cal.sync_overhead(128)
+
+    def test_deeper_halo_batching_is_cheaper(self, model):
+        """Exchanging every r updates trades message frequency against
+        redundant halo rows; Algorithm 2's r = 3M is the cheapest."""
+        M = model.params.m_iterations
+        t = {r: model.ca_stencil_time_batched(1024, r) for r in (1, 3, 3 * M)}
+        assert t[3 * M] < t[3] < t[1]
+        with pytest.raises(ValueError):
+            model.ca_stencil_time_batched(1024, 0)
 
     def test_trapezoid_redundancy_shrinks_with_block_size(self):
         pm_small = PerformanceModel(paper_grid())

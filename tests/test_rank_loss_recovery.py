@@ -292,10 +292,15 @@ class TestObservability:
         assert {"failure-detect", "membership-rebuild",
                 "block-migrate"} <= names
 
-    def test_mttr_lands_in_the_makespan(self, tmp_path, params):
+    @pytest.mark.parametrize("policy", ["spare", "shrink"])
+    def test_mttr_lands_in_the_makespan(self, tmp_path, params, policy):
+        """Logical clocks, hence exact: recovering from one lost rank
+        costs a bounded share of what the fault-free run takes."""
         core = make_core("original-yz", params)
-        _, diag, report = run(core, tmp_path, "shrink", faults=loss_plan())
+        _, diag, report = run(
+            core, tmp_path, policy, spares=1, faults=loss_plan()
+        )
         clean_core = make_core("original-yz", params)
-        _, clean_diag, _ = run(clean_core, tmp_path / "clean", "shrink")
-        assert report.recovery_time > 0.0
+        _, clean_diag, _ = run(clean_core, tmp_path / "clean", policy, spares=1)
         assert diag.makespan > clean_diag.makespan
+        assert 0 < report.recovery_time / clean_diag.makespan < 0.5

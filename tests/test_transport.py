@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.driver import DynamicalCore
 from repro.simmpi import (
     CorruptedMessage,
     FaultPlan,
@@ -102,6 +103,24 @@ class TestRetransmission:
         assert rel.clocks == raw.clocks
         assert rel.results == raw.results
         assert all(s.retransmits == 0 for s in rel.stats)
+
+    @pytest.mark.parametrize("algorithm", ["original-yz", "ca"])
+    def test_fault_free_core_run_is_free(
+        self, algorithm, small_grid, one_iter_params, random_state
+    ):
+        """The same statement one level up, on everything a step sends:
+        the logical clocks are deterministic, so the fault-free overhead
+        of the reliable transport is not "small" but exactly zero."""
+        diags = {}
+        for label, transport in (("raw", None), ("reliable", TransportConfig())):
+            core = DynamicalCore(
+                small_grid, algorithm=algorithm, nprocs=NR,
+                params=one_iter_params, transport=transport,
+            )
+            _, diags[label] = core.run(random_state, 2)
+        assert diags["raw"].makespan > 0
+        assert diags["reliable"].makespan == diags["raw"].makespan
+        assert diags["reliable"].retransmits == 0
 
     def test_drop_healed_in_place(self):
         """A windowed drop is retransmitted inside the running program —
