@@ -19,8 +19,9 @@ advection) sweeps only the rows that can still be valid — the block plus
 ``H - u`` rows on each side that has a y-neighbour, and nothing beyond the
 block towards a pole, whose ghost rows are a local mirror kept filled to
 the stencil reach (:func:`update_windows`, Figure 4).  Every per-update
-operation — ``C``, ``A``/``L``, the polar filter, the axpy/midpoint, the
-pole fill — runs on that row window through views of the working arrays
+operation — ``C``, then ``A``/``L``, the polar filter and the update
+through :meth:`TendencyEngine.update`, the pole fill — runs on that row
+window through views of the working arrays
 (:class:`repro.core.rowslab.RowSlab`); ``S1`` runs on the block
 rows, ``S2`` on the received rows.  The approximate nonlinear iteration
 (Sec. 4.2.2) reuses the cached ``C`` bundle for the first internal update
@@ -118,8 +119,8 @@ class CommAvoidingRank(RankContext):
         # ---- the row-window schedule (built once per rank) ----
         slab = self.engine.slab
         #: row window of each of the 3M adaptation / 3 advection updates.
-        #: One window (reach 1) serves the update's C, A/L, filter, axpy
-        #: and midpoint: C-then-A still has y-reach 1, because the only C
+        #: One window (reach 1) serves the update's C, A/L, filter and
+        #: store: C-then-A still has y-reach 1, because the only C
         #: output A reads off-row is phi' at j + 1, which is column-local
         #: and hence valid on the window's margin row too.
         self.adapt = [slab(lo, hi) for lo, hi in update_windows(self.geom, 3 * M)]
@@ -303,7 +304,7 @@ class CommAvoidingRank(RankContext):
     # ------------------------------------------------------------------
     # the windowed internal updates
     # ------------------------------------------------------------------
-    def update(
+    def window_update(
         self,
         kind: str,
         slab: RowSlab,
@@ -312,20 +313,15 @@ class CommAvoidingRank(RankContext):
         vd: VerticalDiagnostics,
         dt: float,
         out: ModelState,
+        midpoint: bool = False,
     ) -> ModelState:
         """One internal update ``base + dt * F(T(psi))`` (``T`` =
         ``"adaptation"``: ``C-hat + A-hat`` with the bundle ``vd``;
-        ``"advection"``: ``L``) on the rows of ``slab``, then the pole /
-        z-edge ghost fill of ``out``."""
-        slab.update(self.engine, kind, psi, base, vd, dt, out)
-        self.fill_bc(out)
-        return out
-
-    def midpoint(
-        self, slab: RowSlab, a: ModelState, b: ModelState, out: ModelState
-    ) -> ModelState:
-        """``(a + b) / 2`` on the rows of ``slab`` (+ ghost fill)."""
-        slab.midpoint(a, b, out)
+        ``"advection"``: ``L``) — with ``midpoint`` its mean with ``base``
+        — on the rows of ``slab``, then the pole / z-edge ghost fill of
+        ``out``.  Charged by the program (:meth:`charge_update` and the
+        overlap split), not here."""
+        self.engine.update(kind, psi, base, vd, dt, out, slab, midpoint)
         self.fill_bc(out)
         return out
 
@@ -461,20 +457,20 @@ def ca_program(comm: SimComm, cfg: DistributedConfig):
                     ctx.charge_outer(W.adaptation, w1)
                 else:
                     ctx.charge(W.adaptation, w1.npoints)
-                eta1 = ctx.update(
+                eta1 = ctx.window_update(
                     "adaptation", w1, psi, psi, vd1, dt1, scr(psi)
                 )
 
                 vd2 = ctx.vd_stale = ctx.vertical_fresh(eta1, w2)
                 ctx.charge(W.adaptation, w2.npoints)
-                eta2 = ctx.update(
-                    "adaptation", w2, eta1, psi, vd2, dt1, scr(psi, eta1)
+                mid = ctx.window_update(
+                    "adaptation", w2, eta1, psi, vd2, dt1, scr(psi, eta1),
+                    midpoint=True,
                 )
 
-                mid = ctx.midpoint(w2, psi, eta2, scr(psi, eta2))
                 vd3 = ctx.vd_stale = ctx.vertical_fresh(mid, w3)
                 ctx.charge(W.adaptation, w3.npoints)
-                psi = ctx.update(
+                psi = ctx.window_update(
                     "adaptation", w3, mid, psi, vd3, dt1, scr(psi, mid)
                 )
                 ctx.charge_update([w1, w2, w3])
@@ -504,19 +500,18 @@ def ca_program(comm: SimComm, cfg: DistributedConfig):
                 ctx.charge_outer(W.advection, L[0])
             else:
                 ctx.charge(W.advection, L[0].npoints)
-            zeta1 = ctx.update(
+            zeta1 = ctx.window_update(
                 "advection", L[0], psi, psi, vd_frozen, dt2, scr(psi)
             )
 
             ctx.charge(W.advection, L[1].npoints)
-            zeta2 = ctx.update(
+            mid = ctx.window_update(
                 "advection", L[1], zeta1, psi, vd_frozen, dt2,
-                scr(psi, zeta1),
+                scr(psi, zeta1), midpoint=True,
             )
 
-            mid = ctx.midpoint(L[1], psi, zeta2, scr(psi, zeta2))
             ctx.charge(W.advection, L[2].npoints)
-            xi_pre = ctx.update(
+            xi_pre = ctx.window_update(
                 "advection", L[2], mid, psi, vd_frozen, dt2, scr(psi, mid)
             )
             ctx.charge_update(L)

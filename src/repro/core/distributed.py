@@ -138,16 +138,16 @@ class RankContext:
         self.kernels = kernel_set(cfg.kernel_tier, cfg.kernel_backend)
         self.smoothers = smoothers_for(cfg.params)
         self._vd_last: VerticalDiagnostics | None = None
-        if cfg.c_method == "scan" and decomp.pz > 1:
-            self.engine = TendencyEngine(
-                self.geom, cfg.params, scan_z=self._make_scan(), ws=self.ws,
-                kernels=self.kernels,
-            )
-        else:
-            self.engine = TendencyEngine(
-                self.geom, cfg.params, gather_z=self._make_gather(), ws=self.ws,
-                kernels=self.kernels,
-            )
+        z_hook = (
+            {"scan_z": self._make_scan()}
+            if cfg.c_method == "scan" and decomp.pz > 1
+            else {"gather_z": self._make_gather()}
+        )
+        self.engine = TendencyEngine(
+            self.geom, cfg.params, ws=self.ws, kernels=self.kernels,
+            filter_x=None if self.geom.full_x else self._filter_distributed,
+            **z_hook,
+        )
         # distributed-filter factors (X-Y / 3-D case): full-circle cutoffs
         if not self.geom.full_x:
             nx = cfg.grid.nx
@@ -272,37 +272,31 @@ class RankContext:
         self.c_calls += 1
         return vd
 
-    def filtered_adaptation(
-        self, state: ModelState, vd: VerticalDiagnostics
+    def update(
+        self,
+        kind: str,
+        psi: ModelState,
+        base: ModelState,
+        vd: VerticalDiagnostics,
+        dt: float,
+        out: ModelState,
+        midpoint: bool = False,
     ) -> ModelState:
-        self.charge(self.cfg.weights.adaptation, self._wpoints)
-        tend = self.engine.adaptation(state, vd)
-        self._apply_filter(tend)
-        return tend
-
-    def filtered_advection(
-        self, state: ModelState, vd: VerticalDiagnostics
-    ) -> ModelState:
-        self.charge(self.cfg.weights.advection, self._wpoints)
-        tend = self.engine.advection(state, vd)
-        self._apply_filter(tend)
-        return tend
-
-    def _apply_filter(self, tend: ModelState) -> None:
-        """Polar filter: local under full x, x-collective otherwise."""
-        g = self.geom
-        if g.full_x:
-            pf = self.engine.polar_filter
-            if pf is not None and pf.active:
-                self.charge(
-                    self.cfg.weights.filter_fft
-                    * math.log2(g.grid.nx)
-                    * pf.n_filtered_rows,
-                    g.shape3d[0] * g.grid.nx,
-                )
-                pf.apply_state(tend)
-            return
-        self._filter_distributed(tend)
+        """One charged internal update on the whole working array
+        (:meth:`TendencyEngine.update`): ``base + dt * F(T(psi))``, ``F``
+        local under full x and the x-line collective otherwise."""
+        W = self.cfg.weights
+        self.charge(getattr(W, kind), self._wpoints)
+        pf = self.engine.polar_filter
+        if pf is not None and pf.active:
+            g = self.geom
+            self.charge(
+                W.filter_fft * math.log2(g.grid.nx) * pf.n_filtered_rows,
+                g.shape3d[0] * g.grid.nx,
+            )
+        self.engine.update(kind, psi, base, vd, dt, out, midpoint=midpoint)
+        self.charge(W.update, self._wpoints)
+        return out
 
     def _filter_distributed(self, tend: ModelState) -> None:
         """Gather full latitude circles along the x line, filter, scatter.
@@ -436,11 +430,11 @@ class RankContext:
             slice(gy, gy + g.extent.ny),
             slice(gx, gx + g.extent.nx),
         )
+        # straight from the slice views: one copy per block, not two
+        ext = self.extent
         for name in ("U", "V", "Phi"):
-            getattr(w, name)[sl3] = self.cfg.decomp.scatter(
-                getattr(global_state, name), self.comm.rank
-            )
-        w.psa[sl3[1:]] = self.cfg.decomp.scatter(global_state.psa, self.comm.rank)
+            getattr(w, name)[sl3] = getattr(global_state, name)[ext.slices3d()]
+        w.psa[sl3[1:]] = global_state.psa[ext.slices2d()]
         return w
 
     def record_telemetry(self, step: int, w: ModelState) -> None:
@@ -511,17 +505,6 @@ class RankResult:
     ws_counters: dict | None = None
 
 
-def _update(
-    psi: ModelState,
-    dt: float,
-    tend: ModelState,
-    ctx: RankContext,
-    out: ModelState,
-) -> ModelState:
-    ctx.charge(ctx.cfg.weights.update, ctx._wpoints)
-    return psi.axpy_into(dt, tend, out)
-
-
 def original_program(comm: SimComm, cfg: DistributedConfig):
     """Build Algorithm 1 under ``cfg.decomp`` (X-Y, Y-Z or 3-D) on one rank.
 
@@ -553,42 +536,37 @@ def original_program(comm: SimComm, cfg: DistributedConfig):
             # ---- adaptation: M iterations x 3 internal updates ----
             for _i in range(M):
                 vd = ctx.vertical_fresh(psi)
-                eta1 = _update(
-                    psi, dt1, ctx.filtered_adaptation(psi, vd), ctx, scr(psi)
-                )
+                eta1 = ctx.update("adaptation", psi, psi, vd, dt1, scr(psi))
                 ctx.refresh_halos(eta1)
 
+                # the second update lands as the midpoint (psi + eta2) / 2,
+                # the state the third one evaluates
                 vd = ctx.vertical_fresh(eta1)
-                eta2 = _update(
-                    psi, dt1, ctx.filtered_adaptation(eta1, vd), ctx,
-                    scr(psi, eta1),
+                mid = ctx.update(
+                    "adaptation", eta1, psi, vd, dt1, scr(psi, eta1),
+                    midpoint=True,
                 )
-                ctx.refresh_halos(eta2)
+                ctx.refresh_halos(mid)
 
-                mid = ModelState.midpoint_into(psi, eta2, scr(psi, eta2))
                 vd = ctx.vertical_fresh(mid)
-                psi = _update(
-                    psi, dt1, ctx.filtered_adaptation(mid, vd), ctx,
-                    scr(psi, mid),
+                psi = ctx.update(
+                    "adaptation", mid, psi, vd, dt1, scr(psi, mid)
                 )
                 ctx.refresh_halos(psi)
             vd_frozen = vd
 
             # ---- advection: one iteration, 3 internal updates ----
-            zeta1 = _update(
-                psi, dt2, ctx.filtered_advection(psi, vd_frozen), ctx,
-                scr(psi),
+            zeta1 = ctx.update(
+                "advection", psi, psi, vd_frozen, dt2, scr(psi)
             )
             ctx.refresh_halos(zeta1)
-            zeta2 = _update(
-                psi, dt2, ctx.filtered_advection(zeta1, vd_frozen), ctx,
-                scr(psi, zeta1),
+            mid = ctx.update(
+                "advection", zeta1, psi, vd_frozen, dt2, scr(psi, zeta1),
+                midpoint=True,
             )
-            ctx.refresh_halos(zeta2)
-            mid = ModelState.midpoint_into(psi, zeta2, scr(psi, zeta2))
-            psi = _update(
-                psi, dt2, ctx.filtered_advection(mid, vd_frozen), ctx,
-                scr(psi, mid),
+            ctx.refresh_halos(mid)
+            psi = ctx.update(
+                "advection", mid, psi, vd_frozen, dt2, scr(psi, mid)
             )
             ctx.refresh_halos(psi)
 

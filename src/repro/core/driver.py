@@ -22,6 +22,7 @@ from repro.constants import DEFAULT_PARAMETERS, ModelParameters
 from repro.core.comm_avoiding import ca_program
 from repro.core.distributed import DistributedConfig, original_program, resident
 from repro.core.integrator import SerialCore
+from repro.kernels import kernel_set
 from repro.obs.config import ObsConfig, Observation
 from repro.obs.metrics import (
     absorb_comm_stats,
@@ -440,6 +441,10 @@ class DynamicalCore:
             if world is None or not world.is_open or key != self._world_key:
                 if world is not None:
                     world.close()
+                # resolve the kernel tier before the fork: ranks inherit
+                # the loaded library instead of each asking the compiler
+                # for its banner, hashing the source and dlopening the hit
+                kernel_set(cfg.kernel_tier, cfg.kernel_backend).describe()
                 world = self._world = RankWorld(
                     decomp.nranks, program, machine=cfg.machine,
                     verify_checksums=verify_checksums, transport=transport,

@@ -135,23 +135,21 @@ class SerialCore:
             vd1 = self._vd_stale  # the stale bundle: C(psi^{i-2}) + O(dt1)
         else:
             vd1 = self._vertical_fresh(psi)
-        eta1 = psi.axpy_into(
-            dt1, eng.apply_filter(eng.adaptation(psi, vd1)), ring.scratch(psi)
-        )
+        eta1 = eng.update("adaptation", psi, psi, vd1, dt1, ring.scratch(psi))
         eng.fill_physical_ghosts(eta1)
 
+        # the second update lands as the midpoint (psi + eta2) / 2 — the
+        # state the third one evaluates; eta2 itself is never needed
         vd2 = self._vertical_fresh(eta1)
-        eta2 = psi.axpy_into(
-            dt1, eng.apply_filter(eng.adaptation(eta1, vd2)),
-            ring.scratch(psi, eta1),
+        mid = eng.update(
+            "adaptation", eta1, psi, vd2, dt1, ring.scratch(psi, eta1),
+            midpoint=True,
         )
-        eng.fill_physical_ghosts(eta2)
+        eng.fill_physical_ghosts(mid)
 
-        mid = ModelState.midpoint_into(psi, eta2, ring.scratch(psi, eta2))
         vd3 = self._vertical_fresh(mid)
-        eta3 = psi.axpy_into(
-            dt1, eng.apply_filter(eng.adaptation(mid, vd3)),
-            ring.scratch(psi, mid),
+        eta3 = eng.update(
+            "adaptation", mid, psi, vd3, dt1, ring.scratch(psi, mid)
         )
         eng.fill_physical_ghosts(eta3)
         return eta3
@@ -172,19 +170,15 @@ class SerialCore:
         vd = self._vd_stale
         if vd is None:  # pragma: no cover - adaptation always ran
             vd = self._vertical_fresh(psi)
-        zeta1 = psi.axpy_into(
-            dt2, eng.apply_filter(eng.advection(psi, vd)), ring.scratch(psi)
-        )
+        zeta1 = eng.update("advection", psi, psi, vd, dt2, ring.scratch(psi))
         eng.fill_physical_ghosts(zeta1)
-        zeta2 = psi.axpy_into(
-            dt2, eng.apply_filter(eng.advection(zeta1, vd)),
-            ring.scratch(psi, zeta1),
+        mid = eng.update(
+            "advection", zeta1, psi, vd, dt2, ring.scratch(psi, zeta1),
+            midpoint=True,
         )
-        eng.fill_physical_ghosts(zeta2)
-        mid = ModelState.midpoint_into(psi, zeta2, ring.scratch(psi, zeta2))
-        zeta3 = psi.axpy_into(
-            dt2, eng.apply_filter(eng.advection(mid, vd)),
-            ring.scratch(psi, mid),
+        eng.fill_physical_ghosts(mid)
+        zeta3 = eng.update(
+            "advection", mid, psi, vd, dt2, ring.scratch(psi, mid)
         )
         eng.fill_physical_ghosts(zeta3)
 

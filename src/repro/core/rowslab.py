@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.dispatch import Store
 from repro.operators.adaptation import AdaptationGeomCache
 from repro.operators.advection import AdvectionGeomCache
 from repro.operators.filter import PolarFilter, apply_filter_rows
@@ -61,6 +62,65 @@ def vd_rows(vd: VerticalDiagnostics, rows: slice) -> VerticalDiagnostics:
         phi_prime=vd.phi_prime[:, rows, :],
         p_fac=vd.p_fac[rows, :],
     )
+
+
+class FilterRows:
+    """The polar filter restricted to the target rows ``[lo, hi)`` of a
+    pass over the working rows ``view``.
+
+    Per row family (``"c"`` / ``"v"``): ``subset[fam]`` is the filter's
+    row mask in view coordinates — also the per-row flag by which a
+    tendency kernel leaves a row's update to the caller — with the damping
+    factors of its rows; ``bands[fam]`` the same rows as contiguous slices
+    in working coordinates.  Over passes whose target rows partition the
+    working rows every masked row is filtered exactly once.  Without a
+    filter (a split latitude circle) both are empty.
+    """
+
+    def __init__(
+        self, polar_filter: PolarFilter | None, lo: int, hi: int, view: slice
+    ) -> None:
+        self.view, self.rows = view, slice(lo, hi)
+        self.subset: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.bands: dict[str, list[slice]] = {}
+        if polar_filter is None:
+            return
+        for fam, mask, factors in (
+            ("c", polar_filter.mask_c, polar_filter.factors_c),
+            ("v", polar_filter.mask_v, polar_filter.factors_v),
+        ):
+            sub = np.zeros_like(mask)
+            sub[lo:hi] = mask[lo:hi]
+            self.subset[fam] = (sub[view].copy(), factors[sub[mask]])
+            edges = np.flatnonzero(np.diff(sub, prepend=False, append=False))
+            self.bands[fam] = [
+                slice(a, b) for a, b in zip(edges[::2], edges[1::2])
+            ]
+
+    def apply(self, tend: ModelState) -> None:
+        """``F`` on the masked target rows of ``tend``, in place."""
+        for name in FIELD_NAMES:
+            mask, factors = self.subset[FIELD_FAMILY[name]]
+            if len(factors):
+                apply_filter_rows(
+                    getattr(tend, name)[..., self.view, :], mask, factors
+                )
+
+    def store(
+        self, base: ModelState, dt: float, out: ModelState, midpoint: bool
+    ) -> Store | None:
+        """The update ``out = base + dt * tendency`` on the target rows,
+        for a tendency kernel of this pass to fold into its store — or
+        ``None`` without a local filter (every row waits for the x-line
+        collective)."""
+        if not self.subset:
+            return None
+        v = self.view
+        return Store(
+            state_rows(base, v), state_rows(out, v), dt, midpoint,
+            (self.rows.start - v.start, self.rows.stop - v.start),
+            self.subset["c"][0], self.subset["v"][0],
+        )
 
 
 class RowSlab:
@@ -109,56 +169,38 @@ class RowSlab:
         self._adapt_cache: AdaptationGeomCache | None = None
         self._advec_cache: AdvectionGeomCache | None = None
         self._vert_cache: VerticalGeomCache | None = None
-        # polar-filter subset: slab-coordinate masks and the factor rows of
-        # the target rows (the union over all slabs of a pass covers every
-        # masked working row exactly once)
-        self._filter: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        if polar_filter is not None:
-            for fam, (mask, factors) in (
-                ("c", (polar_filter.mask_c, polar_filter.factors_c)),
-                ("v", (polar_filter.mask_v, polar_filter.factors_v)),
-            ):
-                sub = np.zeros_like(mask)
-                sub[self.rows] = mask[self.rows]
-                idx = np.flatnonzero(mask)
-                keep = (idx >= lo) & (idx < hi)
-                self._filter[fam] = (sub[self.view].copy(), factors[keep])
+        #: the polar filter on this slab's target rows
+        self.polar = FilterRows(polar_filter, lo, hi, self.view)
 
     # ---- the operators on the slab ----------------------------------------
-    def adaptation(
+    def tendency(
         self,
+        kind: str,
         kernels,
         params,
         ws,
         state: ModelState,
         vd: VerticalDiagnostics,
         tend: ModelState,
+        store: Store | None = None,
     ) -> None:
-        """``C-hat + A-hat`` of the view rows into the view rows of
+        """The ``kind`` tendency (``"adaptation"``: ``C-hat + A-hat``;
+        ``"advection"``: ``L``) of the view rows into the view rows of
         ``tend`` (valid on the target rows)."""
-        if self._adapt_cache is None:
-            self._adapt_cache = AdaptationGeomCache(self.geom)
-        kernels.adaptation(
+        s, v, t = (
             state_rows(state, self.view), vd_rows(vd, self.view),
-            self.geom, params, ws, state_rows(tend, self.view),
-            self._adapt_cache,
+            state_rows(tend, self.view),
         )
-
-    def advection(
-        self,
-        kernels,
-        ws,
-        state: ModelState,
-        vd: VerticalDiagnostics,
-        tend: ModelState,
-    ) -> None:
-        """``L`` of the view rows into the view rows of ``tend``."""
-        if self._advec_cache is None:
-            self._advec_cache = AdvectionGeomCache(self.geom)
-        kernels.advection(
-            state_rows(state, self.view), vd_rows(vd, self.view),
-            self.geom, ws, state_rows(tend, self.view), self._advec_cache,
-        )
+        if kind == "adaptation":
+            if self._adapt_cache is None:
+                self._adapt_cache = AdaptationGeomCache(self.geom)
+            kernels.adaptation(
+                s, v, self.geom, params, ws, t, self._adapt_cache, store
+            )
+        else:
+            if self._advec_cache is None:
+                self._advec_cache = AdvectionGeomCache(self.geom)
+            kernels.advection(s, v, self.geom, ws, t, self._advec_cache, store)
 
     def vertical(
         self,
@@ -177,57 +219,6 @@ class RowSlab:
             s.U, s.V, s.Phi, s.psa, self.geom, gather, ws,
             self._vert_cache, scan=scan, out=vd_rows(out, self.view),
         )
-
-    def apply_filter(self, tend: ModelState) -> None:
-        """The polar filter on the masked target rows of ``tend``."""
-        for name in FIELD_NAMES:
-            mask, factors = self._filter.get(FIELD_FAMILY[name], (None, None))
-            if mask is not None and len(factors):
-                apply_filter_rows(
-                    getattr(tend, name)[..., self.view, :], mask, factors
-                )
-
-    def axpy(
-        self, base: ModelState, dt: float, tend: ModelState, out: ModelState
-    ) -> None:
-        """``out[rows] = base[rows] + dt * tend[rows]``.
-
-        The same two-ufunc sequence as ``ModelState.axpy_into``, applied to
-        the target rows only (bit-identical per element).
-        """
-        for name in FIELD_NAMES:
-            b = getattr(base, name)[..., self.rows, :]
-            t = getattr(tend, name)[..., self.rows, :]
-            o = getattr(out, name)[..., self.rows, :]
-            np.multiply(t, dt, out=o)
-            np.add(b, o, out=o)
-
-    def update(
-        self,
-        eng,
-        kind: str,
-        psi: ModelState,
-        base: ModelState,
-        vd: VerticalDiagnostics,
-        dt: float,
-        out: ModelState,
-    ) -> None:
-        """Rows ``[lo, hi)`` of ``base + dt * F(T(psi))``, ``T`` being the
-        engine's ``"adaptation"`` or ``"advection"`` tendency."""
-        tend = getattr(eng, kind)(psi, vd, self)
-        eng.apply_filter(tend, self)
-        self.axpy(base, dt, tend, out)
-
-    def midpoint(
-        self, a: ModelState, b: ModelState, out: ModelState
-    ) -> None:
-        """Rows ``[lo, hi)`` of ``(a + b) / 2`` (elementwise; margin 0)."""
-        for name in FIELD_NAMES:
-            x = getattr(a, name)[..., self.rows, :]
-            y = getattr(b, name)[..., self.rows, :]
-            t = getattr(out, name)[..., self.rows, :]
-            np.add(x, y, out=t)
-            np.multiply(t, 0.5, out=t)
 
     def smooth_field(
         self, kernels, ws, sm: FieldSmoother, a: np.ndarray, out: np.ndarray

@@ -3,7 +3,9 @@ Algorithm 1 / Algorithm 2.
 
 One :class:`TendencyEngine` owns a working geometry, the polar filter and
 the (optional) z-collective hook, and exposes the two composite
-evaluations the integrators need:
+evaluations the integrators need — each as a plain tendency and, through
+the one door :meth:`TendencyEngine.update`, as a finished internal update
+``base + dt F(tendency)``:
 
 * ``F (C-hat + A-hat)`` — the adaptation tendency (optionally with a
   *cached* ``C`` bundle, the approximate nonlinear iteration of
@@ -19,12 +21,16 @@ job and happens before these evaluations are called.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
 
 from repro.constants import ModelParameters
-from repro.core.rowslab import RowSlab
+from repro.core.rowslab import FIELD_FAMILY, FilterRows, RowSlab
 from repro.core.workspace import Workspace
 from repro.kernels import KernelSet, kernel_set
-from repro.obs.spans import traced
+from repro.kernels.dispatch import Store
+from repro.obs.spans import span, traced
 from repro.operators.adaptation import AdaptationGeomCache
 from repro.operators.advection import AdvectionGeomCache
 from repro.operators.filter import PolarFilter
@@ -39,7 +45,7 @@ from repro.operators.vertical import (
     VerticalDiagnostics,
     VerticalGeomCache,
 )
-from repro.state.variables import ModelState
+from repro.state.variables import FIELD_NAMES, ModelState
 
 
 @dataclass
@@ -65,6 +71,9 @@ class TendencyEngine:
     #: alternative volume-optimal C collective: (exscan_fn, allreduce_fn)
     #: on the z line; takes precedence over ``gather_z`` when set
     scan_z: tuple | None = None
+    #: the ``F`` operator where the latitude circle is split (``geom.full_x``
+    #: false): filters a tendency in place through the x-line collective
+    filter_x: Callable[[ModelState], None] | None = None
     #: per-rank scratch-buffer pool of the operator evaluations
     ws: Workspace = field(default_factory=Workspace)
     #: the kernel object (:class:`repro.kernels.KernelSet`) every operator
@@ -79,6 +88,9 @@ class TendencyEngine:
         self._advec_cache = AdvectionGeomCache(self.geom)
         self._tend = ModelState.zeros(self.geom.shape3d)
         self._slabs: dict[tuple[int, int, int], RowSlab] = {}
+        #: the filter's rows on the whole working array
+        ny_w = self.geom.shape2d[0]
+        self._polar = FilterRows(self.polar_filter, 0, ny_w, slice(0, ny_w))
 
     def slab(self, lo: int, hi: int, margin: int = 1) -> RowSlab:
         """The (cached) row window ``[lo, hi)`` of this engine's working
@@ -139,7 +151,28 @@ class TendencyEngine:
         )
 
     # ---- composite tendencies ----------------------------------------------------
-    @traced("adaptation", "tendency")
+    def _tendency(
+        self, kind: str, state: ModelState, vd: VerticalDiagnostics,
+        slab: RowSlab | None, store: Store | None = None,
+    ) -> ModelState:
+        with span(kind, "tendency"):
+            if slab is not None:
+                slab.tendency(
+                    kind, self.kernels, self.params, self.ws, state, vd,
+                    self._tend, store,
+                )
+            elif kind == "adaptation":
+                self.kernels.adaptation(
+                    state, vd, self.geom, self.params,
+                    self.ws, self._tend, self._adapt_cache, store,
+                )
+            else:
+                self.kernels.advection(
+                    state, vd, self.geom, self.ws, self._tend,
+                    self._advec_cache, store,
+                )
+        return self._tend
+
     def adaptation(
         self,
         state: ModelState,
@@ -151,21 +184,11 @@ class TendencyEngine:
         ``vd`` may be the *fresh* diagnostics of ``state`` (original
         algorithm) or a cached bundle from an earlier iterate (the
         approximate nonlinear iteration): the caller decides, which is the
-        whole point of the Sec. 4.2.2 optimization.  The caller applies
-        the ``F`` operator (:meth:`apply_filter` locally, or the x-line
-        collective of the distributed X-Y core).
+        whole point of the Sec. 4.2.2 optimization.  :meth:`update` is the
+        door that also applies ``F`` and the update.
         """
-        if slab is not None:
-            slab.adaptation(
-                self.kernels, self.params, self.ws, state, vd, self._tend
-            )
-            return self._tend
-        return self.kernels.adaptation(
-            state, vd, self.geom, self.params,
-            self.ws, self._tend, self._adapt_cache,
-        )
+        return self._tendency("adaptation", state, vd, slab)
 
-    @traced("advection", "tendency")
     def advection(
         self,
         state: ModelState,
@@ -174,22 +197,69 @@ class TendencyEngine:
     ) -> ModelState:
         """``L``: the (unfiltered) advection tendency with frozen
         ``sigma-dot``."""
-        if slab is not None:
-            slab.advection(self.kernels, self.ws, state, vd, self._tend)
-            return self._tend
-        return self.kernels.advection(
-            state, vd, self.geom, self.ws, self._tend, self._advec_cache,
-        )
+        return self._tendency("advection", state, vd, slab)
 
     @traced("polar-filter", "tendency")
     def apply_filter(
         self, tend: ModelState, slab: RowSlab | None = None
     ) -> ModelState:
-        """The ``F`` operator, local full-circle variant (requires
-        ``geom.full_x``); with ``slab``, on its masked target rows only."""
+        """The ``F`` operator: the local full-circle variant where
+        ``geom.full_x`` (with ``slab``, on its masked target rows only),
+        else the ``filter_x`` hook."""
         if self.polar_filter is None:
-            raise RuntimeError("no local polar filter on a split-x geometry")
-        if slab is not None:
-            slab.apply_filter(tend)
-            return tend
-        return self.polar_filter.apply_state(tend)
+            if self.filter_x is None:
+                raise RuntimeError(
+                    "no local polar filter on a split-x geometry"
+                )
+            self.filter_x(tend)
+        else:
+            (self._polar if slab is None else slab.polar).apply(tend)
+        return tend
+
+    # ---- the internal update ---------------------------------------------------
+    def update(
+        self,
+        kind: str,
+        psi: ModelState,
+        base: ModelState,
+        vd: VerticalDiagnostics,
+        dt: float,
+        out: ModelState,
+        slab: RowSlab | None = None,
+        midpoint: bool = False,
+    ) -> ModelState:
+        """One internal update, ``out = base + dt * F(T(psi))`` with ``T``
+        the ``kind`` tendency (``"adaptation"`` / ``"advection"``) under
+        the bundle ``vd`` — with ``midpoint`` the mean of that and ``base``,
+        the state the third update of an iteration evaluates — on the
+        target rows of ``slab`` (default: every working row) and on no
+        other row of ``out``, which must be neither ``psi`` nor ``base``.
+
+        Bit for bit tendency -> :meth:`apply_filter` -> ``axpy_into``
+        (-> ``midpoint_into``): a fused kernel folds the update into its
+        store wherever the polar filter leaves the row alone; the
+        filtered rows, and every row of a field no kernel finished, are
+        updated here with the same ufuncs.
+        """
+        if out is psi or out is base:
+            raise ValueError("an update must not overwrite its inputs")
+        polar = self._polar if slab is None else slab.polar
+        store = polar.store(base, dt, out, midpoint)
+        tend = self.apply_filter(
+            self._tendency(kind, psi, vd, slab, store), slab
+        )
+        for name in FIELD_NAMES:
+            if store is not None and name in store.done:
+                bands = polar.bands[FIELD_FAMILY[name]]
+            else:
+                bands = [polar.rows]
+            for rows in bands:
+                b, t, o = (
+                    getattr(s, name)[..., rows, :] for s in (base, tend, out)
+                )
+                np.multiply(t, dt, out=o)
+                np.add(b, o, out=o)
+                if midpoint:
+                    np.add(b, o, out=o)
+                    np.multiply(o, 0.5, out=o)
+        return out

@@ -132,13 +132,21 @@ _L = ctypes.c_long
 _D = ctypes.c_double
 _I = ctypes.c_int
 
+#: the store-mode arguments of a tendency kernel, up to its base and out
+#: fields: mode, j0, j1, polar_c, polar_v, dt
+_STORE = [_I, _L, _L, _VP, _VP, _D]
+
 #: ``(restype, argtypes)`` per exported function (pointers are passed as
 #: raw addresses); the stencil kernels return nonzero for a surface
 #: pressure at or below the model top
 _SIGNATURES = {
     "smooth_full": (None, [_VP] * 3 + [_L] * 6 + [_D] * 3 + [_I] * 2),
-    "advection": (_I, [_VP] * 12 + [_D] * 4 + [_L] * 4 + [_VP] * 9),
-    "adaptation": (_I, [_VP] * 17 + [_D] * 11 + [_L] * 4 + [_VP] * 5),
+    "advection": (
+        _I, [_VP] * 12 + [_D] * 4 + [_L] * 4 + [_VP] * 6 + _STORE + [_VP] * 6,
+    ),
+    "adaptation": (
+        _I, [_VP] * 17 + [_D] * 11 + [_L] * 4 + [_VP] * 6 + _STORE + [_VP] * 8,
+    ),
     "vertical": (_I, [_VP] * 9 + [_D] * 5 + [_L] * 4 + [_VP] * 8),
     "rdiv_array": (None, [_VP] * 3 + [_L]),
     "division_is_reciprocal_fma": (_I, []),
@@ -252,16 +260,40 @@ def _check_pressure(bad: int) -> None:
         raise ValueError("surface pressure must exceed the model-top pressure")
 
 
-def advection_c(
-    lib, U, V, Phi, psa, sdot, rows, dsig, dlam, dth, scratch, tU, tV, tPhi,
-    ps: int,
-) -> None:
-    """The full advection tendency (negated), bit-identical to the ws path.
+def _store_args(store, ny: int, names: tuple[str, ...]) -> list:
+    """The store-mode tail of a tendency kernel's argument list: the plain
+    tendency on every row without ``store`` (a
+    :class:`repro.kernels.dispatch.Store`), else its update on rows
+    ``store.rows``."""
+    if store is None:
+        return [0, 0, ny, None, None, 0.0] + [None] * (2 * len(names))
+    j0, j1 = store.rows
+    flags = (store.polar_c, store.polar_v)
+    if not 0 <= j0 <= j1 <= ny or any(
+        f.dtype != np.bool_ or f.shape != (ny,) or not f.flags.c_contiguous
+        for f in flags
+    ):
+        raise ValueError("store rows / polar flags do not fit the arrays")
+    return [
+        2 if store.midpoint else 1, j0, j1,
+        flags[0].ctypes.data, flags[1].ctypes.data, store.dt,
+        *(_p(getattr(store.base, n)) for n in names),
+        *(_p(getattr(store.out, n)) for n in names),
+    ]
 
-    ``rows`` is the dict of flat per-row metric arrays; ``scratch`` a dict
-    of pooled buffers (vel/vs/flux 3-D, sstag/fbar interface-sized, tab
-    the ``(TABLE_PLANES, ny, nx)`` table block); ``ps`` the plane stride
-    shared by every 3-D array, scratch included.
+
+def advection_c(
+    lib, U, V, Phi, psa, sdot, rows, dlam, dth, tab, rowbuf,
+    tU, tV, tPhi, ps: int, store=None,
+) -> None:
+    """The full advection tendency (negated), bit-identical to the ws path
+    — or, with ``store``, the update it feeds (the caller finishes the
+    polar rows and ``p'_sa``).
+
+    ``rows`` is the dict of flat per-row metric arrays; ``tab`` the
+    ``(TABLE_PLANES, ny, nx)`` table block and ``rowbuf`` the flat
+    ``ROW_BUFFERS * nx`` row-buffer block, both pooled scratch; ``ps`` the
+    plane stride shared by every 3-D array, the table block included.
     """
     nz, ny, nx = U.shape
     _check_pressure(lib.advection(
@@ -269,25 +301,25 @@ def advection_c(
         _p(rows["sin_c"]), _p(rows["sin_v"]),
         _p(rows["pre_c"]), _p(rows["pre_v"]),
         _p(rows["tas_c"]), _p(rows["tas_v"]),
-        _p(dsig), dlam, dth, constants.P_REFERENCE, constants.P_TOP,
+        _p(rows["dsig"]), dlam, dth, constants.P_REFERENCE, constants.P_TOP,
         nz, ny, nx, ps,
-        _p(scratch["vel"]),
-        _p(scratch["vs"]), _p(scratch["flux"]),
-        _p(scratch["sstag"]), _p(scratch["fbar"]),
-        _p(scratch["tab"]),
+        _p(tab), _p(rowbuf[nx:]), _p(rowbuf),
         _p(tU), _p(tV), _p(tPhi),
+        *_store_args(store, ny, ("U", "V", "Phi")),
     ))
 
 
 def adaptation_c(
     lib, U, V, Phi, psa, t_ref, phi_p, w_if, col_sum, rows,
-    a, dlam, dth, coeff, tab, tU, tV, tPhi, tpsa, ps: int,
+    a, dlam, dth, coeff, tab, rowbuf, tU, tV, tPhi, tpsa, ps: int,
+    store=None,
 ) -> None:
-    """The whole adaptation tendency, ``p'_sa`` part included.
+    """The whole adaptation tendency, ``p'_sa`` part included — or, with
+    ``store``, the update it feeds (the caller finishes the polar rows).
 
     ``t_ref`` is the reference temperature at the surface pressure (the
-    one non-integer ``pow``, which stays in numpy); ``tab`` the
-    ``(TABLE_PLANES, ny, nx)`` table block.
+    one non-integer ``pow``, which stays in numpy); ``tab`` and ``rowbuf``
+    are the scratch blocks of :func:`advection_c`.
     """
     nz, ny, nx = U.shape
     _check_pressure(lib.adaptation(
@@ -302,7 +334,8 @@ def adaptation_c(
         constants.K_SA * constants.NU_SA / constants.P_REFERENCE,
         constants.KAPPA_STAR,
         nz, ny, nx, ps,
-        _p(tab), _p(tU), _p(tV), _p(tPhi), _p(tpsa),
+        _p(tab), _p(rowbuf), _p(tU), _p(tV), _p(tPhi), _p(tpsa),
+        *_store_args(store, ny, ("U", "V", "Phi", "psa")),
     ))
 
 

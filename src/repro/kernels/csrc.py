@@ -21,9 +21,17 @@ multiply-adds.  The reciprocal is taken once per call (scalars), once per
 row or level (metrics), or once per point of a 2-D *table pass* that runs
 before the level loops and also tabulates the k-invariant factors and
 quotients themselves.  Tables live in scratch the caller passes in (one
-``(TABLE_PLANES, ny, nx)`` block per call, from the rank's own workspace):
-the library holds no static, heap or variable-length-array storage, so
-ranks running as threads of one process never share a byte of it.
+``(TABLE_PLANES, ny, nx)`` block per call, from the rank's own workspace),
+as do the ``ROW_BUFFERS`` row buffers that hold everything between the
+fields and a tendency row: the library holds no static, heap or
+variable-length-array storage, so ranks running as threads of one process
+never share a byte of it.
+
+``adaptation`` and ``advection`` evaluate one row of one field at a time
+and have three *store modes* for it: the plain tendency, or — the update
+being a radius-0 stage — the next iterate ``base + dt t`` or the midpoint
+``((base + dt t) + base) / 2`` straight from the row buffer, the tendency
+never reaching memory (see ``store_row``).
 
 Compiled with ``-ffp-contract=off`` so no FMA *contraction* can change
 rounding; the two explicit ``fma`` calls inside ``rdiv`` are the only
@@ -46,9 +54,14 @@ on the same view.
 """
 
 #: planes of the 2-D table block every stencil kernel takes as scratch
-#: (``adaptation`` uses all of them, ``advection`` 8, ``vertical`` 6; one
+#: (``adaptation`` uses all of them, ``advection`` 8, ``vertical`` 7; one
 #: shape, so a workspace pools one block for all three)
 TABLE_PLANES = 9
+
+#: rows of the flat row-buffer block ``advection`` takes as scratch: the
+#: tendency row of a row that updates in place (all ``adaptation`` needs),
+#: the zonal advecting velocity, and two rolling flux-row pairs per field
+ROW_BUFFERS = 14
 
 C_SOURCE = r"""
 #include <math.h>
@@ -231,16 +244,113 @@ static void recip(const double *restrict s, long n, double *restrict d)
         d[e] = 1.0 / s[e];
 }
 
-/* ---- advection helper stages ----------------------------------------- */
+/* ---- the update, folded into a tendency's store ------------------------ */
+/* The update is a radius-0 stage, so it rides the store of the tendency
+   it consumes.  A tendency row is evaluated into one of two places.
+   Store mode STORE_TEND, or a row the polar filter still has to rewrite
+   (polar[j] != 0): the tendency array, raw.  Otherwise a row buffer that
+   never leaves the cache, folded straight into the next iterate by
+   store_row -- STORE_UPDATE: out = base + dt t (the two roundings of
+   np.multiply / np.add); STORE_MIDPOINT: out = ((base + dt t) + base) / 2
+   (the four of the update followed by ModelState.midpoint_into).  Only
+   rows [j0, j1) of a slab are evaluated, and base / out are touched on
+   the rows that update alone.                                          */
+#define STORE_TEND 0
+#define STORE_UPDATE 1
+#define STORE_MIDPOINT 2
 
-static void l1_pass(const double *restrict F, const double *restrict u,
-                    const double *restrict pre,
-                    double dlam, long nz, long ny, long nx, long ps,
-                    double *restrict out)
+static void store_row(const double *restrict t, const double *restrict b,
+                      double dt, int mode, long nx, double *restrict o)
 {
-    long k, j, i;
-    double d2 = 2.0 * dlam, rd2 = 1.0 / d2;
-#define L1(i_, m1_, p1_) do { \
+    long i;
+    if (mode == STORE_UPDATE)
+        for (i = 0; i < nx; i++) {
+            double p = t[i] * dt;
+            o[i] = b[i] + p;
+        }
+    else
+        for (i = 0; i < nx; i++) {
+            double p = t[i] * dt;
+            p = b[i] + p;
+            p = b[i] + p;
+            o[i] = p * 0.5;
+        }
+}
+
+/* ---- advection: the row stages ---------------------------------------- */
+/* L is evaluated per point, one row at a time, with everything between
+   the prognostic fields and the tendency held in row buffers: the zonal
+   advecting velocity of the row (ur), and the meridional mass flux
+   v sin(theta) (vs) with the field's flux F v sin(theta) (fx) on the two
+   interface rows around it -- two rolling pairs per field, each interface
+   row computed once per level.                                          */
+
+/* vs and fx on the v-row between Fc's centre row and Fn's (the next one).
+   stag != 0: v = to_u(V) / pd with pd = to_u(to_v(P)) (U's frame); else
+   v = V / pd with pd = to_v(P) (Phi's).                                 */
+static void flux_row_c(const double *restrict Fc, const double *restrict Fn,
+                       const double *restrict Vr,
+                       const double *restrict pd, const double *restrict rpd,
+                       double sj, int stag, long nx,
+                       double *restrict vs, double *restrict fx)
+{
+    long i;
+#define FLUX_C(i_, v_) do { \
+        double t = (v_); \
+        t = rdiv(t, pd[i_], rpd[i_]); \
+        t = t * sj; \
+        vs[i_] = t; \
+        double f = Fc[i_] + Fn[i_]; \
+        f = f * 0.5; \
+        fx[i_] = f * t; \
+    } while (0)
+    if (stag) {
+        FLUX_C(0, (Vr[nx - 1] + Vr[0]) * 0.5);
+        for (i = 1; i < nx; i++)
+            FLUX_C(i, (Vr[i - 1] + Vr[i]) * 0.5);
+    } else
+        for (i = 0; i < nx; i++)
+            FLUX_C(i, Vr[i]);
+#undef FLUX_C
+}
+
+/* the same on a centre row, for the v-row field V itself: from_v(V) is
+   both the numerator of the advecting velocity and the flux average     */
+static void flux_row_v(const double *restrict Vm, const double *restrict Vc,
+                       const double *restrict pf, const double *restrict rpf,
+                       double sj, long nx,
+                       double *restrict vs, double *restrict fx)
+{
+    long i;
+    for (i = 0; i < nx; i++) {
+        double m = Vm[i] + Vc[i];
+        m = m * 0.5;
+        double t = rdiv(m, pf[i], rpf[i]);
+        t = t * sj;
+        vs[i] = t;
+        fx[i] = m * t;
+    }
+}
+
+/* -(L1 + L2 + L3) of one row of F into d.  Fa / Fb are the same row one
+   level up / down -- the row itself at the model top / bottom, where
+   (F + F) / 2 is the F the reference copies; fh / fl, vh / vl the flux
+   rows the theta-difference takes (hi - lo); S0 / S1 the sigma-dot rows
+   of the interfaces above and below, staggered to F's points as stag
+   says (1: to_u; 2: to_v, with the next rows Q0 / Q1; 0: as they are). */
+static void advection_row(const double *restrict Fr,
+                          const double *restrict Fa, const double *restrict Fb,
+                          const double *restrict ur,
+                          const double *restrict fh, const double *restrict fl,
+                          const double *restrict vh, const double *restrict vl,
+                          const double *restrict S0, const double *restrict S1,
+                          const double *restrict Q0, const double *restrict Q1,
+                          int stag, double pj, double dj, double dk,
+                          double d2, double dth, long nx, double *restrict d)
+{
+    long i;
+    double rdj = 1.0 / dj, rdk = 1.0 / dk, rd2 = 1.0 / d2, rdth = 1.0 / dth;
+#define ADV(i_, m1_, p1_, s0_, s1_) do { \
         double o = Fr[p1_] * ur[p1_] - Fr[m1_] * ur[m1_]; \
         o = rdiv(o, d2, rd2); \
         o = o * 2.0; \
@@ -248,129 +358,59 @@ static void l1_pass(const double *restrict F, const double *restrict u,
         t = rdiv(t, d2, rd2); \
         t = Fr[i_] * t; \
         o = o - t; \
-        orow[i_] = o * pj; \
+        o = o * pj; \
+        double f = fh[i_] - fl[i_]; \
+        f = rdiv(f, dth, rdth); \
+        f = f * 2.0; \
+        t = vh[i_] - vl[i_]; \
+        t = rdiv(t, dth, rdth); \
+        t = Fr[i_] * t; \
+        f = f - t; \
+        o = o + rdiv(f, dj, rdj); \
+        double s0 = (s0_), s1 = (s1_); \
+        double g0 = Fa[i_] + Fr[i_]; \
+        g0 = g0 * 0.5; \
+        g0 = s0 * g0; \
+        double g1 = Fr[i_] + Fb[i_]; \
+        g1 = g1 * 0.5; \
+        g1 = s1 * g1; \
+        double v = g1 - g0; \
+        v = rdiv(v, dk, rdk); \
+        t = s1 - s0; \
+        t = rdiv(t, dk, rdk); \
+        double u = Fr[i_] * 0.5; \
+        u = u * t; \
+        o = o + (v - u); \
+        d[i_] = -o; \
     } while (0)
-    for (k = 0; k < nz; k++)
-        for (j = 0; j < ny; j++) {
-            const double *Fr = F + k * ps + j * nx;
-            const double *ur = u + k * ps + j * nx;
-            double *orow = out + k * ps + j * nx;
-            double pj = pre[j];
-            L1(0, nx - 1, 1);
-            for (i = 1; i < nx - 1; i++)
-                L1(i, i - 1, i + 1);
-            L1(nx - 1, nx - 2, 0);
-        }
-#undef L1
-}
-
-/* vs/flux are (nz, ny, nx) scratch; the L2 term ACCUMULATES into out
-   (out[e] += term[e], the same add the reference applies afterwards).
-   side = +1: v sits on the interface above row j (fluxes average F over
-   rows j, j+1 and are differenced j - (j-1): the U and Phi terms);
-   side = -1: v sits at the centre below interface row j (average over
-   j-1, j, difference (j+1) - j: the V term).                           */
-static void l2_pass(const double *restrict F, const double *restrict v,
-                    const double *restrict sin_v,
-                    const double *restrict denom, long side,
-                    double dth, long nz, long ny, long nx, long ps,
-                    double *restrict vs, double *restrict flux,
-                    double *restrict out)
-{
-    long k, j, i;
-    double rdth = 1.0 / dth;
-    for (k = 0; k < nz; k++)
-        for (j = 0; j < ny; j++) {
-            const double *vr = v + k * ps + j * nx;
-            double sj = sin_v[j];
-            double *o = vs + k * ps + j * nx;
-            for (i = 0; i < nx; i++)
-                o[i] = vr[i] * sj;
-        }
-    for (k = 0; k < nz; k++)
-        for (j = 0; j < ny; j++) {
-            const double *Fc = F + k * ps + j * nx;
-            const double *Fn = F + k * ps + wm(j + side, ny) * nx;
-            const double *vr = vs + k * ps + j * nx;
-            double *o = flux + k * ps + j * nx;
-            for (i = 0; i < nx; i++) {
-                double t = Fc[i] + Fn[i];
-                t = t * 0.5;
-                o[i] = t * vr[i];
-            }
-        }
-    for (k = 0; k < nz; k++)
-        for (j = 0; j < ny; j++) {
-            long hi = side > 0 ? j : wm(j + 1, ny);
-            long lo = side > 0 ? wm(j - 1, ny) : j;
-            const double *Fc = F + k * ps + j * nx;
-            const double *fh = flux + k * ps + hi * nx;
-            const double *fl = flux + k * ps + lo * nx;
-            const double *vh = vs + k * ps + hi * nx;
-            const double *vl = vs + k * ps + lo * nx;
-            double dj = denom[j], rdj = 1.0 / dj;
-            double *o = out + k * ps + j * nx;
-            for (i = 0; i < nx; i++) {
-                double f = fh[i] - fl[i];
-                f = rdiv(f, dth, rdth);
-                f = f * 2.0;
-                double t = vh[i] - vl[i];
-                t = rdiv(t, dth, rdth);
-                t = Fc[i] * t;
-                f = f - t;
-                o[i] = o[i] + rdiv(f, dj, rdj);
-            }
-        }
-}
-
-/* sdot is (nz+1, ny, nx); fbar is (nz+1, ny, nx) scratch.  The L3 term
-   accumulates into out and the final negation of the whole advection
-   tendency is folded into the same store (an exact sign flip).        */
-static void l3_pass(const double *restrict F, const double *restrict sdot,
-                    const double *restrict dsig,
-                    long nz, long ny, long nx, long ps,
-                    double *restrict fbar, double *restrict out)
-{
-    long k, e;
-    long plane = ny * nx;
-    for (k = 1; k < nz; k++)
-        for (e = 0; e < plane; e++) {
-            double t = F[(k - 1) * ps + e] + F[k * ps + e];
-            fbar[k * ps + e] = t * 0.5;
-        }
-    for (e = 0; e < plane; e++) {
-        fbar[e] = F[e];
-        fbar[nz * ps + e] = F[(nz - 1) * ps + e];
-    }
-    for (k = 0; k <= nz; k++)
-        for (e = 0; e < plane; e++)
-            fbar[k * ps + e] = sdot[k * ps + e] * fbar[k * ps + e];
-    for (k = 0; k < nz; k++) {
-        const double *fb = fbar + k * ps;
-        const double *fn = fbar + (k + 1) * ps;
-        const double *sb = sdot + k * ps;
-        const double *sn = sdot + (k + 1) * ps;
-        const double *Fk = F + k * ps;
-        double dk = dsig[k], rdk = 1.0 / dk;
-        double *o = out + k * ps;
-        for (e = 0; e < plane; e++) {
-            double v = fn[e] - fb[e];
-            v = rdiv(v, dk, rdk);
-            double t = sn[e] - sb[e];
-            t = rdiv(t, dk, rdk);
-            double u = Fk[e] * 0.5;
-            u = u * t;
-            double s = o[e] + (v - u);
-            o[e] = -s;
-        }
-    }
+#define ADV_ROW(s0_, s1_, s0w_, s1w_) do { \
+        ADV(0, nx - 1, 1, s0w_, s1w_); \
+        for (i = 1; i < nx - 1; i++) \
+            ADV(i, i - 1, i + 1, s0_, s1_); \
+        i = nx - 1; \
+        ADV(i, i - 1, 0, s0_, s1_); \
+    } while (0)
+    if (stag == 1)
+        ADV_ROW((S0[i - 1] + S0[i]) * 0.5, (S1[i - 1] + S1[i]) * 0.5,
+                (S0[nx - 1] + S0[0]) * 0.5, (S1[nx - 1] + S1[0]) * 0.5);
+    else if (stag == 2)
+        ADV_ROW((S0[i] + Q0[i]) * 0.5, (S1[i] + Q1[i]) * 0.5,
+                (S0[0] + Q0[0]) * 0.5, (S1[0] + Q1[0]) * 0.5);
+    else
+        ADV_ROW(S0[i], S1[i], S0[0], S1[0]);
+#undef ADV_ROW
+#undef ADV
 }
 
 /* ---- the advection tendency ------------------------------------------ */
 /* True divides per point: 27 before (6 by 2 dlam, 6 + 3 by dtheta and
    2a sin theta_j, 6 by dsigma_k, 6 by the P staggers) -> 4/nz after (the
    reciprocals of P and its three staggers, tabulated once per call in
-   tab, planes 0-7); everything in the level loops is rdiv.  Returns
+   tab, planes 0-7); everything in the level loop is rdiv.  Arrays read /
+   written per point: 5 / 3 (U, V, Phi, the sigma-dot bundle twice over;
+   the three tendencies or iterates) -- before, 36 whole-array passes over
+   five 3-D intermediates.  rows is ADVECTION_ROWS row buffers, trow one
+   more (the tendency row of a row that updates in place).  Returns
    nonzero iff the surface pressure does not exceed the model top.      */
 int advection(const double *restrict U, const double *restrict V,
               const double *restrict Phi,
@@ -381,15 +421,21 @@ int advection(const double *restrict U, const double *restrict V,
               const double *restrict dsig, double dlam, double dth,
               double p0, double pt,
               long nz, long ny, long nx, long ps,
-              double *restrict vel,
-              double *restrict vs, double *restrict flux,
-              double *restrict sstag, double *restrict fbar,
-              double *restrict tab,
+              double *restrict tab, double *restrict rows,
+              double *restrict trow,
               double *restrict tU, double *restrict tV,
-              double *restrict tPhi)
+              double *restrict tPhi,
+              int mode, long j0, long j1,
+              const unsigned char *restrict polar_c,
+              const unsigned char *restrict polar_v, double dt,
+              const double *restrict bU, const double *restrict bV,
+              const double *restrict bPhi,
+              double *restrict oU, double *restrict oV,
+              double *restrict oPhi)
 {
     long k, j, i;
     long plane = ny * nx;
+    double d2 = 2.0 * dlam;
     double *pf = tab;            /* P at centres */
     double *pu2 = tab + ps;      /* P staggered to u-points */
     double *pv2 = tab + 2 * ps;  /* P staggered to v-points */
@@ -398,6 +444,13 @@ int advection(const double *restrict U, const double *restrict V,
     double *rpu2 = tab + 5 * ps;
     double *rpv2 = tab + 6 * ps;
     double *rb2 = tab + 7 * ps;
+    double *ur = rows;           /* zonal advecting velocity of the row */
+    double *uv[2] = {rows + nx, rows + 2 * nx};      /* U: vs at v-rows */
+    double *uf[2] = {rows + 3 * nx, rows + 4 * nx};  /*    fx   j-1, j  */
+    double *vv[2] = {rows + 5 * nx, rows + 6 * nx};  /* V: at centre    */
+    double *vf[2] = {rows + 7 * nx, rows + 8 * nx};  /*    rows j, j+1  */
+    double *pv[2] = {rows + 9 * nx, rows + 10 * nx}; /* Phi: at v-rows  */
+    double *pq[2] = {rows + 11 * nx, rows + 12 * nx};/*    j-1, j       */
 
     if (p_factor(psa, p0, pt, plane, pf))
         return 1;
@@ -409,108 +462,94 @@ int advection(const double *restrict U, const double *restrict V,
     recip(pv2, plane, rpv2);
     recip(b2, plane, rb2);
 
-    /* ---- U --------------------------------------------------------- */
-    for (k = 0; k < nz; k++)
-        for (j = 0; j < ny; j++) {
-            const double *Ur = U + k * ps + j * nx;
-            const double *pr = pu2 + j * nx;
-            const double *rr = rpu2 + j * nx;
-            double *o = vel + k * ps + j * nx;
-            for (i = 0; i < nx; i++)
-                o[i] = rdiv(Ur[i], pr[i], rr[i]);
+    for (k = 0; k < nz; k++) {
+        long ka = (k > 0 ? k - 1 : k) * ps, kb = (k < nz - 1 ? k + 1 : k) * ps;
+        long kc = k * ps, kn = (k + 1) * ps;
+        long c = 0;  /* which of each rolling pair holds the current row */
+        {   /* prime the rolling rows: v-row j0 - 1, centre row j0 */
+            long rm = wm(j0 - 1, ny), jm = rm * nx, jc = j0 * nx;
+            flux_row_c(U + kc + jm, U + kc + jc, V + kc + jm,
+                       b2 + jm, rb2 + jm, sin_v[rm], 1, nx, uv[1], uf[1]);
+            flux_row_c(Phi + kc + jm, Phi + kc + jc, V + kc + jm,
+                       pv2 + jm, rpv2 + jm, sin_v[rm], 0, nx, pv[1], pq[1]);
+            flux_row_v(V + kc + jm, V + kc + jc, pf + jc, rpf + jc,
+                       sin_c[j0], nx, vv[0], vf[0]);
         }
-    l1_pass(U, vel, pre_c, dlam, nz, ny, nx, ps, tU);
-    for (k = 0; k < nz; k++)
-        for (j = 0; j < ny; j++) {
-            const double *Vr = V + k * ps + j * nx;
-            const double *br = b2 + j * nx;
-            const double *rr = rb2 + j * nx;
-            double *o = vel + k * ps + j * nx;
-#define VSTAG(i_, m1_) do { \
-            double t = Vr[m1_] + Vr[i_]; \
-            t = t * 0.5; \
-            o[i_] = rdiv(t, br[i_], rr[i_]); \
-        } while (0)
-            VSTAG(0, nx - 1);
-            for (i = 1; i < nx; i++)
-                VSTAG(i, i - 1);
-#undef VSTAG
-        }
-    l2_pass(U, vel, sin_v, tas_c, 1, dth, nz, ny, nx, ps, vs, flux, tU);
-    for (k = 0; k <= nz; k++)
-        to_u(sdot + k * ps, ny, nx, sstag + k * ps);
-    l3_pass(U, sstag, dsig, nz, ny, nx, ps, fbar, tU);
+        for (j = j0; j < j1; j++, c ^= 1) {
+            long rp = wm(j + 1, ny), jr = j * nx, jp = rp * nx;
+            long p = c ^ 1;  /* the other buffer of each pair */
+            const double *Ur = U + kc + jr, *Uq = U + kc + jp;
+            const double *Vr = V + kc + jr, *Vq = V + kc + jp;
+            const double *Gr = Phi + kc + jr, *Gq = Phi + kc + jp;
+            const double *S0 = sdot + kc + jr, *S1 = sdot + kn + jr;
+            double dk = dsig[k];
+            int upd_c = mode != STORE_TEND && !polar_c[j];
+            int upd_v = mode != STORE_TEND && !polar_v[j];
+            double *d;
 
-    /* ---- V --------------------------------------------------------- */
-    for (k = 0; k < nz; k++)
-        for (j = 0; j < ny; j++) {
-            long jp1 = wm(j + 1, ny);
-            const double *U0 = U + k * ps + j * nx;
-            const double *U1 = U + k * ps + jp1 * nx;
-            const double *pr = pv2 + j * nx;
-            const double *rr = rpv2 + j * nx;
-            double *o = vel + k * ps + j * nx;
-#define UBAR(i_, p1_) do { \
-            double t = U0[i_] + U0[p1_]; \
-            t = t + U1[i_]; \
-            t = t + U1[p1_]; \
-            t = t * 0.25; \
-            o[i_] = rdiv(t, pr[i_], rr[i_]); \
-        } while (0)
-            for (i = 0; i < nx - 1; i++)
-                UBAR(i, i + 1);
-            UBAR(nx - 1, 0);
-#undef UBAR
-        }
-    l1_pass(V, vel, pre_v, dlam, nz, ny, nx, ps, tV);
-    for (k = 0; k < nz; k++)
-        for (j = 0; j < ny; j++) {
-            long jm1 = wm(j - 1, ny);
-            const double *Vm = V + k * ps + jm1 * nx;
-            const double *Vc = V + k * ps + j * nx;
-            const double *pr = pf + j * nx;
-            const double *rr = rpf + j * nx;
-            double *o = vel + k * ps + j * nx;
-            for (i = 0; i < nx; i++) {
-                double t = Vm[i] + Vc[i];
-                t = t * 0.5;
-                o[i] = rdiv(t, pr[i], rr[i]);
+            /* ---- U: u = U / to_u(P) ---------------------------------- */
+            {
+                const double *pr = pu2 + jr, *rr = rpu2 + jr;
+                for (i = 0; i < nx; i++)
+                    ur[i] = rdiv(Ur[i], pr[i], rr[i]);
             }
-        }
-    l2_pass(V, vel, sin_c, tas_v, -1, dth, nz, ny, nx, ps, vs, flux, tV);
-    for (k = 0; k <= nz; k++)
-        to_v(sdot + k * ps, ny, nx, sstag + k * ps);
-    l3_pass(V, sstag, dsig, nz, ny, nx, ps, fbar, tV);
+            flux_row_c(Ur, Uq, Vr, b2 + jr, rb2 + jr, sin_v[j], 1, nx,
+                       uv[c], uf[c]);
+            d = upd_c ? trow : tU + kc + jr;
+            advection_row(Ur, U + ka + jr, U + kb + jr, ur,
+                          uf[c], uf[p], uv[c], uv[p], S0, S1, S0, S1, 1,
+                          pre_c[j], tas_c[j], dk, d2, dth, nx, d);
+            if (upd_c)
+                store_row(d, bU + kc + jr, dt, mode, nx, oU + kc + jr);
 
-    /* ---- Phi ------------------------------------------------------- */
-    for (k = 0; k < nz; k++)
-        for (j = 0; j < ny; j++) {
-            const double *Ur = U + k * ps + j * nx;
-            const double *pr = pf + j * nx;
-            const double *rr = rpf + j * nx;
-            double *o = vel + k * ps + j * nx;
+            /* ---- V: u = u_to_v(U) / to_v(P) ---------------------------- */
+            {
+                const double *pr = pv2 + jr, *rr = rpv2 + jr;
+#define UBAR(i_, p1_) do { \
+                double t = Ur[i_] + Ur[p1_]; \
+                t = t + Uq[i_]; \
+                t = t + Uq[p1_]; \
+                t = t * 0.25; \
+                ur[i_] = rdiv(t, pr[i_], rr[i_]); \
+            } while (0)
+                for (i = 0; i < nx - 1; i++)
+                    UBAR(i, i + 1);
+                UBAR(nx - 1, 0);
+#undef UBAR
+            }
+            flux_row_v(Vr, Vq, pf + jp, rpf + jp, sin_c[rp], nx,
+                       vv[p], vf[p]);
+            d = upd_v ? trow : tV + kc + jr;
+            advection_row(Vr, V + ka + jr, V + kb + jr, ur,
+                          vf[p], vf[c], vv[p], vv[c],
+                          S0, S1, sdot + kc + jp, sdot + kn + jp, 2,
+                          pre_v[j], tas_v[j], dk, d2, dth, nx, d);
+            if (upd_v)
+                store_row(d, bV + kc + jr, dt, mode, nx, oV + kc + jr);
+
+            /* ---- Phi: u = from_u(U) / P ------------------------------ */
+            {
+                const double *pr = pf + jr, *rr = rpf + jr;
 #define USTAG(i_, p1_) do { \
-            double t = Ur[i_] + Ur[p1_]; \
-            t = t * 0.5; \
-            o[i_] = rdiv(t, pr[i_], rr[i_]); \
-        } while (0)
-            for (i = 0; i < nx - 1; i++)
-                USTAG(i, i + 1);
-            USTAG(nx - 1, 0);
+                double t = Ur[i_] + Ur[p1_]; \
+                t = t * 0.5; \
+                ur[i_] = rdiv(t, pr[i_], rr[i_]); \
+            } while (0)
+                for (i = 0; i < nx - 1; i++)
+                    USTAG(i, i + 1);
+                USTAG(nx - 1, 0);
 #undef USTAG
+            }
+            flux_row_c(Gr, Gq, Vr, pv2 + jr, rpv2 + jr, sin_v[j], 0, nx,
+                       pv[c], pq[c]);
+            d = upd_c ? trow : tPhi + kc + jr;
+            advection_row(Gr, Phi + ka + jr, Phi + kb + jr, ur,
+                          pq[c], pq[p], pv[c], pv[p], S0, S1, S0, S1, 0,
+                          pre_c[j], tas_c[j], dk, d2, dth, nx, d);
+            if (upd_c)
+                store_row(d, bPhi + kc + jr, dt, mode, nx, oPhi + kc + jr);
         }
-    l1_pass(Phi, vel, pre_c, dlam, nz, ny, nx, ps, tPhi);
-    for (k = 0; k < nz; k++)
-        for (j = 0; j < ny; j++) {
-            const double *Vr = V + k * ps + j * nx;
-            const double *pr = pv2 + j * nx;
-            const double *rr = rpv2 + j * nx;
-            double *o = vel + k * ps + j * nx;
-            for (i = 0; i < nx; i++)
-                o[i] = rdiv(Vr[i], pr[i], rr[i]);
-        }
-    l2_pass(Phi, vel, sin_v, tas_c, 1, dth, nz, ny, nx, ps, vs, flux, tPhi);
-    l3_pass(Phi, sdot, dsig, nz, ny, nx, ps, fbar, tPhi);
+    }
     return 0;
 }
 
@@ -541,9 +580,16 @@ int adaptation(const double *restrict U, const double *restrict V,
                double p0, double pt, double r_dry,
                double k_diss, double kappa_star,
                long nz, long ny, long nx, long ps,
-               double *restrict tab,
+               double *restrict tab, double *restrict trow,
                double *restrict tU, double *restrict tV,
-               double *restrict tPhi, double *restrict tpsa)
+               double *restrict tPhi, double *restrict tpsa,
+               int mode, long j0, long j1,
+               const unsigned char *restrict polar_c,
+               const unsigned char *restrict polar_v, double dt,
+               const double *restrict bU, const double *restrict bV,
+               const double *restrict bPhi, const double *restrict bpsa,
+               double *restrict oU, double *restrict oV,
+               double *restrict oPhi, double *restrict opsa)
 {
     long k, j, i, e;
     long plane = ny * nx;
@@ -577,14 +623,15 @@ int adaptation(const double *restrict U, const double *restrict V,
             o[i] = t * svj;
         }
     }
-    for (j = 0; j < ny; j++) {
+    for (j = j0; j < j1; j++) {
         const double *c = psa + j * nx;
         const double *g = T0 + j * nx;
         const double *gm = T0 + wm(j - 1, ny) * nx;
         const double *csr = col_sum + j * nx;
         double ay = a2_sin_c[j], ray = 1.0 / ay;
         double ax = a2_sin2_c[j], rax = 1.0 / ax;
-        double *o = tpsa + j * nx;
+        int upd = mode != STORE_TEND && !polar_c[j];
+        double *o = upd ? trow : tpsa + j * nx;
 #define AD_S(i_, m1_, p1_) do { \
             double ly = g[i_] - gm[i_]; \
             ly = rdiv(ly, dth, rdth); \
@@ -604,6 +651,8 @@ int adaptation(const double *restrict U, const double *restrict V,
             AD_S(i, i - 1, i + 1);
         AD_S(nx - 1, nx - 2, 0);
 #undef AD_S
+        if (upd)
+            store_row(o, bpsa + j * nx, dt, mode, nx, opsa + j * nx);
     }
 
     /* ---- U: P, 1/P, baro, p_es, 1/p_es at u-points, d p_es / d lambda */
@@ -622,7 +671,7 @@ int adaptation(const double *restrict U, const double *restrict V,
         }
     }
     for (k = 0; k < nz; k++)
-        for (j = 0; j < ny; j++) {
+        for (j = j0; j < j1; j++) {
             long jm1 = wm(j - 1, ny);
             const double *pur = T0 + j * nx, *rpu = T1 + j * nx;
             const double *bur = T2 + j * nx;
@@ -635,7 +684,8 @@ int adaptation(const double *restrict U, const double *restrict V,
             const double *Vc = V + k * ps + j * nx;
             double asj = a_sin_c[j], rasj = 1.0 / asj;
             double ccj = cot_c[j], ocj = omcos_c[j];
-            double *o = tU + k * ps + j * nx;
+            int upd = mode != STORE_TEND && !polar_c[j];
+            double *o = upd ? trow : tU + k * ps + j * nx;
 #define AD_U(i_, m1_) do { \
             double t1 = Pc[i_] - Pc[m1_]; \
             t1 = rdiv(t1, dlam, rdlam); \
@@ -666,6 +716,9 @@ int adaptation(const double *restrict U, const double *restrict V,
             for (i = 1; i < nx; i++)
                 AD_U(i, i - 1);
 #undef AD_U
+            if (upd)
+                store_row(o, bU + k * ps + j * nx, dt, mode, nx,
+                          oU + k * ps + j * nx);
         }
 
     /* ---- V: the same six tables at v-rows, d p_es / d theta --------- */
@@ -684,7 +737,7 @@ int adaptation(const double *restrict U, const double *restrict V,
         }
     }
     for (k = 0; k < nz; k++)
-        for (j = 0; j < ny; j++) {
+        for (j = j0; j < j1; j++) {
             long jp1 = wm(j + 1, ny);
             const double *pvr = T0 + j * nx, *rpv = T1 + j * nx;
             const double *bvr = T2 + j * nx;
@@ -697,7 +750,8 @@ int adaptation(const double *restrict U, const double *restrict V,
             const double *Uc = U + k * ps + j * nx;
             const double *Uq = U + k * ps + jp1 * nx;
             double cvj = cot_v[j], ovj = omcos_v[j];
-            double *o = tV + k * ps + j * nx;
+            int upd = mode != STORE_TEND && !polar_v[j];
+            double *o = upd ? trow : tV + k * ps + j * nx;
 #define AD_V(i_, p1_) do { \
             double t1 = Pp[i_] - Pc[i_]; \
             t1 = rdiv(t1, dth, rdth); \
@@ -728,6 +782,9 @@ int adaptation(const double *restrict U, const double *restrict V,
                 AD_V(i, i + 1);
             AD_V(nx - 1, 0);
 #undef AD_V
+            if (upd)
+                store_row(o, bV + k * ps + j * nx, dt, mode, nx,
+                          oV + k * ps + j * nx);
         }
 
     /* ---- Phi: col_sum / P, 1/p_es, the centred p_es differences ----- */
@@ -755,7 +812,7 @@ int adaptation(const double *restrict U, const double *restrict V,
 #undef DLX
     }
     for (k = 0; k < nz; k++)
-        for (j = 0; j < ny; j++) {
+        for (j = j0; j < j1; j++) {
             long jm1 = wm(j - 1, ny);
             const double *csr = T0 + j * nx;
             const double *per = pes + j * nx, *rpe = T1 + j * nx;
@@ -767,7 +824,8 @@ int adaptation(const double *restrict U, const double *restrict V,
             const double *Vc = V + k * ps + j * nx;
             double sgk = sig_mid[k], rsgk = 1.0 / sgk;
             double asj = a_sin_c[j], rasj = 1.0 / asj;
-            double *o = tPhi + k * ps + j * nx;
+            int upd = mode != STORE_TEND && !polar_c[j];
+            double *o = upd ? trow : tPhi + k * ps + j * nx;
 #define AD_P(i_, p1_) do { \
             double t1 = w0[i_] + w1[i_]; \
             t1 = t1 * 0.5; \
@@ -791,6 +849,9 @@ int adaptation(const double *restrict U, const double *restrict V,
                 AD_P(i, i + 1);
             AD_P(nx - 1, 0);
 #undef AD_P
+            if (upd)
+                store_row(o, bPhi + k * ps + j * nx, dt, mode, nx,
+                          oPhi + k * ps + j * nx);
         }
     return 0;
 }
@@ -826,6 +887,7 @@ int vertical(const double *restrict U, const double *restrict V,
     double *rp = tab + 3 * ps;   /* 1 / P */
     double *p2 = tab + 4 * ps;   /* P^2 */
     double *rp2 = tab + 5 * ps;  /* 1 / P^2 */
+    double *run = tab + 6 * ps;  /* running suffix sum of ratio*Phi */
     double rdlam = 1.0 / dlam, rdth = 1.0 / dth;
 
     if (p_factor(psa, p0, pt, plane, pf))
@@ -846,7 +908,12 @@ int vertical(const double *restrict U, const double *restrict V,
         rp2[i] = 1.0 / pp;
     }
 
-    /* flux divergence, plane by plane */
+    /* flux divergence, plane by plane, with the prefix sums of dsig*div
+       riding the same pass: they build in place inside pw, level k + 1
+       from level k (one plane back, still in cache).  np.cumsum copies
+       the first element exactly (no 0+x, which would flip a -0.0)      */
+    for (i = 0; i < plane; i++)
+        pw[i] = 0.0;
     for (k = 0; k < nz; k++)
         for (j = 0; j < ny; j++) {
             long jm1 = wm(j - 1, ny);
@@ -856,62 +923,53 @@ int vertical(const double *restrict U, const double *restrict V,
             const double *tu = pu2 + j * nx;
             const double *tv = pv2s + j * nx;
             const double *tm = pv2s + jm1 * nx;
+            const double *sk = pw + k * ps + j * nx;
             double asj = a_sin_c[j], rasj = 1.0 / asj;
+            double dk = dsig[k];
             double *o = div_p + k * ps + j * nx;
-#define DIVB(i_, p1_) do { \
+            double *sn = pw + (k + 1) * ps + j * nx;
+#define DIVB(i_, p1_, sum_) do { \
             double fx = tu[p1_] * Uc[p1_] - tu[i_] * Uc[i_]; \
             fx = rdiv(fx, dlam, rdlam); \
             double fy = tv[i_] * Vc[i_] - tm[i_] * Vm[i_]; \
             fy = rdiv(fy, dth, rdth); \
             double dv = fx + fy; \
-            o[i_] = rdiv(dv, asj, rasj); \
+            dv = rdiv(dv, asj, rasj); \
+            o[i_] = dv; \
+            dv = dk * dv; \
+            sn[i_] = sum_; \
         } while (0)
-            for (i = 0; i < nx - 1; i++)
-                DIVB(i, i + 1);
-            DIVB(nx - 1, 0);
+            if (k == 0) {
+                for (i = 0; i < nx - 1; i++)
+                    DIVB(i, i + 1, dv);
+                DIVB(nx - 1, 0, dv);
+            } else {
+                for (i = 0; i < nx - 1; i++)
+                    DIVB(i, i + 1, sk[i] + dv);
+                DIVB(nx - 1, 0, sk[nx - 1] + dv);
+            }
 #undef DIVB
         }
-
-    /* prefix sums of dsig*div build in place inside pw; np.cumsum copies
-       the first element exactly (no 0+x, which would flip a -0.0)      */
-    for (i = 0; i < plane; i++)
-        pw[i] = 0.0;
-    {
-        const double *d0 = div_p;
-        double dk = dsig[0];
-        double *s1 = pw + ps;
-        for (i = 0; i < plane; i++)
-            s1[i] = dk * d0[i];
-    }
-    for (k = 1; k < nz; k++) {
-        const double *dkp = div_p + k * ps;
-        const double *sk = pw + k * ps;
-        double dk = dsig[k];
-        double *sn = pw + (k + 1) * ps;
-        for (i = 0; i < plane; i++) {
-            double t = dk * dkp[i];
-            sn[i] = sk[i] + t;
-        }
-    }
     for (i = 0; i < plane; i++)
         col_sum[i] = pw[nz * ps + i];
 
-    /* suffix sums of ratio*Phi build in place inside phi_prime */
-    {
-        const double *Pk = Phi + (nz - 1) * ps;
-        double rk = ratio[nz - 1];
-        double *o = phi_prime + (nz - 1) * ps;
-        for (i = 0; i < plane; i++)
-            o[i] = rk * Pk[i];
-    }
-    for (k = nz - 2; k >= 0; k--) {
+    /* suffix sums of ratio*Phi, bottom up, in one running plane; each
+       level's phi_prime = (hs - cphi/2) * bgrav/p leaves in the same pass */
+    for (i = 0; i < plane; i++)
+        run[i] = 0.0;
+    for (k = nz - 1; k >= 0; k--) {
         const double *Pk = Phi + k * ps;
-        const double *hn = phi_prime + (k + 1) * ps;
         double rk = ratio[k];
+        int bottom = k == nz - 1;  /* the sum starts with a copy, not 0+x */
         double *o = phi_prime + k * ps;
         for (i = 0; i < plane; i++) {
-            double t = rk * Pk[i];
-            o[i] = hn[i] + t;
+            double c = rk * Pk[i];
+            double h = run[i] + c;
+            h = bottom ? c : h;
+            run[i] = h;
+            double t = c * 0.5;
+            t = h - t;
+            o[i] = t * bf2[i];
         }
     }
 
@@ -930,18 +988,6 @@ int vertical(const double *restrict U, const double *restrict V,
         }
     }
 
-    /* phi_prime: (hs - cphi/2) * bgrav/p, with cphi recomputed bitwise */
-    for (k = 0; k < nz; k++) {
-        const double *Pk = Phi + k * ps;
-        double rk = ratio[k];
-        double *o = phi_prime + k * ps;
-        for (i = 0; i < plane; i++) {
-            double c = rk * Pk[i];
-            double t = c * 0.5;
-            t = o[i] - t;
-            o[i] = t * bf2[i];
-        }
-    }
     return 0;
 }
 """

@@ -29,12 +29,13 @@ traces.
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import constants
 from repro.kernels import cbackend
-from repro.kernels.csrc import TABLE_PLANES
+from repro.kernels.csrc import ROW_BUFFERS, TABLE_PLANES
 from repro.kernels.plans import KernelPlan, kernel_plan
 from repro.kernels.stages import smoother_stages, smooth_field_fused_numpy
 from repro.obs.spans import span
@@ -46,6 +47,7 @@ from repro.operators.vertical import (
     compute_vertical_diagnostics,
     compute_vertical_diagnostics_scan,
 )
+from repro.state.variables import ModelState
 
 TIERS = ("reference", "fused")
 BACKENDS = ("auto", "c", "numpy")
@@ -57,8 +59,12 @@ _COVERAGE = {
 }
 
 _STAGES = {
-    "advection": ("l1_zonal", "l2_meridional", "l3_vertical", "negate"),
-    "adaptation": ("pressure_gradient", "coriolis", "omega", "combine"),
+    "advection": (
+        "l1_zonal", "l2_meridional", "l3_vertical", "negate", "update",
+    ),
+    "adaptation": (
+        "pressure_gradient", "coriolis", "omega", "combine", "update",
+    ),
     "vertical": (
         "flux_divergence",
         "column_prefix",
@@ -93,6 +99,31 @@ def resolve_backend(backend: str = "auto") -> str:
     if backend != "auto":
         return backend
     return available_backends()[0]
+
+
+@dataclass
+class Store:
+    """An internal update for a tendency kernel to fold into its store.
+
+    ``out = base + dt * tendency`` — with ``midpoint`` the mean of that and
+    ``base`` — on rows ``rows`` of the call's arrays, except where the
+    row's flag (``polar_c`` for ``U`` / ``Phi`` / ``p'_sa``, ``polar_v``
+    for ``V``) says the polar filter still has to rewrite the tendency:
+    those rows get the raw tendency, as every row does without a store.
+    ``base`` and ``out`` are laid out like the state of the call and alias
+    neither it nor each other.  A kernel that folded the update names the
+    fields it did that for in ``done``; every other field's rows are
+    still the caller's to update.
+    """
+
+    base: ModelState
+    out: ModelState
+    dt: float
+    midpoint: bool
+    rows: tuple[int, int]
+    polar_c: np.ndarray
+    polar_v: np.ndarray
+    done: tuple[str, ...] = ()
 
 
 class RowWindowPool:
@@ -279,12 +310,16 @@ class KernelSet:
 
     # ---- the stencil tendencies (C backend only) --------------------------
 
-    def advection(self, state, vd, geom, ws, out, cache):
-        """The ``L``-tendency into ``out``."""
+    def advection(self, state, vd, geom, ws, out, cache, store=None):
+        """The ``L``-tendency into ``out``; with ``store`` (a
+        :class:`Store`) the kernel folds that update into its store and
+        says so in ``store.done`` (``p'_sa``, whose ``L``-tendency is
+        zero, stays the caller's)."""
         U, V, Phi = state.U, state.V, state.Phi
         sdot = vd.sdot_iface
         lib, ps = self._c_call(
-            "advection", U, V, Phi, state.psa, sdot, out.U, out.V, out.Phi
+            "advection", U, V, Phi, state.psa, sdot, out.U, out.V, out.Phi,
+            *_store_fields(store, ("U", "V", "Phi")),
         )
         ws = _window_ws(ws, U, ps)
         self._count("advection", lib is not None)
@@ -292,43 +327,31 @@ class KernelSet:
             return advection_tendency(
                 state, vd, geom, ws=ws, out=out, cache=cache
             )
-        kg = self._advec_kgeom(geom, cache)
+        rows = _kernel_rows(cache, lambda: {
+            "sin_c": cache.sin_c3, "sin_v": cache.sin_v3,
+            "pre_c": cache.pre_c3, "pre_v": cache.pre_v3,
+            "tas_c": cache.two_a_sin_c3, "tas_v": cache.two_a_sin_v3,
+            "dsig": cache.dsig3,
+        })
         with span(f"advection-fused[{self.backend}]", "kernel"):
             self._register("advection", U.shape, _STAGES["advection"])
             nz, ny, nx = U.shape
-            scratch = {
-                "vel": ws.take((nz, ny, nx)),
-                "vs": ws.take((nz, ny, nx)),
-                "flux": ws.take((nz, ny, nx)),
-                "sstag": ws.take((nz + 1, ny, nx)),
-                "fbar": ws.take((nz + 1, ny, nx)),
-                "tab": ws.take((TABLE_PLANES, ny, nx)),
-            }
+            tab = ws.take((TABLE_PLANES, ny, nx))
+            rowbuf = ws.take((ROW_BUFFERS * nx,))
             cbackend.advection_c(
-                lib, U, V, Phi, state.psa, sdot, kg.advection,
-                kg.advection_dsig, geom.grid.dlambda, geom.grid.dtheta,
-                scratch, out.U, out.V, out.Phi, ps,
+                lib, U, V, Phi, state.psa, sdot, rows,
+                geom.grid.dlambda, geom.grid.dtheta,
+                tab, rowbuf, out.U, out.V, out.Phi, ps, store,
             )
             out.psa[...] = 0.0
-            ws.give(*scratch.values())
+            ws.give(tab, rowbuf)
+        if store is not None:
+            store.done = ("U", "V", "Phi")
         return out
 
-    def _advec_kgeom(self, geom, cache) -> _RowsOnly:
-        kg = getattr(cache, "_kernel_geom", None)
-        if kg is None:
-            kg = _RowsOnly()
-            kg.advection = {
-                "sin_c": _flat(cache.sin_c3), "sin_v": _flat(cache.sin_v3),
-                "pre_c": _flat(cache.pre_c3), "pre_v": _flat(cache.pre_v3),
-                "tas_c": _flat(cache.two_a_sin_c3),
-                "tas_v": _flat(cache.two_a_sin_v3),
-            }
-            kg.advection_dsig = _flat(cache.dsig3)
-            cache._kernel_geom = kg
-        return kg
-
-    def adaptation(self, state, vd, geom, params, ws, out, cache):
-        """The ``C-hat + A-hat``-tendency into ``out``."""
+    def adaptation(self, state, vd, geom, params, ws, out, cache, store=None):
+        """The ``C-hat + A-hat``-tendency into ``out``; ``store`` as in
+        :meth:`advection`."""
         U, V, Phi, psa = state.U, state.V, state.Phi, state.psa
         phi_p = vd.phi_prime
         w_if = vd.w_iface
@@ -336,6 +359,7 @@ class KernelSet:
         lib, ps = self._c_call(
             "adaptation", U, V, Phi, psa, phi_p, w_if, col_sum,
             out.U, out.V, out.Phi, out.psa,
+            *_store_fields(store, ("U", "V", "Phi", "psa")),
         )
         ws = _window_ws(ws, U, ps)
         self._count("adaptation", lib is not None)
@@ -343,7 +367,15 @@ class KernelSet:
             return adaptation_tendency(
                 state, vd, geom, params, ws=ws, out=out, cache=cache
             )
-        kg = self._adapt_kgeom(geom, cache)
+        rows = _kernel_rows(cache, lambda: {
+            "sin_v": geom.sin_v, "a_sin_c": cache.a_sin_c3,
+            # the row divisors of surface_dissipation, by its expressions
+            "a2_sin_c": geom.grid.radius**2 * geom.row2(geom.sin_c),
+            "a2_sin2_c": geom.grid.radius**2 * geom.row2(geom.sin_c)**2,
+            "cot_c": cache.cot_c3, "omcos_c": cache.two_omega_cos_c3,
+            "cot_v": cache.cot_v3, "omcos_v": cache.two_omega_cos_v3,
+            "sig_mid": cache.sig_mid3,
+        })
         with span(f"adaptation-fused[{self.backend}]", "kernel"):
             self._register("adaptation", U.shape, _STAGES["adaptation"])
             # The reference-temperature profile uses a non-integer power,
@@ -353,35 +385,18 @@ class KernelSet:
                 psa + constants.P_REFERENCE
             )
             tab = ws.take((TABLE_PLANES,) + psa.shape)
+            rowbuf = ws.take((psa.shape[-1],))
             cbackend.adaptation_c(
                 lib, U, V, Phi, psa, t_ref_surf, phi_p, w_if, col_sum,
-                kg.adaptation, geom.grid.radius,
+                rows, geom.grid.radius,
                 geom.grid.dlambda, geom.grid.dtheta,
                 constants.B_GRAVITY_WAVE * (1.0 + params.delta_c),
-                tab, out.U, out.V, out.Phi, out.psa, ps,
+                tab, rowbuf, out.U, out.V, out.Phi, out.psa, ps, store,
             )
-            ws.give(tab)
+            ws.give(tab, rowbuf)
+        if store is not None:
+            store.done = ("U", "V", "Phi", "psa")
         return out
-
-    def _adapt_kgeom(self, geom, cache):
-        kg = getattr(cache, "_kernel_geom", None)
-        if kg is None:
-            kg = _RowsOnly()
-            # the row divisors of surface_dissipation, by its expressions
-            a, sin_c = geom.grid.radius, geom.row2(geom.sin_c)
-            kg.adaptation = {
-                "sin_v": _flat(geom.sin_v),
-                "a_sin_c": _flat(cache.a_sin_c3),
-                "a2_sin_c": _flat(a**2 * sin_c),
-                "a2_sin2_c": _flat(a**2 * sin_c**2),
-                "cot_c": _flat(cache.cot_c3),
-                "omcos_c": _flat(cache.two_omega_cos_c3),
-                "cot_v": _flat(cache.cot_v3),
-                "omcos_v": _flat(cache.two_omega_cos_v3),
-                "sig_mid": _flat(cache.sig_mid3),
-            }
-            cache._kernel_geom = kg
-        return kg
 
     def vertical(
         self, U, V, Phi, psa, geom, gather, ws, cache, scan=None, out=None
@@ -431,33 +446,23 @@ class KernelSet:
                 U, V, Phi, psa, geom, gather, ws=_window_ws(ws, U),
                 cache=cache, out=out,
             )
-        kg = self._vert_kgeom(geom, cache)
+        rows = _kernel_rows(cache, lambda: {
+            "sin_v": geom.sin_v, "a_sin_c": cache.a_sin_c3,
+            "dsig": cache.dsig_own3, "ratio": cache.ratio_own3,
+            "sig_if": cache.sig_if3,
+        })
         with span(f"vertical-fused[{self.backend}]", "kernel"):
             self._register("vertical", U.shape, _STAGES["vertical"])
             ws = _window_ws(ws, U, ps)
             tab = ws.take((TABLE_PLANES,) + psa.shape)
             cbackend.vertical_c(
-                lib, U, V, Phi, psa, kg.vertical,
+                lib, U, V, Phi, psa, rows,
                 geom.grid.dlambda, geom.grid.dtheta,
                 out.p_fac, out.div_p, out.column_sum, out.pw_iface,
                 out.w_iface, out.sdot_iface, out.phi_prime, tab, ps,
             )
             ws.give(tab)
         return out
-
-    def _vert_kgeom(self, geom, cache):
-        kg = getattr(cache, "_kernel_geom", None)
-        if kg is None:
-            kg = _RowsOnly()
-            kg.vertical = {
-                "sin_v": _flat(geom.sin_v),
-                "a_sin_c": _flat(cache.a_sin_c3),
-                "dsig": _flat(cache.dsig_own3),
-                "ratio": _flat(cache.ratio_own3),
-                "sig_if": _flat(cache.sig_if3),
-            }
-            cache._kernel_geom = kg
-        return kg
 
     def describe(self) -> dict:
         """Summary for traces / bench reports; ``division`` says which
@@ -475,12 +480,25 @@ class KernelSet:
         }
 
 
-class _RowsOnly:
-    """Attribute bag for per-cache flat metric rows."""
+def _store_fields(store, names) -> list[np.ndarray]:
+    """The arrays of ``store`` a kernel would touch (for the stride check)."""
+    if store is None:
+        return []
+    return [getattr(s, n) for s in (store.base, store.out) for n in names]
 
 
-def _flat(a) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(a, dtype=np.float64).ravel())
+def _kernel_rows(cache, build) -> dict[str, np.ndarray]:
+    """The flat per-row / per-level metric arrays a C kernel takes,
+    built once per geometry cache (one cache type per operator)."""
+    rows = getattr(cache, "_kernel_rows", None)
+    if rows is None:
+        rows = cache._kernel_rows = {
+            name: np.ascontiguousarray(
+                np.asarray(a, dtype=np.float64).ravel()
+            )
+            for name, a in build().items()
+        }
+    return rows
 
 
 def kernel_set(

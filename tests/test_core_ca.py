@@ -334,7 +334,7 @@ class TestRowWindows:
         def rows(comm, cfg):
             ctx = CommAvoidingRank(comm, cfg)
             pf, window = ctx.engine.polar_filter, ctx.adapt[0]
-            return int(pf.mask_c.sum()), len(window._filter["c"][1])
+            return int(pf.mask_c.sum()), len(window.polar.subset["c"][1])
 
         masked, filtered = run_spmd(2, rows, cfg).results[0]
         assert (masked, filtered) == (22, 11)

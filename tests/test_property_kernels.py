@@ -220,6 +220,126 @@ def test_stencil_kernels_bit_identical_to_reference(case):
             assert ks.describe()["calls"][op] == {"fused": 1, "fallback": 0}, op
 
 
+# ---------------------------------------------------------------------------
+# the update door: engine.update == tendency -> F -> axpy (-> midpoint)
+# ---------------------------------------------------------------------------
+def _runs(flags: np.ndarray) -> list[tuple[int, int]]:
+    """``[lo, hi)`` of every run of True."""
+    edges = np.flatnonzero(np.diff(flags, prepend=False, append=False))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
+def _update_window(eng, shape: str, fracs):
+    """Target rows of one ``shape`` of window on ``eng``'s working rows
+    (``None``: the whole array), placed by the two fractions."""
+    ny_w = eng.geom.shape2d[0]
+    polar = eng.polar_filter.mask_c | eng.polar_filter.mask_v
+    if shape == "whole":
+        return None
+    if shape in ("in-polar-band", "no-polar-row"):
+        # the northern band / the longest run the filter leaves alone
+        a, b = (
+            _runs(polar)[0] if shape == "in-polar-band"
+            else max(_runs(~polar), key=lambda r: r[1] - r[0])
+        )
+        lo = a + int(fracs[0] * (b - a - 1))
+        return lo, lo + 1 + int(fracs[1] * (b - lo - 1))
+    lo = 1 + int(fracs[0] * (ny_w - 3))
+    if shape == "one-row":
+        return lo, lo + 1
+    return lo, lo + 1 + int(fracs[1] * (ny_w - 2 - lo))
+
+
+update_cases = st.fixed_dictionaries({
+    "nx": st.integers(4, 72).map(lambda h: 2 * h),
+    "ny": st.integers(8, 20),
+    "nz": st.integers(1, 4),
+    "seed": st.integers(0, 2**32 - 1),
+    "zeroed": st.sets(st.sampled_from(["U", "V", "psa"])),
+    "kind": st.sampled_from(["adaptation", "advection"]),
+    "midpoint": st.booleans(),
+    "dt": st.floats(1.0, 600.0),
+    "window": st.sampled_from(
+        ["whole", "any", "one-row", "no-polar-row", "in-polar-band"]
+    ),
+    "fracs": st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=update_cases)
+@example(case=dict(
+    nx=16, ny=8, nz=1, seed=0, zeroed={"U", "V", "psa"}, kind="advection",
+    midpoint=True, dt=60.0, window="in-polar-band", fracs=(0.0, 1.0),
+))
+@example(case=dict(
+    nx=144, ny=12, nz=2, seed=1, zeroed=set(), kind="adaptation",
+    midpoint=True, dt=600.0, window="whole", fracs=(0.0, 0.0),
+))
+def test_update_door_equals_tendency_filter_axpy_midpoint(case):
+    """``engine.update`` — on the reference tier, and through the C
+    kernels' store modes in both division expansions — ``==`` the
+    reference operators' tendency -> ``apply_filter`` -> ``axpy_into``
+    (-> ``midpoint_into``), bit for bit including the sign of zero, on
+    the window's target rows; no other row of ``out`` is touched."""
+    grid = LatLonGrid(nx=case["nx"], ny=case["ny"], nz=case["nz"])
+    core = SerialCore(grid)
+    rng = np.random.default_rng(case["seed"])
+    psi = core.pad(balanced_random_state(grid, rng))
+    base = core.pad(balanced_random_state(grid, rng))
+    for name in case["zeroed"]:
+        getattr(psi, name)[...] = 0.0
+        getattr(base, name)[...] = 0.0 if name != "psa" else -0.0
+    geom, params = core.engine.geom, core.params
+    kind, dt, midpoint = case["kind"], case["dt"], case["midpoint"]
+
+    ref = TendencyEngine(geom, params)
+    win = _update_window(ref, case["window"], case["fracs"])
+    sl = None if win is None else ref.slab(*win)
+    rows = slice(None) if sl is None else sl.rows
+    vd = ref.vertical(psi)
+    tend = ref.apply_filter(getattr(ref, kind)(psi, vd, sl), sl)
+    want = base.axpy_into(dt, tend, ModelState.zeros(geom.shape3d))
+    if midpoint:
+        ModelState.midpoint_into(base, want, want)
+
+    engines = {"reference": ref}
+    if "c" in available_backends():
+        for cflags in cbackend.CFLAGS_SETS:
+            try:
+                ks = fused_on(cflags)
+            except cbackend.KernelBuildError:
+                continue  # e.g. a compiler without -march=native
+            engines[ks.describe()["division"]] = TendencyEngine(
+                geom, params, kernels=ks
+            )
+    for label, eng in engines.items():
+        out = ModelState.zeros(geom.shape3d)
+        for f in out.fields().values():
+            f.fill(7.0)
+        got = eng.update(
+            kind, psi, base, vd, dt, out,
+            None if win is None else eng.slab(*win), midpoint,
+        )
+        assert got is out
+        _same_bits(want, out, FIELD_NAMES, rows, f"update[{label}]")
+        if sl is not None:
+            for f in out.fields().values():
+                assert (f[..., : sl.lo, :] == 7.0).all(), label
+                assert (f[..., sl.hi:, :] == 7.0).all(), label
+        if label != "reference":
+            assert eng.kernels.calls[kind] == {"fused": 1, "fallback": 0}
+
+
+def test_update_refuses_to_overwrite_its_inputs():
+    grid = LatLonGrid(nx=16, ny=8, nz=2)
+    core = SerialCore(grid)
+    s = core.pad(balanced_random_state(grid, np.random.default_rng(0)))
+    vd = core.engine.vertical(s)
+    with pytest.raises(ValueError, match="overwrite"):
+        core.engine.update("adaptation", s, s, vd, 60.0, s)
+
+
 @pytest.mark.skipif(
     "c" not in available_backends(), reason="no C compiler on this host"
 )

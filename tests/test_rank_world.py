@@ -450,3 +450,54 @@ class TestObservabilityShape:
             sent = obs.registry.counter("simmpi_p2p_messages_sent_total", rank="0")
             series[backend].append(sent.value)
         assert series["thread"] == series["process"]
+
+
+# ---------------------------------------------------------------------------
+# forked ranks inherit the parent's kernel library
+# ---------------------------------------------------------------------------
+def test_ranks_inherit_the_kernel_library_the_parent_resolved(
+    tmp_path, monkeypatch
+):
+    """The caller resolves the kernel tier before it forks a world, so a
+    rank finds the library loaded: it never asks the compiler for its
+    banner (a subprocess per rank per ``run`` before), and with the
+    compiler gone after the parent's first load a second core's ranks
+    still run the C kernels, every call fused."""
+    import json
+
+    from repro.core.distributed import RankContext
+    from repro.kernels import available_backends, cbackend
+
+    if "c" not in available_backends():
+        pytest.skip("no C compiler on this host")
+    # a process that never touched the library, as a fresh interpreter is
+    monkeypatch.setattr(cbackend, "_LIBS", {})
+    result = RankContext.result
+
+    def reporting(self, w):
+        (tmp_path / f"rank{self.comm.rank}.json").write_text(
+            json.dumps(self.kernels.describe())
+        )
+        return result(self, w)
+
+    monkeypatch.setattr(RankContext, "result", reporting)
+    core = make_core("ca", "process", kernel_tier="fused")
+    first, _ = core.run(initial(core), 1)
+
+    def no_compiler(cc):
+        raise OSError("a rank shelled out to the compiler")
+
+    monkeypatch.setattr(cbackend, "_compiler_banner", no_compiler)
+    for path in tmp_path.glob("rank*.json"):
+        path.unlink()
+    core = make_core("ca", "process", kernel_tier="fused")
+    second, _ = core.run(initial(core), 1)
+    assert same(first, second)
+    described = [
+        json.loads(p.read_text()) for p in sorted(tmp_path.glob("rank*.json"))
+    ]
+    assert len(described) == 2
+    for d in described:
+        assert d["backend"] == "c"
+        assert all(n["fallback"] == 0 for n in d["calls"].values()), d
+        assert d["calls"]["adaptation"]["fused"] > 0

@@ -309,7 +309,7 @@ def _window(geom, fracs, margin):
 )
 @example(case=(16, 12, 1, 5, 0), fracs=(0.3, 0.5), tier="fused")
 def test_windowed_tendencies_equal_whole_array_on_the_window(case, fracs, tier):
-    """``C``, ``A``, ``L``, the polar filter and the axpy on a row window:
+    """``C``, ``A``, ``L``, the polar filter and the update on a row window:
     ``==`` the whole-array result on the target rows, with every input row
     outside window +- stencil reach NaN-poisoned (nothing beyond the reach
     is read) and every tendency row outside it untouched."""
@@ -337,9 +337,9 @@ def test_windowed_tendencies_equal_whole_array_on_the_window(case, fracs, tier):
     for op, want in ((eng.adaptation, want_a), (eng.advection, want_l)):
         for f in eng._tend.fields().values():
             f.fill(7.0)
-        tend = eng.apply_filter(op(sp, vdp, sl), sl)
+        tend = eng.apply_filter(op(sp, vdp, sl), sl).copy()
         out = ModelState.zeros(geom.shape3d)
-        sl.axpy(s, 0.5, tend, out)
+        eng.update(op.__name__, sp, s, vdp, 0.5, out, sl)
         full = s.axpy_into(0.5, want, ModelState.zeros(geom.shape3d))
         for name in FIELD_NAMES:
             t, w = getattr(tend, name), getattr(want, name)
