@@ -27,7 +27,7 @@ from repro.core.workspace import StateRing, Workspace
 from repro.grid.decomposition import Decomposition
 from repro.grid.latlon import LatLonGrid
 from repro.grid.sigma import SigmaLevels
-from repro.kernels import kernel_set
+from repro.kernels import KernelSet
 from repro.obs.spans import span
 from repro.operators.filter import filter_plan
 from repro.operators.geometry import WorkingGeometry
@@ -73,8 +73,6 @@ class DistributedConfig:
     #: kernel tier per rank: ``"reference"`` or ``"fused"`` (bit-identical
     #: fused kernels with per-call fallback inside the kernel object)
     kernel_tier: str = "reference"
-    #: fused-kernel backend: ``"auto"``, ``"c"`` or ``"numpy"``
-    kernel_backend: str = "auto"
     #: record per-step physics-telemetry partials (local sums/maxes only —
     #: no extra communication; the driver combines them after the run)
     telemetry: bool = False
@@ -135,7 +133,7 @@ class RankContext:
             self.xsub = comm.subcomm(decomp.ranks_along("x", comm.rank))
 
         self.ws = Workspace()
-        self.kernels = kernel_set(cfg.kernel_tier, cfg.kernel_backend)
+        self.kernels = KernelSet(cfg.kernel_tier)
         self.smoothers = smoothers_for(cfg.params)
         self._vd_last: VerticalDiagnostics | None = None
         z_hook = (

@@ -22,7 +22,7 @@ from repro.constants import DEFAULT_PARAMETERS, ModelParameters
 from repro.core.comm_avoiding import ca_program
 from repro.core.distributed import DistributedConfig, original_program, resident
 from repro.core.integrator import SerialCore
-from repro.kernels import kernel_set
+from repro.kernels import TIERS, resolve_backend
 from repro.obs.config import ObsConfig, Observation
 from repro.obs.metrics import (
     absorb_comm_stats,
@@ -115,14 +115,11 @@ class CoreConfig:
     decomp: Decomposition | None = None
     #: wall-clock deadlock timeout for run_spmd; None → scale with nsteps
     timeout: float | None = None
-    #: kernel tier: ``"fused"`` (the default: the compiled/fused kernels
+    #: kernel tier: ``"fused"`` (the default: the compiled C kernels
     #: of :mod:`repro.kernels`, bit-identical, with per-call fallback to
     #: numpy inside the kernel object — safe without a compiler) or
     #: ``"reference"`` (the oracle).  Env override: ``REPRO_KERNEL_TIER``.
     kernel_tier: str | None = None
-    #: fused-kernel backend (``"auto"``/``"c"``/``"numpy"``).
-    #: Env override: ``REPRO_KERNEL_BACKEND``.
-    kernel_backend: str | None = None
     #: SPMD execution backend: ``"thread"`` (default; deterministic fault
     #: injection) or ``"process"`` (one OS process per rank over
     #: shared-memory rings — true multicore, bit-identical numerics).
@@ -151,22 +148,11 @@ class CoreConfig:
             )
         import os
 
-        from repro.kernels import BACKENDS, TIERS
-
         if self.kernel_tier is None:
             self.kernel_tier = os.environ.get("REPRO_KERNEL_TIER", "fused")
-        if self.kernel_backend is None:
-            self.kernel_backend = os.environ.get(
-                "REPRO_KERNEL_BACKEND", "auto"
-            )
         if self.kernel_tier not in TIERS:
             raise ValueError(
                 f"unknown kernel_tier {self.kernel_tier!r}; pick from {TIERS}"
-            )
-        if self.kernel_backend not in BACKENDS:
-            raise ValueError(
-                f"unknown kernel_backend {self.kernel_backend!r}; "
-                f"pick from {BACKENDS}"
             )
         self.observe = ObsConfig.coerce(self.observe)
 
@@ -376,7 +362,6 @@ class DynamicalCore:
                 params=cfg.params,
                 forcing=cfg.forcing,
                 kernel_tier=cfg.kernel_tier,
-                kernel_backend=cfg.kernel_backend,
             )
             monitor = None
             if want_telemetry:
@@ -411,7 +396,6 @@ class DynamicalCore:
             sigma=cfg.sigma,
             forcing=cfg.forcing,
             kernel_tier=cfg.kernel_tier,
-            kernel_backend=cfg.kernel_backend,
             telemetry=want_telemetry,
         )
         program = resident(
@@ -441,10 +425,11 @@ class DynamicalCore:
             if world is None or not world.is_open or key != self._world_key:
                 if world is not None:
                     world.close()
-                # resolve the kernel tier before the fork: ranks inherit
-                # the loaded library instead of each asking the compiler
-                # for its banner, hashing the source and dlopening the hit
-                kernel_set(cfg.kernel_tier, cfg.kernel_backend).describe()
+                # load the kernel library before the fork: ranks inherit
+                # it instead of each asking the compiler for its banner,
+                # hashing the source and dlopening the hit
+                if cfg.kernel_tier == "fused":
+                    resolve_backend()
                 world = self._world = RankWorld(
                     decomp.nranks, program, machine=cfg.machine,
                     verify_checksums=verify_checksums, transport=transport,

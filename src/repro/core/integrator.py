@@ -28,7 +28,7 @@ import numpy as np
 from repro.constants import DEFAULT_PARAMETERS, ModelParameters
 from repro.core.tendencies import TendencyEngine
 from repro.core.workspace import StateRing, Workspace
-from repro.kernels import kernel_set
+from repro.kernels import KernelSet
 from repro.obs.spans import traced
 from repro.grid.latlon import LatLonGrid
 from repro.grid.sigma import SigmaLevels
@@ -56,11 +56,9 @@ class SerialCore:
     approximate_c: bool = False
     forcing: ForcingFn | None = None
     #: kernel tier: ``"reference"`` (the oracle) or ``"fused"`` (the
-    #: compiled/fused kernels of :mod:`repro.kernels`; bit-identical with
+    #: compiled C kernels of :mod:`repro.kernels`; bit-identical with
     #: per-call fallback inside the kernel object)
     kernel_tier: str = "reference"
-    #: fused-kernel backend: ``"auto"``, ``"c"`` or ``"numpy"``
-    kernel_backend: str = "auto"
 
     engine: TendencyEngine = field(init=False, repr=False)
     c_calls: int = field(init=False, default=0)
@@ -73,7 +71,7 @@ class SerialCore:
             self.grid, self.sigma, gy=SERIAL_GHOST_Y, gz=0
         )
         self.ws = Workspace()
-        self.kernels = kernel_set(self.kernel_tier, self.kernel_backend)
+        self.kernels = KernelSet(self.kernel_tier)
         self.engine = TendencyEngine(
             geom, self.params, ws=self.ws, kernels=self.kernels
         )

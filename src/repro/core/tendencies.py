@@ -28,7 +28,7 @@ import numpy as np
 from repro.constants import ModelParameters
 from repro.core.rowslab import FIELD_FAMILY, FilterRows, RowSlab
 from repro.core.workspace import Workspace
-from repro.kernels import KernelSet, kernel_set
+from repro.kernels import KernelSet
 from repro.kernels.dispatch import Store
 from repro.obs.spans import span, traced
 from repro.operators.adaptation import AdaptationGeomCache
@@ -78,7 +78,7 @@ class TendencyEngine:
     ws: Workspace = field(default_factory=Workspace)
     #: the kernel object (:class:`repro.kernels.KernelSet`) every operator
     #: call goes through; the reference tier by default
-    kernels: KernelSet = field(default_factory=kernel_set)
+    kernels: KernelSet = field(default_factory=lambda: KernelSet("reference"))
 
     def __post_init__(self) -> None:
         if self.polar_filter is None and self.geom.full_x:

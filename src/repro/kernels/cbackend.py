@@ -6,7 +6,7 @@ path (:func:`build_tag`), written with an atomic rename so concurrent
 ranks / process-backend children race safely.  No third-party packages
 are involved: ``cc``/``gcc`` + ``ctypes`` only.  When no working compiler
 exists, :func:`load_library` raises :class:`KernelBuildError` and the
-dispatch layer falls back to the next backend.
+dispatch layer runs the reference operators instead.
 
 ``-ffp-contract=off`` is mandatory: FMA *contraction* would change
 rounding and break the bit-identity contract with the reference tier.
@@ -183,7 +183,7 @@ def division_mode(lib: ctypes.CDLL) -> str:
 
 
 def c_available() -> bool:
-    """Whether the C backend can be (or already was) built."""
+    """Whether the kernel library can be (or already was) built."""
     try:
         load_library()
         return True

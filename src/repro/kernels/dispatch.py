@@ -1,14 +1,14 @@
-"""Kernel-tier dispatch: resolve a backend and route operator calls.
+"""Kernel-tier dispatch: route operator calls to the C kernels or numpy.
 
 A :class:`KernelSet` is the single door through which the cores evaluate
-``A``, ``L``, ``C`` and ``S``.  Each operator method tries its fused
+``A``, ``L``, ``C`` and ``S``.  Each operator method tries its fused C
 kernel and otherwise runs the pooled numpy operator of
 :mod:`repro.operators` itself, so every call returns a result.  Fallback
 is therefore transparent and per-call: a missing compiler, an array that
 breaks the kernels' array contract, or an unsupported decomposition never
 changes results, only speed — and never silently: :attr:`KernelSet.calls`
 counts fused and fallback calls per operator.  The reference tier is the
-same class with nothing covered.
+same class with no library.
 
 Array contract of the fused C kernels: float64, unit x-stride, row stride
 ``nx``, one plane stride shared by all 3-D arrays of a call
@@ -16,11 +16,6 @@ Array contract of the fused C kernels: float64, unit x-stride, row stride
 arrays satisfy it, and so do the *row-slab views* ``a[:, lo:hi, :]`` the
 windowed sweeps of the CA core pass in; their scratch comes from the same
 pool entries as whole-array calls (:class:`RowWindowPool`).
-
-Backend resolution (``backend="auto"``): the compiled C backend when a
-system compiler is available, else the fused numpy passes (smoothing
-only).  The C backend covers all four operators; the equivalence tests
-pin each backend explicitly.
 
 Every fused call is wrapped in a ``repro.obs`` span with category
 ``"kernel"`` so kernel-level timings appear next to the operator spans in
@@ -36,12 +31,10 @@ import numpy as np
 from repro import constants
 from repro.kernels import cbackend
 from repro.kernels.csrc import ROW_BUFFERS, TABLE_PLANES
-from repro.kernels.plans import KernelPlan, kernel_plan
-from repro.kernels.stages import smoother_stages, smooth_field_fused_numpy
 from repro.obs.spans import span
 from repro.operators.adaptation import adaptation_tendency
 from repro.operators.advection import advection_tendency
-from repro.operators.smoothing import FieldSmoother, smooth_state_into
+from repro.operators.smoothing import smooth_state_into
 from repro.operators.vertical import (
     DEFAULT_REFERENCE,
     compute_vertical_diagnostics,
@@ -50,29 +43,7 @@ from repro.operators.vertical import (
 from repro.state.variables import ModelState
 
 TIERS = ("reference", "fused")
-BACKENDS = ("auto", "c", "numpy")
-
-#: Operators each backend can fuse.  Everything else falls back.
-_COVERAGE = {
-    "c": ("smoothing", "advection", "adaptation", "vertical"),
-    "numpy": ("smoothing",),
-}
-
-_STAGES = {
-    "advection": (
-        "l1_zonal", "l2_meridional", "l3_vertical", "negate", "update",
-    ),
-    "adaptation": (
-        "pressure_gradient", "coriolis", "omega", "combine", "update",
-    ),
-    "vertical": (
-        "flux_divergence",
-        "column_prefix",
-        "column_suffix",
-        "interface_velocities",
-        "phi_prime",
-    ),
-}
+_OPERATORS = ("smoothing", "advection", "adaptation", "vertical")
 
 _WARNED: set[str] = set()
 
@@ -83,22 +54,13 @@ def _warn_once(key: str, message: str) -> None:
         warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
-def available_backends() -> list[str]:
-    """Fused backends usable in this environment (ordered by preference)."""
-    out = []
-    if cbackend.c_available():
-        out.append("c")
-    out.append("numpy")
-    return out
-
-
 def resolve_backend(backend: str = "auto") -> str:
-    """Map a requested backend to a concrete one (may still lack coverage)."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown kernel backend {backend!r}; use {BACKENDS}")
+    """What ``kernel_tier="fused"`` runs on this host: ``"c"`` where the
+    kernel library builds and loads, ``"numpy"`` (the reference operators,
+    call by call) where it does not.  ``"auto"`` is the only request."""
     if backend != "auto":
-        return backend
-    return available_backends()[0]
+        raise ValueError(f"unknown kernel backend {backend!r}; use 'auto'")
+    return "c" if cbackend.c_available() else "numpy"
 
 
 @dataclass
@@ -177,81 +139,58 @@ def _window_ws(ws, like: np.ndarray, ps: int | None = None):
 
 
 class KernelSet:
-    """One resolved kernel tier: fused entry points with built-in fallback.
+    """One kernel tier: fused entry points with built-in fallback.
 
-    Every method returns its result — from the fused kernel when this
-    tier/backend covers the call, from the pooled numpy operator
-    otherwise.  ``tier="reference"`` covers nothing, so it *is* the pooled
-    numpy path.
-
-    ``exact=True`` (the default) means every fused path must be
-    bit-identical to the reference tier — which all shipped backends are;
-    the flag is threaded so the equivalence harness can state the
-    guarantee it asserts.
+    Every method returns its result — from the C kernel when the tier is
+    ``"fused"``, the library loads and the call meets the array contract,
+    from the pooled numpy operator otherwise.  ``tier="reference"`` never
+    loads the library, so it *is* the pooled numpy path.
     """
 
-    def __init__(
-        self, tier: str = "fused", backend: str = "auto", exact: bool = True
-    ) -> None:
+    def __init__(self, tier: str) -> None:
         if tier not in TIERS:
             raise ValueError(f"unknown kernel tier {tier!r}; use {TIERS}")
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown kernel backend {backend!r}; use {BACKENDS}")
         self.tier = tier
-        self.requested_backend = backend
-        # the reference tier never compiles anything: it is plain numpy
-        self.backend = resolve_backend(backend) if tier == "fused" else "numpy"
-        self.coverage = _COVERAGE[self.backend] if tier == "fused" else ()
-        self.exact = exact
         self._lib = None
         #: ``{operator: {"fused": n, "fallback": m}}`` — how many calls ran
-        #: the fused kernel and how many the numpy operator (on the
-        #: reference tier nothing is covered, so every call is a fallback)
-        self.calls = {
-            op: {"fused": 0, "fallback": 0} for op in _COVERAGE["c"]
-        }
+        #: the C kernel and how many the numpy operator (on the reference
+        #: tier every call is a fallback)
+        self.calls = {op: {"fused": 0, "fallback": 0} for op in _OPERATORS}
 
-    # ---- backend plumbing -------------------------------------------------
+    @property
+    def backend(self) -> str:
+        """What this tier runs on this host (see :func:`resolve_backend`)."""
+        return resolve_backend() if self.tier == "fused" else "numpy"
+
+    # ---- library plumbing -------------------------------------------------
 
     def _library(self):
-        """The C library, or ``None`` (with a one-shot warning) if unbuildable."""
+        """The C library of the fused tier, or ``None`` — on the reference
+        tier, and (with a one-shot warning) where it cannot be built."""
         if self._lib is None:
-            try:
-                self._lib = cbackend.load_library()
-            except cbackend.KernelBuildError as exc:
-                _warn_once(
-                    "c-build",
-                    f"fused C kernels unavailable ({exc}); falling back",
-                )
-                self._lib = False
+            self._lib = False
+            if self.tier == "fused":
+                try:
+                    self._lib = cbackend.load_library()
+                except cbackend.KernelBuildError as exc:
+                    _warn_once(
+                        "c-build",
+                        f"fused C kernels unavailable ({exc}); falling back",
+                    )
         return self._lib or None
 
-    def _c_call(self, op: str, *arrays: np.ndarray):
-        """``(lib, plane stride)`` iff this call of ``op`` can run its C
+    def _c_call(self, *arrays: np.ndarray):
+        """``(lib, plane stride)`` iff a call on ``arrays`` can run its C
         kernel, else ``(None, None)``."""
-        if self.backend == "c" and op in self.coverage:
+        lib = self._library()
+        if lib is not None:
             ps = cbackend.plane_stride(*arrays)
-            if ps is not None and self._library() is not None:
-                return self._library(), ps
+            if ps is not None:
+                return lib, ps
         return None, None
 
     def _count(self, op: str, fused: bool) -> None:
         self.calls[op]["fused" if fused else "fallback"] += 1
-
-    def _register(self, op: str, shape: tuple, stages: tuple, extra=()) -> KernelPlan:
-        return kernel_plan(
-            op,
-            self.backend,
-            shape,
-            extra,
-            lambda: KernelPlan(
-                op=op,
-                backend=self.backend,
-                shape=tuple(shape),
-                stages=stages,
-                fn=getattr(self, op if op != "smoothing" else "smooth_field"),
-            ),
-        )
 
     # ---- smoothing --------------------------------------------------------
 
@@ -269,17 +208,9 @@ class KernelSet:
         (``a`` then is typically a row-slab view ``rows`` +- the smoother
         radius, whose edge rows would come out of in-slab wraps).
         """
-        lib, ps = self._c_call("smoothing", a, out)
+        lib, ps = self._c_call(a, out)
         ws = _window_ws(ws, a, ps)
-        fused = lib is not None or (
-            self.backend == "numpy" and "smoothing" in self.coverage
-        )
-        self._count("smoothing", fused)
-        if fused:
-            self._register(
-                "smoothing", a.shape, smoother_stages(sm),
-                (sm.beta_x, sm.beta_y, sm.cross),
-            )
+        self._count("smoothing", lib is not None)
         if lib is not None:
             scratch = ws.take(a.shape)
             cbackend.smooth_full_c(
@@ -288,27 +219,26 @@ class KernelSet:
             )
             ws.give(scratch)
             return out
-        full = smooth_field_fused_numpy if fused else FieldSmoother.full_into
         if not rows:
-            return full(sm, a, out, ws)
-        tmp = full(sm, a, ws.take(a.shape), ws)
+            return sm.full_into(a, out, ws)
+        tmp = sm.full_into(a, ws.take(a.shape), ws)
         np.copyto(out[..., rows[0]:rows[1], :], tmp[..., rows[0]:rows[1], :])
         ws.give(tmp)
         return out
 
     def smooth_state_into(self, state, params, out, ws, smoothers):
         """``S`` over a whole state into ``out``."""
-        if "smoothing" not in self.coverage:
+        if self._library() is None:
             self.calls["smoothing"]["fallback"] += 4
             return smooth_state_into(state, params, out, ws, smoothers)
-        with span(f"smoothing-fused[{self.backend}]", "kernel"):
+        with span("smoothing-fused[c]", "kernel"):
             for name in ("U", "V", "Phi", "psa"):
                 self.smooth_field(
                     smoothers[name], getattr(state, name), getattr(out, name), ws
                 )
         return out
 
-    # ---- the stencil tendencies (C backend only) --------------------------
+    # ---- the stencil tendencies -------------------------------------------
 
     def advection(self, state, vd, geom, ws, out, cache, store=None):
         """The ``L``-tendency into ``out``; with ``store`` (a
@@ -318,7 +248,7 @@ class KernelSet:
         U, V, Phi = state.U, state.V, state.Phi
         sdot = vd.sdot_iface
         lib, ps = self._c_call(
-            "advection", U, V, Phi, state.psa, sdot, out.U, out.V, out.Phi,
+            U, V, Phi, state.psa, sdot, out.U, out.V, out.Phi,
             *_store_fields(store, ("U", "V", "Phi")),
         )
         ws = _window_ws(ws, U, ps)
@@ -333,8 +263,7 @@ class KernelSet:
             "tas_c": cache.two_a_sin_c3, "tas_v": cache.two_a_sin_v3,
             "dsig": cache.dsig3,
         })
-        with span(f"advection-fused[{self.backend}]", "kernel"):
-            self._register("advection", U.shape, _STAGES["advection"])
+        with span("advection-fused[c]", "kernel"):
             nz, ny, nx = U.shape
             tab = ws.take((TABLE_PLANES, ny, nx))
             rowbuf = ws.take((ROW_BUFFERS * nx,))
@@ -357,8 +286,7 @@ class KernelSet:
         w_if = vd.w_iface
         col_sum = vd.column_sum
         lib, ps = self._c_call(
-            "adaptation", U, V, Phi, psa, phi_p, w_if, col_sum,
-            out.U, out.V, out.Phi, out.psa,
+            U, V, Phi, psa, phi_p, w_if, col_sum, out.U, out.V, out.Phi, out.psa,
             *_store_fields(store, ("U", "V", "Phi", "psa")),
         )
         ws = _window_ws(ws, U, ps)
@@ -376,8 +304,7 @@ class KernelSet:
             "cot_v": cache.cot_v3, "omcos_v": cache.two_omega_cos_v3,
             "sig_mid": cache.sig_mid3,
         })
-        with span(f"adaptation-fused[{self.backend}]", "kernel"):
-            self._register("adaptation", U.shape, _STAGES["adaptation"])
+        with span("adaptation-fused[c]", "kernel"):
             # The reference-temperature profile uses a non-integer power,
             # whose numpy SIMD routine libm does not reproduce bitwise —
             # it stays in numpy, exactly as the reference computes it.
@@ -430,13 +357,13 @@ class KernelSet:
             and U.shape[0] == nz
         )
         lib = ps = None
-        if full_column and "vertical" in self.coverage:
+        if full_column and self._library() is not None:
             # the outputs take part in the stride check: a pooled bundle
             # for row-slab inputs would not share their plane stride
             if out is None:
                 out = ws.take_vd(U.shape)
             lib, ps = self._c_call(
-                "vertical", U, V, Phi, psa,
+                U, V, Phi, psa,
                 out.div_p, out.column_sum, out.pw_iface, out.w_iface,
                 out.sdot_iface, out.phi_prime, out.p_fac,
             )
@@ -451,8 +378,7 @@ class KernelSet:
             "dsig": cache.dsig_own3, "ratio": cache.ratio_own3,
             "sig_if": cache.sig_if3,
         })
-        with span(f"vertical-fused[{self.backend}]", "kernel"):
-            self._register("vertical", U.shape, _STAGES["vertical"])
+        with span("vertical-fused[c]", "kernel"):
             ws = _window_ws(ws, U, ps)
             tab = ws.take((TABLE_PLANES,) + psa.shape)
             cbackend.vertical_c(
@@ -466,15 +392,13 @@ class KernelSet:
 
     def describe(self) -> dict:
         """Summary for traces / bench reports; ``division`` says which
-        expansion of ``rdiv`` the stencil kernels ran (``"divide"``: the
-        portable C build, the numpy backend and the reference tier)."""
-        lib = self._library() if self.backend == "c" and self.coverage else None
+        expansion of ``rdiv`` the stencil kernels run (``"divide"``: the
+        portable C build, a host without the library and the reference
+        tier)."""
+        lib = self._library()
         return {
             "tier": self.tier,
             "backend": self.backend,
-            "requested_backend": self.requested_backend,
-            "exact": self.exact,
-            "coverage": list(self.coverage),
             "division": cbackend.division_mode(lib) if lib else "divide",
             "calls": {op: dict(n) for op, n in self.calls.items()},
         }
@@ -499,10 +423,3 @@ def _kernel_rows(cache, build) -> dict[str, np.ndarray]:
             for name, a in build().items()
         }
     return rows
-
-
-def kernel_set(
-    tier: str = "reference", backend: str = "auto", exact: bool = True
-) -> KernelSet:
-    """Build the kernel set for a tier (the reference tier by default)."""
-    return KernelSet(tier=tier, backend=backend, exact=exact)

@@ -299,18 +299,17 @@ class TestRowWindows:
         """Fused tier, compiler available: every A / L / C / S call of a
         CA run runs its C kernel."""
         from repro.core import distributed
-        from repro.kernels import available_backends
+        from repro.kernels import KernelSet, c_available
 
-        if "c" not in available_backends():
+        if not c_available():
             pytest.skip("no C compiler on this host")
         made = []
-        build = distributed.kernel_set
 
-        def recording(*args, **kwargs):
-            made.append(build(*args, **kwargs))
+        def recording(tier):
+            made.append(KernelSet(tier))
             return made[-1]
 
-        monkeypatch.setattr(distributed, "kernel_set", recording)
+        monkeypatch.setattr(distributed, "KernelSet", recording)
         grid, params, state0 = _window_case(3)
         _run_ca(grid, params, state0, 2, kernel_tier="fused")
         assert len(made) == 2

@@ -23,7 +23,7 @@ from repro.constants import ModelParameters
 from repro.core.integrator import SerialCore
 from repro.core.rowslab import FilterRows, RowSlab, state_rows, vd_rows
 from repro.grid.latlon import LatLonGrid
-from repro.kernels import KernelSet, available_backends, cbackend
+from repro.kernels import KernelSet, c_available, cbackend
 from repro.kernels.dispatch import Store
 from repro.operators.adaptation import AdaptationGeomCache
 from repro.operators.advection import AdvectionGeomCache
@@ -122,7 +122,7 @@ def check_mesh(lib, nx: int, ny: int, nz: int, window) -> None:
     base = core.pad(balanced_random_state(grid, rng))
     vd = core.engine.vertical(s)
     pf = PolarFilter(geom, params)
-    ks = KernelSet("fused", backend="c")
+    ks = KernelSet("fused")
     ks._lib = lib
 
     for margin in (1, 2):  # the tendencies' read radius, the smoother's
@@ -250,7 +250,7 @@ def check_library(lib) -> None:
 
 
 @pytest.mark.skipif(
-    "c" not in available_backends(), reason="no C compiler on this host"
+    not c_available(), reason="no C compiler on this host"
 )
 @pytest.mark.parametrize(
     "cflags", cbackend.CFLAGS_SETS, ids=["native", "portable"]

@@ -6,16 +6,16 @@ Three claims, checked with hypothesis-drawn fields:
    in one pass equals applying the stages sequentially (the unfused
    schedule) — to rounding, since the sequential schedule reassociates
    across stages.
-2. *Exactness*: every fused backend equals the reference operator **bit
+2. *Exactness*: the fused C smoother equals the reference operator **bit
    for bit** — the stronger guarantee the kernel tier ships with.
 3. *Exactness of the stencil kernels*: ``A``, ``L`` and ``C`` through the
    C backend — in both expansions of its division primitive — equal the
    reference tier in every output, value and sign bit, on drawn meshes,
    row windows, field magnitudes and identically-zero fields.
 
-The first two are swept over every stencil-plan shape registered by real fused
-runs (``registered_plans()``), so the shapes the model actually uses are
-always among the tested ones.
+The first is swept over drawn shapes and the 3-D working shape of a real
+16x8x4 serial run, so a shape the model actually uses is always among the
+tested ones.
 """
 from __future__ import annotations
 
@@ -30,81 +30,39 @@ from repro.core.integrator import SerialCore
 from repro.core.tendencies import TendencyEngine
 from repro.core.workspace import Workspace
 from repro.grid.latlon import LatLonGrid
-from repro.kernels import (
-    KernelSet,
-    available_backends,
-    cbackend,
-    kernel_set,
-    registered_plans,
-)
-from repro.kernels.stages import (
-    apply_stages_sequential,
-    smooth_field_fused_numpy,
-    smoother_stages,
-)
-from repro.operators.smoothing import FieldSmoother
+from repro.kernels import KernelSet, c_available, cbackend
+from repro.operators.smoothing import OFFSETS_FULL, FieldSmoother
 from repro.physics import balanced_random_state
 from repro.state.variables import FIELD_NAMES, ModelState
 
 betas = st.floats(0.0, 1.0, allow_nan=False)
 
-fields = hnp.arrays(
-    np.float64,
-    st.tuples(st.integers(1, 3), st.integers(5, 12), st.integers(6, 12)),
-    elements=st.floats(-1e3, 1e3, allow_nan=False, width=64),
-)
+elements = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+drawn_shapes = st.tuples(st.integers(1, 3), st.integers(5, 12), st.integers(6, 12))
+fields = hnp.arrays(np.float64, drawn_shapes, elements=elements)
 
-
-def _seed_plans() -> list:
-    """Run a short fused step on every backend so plans are registered."""
-    grid = LatLonGrid(nx=16, ny=8, nz=4)
-    s0 = balanced_random_state(grid, np.random.default_rng(20180813))
-    for backend in available_backends():
-        core = SerialCore(grid, kernel_tier="fused", kernel_backend=backend)
-        core.step(core.pad(s0))
-    plans = registered_plans()
-    assert plans
-    return plans
-
-
-_PLANS = _seed_plans()
-_STENCIL_SHAPES = sorted(
-    {p.shape for p in _PLANS if p.op == "smoothing" and len(p.shape) == 3}
-)
+#: what ``SerialCore(LatLonGrid(nx=16, ny=8, nz=4))`` smooths: the mesh
+#: plus two ghost rows a side
+SEED_RUN_SHAPE = (4, 12, 16)
 
 
 @settings(max_examples=25, deadline=None)
 @given(bx=betas, by=betas, cross=st.booleans(), data=st.data())
 def test_fused_equals_sequential_stages_on_plan_shapes(bx, by, cross, data):
-    """Fuse-then-apply == apply-stages-sequentially (to rounding)."""
-    shape = data.draw(st.sampled_from(_STENCIL_SHAPES))
-    a = data.draw(
-        hnp.arrays(
-            np.float64, shape,
-            elements=st.floats(-1e3, 1e3, allow_nan=False, width=64),
-        )
-    )
+    """Fuse-then-apply == apply-stages-sequentially (to rounding): one pass
+    of the fused tier's smoother against the per-offset atomic stages
+    summed one by one, which reassociate across stages."""
+    shape = data.draw(st.just(SEED_RUN_SHAPE) | drawn_shapes)
+    a = data.draw(hnp.arrays(np.float64, shape, elements=elements))
     sm = FieldSmoother(beta_x=bx, beta_y=by, cross=cross)
-    out = np.empty_like(a)
-    smooth_field_fused_numpy(sm, a, out, Workspace())
-    seq = apply_stages_sequential(sm, a)
+    ks = KernelSet("fused")
+    out = ks.smooth_field(sm, a, np.empty_like(a), Workspace())
+    assert ks.calls["smoothing"]["fused"] == c_available()
+    seq = sm.partial(a, OFFSETS_FULL)
     assert np.allclose(out, seq, rtol=1e-12, atol=1e-8)
 
 
-@settings(max_examples=25, deadline=None)
-@given(a=fields, bx=betas, by=betas, cross=st.booleans())
-def test_fused_numpy_bit_identical_to_reference(a, bx, by, cross):
-    sm = FieldSmoother(beta_x=bx, beta_y=by, cross=cross)
-    ref = sm.full_into(a, np.empty_like(a), Workspace())
-    out = np.empty_like(a)
-    smooth_field_fused_numpy(sm, a, out, Workspace())
-    assert np.array_equal(ref, out)
-    assert np.array_equal(np.signbit(ref), np.signbit(out))
-
-
-@pytest.mark.skipif(
-    "c" not in available_backends(), reason="no C compiler on this host"
-)
+@pytest.mark.skipif(not c_available(), reason="no C compiler on this host")
 @settings(max_examples=15, deadline=None)
 @given(a=fields, bx=betas, by=betas, cross=st.booleans())
 def test_c_backend_bit_identical_to_reference(a, bx, by, cross):
@@ -118,15 +76,6 @@ def test_c_backend_bit_identical_to_reference(a, bx, by, cross):
     assert np.array_equal(np.signbit(ref), np.signbit(out))
 
 
-def test_every_registered_plan_declares_its_stages():
-    x_only = smoother_stages(FieldSmoother(beta_x=0.1, beta_y=0.0, cross=False))
-    for plan in _PLANS:
-        assert plan.stages, f"plan {plan.op}@{plan.shape} lists no stages"
-        if plan.op == "smoothing":
-            # every smoother fuses at least the x-direction stages
-            assert plan.stages[: len(x_only)] == x_only
-
-
 # ---------------------------------------------------------------------------
 # A, L, C: the C backend == the reference tier, in both division expansions
 # ---------------------------------------------------------------------------
@@ -135,7 +84,7 @@ def fused_on(cflags: tuple) -> KernelSet:
     lib = cbackend.load_library(cflags)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cbackend, "load_library", lambda: lib)
-        ks = KernelSet("fused", backend="c")
+        ks = KernelSet("fused")
         assert ks._library() is lib
     return ks
 
@@ -165,9 +114,7 @@ stencil_cases = st.fixed_dictionaries({
 })
 
 
-@pytest.mark.skipif(
-    "c" not in available_backends(), reason="no C compiler on this host"
-)
+@pytest.mark.skipif(not c_available(), reason="no C compiler on this host")
 @settings(max_examples=40, deadline=None)
 @given(case=stencil_cases)
 @example(case=dict(
@@ -205,7 +152,7 @@ def test_stencil_kernels_bit_identical_to_reference(case):
             rows,
         )
 
-    want_vd, want_a, want_l, rows = outputs(kernel_set("reference"))
+    want_vd, want_a, want_l, rows = outputs(KernelSet("reference"))
     for cflags in cbackend.CFLAGS_SETS:
         try:
             ks = fused_on(cflags)
@@ -304,7 +251,7 @@ def test_update_door_equals_tendency_filter_axpy_midpoint(case):
         ModelState.midpoint_into(base, want, want)
 
     engines = {"reference": ref}
-    if "c" in available_backends():
+    if c_available():
         for cflags in cbackend.CFLAGS_SETS:
             try:
                 ks = fused_on(cflags)
@@ -340,13 +287,11 @@ def test_update_refuses_to_overwrite_its_inputs():
         core.engine.update("adaptation", s, s, vd, 60.0, s)
 
 
-@pytest.mark.skipif(
-    "c" not in available_backends(), reason="no C compiler on this host"
-)
+@pytest.mark.skipif(not c_available(), reason="no C compiler on this host")
 def test_fused_kernels_reject_pressure_below_the_model_top():
     """The guard of the reference ``P`` moved into the table pass with it."""
     grid = LatLonGrid(nx=16, ny=8, nz=3)
-    core = SerialCore(grid, kernel_tier="fused", kernel_backend="c")
+    core = SerialCore(grid, kernel_tier="fused")
     s = core.pad(balanced_random_state(grid, np.random.default_rng(0)))
     vd = core.engine.vertical(s)
     s.psa[3, 5] = constants.P_TOP - constants.P_REFERENCE

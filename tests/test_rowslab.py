@@ -7,7 +7,7 @@ from repro.core.rowslab import RowSlab
 from repro.core.tendencies import TendencyEngine
 from repro.grid.latlon import LatLonGrid
 from repro.grid.sigma import SigmaLevels
-from repro.kernels import kernel_set
+from repro.kernels import KernelSet
 from repro.operators.filter import PolarFilter
 from repro.operators.geometry import WorkingGeometry
 from repro.state.variables import FIELD_NAMES, ModelState
@@ -83,7 +83,7 @@ def test_updates_over_a_partition_equal_the_whole_array_update(
     bit for bit, what one whole-array update writes (but for the two edge
     rows, whose y-neighbours a clipped view wraps differently)."""
     g = working_geometry()
-    eng = TendencyEngine(g, DEFAULT_PARAMETERS, kernels=kernel_set(tier))
+    eng = TendencyEngine(g, DEFAULT_PARAMETERS, kernels=KernelSet(tier))
     rng = np.random.default_rng(seed)
     psi, base = (
         ModelState.random(g.shape3d, rng, amplitude=1e-3) for _ in range(2)

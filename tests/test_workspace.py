@@ -22,7 +22,7 @@ from repro.core.tendencies import TendencyEngine
 from repro.core.workspace import StateRing, Workspace
 from repro.grid.latlon import LatLonGrid
 from repro.grid.sigma import SigmaLevels
-from repro.kernels import kernel_set
+from repro.kernels import KernelSet
 from repro.operators.adaptation import AdaptationGeomCache, adaptation_tendency
 from repro.operators.advection import AdvectionGeomCache, advection_tendency
 from repro.operators.geometry import WorkingGeometry
@@ -191,7 +191,7 @@ def test_vertical_pooled_equals_allocating(case, identity_gather):
     geom, s = _working_case(*case)
     gather = (lambda stack: stack) if identity_gather else None
     want = compute_vertical_diagnostics(s.U, s.V, s.Phi, s.psa, geom, gather)
-    got = kernel_set().vertical(
+    got = KernelSet("reference").vertical(
         s.U, s.V, s.Phi, s.psa, geom, gather, Workspace(),
         VerticalGeomCache(geom),
     )
@@ -206,7 +206,7 @@ def test_vertical_scan_goes_through_the_same_door(case):
     want = compute_vertical_diagnostics_scan(
         s.U, s.V, s.Phi, s.psa, geom, *scan
     )
-    got = kernel_set().vertical(
+    got = KernelSet("reference").vertical(
         s.U, s.V, s.Phi, s.psa, geom, None, Workspace(),
         VerticalGeomCache(geom), scan=scan,
     )
@@ -220,7 +220,7 @@ def test_adaptation_pooled_equals_allocating(case):
     params = ModelParameters()
     vd = compute_vertical_diagnostics(s.U, s.V, s.Phi, s.psa, geom)
     want = adaptation_tendency(s, vd, geom, params)
-    got = kernel_set().adaptation(
+    got = KernelSet("reference").adaptation(
         s, vd, geom, params, Workspace(), ModelState.zeros(geom.shape3d),
         AdaptationGeomCache(geom),
     )
@@ -233,7 +233,7 @@ def test_advection_pooled_equals_allocating(case):
     geom, s = _working_case(*case)
     vd = compute_vertical_diagnostics(s.U, s.V, s.Phi, s.psa, geom)
     want = advection_tendency(s, vd, geom)
-    got = kernel_set().advection(
+    got = KernelSet("reference").advection(
         s, vd, geom, Workspace(), ModelState.zeros(geom.shape3d),
         AdvectionGeomCache(geom),
     )
@@ -246,7 +246,7 @@ def test_smoothing_pooled_equals_allocating(case, beta_y_uv):
     geom, s = _working_case(*case)
     params = ModelParameters(smoothing_beta_y_uv=beta_y_uv)
     want = smooth_state(s, params)
-    got = kernel_set().smooth_state_into(
+    got = KernelSet("reference").smooth_state_into(
         s, params, ModelState.zeros(geom.shape3d), Workspace(),
         smoothers_for(params),
     )
@@ -315,7 +315,7 @@ def test_windowed_tendencies_equal_whole_array_on_the_window(case, fracs, tier):
     is read) and every tendency row outside it untouched."""
     geom, s = _working_case(*case)
     params = ModelParameters()
-    eng = TendencyEngine(geom, params, kernels=kernel_set(tier))
+    eng = TendencyEngine(geom, params, kernels=KernelSet(tier))
     lo, hi = _window(geom, fracs, 1)
     sl = eng.slab(lo, hi)
     rows, view = sl.rows, sl.view
@@ -362,7 +362,7 @@ def test_windowed_tendencies_equal_whole_array_on_the_window(case, fracs, tier):
 def test_windowed_smoothing_equals_whole_array_on_the_window(case, fracs, tier):
     geom, s = _working_case(*case)
     params = ModelParameters(smoothing_beta_y_uv=0.06)
-    ks = kernel_set(tier)
+    ks = KernelSet(tier)
     eng = TendencyEngine(geom, params, kernels=ks)
     sm = smoothers_for(params)
     lo, hi = _window(geom, fracs, STRIP)
@@ -382,7 +382,7 @@ def test_window_scratch_reuses_the_whole_array_pool_entries():
     """Windows of different heights share one set of working-height pool
     buffers instead of parking one set per height."""
     geom, s = _working_case(16, 12, 3, 5, 0)
-    eng = TendencyEngine(geom, ModelParameters(), kernels=kernel_set("fused"))
+    eng = TendencyEngine(geom, ModelParameters(), kernels=KernelSet("fused"))
     vd = eng.vertical(s)
     eng.adaptation(s, vd), eng.advection(s, vd)
     parked = eng.ws.pooled_bytes
@@ -407,7 +407,7 @@ def test_slab_inputs_with_a_pooled_c_bundle_stay_correct(nz):
     want = compute_vertical_diagnostics(
         *(np.ascontiguousarray(a) for a in (v.U, v.V, v.Phi, v.psa)), sl.geom
     )
-    ks = kernel_set("fused")
+    ks = KernelSet("fused")
     got = ks.vertical(
         v.U, v.V, v.Phi, v.psa, sl.geom, None, Workspace(),
         VerticalGeomCache(sl.geom),
