@@ -126,8 +126,6 @@ def demo_chaos(args) -> int:
         observe = ObsConfig(
             chrome_trace=str(trace_dir / "chaos_trace.json"),
             jsonl=str(trace_dir / "chaos_events.jsonl"),
-            # collapsed-stack flamegraph of the chaos run (CI artifact)
-            profile=str(trace_dir / "chaos_profile.collapsed"),
         )
         recorder = FlightRecorder(
             trace_dir / "chaos_flight.json", meta={"gate": "chaos"}

@@ -222,24 +222,16 @@ class DynamicalCore:
         """Activate this core's span tracer for the duration of one run.
 
         Reentrant: a no-op when the tracer is already active, so the
-        resilient driver's chunk runs compose with an outer scope.  The
-        sampling profiler (``ObsConfig(profile=...)``), when configured,
-        runs for exactly the span of the outermost scope.
+        resilient driver's chunk runs compose with an outer scope.
         """
         obs = self._ensure_observation()
         if obs is None or obs.tracer is None or active_tracer() is obs.tracer:
             yield obs
             return
         prev = set_active(obs.tracer)
-        prof = obs.profiler
-        own_profiler = prof is not None and not prof.running
-        if own_profiler:
-            prof.start()
         try:
             yield obs
         finally:
-            if own_profiler:
-                prof.stop()
             set_active(prev)
 
     @contextmanager
@@ -341,7 +333,7 @@ class DynamicalCore:
 
         Each observation carries the span's trace id as an exemplar, so
         a p99 outlier in a scrape links back to the causal trace of the
-        run (and, under serve, the job) that produced it.
+        run that produced it.
         """
         if obs is None or obs.tracer is None or not obs.config.metrics:
             return

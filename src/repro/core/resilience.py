@@ -60,7 +60,6 @@ import logging
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable
 
 from repro.core.buddy import BuddyLost, BuddyStore, buddy_of
 from repro.core.driver import StepDiagnostics
@@ -164,11 +163,6 @@ class ResilienceConfig:
         (restart-after-process-death).  Checkpoints failing their
         checksum sidecar — e.g. torn by a crash mid-write — are skipped,
         so the resume falls back to the previous good checkpoint.
-    on_chunk:
-        Optional ``on_chunk(step, nsteps)`` callback invoked after every
-        *committed* chunk (``step`` is the new committed step count).
-        The job runner of :mod:`repro.serve` uses it as a per-job
-        progress heartbeat; exceptions propagate (they abort the run).
     rank_loss_policy:
         What a *permanent* rank loss (node death, killed OS process, or
         a flapping rank escalated by the failure detector) recovers to:
@@ -204,7 +198,6 @@ class ResilienceConfig:
     faults: FaultPlan | FaultInjector | None = None
     spmd_timeout: float | None = None
     resume: bool = False
-    on_chunk: "Callable[[int, int], None] | None" = None
     rank_loss_policy: str = "abort"
     spare_ranks: int = 0
     membership: MembershipConfig | None = None
@@ -675,14 +668,12 @@ def run_resilient(
         return migrated
 
     def _persist(step: int, state: ModelState) -> None:
-        """Mirror, checkpoint and heartbeat of the chunk committed at ``step``."""
+        """Mirror and checkpoint the chunk committed at ``step``."""
         if buddy is not None:
             buddy.store(step, state)
         path = checkpoint_path(ckdir, step)
         save_state(path, state, step=step)
         report.checkpoints.append((step, path))
-        if rcfg.on_chunk is not None:
-            rcfg.on_chunk(step, nsteps)
 
     launches0 = core.rank_launches
     # Activate the core's span tracer for the whole resilient run, so the

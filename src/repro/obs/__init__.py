@@ -19,9 +19,7 @@ from repro.obs.spans import (
     current_trace_context,
     disable,
     enable,
-    format_traceparent,
     new_trace_id,
-    parse_traceparent,
     point,
     set_active,
     set_rank,
@@ -46,8 +44,6 @@ _LAZY = {
     "write_jsonl": ("repro.obs.exporters", "write_jsonl"),
     "read_jsonl": ("repro.obs.exporters", "read_jsonl"),
     "write_text_atomic": ("repro.obs.exporters", "write_text_atomic"),
-    "ProfileConfig": ("repro.obs.profile", "ProfileConfig"),
-    "SamplingProfiler": ("repro.obs.profile", "SamplingProfiler"),
     "FlightRecorder": ("repro.obs.flightrec", "FlightRecorder"),
 }
 
@@ -78,9 +74,7 @@ __all__ = [
     "current_trace_context",
     "disable",
     "enable",
-    "format_traceparent",
     "new_trace_id",
-    "parse_traceparent",
     "point",
     "set_active",
     "set_rank",

@@ -30,13 +30,6 @@ class ObsConfig:
     telemetry: bool = True       # per-step physics scalars
     chrome_trace: str | None = None  # auto-write Chrome trace here
     jsonl: str | None = None         # auto-write JSONL event log here
-    profile: object = None  # sampling profiler: True / Hz / path / config
-
-    def __post_init__(self) -> None:
-        if self.profile is not None:
-            from repro.obs.profile import ProfileConfig
-
-            self.profile = ProfileConfig.coerce(self.profile)
 
     @classmethod
     def coerce(cls, value) -> "ObsConfig | None":
@@ -65,15 +58,10 @@ class Observation:
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     telemetry: TelemetrySeries = field(default_factory=TelemetrySeries)
     logical_traces: list = field(default_factory=list)
-    profiler: object = None  # SamplingProfiler when config.profile is set
 
     def __post_init__(self) -> None:
         if self.config.spans and self.tracer is None:
             self.tracer = SpanTracer()
-        if self.config.profile is not None and self.profiler is None:
-            from repro.obs.profile import SamplingProfiler
-
-            self.profiler = SamplingProfiler(self.config.profile)
 
     @property
     def spans(self) -> list:
@@ -113,8 +101,6 @@ class Observation:
             self.write_chrome_trace(self.config.chrome_trace)
         if self.config.jsonl:
             self.write_jsonl(self.config.jsonl)
-        if self.profiler is not None and self.config.profile.out is not None:
-            self.profiler.write()
 
     def summary(self) -> str:
         lines = []

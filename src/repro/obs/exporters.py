@@ -8,8 +8,8 @@ trace-event format (``chrome://tracing`` / https://ui.perfetto.dev), on
 separate process lanes of one file, so the real execution and the
 simulated schedule can be inspected side by side in the same viewer.
 
-Spans absorbed from worker/rank processes carry their OS pid, so a
-serve job renders with one Chrome process row per real process, and
+Spans absorbed from rank processes carry their OS pid, so a process-
+backend run renders with one Chrome process row per real process, and
 halo ``isend``/``irecv`` instant spans pair up as flow arrows between
 rank lanes (matched by their transport-level ``link#seq`` flow key).
 
@@ -63,7 +63,7 @@ def span_events(
 
     Process rows (``pid``): spans from the first OS process render as
     chrome pid ``pid`` (1 by default); spans absorbed from other OS
-    processes (serve workers, SPMD rank children) each get their own
+    processes (SPMD rank children) each get their own
     row, numbered past the logical-clock lane so the two exporters
     never collide.  Lanes (``tid``): the simulated rank for
     rank-labelled spans, with unlabelled (serial/driver) spans on a

@@ -1,27 +1,27 @@
-"""Post-mortem flight recorder: a bounded ring of recent events per worker.
+"""Post-mortem flight recorder: a bounded ring of recent events per process.
 
-A watchdog-killed worker used to die silently — the supervisor knew
-*that* it wedged, but the worker's last moments were lost.  A
-:class:`FlightRecorder` keeps a fixed-size ring (``deque(maxlen=...)``)
-of recent structured events — job assignments, heartbeats, log records,
-anything :meth:`note`-worthy — entirely in memory, costing one dict
-append per event, and flushes it to disk only when something goes wrong:
+A killed process dies silently — its parent learns *that* it died, but
+its last moments are lost.  A :class:`FlightRecorder` keeps a fixed-size
+ring (``deque(maxlen=...)``) of recent structured events — recovery
+decisions, node losses, log records, anything :meth:`note`-worthy —
+entirely in memory, costing one dict append per event, and flushes it to
+disk only when something goes wrong:
 
-* **SIGTERM** (the first rung of the supervisor's kill escalation):
+* **SIGTERM** (the first rung of the launcher's join→TERM→KILL reaping):
   :meth:`install_signal_handler` arms a handler that dumps the ring and
   then re-raises the default disposition, so the process still dies
   promptly and SIGKILL escalation is never needed for a healthy-enough
-  worker.
-* **explicitly**: callers dump on crash paths (the serve supervisor
-  writes a kill record from its side whenever it reaps a worker, so even
-  a SIGKILL'd or hard-crashed child leaves an artifact).
+  process.
+* **explicitly**: callers dump on crash paths (a rank process that the
+  fault plan loses dumps to a per-victim path before its SIGKILL; the
+  chaos gate dumps its verdict).
 
 Dumps are single JSON documents (``flight_schema`` versioned) written
-atomically; :mod:`repro.obs.report` summarizes them (`the last events
-before death, per worker`).  A module-level default recorder makes the
-integration one-liner-cheap: ``flightrec.install(path, meta=...)`` in
-the worker entry point, ``flightrec.note(kind, **fields)`` anywhere —
-a no-op when nothing is installed.
+atomically; :mod:`repro.obs.report` summarizes them (the last events
+before death).  A module-level default recorder makes the integration
+one-liner-cheap: ``flightrec.install(path, meta=...)`` in the process
+entry point, ``flightrec.note(kind, **fields)`` anywhere — a no-op when
+nothing is installed.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from pathlib import Path
 #: schema version of the dump document
 FLIGHT_SCHEMA = 1
 
-#: default ring capacity (events kept per worker)
+#: default ring capacity (events kept per process)
 DEFAULT_CAPACITY = 256
 
 
@@ -124,7 +124,7 @@ class FlightRecorder:
         The handler writes the ring, restores the default disposition,
         and re-raises the signal against this process — so the observed
         exit status is indistinguishable from an uninstrumented kill and
-        the supervisor's TERM→KILL escalation still works if the dump
+        a TERM→KILL escalation still works if the dump
         itself wedges (the escalation's SIGKILL cannot be caught).
         """
 
@@ -139,7 +139,7 @@ class FlightRecorder:
 
 
 # ---------------------------------------------------------------------------
-# module-level default recorder (worker-process convenience)
+# module-level default recorder (per-process convenience)
 # ---------------------------------------------------------------------------
 _installed: FlightRecorder | None = None
 

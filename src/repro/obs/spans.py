@@ -13,22 +13,20 @@ Causal trace context
 Every recorded span carries three identities on top of its timing:
 
 * ``trace_id`` — a 16-hex-char id naming the causal tree the span
-  belongs to (one serve job, one benchmark run, ...).  Threads inherit
+  belongs to (one run of a core, one benchmark run, ...).  Threads inherit
   it from their :func:`trace_context`; spans recorded outside any
   context fall back to the tracer's own ``trace_id``.
 * ``span_id`` — unique per span across *processes* (the OS pid is
   folded into the id, refreshed after ``fork``), so spans shipped back
-  from worker/rank processes never collide with the parent's.
+  from rank processes never collide with the parent's.
 * ``parent_id`` — the enclosing open span on the same thread, else the
   thread's context parent (``0`` marks a root).  Cross-process edges
   are sewn at :meth:`SpanTracer.absorb` time: absorbing re-parents the
   orphan roots of a child process under the launch span that forked it.
 
-Context crosses process boundaries as a small *traceparent* header
-(:func:`format_traceparent` / :func:`parse_traceparent`) carried over
-whatever channel launches the work — the serve supervisor puts it in
-the job payload it pipes to workers, the SPMD process backend passes it
-to rank children as a fork argument.
+Context crosses the process boundary as a ``(trace_id, parent_id)``
+pair: the SPMD process backend passes it to rank children as a fork
+argument, and :meth:`SpanTracer.absorb` sews their spans back in.
 
 Thread/rank model
 -----------------
@@ -130,11 +128,6 @@ def new_trace_id() -> str:
     return os.urandom(8).hex()
 
 
-#: tid -> simulated rank, readable from *other* threads (the sampling
-#: profiler labels stacks with it); thread-locals alone can't cross
-rank_by_tid: dict[int, int] = {}
-
-
 def set_rank(rank: int) -> int:
     """Label this thread's subsequent spans with a simulated rank.
 
@@ -145,7 +138,6 @@ def set_rank(rank: int) -> int:
     """
     prev = getattr(_rank_local, "value", -1)
     _rank_local.value = rank
-    rank_by_tid[threading.get_ident()] = rank
     return prev
 
 
@@ -183,19 +175,6 @@ def trace_context(trace_id: str, parent_id: int = 0):
         yield
     finally:
         set_trace_context(*prev)
-
-
-def format_traceparent(trace_id: str, parent_id: int) -> str:
-    """Serialize a causal context for a pipe/env/payload header."""
-    return f"repro-01-{trace_id or new_trace_id()}-{parent_id:x}"
-
-
-def parse_traceparent(header: str) -> tuple[str, int]:
-    """Inverse of :func:`format_traceparent`; raises ``ValueError``."""
-    parts = header.split("-")
-    if len(parts) != 4 or parts[0] != "repro" or parts[1] != "01":
-        raise ValueError(f"not a repro traceparent header: {header!r}")
-    return parts[2], int(parts[3], 16)
 
 
 class _ThreadBuf:
@@ -312,22 +291,21 @@ class SpanTracer:
     ) -> None:
         """Merge completed spans recorded elsewhere into this tracer.
 
-        Used by the process-backed SPMD launcher and the serve
-        supervisor: each rank/worker process records into its own tracer
-        (sharing this tracer's epoch, since ``perf_counter`` is
-        system-wide on the platforms we run on) and ships its spans back
-        at join; absorbing them here keeps span counts and per-rank
-        lanes identical to the thread backend.
+        Used by the process-backed SPMD launcher: each rank process
+        records into its own tracer (sharing this tracer's epoch, since
+        ``perf_counter`` is system-wide on the platforms we run on) and
+        ships its spans back at join; absorbing them here keeps span
+        counts and per-rank lanes identical to the thread backend.
 
         ``trace_id``/``parent_id`` sew the causal tree across the
         process boundary: the absorbed process's *root* spans
         (``parent_id == 0``) are re-parented under ``parent_id`` —
-        normally the launch span that forked the worker — and every
+        normally the launch span that forked the rank — and every
         span of such an *unanchored* trace (one whose root dangles)
         adopts ``trace_id``.  Spans whose trace was already anchored by
         a propagated context (their roots point at a cross-process
         parent) pass through untouched, so absorbing an
-        already-contextualised worker batch is a no-op.
+        already-contextualised batch is a no-op.
         """
         orphan_traces = {s.trace_id for s in spans if s.parent_id == 0}
         merged: list[Span] = []

@@ -134,10 +134,9 @@ def reap_processes(
     The escalation ladder of process cleanup — a polite ``join``, a
     SIGTERM with a grace period, and finally SIGKILL for children that
     ignore SIGTERM (wedged in a handler, signal-blocked, ...).  Returns
-    the pids that needed SIGKILL.  Shared by the SPMD process backend
-    and the :mod:`repro.serve` worker supervisor: any component that
-    owns child processes must be able to reap a wedged one without
-    hanging itself.
+    the pids that needed SIGKILL.  The SPMD process backend owns child
+    processes, so it must be able to reap a wedged one without hanging
+    itself.
     """
     procs = list(procs)
     for p in procs:

@@ -2,10 +2,9 @@
 
 Permanent node loss is the one failure the escalation ladder of
 :mod:`repro.core.resilience` could not absorb: a crashed rank that never
-returns used to abort the attempt (and, under :mod:`repro.serve`, burn a
-whole job retry).  This module supplies the missing machinery, in the
-same spirit as ULFM's ``MPI_Comm_shrink``/``MPI_Comm_agree`` but built
-for the simulated cluster:
+returns used to abort the attempt.  This module supplies the missing
+machinery, in the same spirit as ULFM's ``MPI_Comm_shrink``/
+``MPI_Comm_agree`` but built for the simulated cluster:
 
 * a **failure detector** (:class:`FailureDetector`) that turns the
   evidence carried by a failed SPMD attempt — ``RankLost`` exceptions,

@@ -18,11 +18,6 @@ resume path (:func:`latest_verified_checkpoint`) walks checkpoints newest
 first until one passes — a crash between the payload rename and the
 sidecar rename therefore falls back to the previous good checkpoint
 instead of loading a torn or half-trusted file.
-
-The generic helpers (:func:`atomic_write_bytes`, :func:`verify_sidecar`,
-:func:`quarantine_file`) are shared with the result cache of
-:mod:`repro.serve`, which applies the same tmp+fsync+rename+checksum
-discipline to served artifacts.
 """
 from __future__ import annotations
 
@@ -136,30 +131,6 @@ def verify_sidecar(path: str | Path) -> bool | None:
         return file_sha256(path) == expected
     except (OSError, IndexError):
         return False
-
-
-def quarantine_file(path: str | Path, quarantine_dir: str | Path) -> Path:
-    """Move a corrupt payload (and its sidecar) out of service.
-
-    Returns the quarantined payload path; never raises on a concurrent
-    removal (the corrupt entry being gone is the goal either way).
-    """
-    path = Path(path)
-    qdir = Path(quarantine_dir)
-    qdir.mkdir(parents=True, exist_ok=True)
-    n = 0
-    dest = qdir / path.name
-    while dest.exists():
-        n += 1
-        dest = qdir / f"{path.name}.{n}"
-    for src, dst in ((path, dest), (checksum_path(path),
-                                    checksum_path(dest))):
-        try:
-            os.replace(src, dst)
-        except OSError:
-            pass
-    logger.warning("quarantined corrupt file %s -> %s", path, dest)
-    return dest
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ CASES = [
     ("timeline_trace.py", ["--quick"]),
     ("approximation_error.py", ["--quick"]),
     ("fault_tolerance.py", ["--quick"]),
-    ("serve_demo.py", ["--quick"]),
 ]
 
 

@@ -1,21 +1,19 @@
-"""Causal tracing, profiling and the flight recorder (``repro.obs``).
+"""Causal tracing and the flight recorder (``repro.obs``).
 
 Covers the cross-process observability layer end to end:
 
-* trace-context plumbing: span/trace id minting, traceparent headers,
-  thread-local context scoping, ``absorb``-time re-parenting;
+* trace-context plumbing: span/trace id minting, thread-local context
+  scoping, ``absorb``-time re-parenting;
 * propagation through ``run_spmd`` on both backends — every rank span
   chains up to the launch span under one trace_id;
-* the serve path: a process-executor job exports one causal tree
-  (supervisor job span → worker attempt span → rank spans), and a
-  watchdog-killed worker leaves flight-recorder dumps naming the kill;
 * Prometheus text exposition edge cases: label escaping, NaN/Inf
-  values, bucket cumulativity, exemplars, quantile interpolation;
+  values, bucket cumulativity, exemplars, quantile interpolation, and
+  the core's step-wall histogram;
 * exporter round-trips of the new span fields, chrome pid rows and
   isend/irecv flow events;
-* the sampling profiler (collapsed stacks, ``ObsConfig(profile=...)``);
 * the flight recorder ring, SIGTERM dump-then-die, and the report CLI
-  renderings (``--top``, flight summaries).
+  renderings (``--top``, flight summaries);
+* the job runner and the helpers only it used stay removed.
 """
 import math
 import os
@@ -40,23 +38,17 @@ from repro.obs.exporters import (
 )
 from repro.obs.flightrec import FlightRecorder, load_dump
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.profile import ProfileConfig, SamplingProfiler
 from repro.obs.spans import (
     SpanTracer,
     current_trace_context,
-    format_traceparent,
     new_span_id,
     new_trace_id,
-    parse_traceparent,
     set_active,
     set_trace_context,
     trace_context,
     tracing,
 )
 from repro.physics import perturbed_rest_state
-from repro.serve import JobServer, JobSpec
-
-WAIT = 120.0
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +64,6 @@ class TestTraceContext:
         tid = new_trace_id()
         assert len(tid) == 16 and int(tid, 16) >= 0
         assert tid != new_trace_id()
-
-    def test_traceparent_round_trip(self):
-        header = format_traceparent("ab" * 8, 12345)
-        assert parse_traceparent(header) == ("ab" * 8, 12345)
-
-    def test_traceparent_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_traceparent("not-a-header")
 
     def test_context_scoping_restores(self):
         assert current_trace_context() == ("", 0)
@@ -187,72 +171,6 @@ def test_spmd_ranks_share_one_causal_tree(backend):
 
 
 # ---------------------------------------------------------------------------
-# serve: one causal tree per job + post-mortem dumps
-# ---------------------------------------------------------------------------
-class TestServeCausal:
-    def test_process_job_exports_single_tree_with_ranks(self, tmp_path):
-        srv = JobServer(tmp_path / "cache", workers=1,
-                        heartbeat_timeout=10.0)
-        try:
-            if srv.executor != "process":
-                pytest.skip("process executor unavailable")
-            spec = JobSpec(name="causal", nsteps=2, algorithm="ca",
-                           ny=32, nprocs=2, backend="thread")
-            res = srv.submit(spec).result(timeout=WAIT)
-            assert res.ok
-            spans = srv.tracer.spans
-            jobs = [s for s in spans if s.name.startswith("job:")]
-            assert len(jobs) == 1 and jobs[0].parent_id == 0
-            trace = [s for s in spans if s.trace_id == jobs[0].trace_id]
-            assert {s.rank for s in trace if s.rank >= 0} == {0, 1}
-            assert any(s.name.startswith("attempt:") for s in trace)
-            by_id = {s.span_id: s for s in trace}
-            for s in trace:
-                cur = s
-                while cur.parent_id and cur.parent_id in by_id:
-                    cur = by_id[cur.parent_id]
-                assert cur.span_id == jobs[0].span_id, s.name
-            assert len({s.pid for s in trace}) >= 2  # supervisor + worker
-        finally:
-            srv.close(drain=False, timeout=20.0)
-
-    def test_wedge_leaves_flight_dump_naming_watchdog(self, tmp_path):
-        srv = JobServer(tmp_path / "cache", workers=1,
-                        heartbeat_timeout=1.5)
-        try:
-            if srv.executor != "process":
-                pytest.skip("process executor unavailable")
-            spec = JobSpec(name="wedge", nsteps=2,
-                           chaos={"kind": "wedge", "attempts": [1]})
-            res = srv.submit(spec).result(timeout=WAIT)
-            assert res.ok and res.attempts >= 2
-            dumps = sorted(srv.flight_dir.glob("*.json"))
-            assert dumps, "no flight dumps written"
-            docs = [load_dump(p) for p in dumps]
-            reasons = [d["reason"] for d in docs]
-            assert any("watchdog" in r for r in reasons), reasons
-            # the supervisor-side record names job and attempt
-            sup = next(d for d in docs if "watchdog" in d["reason"])
-            assert sup["meta"]["kind"] == "watchdog-kill"
-            assert sup["meta"]["trace_id"]
-        finally:
-            srv.close(drain=False, timeout=20.0)
-
-    def test_job_latency_histogram_with_exemplar(self, tmp_path):
-        srv = JobServer(tmp_path / "cache", workers=1,
-                        heartbeat_timeout=10.0)
-        try:
-            res = srv.submit(JobSpec(name="h", nsteps=1)).result(
-                timeout=WAIT)
-            assert res.ok
-            text = srv.metrics_text()
-            assert "serve_job_latency_seconds_bucket" in text
-            assert 'trace_id="' in text  # exemplar attached
-        finally:
-            srv.close(drain=False, timeout=20.0)
-
-
-# ---------------------------------------------------------------------------
 # Prometheus exposition edge cases
 # ---------------------------------------------------------------------------
 class TestPrometheusEdges:
@@ -298,6 +216,17 @@ class TestPrometheusEdges:
         assert math.isnan(h.quantile(0.5))
         h.observe(100.0)
         assert h.quantile(0.5) == 2.0  # clamped to last finite edge
+
+    def test_step_wall_histogram_recorded(self):
+        grid = LatLonGrid(nx=16, ny=8, nz=4)
+        core = DynamicalCore(
+            grid, algorithm="serial",
+            params=ModelParameters(m_iterations=1),
+            observe=True,
+        )
+        core.run(perturbed_rest_state(grid), nsteps=3)
+        text = core.observation.prometheus_text()
+        assert "step_wall_seconds_count 3" in text
 
 
 # ---------------------------------------------------------------------------
@@ -361,63 +290,6 @@ class TestExporterRoundTrip:
         got = write_text_atomic(target, "hello")
         assert got == target and target.read_text() == "hello"
         assert list(target.parent.glob("*tmp*")) == []
-
-
-# ---------------------------------------------------------------------------
-# sampling profiler
-# ---------------------------------------------------------------------------
-class TestProfiler:
-    def test_collects_samples_and_writes(self, tmp_path):
-        out = tmp_path / "p.collapsed"
-        with SamplingProfiler(hz=200.0, out=out) as prof:
-            t0 = time.perf_counter()
-            while time.perf_counter() - t0 < 0.15:
-                sum(range(500))
-        assert prof.nsamples > 0
-        path = prof.write()
-        text = path.read_text()
-        assert text
-        for line in text.splitlines():
-            stack, count = line.rsplit(" ", 1)
-            assert int(count) >= 1
-            assert stack.startswith(("main;", "rank "))
-
-    def test_config_coercion(self):
-        assert ProfileConfig.coerce(None) is None
-        assert ProfileConfig.coerce(False) is None
-        assert ProfileConfig.coerce(True).hz == ProfileConfig().hz
-        assert ProfileConfig.coerce(50).hz == 50.0
-        assert ProfileConfig.coerce("x.collapsed").out == "x.collapsed"
-        cfg = ProfileConfig(hz=10)
-        assert ProfileConfig.coerce(cfg) is cfg
-        with pytest.raises(TypeError):
-            ProfileConfig.coerce(object())
-        with pytest.raises(ValueError):
-            ProfileConfig(hz=0)
-
-    def test_obs_config_profile_writes_flamegraph(self, tmp_path):
-        out = tmp_path / "run.collapsed"
-        grid = LatLonGrid(nx=16, ny=8, nz=4)
-        core = DynamicalCore(
-            grid, algorithm="serial",
-            params=ModelParameters(m_iterations=1),
-            observe=ObsConfig(profile=str(out)),
-        )
-        core.run(perturbed_rest_state(grid), nsteps=2)
-        assert core.observation.profiler is not None
-        assert not core.observation.profiler.running  # stopped with scope
-        assert out.exists()
-
-    def test_step_wall_histogram_recorded(self):
-        grid = LatLonGrid(nx=16, ny=8, nz=4)
-        core = DynamicalCore(
-            grid, algorithm="serial",
-            params=ModelParameters(m_iterations=1),
-            observe=True,
-        )
-        core.run(perturbed_rest_state(grid), nsteps=3)
-        text = core.observation.prometheus_text()
-        assert "step_wall_seconds_count 3" in text
 
 
 # ---------------------------------------------------------------------------
@@ -517,3 +389,19 @@ class TestReportCli:
 def test_numpy_is_available_marker():
     """Guard: this suite assumes the baked-in numeric stack."""
     assert np.zeros(1).size == 1 and sys.version_info >= (3, 11)
+
+
+def test_job_runner_surface_is_gone():
+    """The multi-tenant job runner and what only it used stay removed."""
+    import repro.obs
+    from repro.core.resilience import ResilienceConfig
+
+    with pytest.raises(ModuleNotFoundError):
+        import repro.serve  # noqa: F401
+    with pytest.raises(TypeError):
+        ObsConfig(profile=True)
+    with pytest.raises(TypeError):
+        ResilienceConfig(checkpoint_dir=".", on_chunk=lambda s, n: None)
+    for name in ("SamplingProfiler", "ProfileConfig",
+                 "format_traceparent", "parse_traceparent"):
+        assert not hasattr(repro.obs, name), name

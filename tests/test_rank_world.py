@@ -240,31 +240,25 @@ class _Stop(BaseException):
 
 
 class TestNoLeaks:
-    def test_on_chunk_exception_closes_the_world(self, tmp_path):
-        core = make_core("ca", "process")
-
-        def on_chunk(step, nsteps):
-            if step == 2:
-                raise RuntimeError("heartbeat refused")
-
-        with pytest.raises(RuntimeError, match="heartbeat refused"):
-            chunked(core, tmp_path, 1, on_chunk=on_chunk)
-        assert_nothing_left()
-        # the chunk the heartbeat rode on was committed and checkpointed
-        assert (tmp_path / "ckpt_00000002.npz").exists()
-
-    def test_base_exception_between_chunks_closes_the_world(self, tmp_path):
+    @pytest.mark.parametrize(
+        "error", [_Stop, RuntimeError], ids=lambda e: e.__name__
+    )
+    def test_base_exception_between_chunks_closes_the_world(
+        self, tmp_path, error
+    ):
+        """An interrupt (``BaseException``) or an ordinary error raised
+        between chunks closes the world."""
         core = make_core("ca", "process")
         real, calls = core._run_once, [0]
 
         def interrupted(state, n, **kw):
             calls[0] += 1
             if calls[0] == 3:
-                raise _Stop()
+                raise error()
             return real(state, n, **kw)
 
         core._run_once = interrupted
-        with pytest.raises(_Stop):
+        with pytest.raises(error):
             core.run_resilient(
                 initial(core), NSTEPS,
                 ResilienceConfig(checkpoint_dir=tmp_path, checkpoint_interval=1),

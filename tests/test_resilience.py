@@ -376,15 +376,3 @@ class TestVerifiedResumeFallback:
         final, _, report = core.run_resilient(state0, NSTEPS, rcfg)
         assert report.resumed_from_step == 1  # not 2: torn file skipped
         assert plain.max_difference(final) < 1e-12
-
-    def test_on_chunk_hook_fires_per_committed_chunk(
-        self, tmp_path, grid, params, state0
-    ):
-        core = make_core(grid, params, "serial")
-        seen = []
-        rcfg = ResilienceConfig(
-            checkpoint_dir=tmp_path, checkpoint_interval=1,
-            on_chunk=lambda step, total: seen.append((step, total)),
-        )
-        core.run_resilient(state0, NSTEPS, rcfg)
-        assert seen == [(1, NSTEPS), (2, NSTEPS), (3, NSTEPS)]

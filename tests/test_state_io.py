@@ -9,7 +9,6 @@ from repro.state.io import (
     file_sha256,
     latest_verified_checkpoint,
     load_state,
-    quarantine_file,
     save_state,
     verify_sidecar,
 )
@@ -116,18 +115,6 @@ class TestAtomicWrites:
             load_state(path)
         loaded, _ = load_state(path, verify=False)
         assert loaded.allclose(state, rtol=0, atol=0)
-
-    def test_quarantine_moves_payload_and_sidecar(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        atomic_write_bytes(path, b"junk")
-        qdir = tmp_path / "quarantine"
-        dest = quarantine_file(path, qdir)
-        assert not path.exists() and not checksum_path(path).exists()
-        assert dest.exists() and checksum_path(dest).exists()
-        # a second victim with the same name gets a unique slot
-        atomic_write_bytes(path, b"junk2")
-        dest2 = quarantine_file(path, qdir)
-        assert dest2 != dest and dest2.exists()
 
 
 class TestVerifiedResume:
