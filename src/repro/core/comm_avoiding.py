@@ -147,7 +147,7 @@ class CommAvoidingRank(RankContext):
         there.  ``np.zeros`` maps zero pages lazily, so rows and members
         never touched cost no memory."""
         return StateRing.of(
-            ModelState.zeros(self.geom.shape3d) for _ in range(6)
+            ModelState.zeros(self.geom.shape3d) for _ in range(3)
         )
 
     def fill_bc(self, state: ModelState) -> None:

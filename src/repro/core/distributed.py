@@ -156,7 +156,6 @@ class RankContext:
             self.fmask_v, self.ffactors_v = filter_plan(
                 self.geom.sin_v, nx, cfg.params.filter_latitude, profile
             )
-        self._ws_seen = (0, 0)  # pool counters at the last result()
         self.restart()
 
     def restart(self) -> None:
@@ -457,17 +456,11 @@ class RankContext:
         for name in ("U", "V", "Phi"):
             getattr(out, name)[ext.slices3d()] = getattr(w, name)[sl3]
         out.psa[ext.slices2d()] = w.psa[sl3[1:]]
-        fresh, reuses = self._ws_seen
-        self._ws_seen = (self.ws.fresh_allocations, self.ws.reuses)
         return RankResult(
             c_calls=self.c_calls,
             exchanges=self.exchanges,
             telemetry=self.telemetry_partials if self.cfg.telemetry else None,
-            ws_counters={
-                "fresh_allocations": self.ws.fresh_allocations - fresh,
-                "reuses": self.ws.reuses - reuses,
-                "pooled_bytes": self.ws.pooled_bytes,
-            },
+            ws_counters=self.ws.counters(),
         )
 
     def _interior(self) -> tuple[slice, slice, slice]:

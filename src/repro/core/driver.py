@@ -203,6 +203,9 @@ class DynamicalCore:
         self._area_holds: ModelState | None = None
         self._in_call = False
         self.rank_launches = 0
+        #: the serial core, built by the first serial call and restarted
+        #: by every later one (its pools and ring outlive a call)
+        self._serial: SerialCore | None = None
 
     # ---- observation lifecycle -----------------------------------------------
     @property
@@ -238,8 +241,10 @@ class DynamicalCore:
     def _world_scope(self):
         """One call of ``run`` / ``run_resilient`` / a bare ``_run_once``:
         the rank world opened inside serves every chunk of the call and is
-        closed when it returns or raises — no child process and none of
-        its memory outlives a call.  Reentrant like :meth:`_obs_scope`."""
+        closed when it returns or raises — no child process, shared
+        memory or checkpoint directory outlives a call.  The serial core's
+        pooled buffers live as long as this object; a core serves one
+        call at a time.  Reentrant like :meth:`_obs_scope`."""
         if self._in_call:
             yield
             return
@@ -363,13 +368,15 @@ class DynamicalCore:
         cfg = self.config
         want_telemetry = obs is not None and obs.config.telemetry
         if cfg.algorithm == "serial":
-            core = SerialCore(
-                cfg.grid,
-                sigma=cfg.sigma,
-                params=cfg.params,
-                forcing=cfg.forcing,
-                kernel_tier=cfg.kernel_tier,
-            )
+            if self._serial is None:
+                self._serial = SerialCore(
+                    cfg.grid,
+                    sigma=cfg.sigma,
+                    params=cfg.params,
+                    forcing=cfg.forcing,
+                    kernel_tier=cfg.kernel_tier,
+                )
+            core = self._serial
             monitor = None
             if want_telemetry:
                 from repro.obs.telemetry import record_for_state
@@ -384,15 +391,7 @@ class DynamicalCore:
             out = core.run(state0, nsteps, monitor=monitor)
             diag = StepDiagnostics(c_calls=core.c_calls)
             if obs is not None and obs.config.metrics:
-                absorb_workspace_counters(
-                    obs.registry,
-                    {
-                        "fresh_allocations": core.ws.fresh_allocations,
-                        "reuses": core.ws.reuses,
-                        "pooled_bytes": core.ws.pooled_bytes,
-                    },
-                    rank=0,
-                )
+                absorb_workspace_counters(obs.registry, core.ws.counters(), rank=0)
             return out, diag, None
 
         decomp = cfg.resolve_decomposition()

@@ -84,10 +84,11 @@ class SerialCore:
     def geom(self) -> WorkingGeometry:
         return self.engine.geom
 
-    def pad(self, state: ModelState) -> ModelState:
-        """Interior (physical) state -> ghost-extended working state."""
+    def pad(self, state: ModelState, out: ModelState | None = None) -> ModelState:
+        """Interior (physical) state -> ghost-extended working state, in
+        ``out`` if given (every cell is written) or a new one."""
         g = self.geom
-        w = ModelState.zeros(g.shape3d)
+        w = ModelState.zeros(g.shape3d) if out is None else out
         gy = g.gy
         for name, arr in state.fields().items():
             target = getattr(w, name)
@@ -104,6 +105,16 @@ class SerialCore:
             Phi=wstate.Phi[:, gy:-gy, :].copy(),
             psa=wstate.psa[gy:-gy, :].copy(),
         )
+
+    def restart(self) -> None:
+        """Zero what a run counts and drop the stale ``C`` bundle (a run
+        has no previous step); geometry, kernels, pools and ring are kept.
+        Every :meth:`run` starts here, as a rank program's ``advance``
+        starts at ``RankContext.restart``."""
+        self.ws.give_vd(self._vd_stale)
+        self._vd_stale = None
+        self.c_calls = 0
+        self.steps_taken = 0
 
     # ---- the C operator with frequency accounting ------------------------------
     def _vertical_fresh(self, state: ModelState) -> VerticalDiagnostics:
@@ -201,8 +212,9 @@ class SerialCore:
     ) -> ModelState:
         """Run ``nsteps`` from the interior state ``state0``; returns the
         interior final state.  ``monitor(step, interior_state)`` is called
-        after every step if given."""
-        w = self.pad(state0)
+        after every step if given.  Counters count this run only."""
+        self.restart()
+        w = self.pad(state0, self._ring.scratch())
         for k in range(nsteps):
             w = self.step(w)
             if not np.isfinite(w.U).all():

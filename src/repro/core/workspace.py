@@ -46,6 +46,7 @@ class Workspace:
         self._pooled_ids: set[int] = set()
         self.fresh_allocations = 0
         self.reuses = 0
+        self._seen = (0, 0)  # the counters at the last counters() call
 
     @staticmethod
     def _key(shape: tuple[int, ...], dtype) -> tuple:
@@ -123,17 +124,29 @@ class Workspace:
         """Total bytes currently parked in the pool."""
         return sum(a.nbytes for bucket in self._pool.values() for a in bucket)
 
+    def counters(self) -> dict:
+        """Pool misses and hits since the previous call, and the bytes
+        parked now: what one call of a resident core reports."""
+        fresh, reuses = self._seen
+        self._seen = (self.fresh_allocations, self.reuses)
+        return {
+            "fresh_allocations": self.fresh_allocations - fresh,
+            "reuses": self.reuses - reuses,
+            "pooled_bytes": self.pooled_bytes,
+        }
+
 
 class StateRing:
     """A fixed rotation of working :class:`ModelState` buffers.
 
-    The integrators' internal updates need at most four concurrently live
-    states (base, two iterates, output); ``scratch(*live)`` returns a ring
-    member that is not among the live ones, so the rotation reuses dead
-    iterates' storage with no allocation and no aliasing.
+    Every schedule's internal updates keep at most two states live (the
+    base and the update's input) while the output is written, so three
+    members suffice; ``scratch(*live)`` returns the first member that is
+    not among the live ones, so the rotation reuses dead iterates'
+    storage with no allocation and no aliasing.
     """
 
-    def __init__(self, ws: Workspace, shape3d: tuple[int, int, int], size: int = 6):
+    def __init__(self, ws: Workspace, shape3d: tuple[int, int, int], size: int = 3):
         self._states = [ws.take_state(shape3d) for _ in range(size)]
 
     @classmethod

@@ -341,7 +341,9 @@ def absorb_workspace_counters(
     """Accumulate one rank's workspace pool counters into the registry.
 
     ``counters`` is the ``{"fresh_allocations", "reuses", "pooled_bytes"}``
-    dict a rank program reports (or a serial core's live values).
+    dict of :meth:`repro.core.workspace.Workspace.counters` that one call
+    of a rank program or of the serial core reports: misses and hits of
+    that call only, so a resident core's totals are counted once.
     """
     r = str(rank)
     registry.counter(

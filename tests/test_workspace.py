@@ -119,6 +119,15 @@ class TestStateRing:
         ring = StateRing.of(states)
         assert ring.scratch(states[0]) is states[1]
 
+    def test_default_ring_serves_two_live_states(self):
+        """Three members: every schedule keeps at most two states live."""
+        ring = StateRing(Workspace(), (2, 3, 4))
+        a = ring.scratch()
+        b = ring.scratch(a)
+        c = ring.scratch(a, b)
+        with pytest.raises(RuntimeError, match="exhausted"):
+            ring.scratch(a, b, c)
+
     def test_exhaustion_raises(self):
         ws = Workspace()
         ring = StateRing(ws, (2, 3, 4), size=2)
