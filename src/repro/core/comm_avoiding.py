@@ -390,7 +390,7 @@ def ca_program(comm: SimComm, cfg: DistributedConfig):
     ) -> RankResult:
         ctx.restart()
         # xi_pre is the *unsmoothed* advected state zeta_3 of the previous step
-        xi_pre = ctx.pad_local(initial)
+        xi_pre = ctx.pad_local(initial, out=scr())
         ctx.fill_bc(xi_pre)
         for k in range(nsteps):
             xi_pre = step(xi_pre, first_step=k == 0)

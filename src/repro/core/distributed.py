@@ -417,9 +417,14 @@ class RankContext:
             arr[..., mask, gx: gx + nx_i] = slots.reshape(rows.shape)
 
     # ---- the block in and out of the global state ---------------------------
-    def pad_local(self, global_state: ModelState) -> ModelState:
-        """Scatter this rank's block of a global state into working arrays."""
-        w = ModelState.zeros(self.geom.shape3d)
+    def pad_local(
+        self, global_state: ModelState, out: ModelState | None = None
+    ) -> ModelState:
+        """Scatter this rank's block of a global state into working
+        arrays: a new zero state, or ``out`` (a ring member), of which only
+        the block is written — the programs fill every ghost cell (halo
+        refresh, pole and z-edge fill) before anything reads it."""
+        w = ModelState.zeros(self.geom.shape3d) if out is None else out
         # straight from the slice views: one copy per block, not two
         ext, sl3 = self.extent, self._interior()
         for name in ("U", "V", "Phi"):
@@ -520,7 +525,7 @@ def original_program(comm: SimComm, cfg: DistributedConfig):
         initial: ModelState, nsteps: int, out: ModelState
     ) -> RankResult:
         ctx.restart()
-        psi = ctx.pad_local(initial)
+        psi = ctx.pad_local(initial, out=scr())
         ctx.refresh_halos(psi)
         for step_no in range(nsteps):
             psi = step(psi)
@@ -593,15 +598,13 @@ def resident(build, cfg: DistributedConfig):
     """The rank function ``program(comm, initial, nsteps, out)`` of a world
     that advances one program by commands: ``build(comm, cfg)`` runs on a
     rank's first command and stays on its communicator — once per world on
-    a persistent (process) rank, once per run on a thread rank.
-    ``initial=None`` starts from the state ``out`` already holds."""
+    a persistent (process) rank, once per run on a thread rank."""
 
     def program(
-        comm: SimComm, initial: ModelState | None, nsteps: int,
-        out: ModelState,
+        comm: SimComm, initial: ModelState, nsteps: int, out: ModelState
     ) -> RankResult:
         if comm.resident is None:
             comm.resident = build(comm, cfg)
-        return comm.resident(out if initial is None else initial, nsteps, out)
+        return comm.resident(initial, nsteps, out)
 
     return program

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 from repro.constants import DEFAULT_PARAMETERS, ModelParameters
@@ -92,12 +91,30 @@ class StepDiagnostics:
         self.retransmits += other.retransmits
 
 
-def state_area(shape3d: tuple[int, int, int]) -> ModelState:
-    """The global-state area of one process rank world, which every rank
-    writes its interior block into: a zero state in an anonymous shared
-    mapping the forked ranks inherit (thread ranks share a plain one)."""
+def state_area(
+    shape3d: tuple[int, int, int],
+) -> tuple[ModelState, ModelState]:
+    """The two global-state areas of one process rank world, which every
+    rank writes its interior block into (command *k* of the world writes
+    area *k* mod 2): zero states in one anonymous shared mapping the
+    forked ranks inherit.  Untouched pages cost nothing, so a world of
+    one command pays for one area."""
     nz, ny, nx = shape3d
-    return ModelState(*shared_zeros(*[(nz, ny, nx)] * 3, (ny, nx)))
+    arrays = shared_zeros(*([(nz, ny, nx)] * 3 + [(ny, nx)]) * 2)
+    return ModelState(*arrays[:4]), ModelState(*arrays[4:])
+
+
+def area_command(program, areas: tuple[ModelState, ModelState]):
+    """The rank function of a world over ``areas``: command ``k`` advances
+    ``program`` from ``initial`` — or, given ``None``, from the area the
+    previous command wrote — into area ``k`` mod 2."""
+
+    def command(comm, initial: ModelState | None, nsteps: int, k: int):
+        if initial is None:
+            initial = areas[(k - 1) % 2]
+        return program(comm, initial, nsteps, areas[k % 2])
+
+    return command
 
 
 def default_spmd_timeout(nsteps: int) -> float:
@@ -197,10 +214,9 @@ class DynamicalCore:
         #: it was forked for (see _world_scope); worlds forked so far
         self._world: RankWorld | None = None
         self._world_key: tuple = ()
-        #: that world's global-state area, and the state the driver last
-        #: returned from it (what the area still holds)
-        self._area: ModelState | None = None
-        self._area_holds: ModelState | None = None
+        #: that world's two global-state areas and the commands it ran
+        self._areas: tuple[ModelState, ModelState] | None = None
+        self._commands = 0
         self._in_call = False
         self.rank_launches = 0
         #: the serial core, built by the first serial call and restarted
@@ -256,7 +272,7 @@ class DynamicalCore:
             if self._world is not None:
                 self._world.close()
                 self._world = None
-            self._area = self._area_holds = None
+            self._areas = None
 
     def _commit_observation(self) -> None:
         """Move staged telemetry into the committed series."""
@@ -321,6 +337,16 @@ class DynamicalCore:
         ``transport`` overrides :attr:`CoreConfig.transport` when given
         (the resilient driver passes its own policy, including an
         explicit ``None`` for the raw network).
+
+        On the process backend the returned state is not a copy: it is the
+        world's state area the command just filled, and it stays valid
+        until the world runs two more commands (each call of ``run``
+        forks its own world, so a plain run's result stays valid for
+        good).  A command that starts from the previous result reads it
+        in place.  Only ``run_resilient`` sends a second command, and it
+        is done with a chunk's state once the next chunk commits: the
+        deferred checkpoint runs during that next chunk, which writes the
+        other area, and the buddy mirror copies.
         """
         if transport is _UNSET:
             transport = self.config.transport
@@ -427,7 +453,7 @@ class DynamicalCore:
         ):
             # everything a world is forked with; the rest goes per command
             key = (decomp, want_telemetry, verify_checksums, transport)
-            world, initial = self._world, None
+            world, initial, k = self._world, None, self._commands
             if world is None or not world.is_open or key != self._world_key:
                 if world is not None:
                     world.close()
@@ -436,9 +462,9 @@ class DynamicalCore:
                 # hashing the source and dlopening the hit
                 if cfg.kernel_tier == "fused":
                     resolve_backend()
-                area = self._area = state_area(cfg.grid.shape3d)
+                self._areas = state_area(cfg.grid.shape3d)
                 world = self._world = RankWorld(
-                    decomp.nranks, partial(program, out=area),
+                    decomp.nranks, area_command(program, self._areas),
                     machine=cfg.machine,
                     verify_checksums=verify_checksums, transport=transport,
                 )
@@ -449,16 +475,17 @@ class DynamicalCore:
                         "spmd_launches_total", "rank worlds forked"
                     ).inc()
                 # the first command reads state0 through fork inheritance
-                initial = state0
-            elif state0 is not self._area_holds:
-                # a reused world starting from a state the area does not
-                # hold (a rollback): the parent writes it in
-                state0.copy_into(self._area)
+                initial, k = state0, 0
+            elif state0 is not self._areas[(k - 1) % 2]:
+                # a reused world starting from a state other than the
+                # previous result (a rollback): the parent writes it into
+                # the area the command reads
+                state0.copy_into(self._areas[(k - 1) % 2])
+            self._commands = k + 1
             result = world.call(
-                initial, nsteps, timeout=timeout, trace=trace, faults=faults
+                initial, nsteps, k, timeout=timeout, trace=trace, faults=faults
             )
-            # a private copy: the next command overwrites the area
-            final = self._area_holds = self._area.copy()
+            final = self._areas[k % 2]
         else:
             final = ModelState.zeros(cfg.grid.shape3d)
             result = run_spmd(

@@ -261,9 +261,9 @@ class Decomposition:
         """Copy of this rank's block of a global 3-D or ``(ny, nx)`` array."""
         ext = self.extent(rank)
         if global_array.ndim == 3:
-            return np.ascontiguousarray(global_array[ext.slices3d()])
+            return global_array[ext.slices3d()].copy()
         if global_array.ndim == 2:
-            return np.ascontiguousarray(global_array[ext.slices2d()])
+            return global_array[ext.slices2d()].copy()
         raise ValueError("expected a 2-D or 3-D global array")
 
     def gather(self, locals_: list[np.ndarray]) -> np.ndarray:

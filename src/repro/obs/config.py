@@ -92,9 +92,6 @@ class Observation:
             ),
         )
 
-    def prometheus_text(self) -> str:
-        return self.registry.to_prometheus_text()
-
     def finalize_outputs(self) -> None:
         """Write any outputs the config asked for (idempotent overwrite)."""
         if self.config.chrome_trace:

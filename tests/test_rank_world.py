@@ -38,6 +38,7 @@ from repro.physics import perturbed_rest_state
 from repro.simmpi import FaultPlan, NodeLoss, SpmdError
 from repro.simmpi.launcher import RankWorld
 from repro.simmpi.shm import live_segment_names
+from repro.state.variables import ModelState
 
 PARAMS = ModelParameters(dt_adaptation=60.0, dt_advection=60.0, m_iterations=1)
 GRIDS = {
@@ -165,7 +166,7 @@ class TestBitIdentity:
             grid=core.config.grid, params=PARAMS,
             decomp=core.config.resolve_decomposition(), kernel_tier="fused",
         )
-        area = state_area(core.config.grid.shape3d)
+        area, _ = state_area(core.config.grid.shape3d)
         world = RankWorld(2, partial(resident(ca_program, cfg), out=area))
         try:
             first = world.call(initial(core), 2)
@@ -183,6 +184,82 @@ class TestBitIdentity:
         assert same(after_first, area)
         assert first.clocks == second.clocks
         assert first.stats == second.stats
+
+
+class TestStateAreas:
+    """A process-backend result is the area its command wrote, not a copy:
+    it must hold still for as long as anyone reads it."""
+
+    def test_every_checkpoint_and_buddy_snapshot_equals_the_chained_runs(
+        self, tmp_path, monkeypatch
+    ):
+        """The deferred checkpoint of chunk k runs during chunk k + 1; a
+        command writing the area it reads would show here."""
+        from repro.core.buddy import BuddyStore
+        from repro.state.io import load_state
+
+        snapshots = []
+        store = BuddyStore.store
+
+        def keeping(self, step, state):
+            store(self, step, state)
+            snapshots.append((step, self._primary, self._mirror))
+
+        monkeypatch.setattr(BuddyStore, "store", keeping)
+        core = make_core("ca", "process")
+        _, _, report = core.run_resilient(
+            initial(core), NSTEPS,
+            ResilienceConfig(checkpoint_dir=tmp_path, checkpoint_interval=1),
+        )
+        want, boundary = initial(core), {0: initial(core)}
+        for step in range(1, NSTEPS + 1):
+            want, _ = core.run(want, 1)
+            boundary[step] = want
+        assert [s for s, _ in report.checkpoints] == list(range(NSTEPS + 1))
+        for step, path in report.checkpoints:
+            assert same(load_state(path)[0], boundary[step]), step
+        assert [s for s, _, _ in snapshots] == list(range(NSTEPS + 1))
+        decomp = core.config.resolve_decomposition()
+        for step, primary, mirror in snapshots:
+            for blocks in (primary, mirror):
+                got = ModelState(**{
+                    k: decomp.gather([blocks[r][k] for r in range(2)])
+                    for k in ("U", "V", "Phi", "psa")
+                })
+                assert same(got, boundary[step]), step
+
+    def test_earlier_results_survive_later_calls(self):
+        results = {}
+        for backend in ("thread", "process"):
+            core = make_core("ca", backend)
+            first, _ = core.run(initial(core), 1)
+            second, _ = core.run(first, 2)
+            kept = first.copy(), second.copy()
+            core.run(second, 1)
+            assert same(first, kept[0]) and same(second, kept[1]), backend
+            results[backend] = first, second
+        for got, want in zip(results["process"], results["thread"]):
+            assert same(got, want)
+
+    @pytest.mark.parametrize("algorithm", ["ca", "original-yz"])
+    def test_warm_command_from_a_new_state_equals_a_fresh_world(
+        self, algorithm
+    ):
+        """Ranks pad into their ring: nothing of the previous command's
+        state may survive in the ghost rows of the next one."""
+        core = make_core(algorithm, "process")
+        grid = core.config.grid
+        b = perturbed_rest_state(grid, amplitude_k=3.0, center_lon_deg=200.0)
+        with core._world_scope():
+            core._run_once(initial(core), 2)
+            warm, diag, stats = core._run_once(b, 2)
+            warm = warm.copy()
+            assert core.rank_launches == 1
+        fresh = make_core(algorithm, "process")
+        want, want_diag, want_stats = fresh._run_once(b, 2)
+        assert same(warm, want)
+        assert diag == want_diag
+        assert stats == want_stats
 
 
 class TestRankLaunches:
