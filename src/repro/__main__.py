@@ -10,7 +10,7 @@ def main() -> int:
     print()
     print("entry points:")
     print("  python -m repro.bench.figures all   every figure and table")
-    print("  python -m repro.perf.report [f.json] machine-readable report")
+    print("  python -m repro.bench.figures --json [f.json]  machine-readable report")
     print("  python examples/quickstart.py        run the core")
     print("  pytest tests/                        the test suite")
     print("  python3 benchmarks/e2e/run.py        the repo benchmark")

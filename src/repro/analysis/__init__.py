@@ -7,12 +7,6 @@ from repro.analysis.lower_bounds import (
     section53_costs,
     Sec53Costs,
 )
-from repro.analysis.scaling import (
-    ScalingPoint,
-    ca_advantage_persists,
-    scaling_report,
-    strong_scaling,
-)
 from repro.analysis.climatology import Climatology, ClimatologyAccumulator
 
 __all__ = [
@@ -22,10 +16,6 @@ __all__ = [
     "summation_lower_bound",
     "section53_costs",
     "Sec53Costs",
-    "ScalingPoint",
-    "ca_advantage_persists",
-    "scaling_report",
-    "strong_scaling",
     "Climatology",
     "ClimatologyAccumulator",
 ]

@@ -1,19 +1,3 @@
-"""Benchmark harness: regenerates every table and figure of the paper's
-evaluation section.  ``python -m repro.bench.figures all`` prints them."""
-from repro.bench.harness import (
-    FigureSeries,
-    fig1_comm_fraction,
-    fig6_collective_time,
-    fig7_stencil_time,
-    fig8_total_runtime,
-    small_scale_measured,
-)
-
-__all__ = [
-    "FigureSeries",
-    "fig1_comm_fraction",
-    "fig6_collective_time",
-    "fig7_stencil_time",
-    "fig8_total_runtime",
-    "small_scale_measured",
-]
+"""Regenerates every table and figure of the paper's evaluation section:
+``python -m repro.bench.figures all`` prints them, ``--json`` the report
+behind EXPERIMENTS.md (see :mod:`repro.bench.figures`)."""

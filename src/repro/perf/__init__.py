@@ -5,8 +5,6 @@ from repro.perf.costs import ComputeWeights, DEFAULT_WEIGHTS, StepEvents, step_e
 from repro.perf.model import (
     ALGORITHMS,
     AlgorithmTiming,
-    Calibration,
-    DEFAULT_CALIBRATION,
     PAPER_PROC_SWEEP,
     PerformanceModel,
 )
@@ -18,8 +16,6 @@ __all__ = [
     "step_events",
     "ALGORITHMS",
     "AlgorithmTiming",
-    "Calibration",
-    "DEFAULT_CALIBRATION",
     "PAPER_PROC_SWEEP",
     "PerformanceModel",
 ]

@@ -24,10 +24,11 @@ Model structure (per step, busiest rank):
   (polar load imbalance, OS jitter) that dominates measured collective
   times at scale; it grows logarithmically with the job size.
 
-The free constants are calibrated so the model lands near the paper's
-anchor numbers (17,400 -> 2,800 s stencil time at p = 1024; 54% total
-reduction vs X-Y at p = 512; 46,300 s saved vs Y-Z at p = 1024); the
-*shape* claims are asserted in the benchmark suite.
+The machine is a :class:`repro.simmpi.machine.MachineModel`; its default,
+``TIANHE2_LIKE``, carries the free constants, fitted so the model lands
+near the paper's anchor numbers (17,400 -> 2,800 s stencil time at
+p = 1024; 54% total reduction vs X-Y at p = 512; 46,300 s saved vs Y-Z at
+p = 1024); the *shape* claims are asserted in the test suite.
 """
 from __future__ import annotations
 
@@ -43,48 +44,10 @@ from repro.grid.decomposition import (
 from repro.grid.latlon import LatLonGrid
 from repro.operators.stencil_meta import row_window_schedule
 from repro.perf.costs import B, ComputeWeights, DEFAULT_WEIGHTS, N_FIELDS
+from repro.simmpi.machine import TIANHE2_LIKE, MachineModel
 
 #: model seconds in 10 model years with the paper-scale advection step
 SECONDS_PER_YEAR = 365.0 * 86400.0
-
-
-@dataclass(frozen=True)
-class Calibration:
-    """Free constants of the projection model (see module docstring)."""
-
-    #: per point-update per unit weight [s] (optimized Fortran-like rate)
-    seconds_per_point: float = 1.2e-9
-    #: effective per-rank bandwidth [s/B] for halo payloads
-    beta: float = 1.7e-10
-    #: per-message software/injection cost [s]
-    alpha_msg: float = 4.0e-6
-    #: per-exchange-round rendezvous/jitter overhead [s]
-    round_overhead: float = 2.2e-3
-    #: per-collective synchronization overhead at the reference job size
-    sync_base: float = 1.2e-2
-    #: growth of the sync overhead per doubling of the job size
-    sync_per_doubling: float = 6.0e-3
-    #: reference job size for ``sync_base``
-    sync_ref_procs: int = 128
-
-    def __post_init__(self) -> None:
-        for name in (
-            "seconds_per_point", "beta", "alpha_msg", "round_overhead",
-            "sync_base", "sync_per_doubling",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.sync_ref_procs < 1:
-            raise ValueError("sync_ref_procs must be >= 1")
-
-    def sync_overhead(self, nprocs: int) -> float:
-        """Effective per-collective synchronization cost for a job of
-        ``nprocs`` ranks."""
-        doublings = max(0.0, math.log2(max(1, nprocs) / self.sync_ref_procs))
-        return self.sync_base + self.sync_per_doubling * doublings
-
-
-DEFAULT_CALIBRATION = Calibration()
 
 
 @dataclass(frozen=True)
@@ -122,14 +85,14 @@ class PerformanceModel:
         self,
         grid: LatLonGrid,
         params: ModelParameters | None = None,
-        calibration: Calibration = DEFAULT_CALIBRATION,
+        machine: MachineModel = TIANHE2_LIKE,
         weights: ComputeWeights = DEFAULT_WEIGHTS,
         model_years: float = 10.0,
         dt_step: float | None = None,
     ) -> None:
         self.grid = grid
         self.params = params or ModelParameters()
-        self.cal = calibration
+        self.machine = machine
         self.weights = weights
         self.dt_step = dt_step if dt_step is not None else self.PAPER_DT
         self.nsteps = int(round(model_years * SECONDS_PER_YEAR / self.dt_step))
@@ -217,7 +180,7 @@ class PerformanceModel:
 
     def _compute_per_step(self, algorithm: str, decomp: Decomposition) -> float:
         M = self.params.m_iterations
-        W, cal = self.weights, self.cal
+        W, mach = self.weights, self.machine
         nx = decomp.nx
         block = self._block_points(decomp)
         # filter work: polar ranks FFT their filtered rows (worst rank)
@@ -238,7 +201,7 @@ class PerformanceModel:
                 + W.smoothing * block
                 + filter_work
             )
-        return work * cal.seconds_per_point
+        return work * mach.seconds_per_point
 
     # ---- per-step stencil communication ----------------------------------------------
     def _halo_bytes(
@@ -271,7 +234,7 @@ class PerformanceModel:
         self, algorithm: str, decomp: Decomposition, compute_per_step: float
     ) -> float:
         M = self.params.m_iterations
-        cal = self.cal
+        mach = self.machine
         n_neigh = 8
         if algorithm == "ca":
             wy_a, wz_a = 3 * M + 2, (3 * M if decomp.pz > 1 else 0)
@@ -283,16 +246,16 @@ class PerformanceModel:
             rings_l = max(1.0, wy_l / max(1.0, ny_l))
             msgs = n_neigh * N_FIELDS * (rings_a + rings_l)
             raw = (
-                2 * cal.round_overhead
-                + msgs * cal.alpha_msg
-                + (bytes_a + bytes_l) * cal.beta
+                2 * mach.round_overhead
+                + msgs * mach.alpha
+                + (bytes_a + bytes_l) * mach.beta
             )
             # overlap credit: one inner-block update hides part of each round
             inner_update = (
                 (self.weights.adaptation + self.weights.advection)
                 / 2.0
                 * self._block_points(decomp)
-                * cal.seconds_per_point
+                * mach.seconds_per_point
             )
             credit = min(2 * inner_update, 0.6 * raw)
             return raw - credit
@@ -309,7 +272,7 @@ class PerformanceModel:
             bytes_per = self._halo_bytes(decomp, 2, 1 if decomp.pz > 1 else 0, 0)
         msgs = n_neigh * N_FIELDS
         per_round = (
-            cal.round_overhead + msgs * cal.alpha_msg + bytes_per * cal.beta
+            mach.round_overhead + msgs * mach.alpha + bytes_per * mach.beta
         )
         return n_rounds * per_round
 
@@ -318,8 +281,8 @@ class PerformanceModel:
         self, algorithm: str, decomp: Decomposition, nprocs: int
     ) -> float:
         M = self.params.m_iterations
-        cal = self.cal
-        sync = cal.sync_overhead(nprocs)
+        mach = self.machine
+        sync = mach.sync_overhead(nprocs)
         total = 0.0
         # z-collectives of the C operator
         if decomp.pz > 1 and algorithm != "original-xy":
@@ -328,7 +291,7 @@ class PerformanceModel:
                 2 * (3 * M + 2) if algorithm == "ca" else 4
             )
             bytes_each = 2 * (decomp.nz / decomp.pz) * ny_w * decomp.nx * B
-            ring = (decomp.pz - 1) * (cal.alpha_msg + bytes_each * cal.beta)
+            ring = (decomp.pz - 1) * (mach.alpha + bytes_each * mach.beta)
             total += n_c * (ring + sync)
         # x-collectives of the Fourier filter
         if decomp.px > 1:
@@ -341,7 +304,7 @@ class PerformanceModel:
                 3 * rows_local * (decomp.nz / decomp.pz)
                 * (decomp.nx / decomp.px) * B
             )
-            ring = (decomp.px - 1) * (cal.alpha_msg + bytes_each * cal.beta)
+            ring = (decomp.px - 1) * (mach.alpha + bytes_each * mach.beta)
             total += n_f * (ring + sync)
         return total
 
@@ -356,7 +319,7 @@ class PerformanceModel:
         if not 1 <= batch <= 3 * M:
             raise ValueError(f"batch must be in [1, {3 * M}]")
         decomp = self.decomposition("ca", nprocs)
-        cal = self.cal
+        mach = self.machine
         rounds_adapt = math.ceil(3 * M / batch)
         adv_batch = min(batch, 3)
         rounds_adv = math.ceil(3 / adv_batch)
@@ -373,14 +336,14 @@ class PerformanceModel:
         rings = max(1.0, batch / max(1.0, ny_l))
         msgs = 8 * N_FIELDS * rings * rounds
         raw = (
-            rounds * cal.round_overhead
-            + msgs * cal.alpha_msg
-            + bytes_total * cal.beta
+            rounds * mach.round_overhead
+            + msgs * mach.alpha
+            + bytes_total * mach.beta
         )
         inner_update = (
             self.weights.adaptation
             * self._block_points(decomp)
-            * cal.seconds_per_point
+            * mach.seconds_per_point
         )
         credit = min(rounds * inner_update, 0.6 * raw)
         return (raw - credit) * self.nsteps
@@ -402,14 +365,6 @@ class PerformanceModel:
             stencil_comm_time=stencil * K,
             collective_comm_time=collective * K,
         )
-
-    def sweep(
-        self, algorithms: list[str], procs: list[int]
-    ) -> dict[str, list[AlgorithmTiming]]:
-        """Timings for every (algorithm, nprocs) pair."""
-        return {
-            alg: [self.timing(alg, p) for p in procs] for alg in algorithms
-        }
 
 
 #: the process counts of the paper's evaluation figures

@@ -1,15 +1,20 @@
-"""Alpha-beta machine model used by the logical clocks.
+"""Alpha-beta machine model used by the logical clocks and the projection.
 
 The standard two-parameter point-to-point cost ``T(n) = alpha + beta * n``
 (latency + inverse bandwidth) plus a per-point compute rate.  Collective
 costs are derived from these in :mod:`repro.simmpi.collectives` using the
 algorithms of Thakur, Rabenseifner & Gropp (2005), the paper's reference
-[19] for optimal collectives.
+[19] for optimal collectives.  Three more terms (round and synchronization
+overheads) are read only by the paper-scale projection,
+:class:`repro.perf.model.PerformanceModel`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+#: job size at which a collective's synchronization overhead is ``sync_base``
+SYNC_REF_PROCS = 128
 
 
 @dataclass(frozen=True)
@@ -29,6 +34,11 @@ class MachineModel:
         Baseline cost of one stencil point-update [s]; the dynamical-core
         layer multiplies this by a per-operator weight (see
         :mod:`repro.perf.costs`).
+    round_overhead, sync_base, sync_per_doubling:
+        Projection-only terms, ignored by the logical clock: the
+        rendezvous/jitter cost of one halo-exchange round [s], and the
+        per-collective synchronization overhead at ``SYNC_REF_PROCS``
+        ranks [s] and its growth per doubling of the job size [s].
     """
 
     alpha: float = 2.0e-6
@@ -40,14 +50,25 @@ class MachineModel:
     #: trade-off analyzed by Thakur, Rabenseifner & Gropp (2005), the
     #: paper's reference [19]
     allreduce_algorithm: str = "ring"
+    round_overhead: float = 0.0
+    sync_base: float = 0.0
+    sync_per_doubling: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.alpha, self.beta, self.gamma, self.seconds_per_point) < 0:
+        terms = (self.alpha, self.beta, self.gamma, self.seconds_per_point)
+        terms += (self.round_overhead, self.sync_base, self.sync_per_doubling)
+        if min(terms) < 0:
             raise ValueError("machine parameters must be non-negative")
         if self.allreduce_algorithm not in ("ring", "recursive_doubling"):
             raise ValueError(
                 f"unknown allreduce algorithm {self.allreduce_algorithm!r}"
             )
+
+    def sync_overhead(self, nprocs: int) -> float:
+        """Per-collective synchronization overhead of an ``nprocs``-rank job
+        (projection only)."""
+        doublings = max(0.0, math.log2(max(1, nprocs) / SYNC_REF_PROCS))
+        return self.sync_base + self.sync_per_doubling * doublings
 
     # ---- point-to-point --------------------------------------------------
     def p2p_time(self, nbytes: int) -> float:
@@ -132,14 +153,19 @@ class MachineModel:
         return math.ceil(math.log2(q)) * self.alpha
 
 
-#: Parameters resembling Tianhe-2's TH Express-2 fabric and Ivy Bridge
-#: cores running this (memory-bound) finite-difference code:
-#: ~2 us latency and ~6 GB/s effective per-rank bandwidth.  Its per-point
-#: update cost (1.6e-8 s) disagrees with ``seconds_per_point`` of
-#: :class:`repro.perf.model.Calibration` (1.2e-9 s); the two machine
-#: descriptions are still to be merged into one.
+#: The paper's machine (Tianhe-2: TH Express-2 fabric, Ivy Bridge cores),
+#: fitted once by grid search to the paper's anchor numbers — the machine
+#: of Figs. 1 and 6-8: ~4 us per message, ~6 GB/s effective per-rank
+#: bandwidth, optimized-Fortran point-update rate.  ``gamma`` is not fitted
+#: (the projection never reads it).
 TIANHE2_LIKE = MachineModel(
-    alpha=2.0e-6, beta=1.7e-10, gamma=1.0e-10, seconds_per_point=1.6e-8
+    alpha=4.0e-6,
+    beta=1.7e-10,
+    gamma=1.0e-10,
+    seconds_per_point=1.2e-9,
+    round_overhead=2.2e-3,
+    sync_base=1.2e-2,
+    sync_per_doubling=6.0e-3,
 )
 
 #: A single multicore box with shared-memory "messages" — used by tests

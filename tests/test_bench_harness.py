@@ -1,39 +1,35 @@
-"""The figure-regeneration harness."""
+"""The figure-regeneration CLI."""
 import pytest
 
-from repro.bench.harness import (
-    fig1_comm_fraction,
-    fig6_collective_time,
-    fig7_stencil_time,
-    fig8_total_runtime,
-    small_scale_measured,
+from repro.bench.figures import (
+    FIGURES, TARGETS, fig1_series, figure_series, render_figure, render_sec53,
+    render_tables, small_scale_measured,
 )
-from repro.bench.figures import TARGETS, render_sec53, render_tables
+from repro.grid.latlon import paper_grid
+from repro.perf.model import PerformanceModel
 
 
 class TestFigureSeries:
     def test_fig1_percentages(self):
-        fig = fig1_comm_fraction(procs=[128, 512])
-        assert fig.procs == [128, 512]
-        for name, vals in fig.series.items():
+        series = fig1_series(PerformanceModel(paper_grid()), procs=[128, 512])
+        for name, vals in series.items():
+            assert len(vals) == 2
             assert all(0.0 <= v <= 100.0 for v in vals)
         # comm% + comp% == 100 per algorithm
         for alg in ("original-xy", "original-yz"):
-            comm = fig.series[f"{alg} comm%"]
-            comp = fig.series[f"{alg} comp%"]
+            comm = series[f"{alg} comm%"]
+            comp = series[f"{alg} comp%"]
             assert all(c + p == pytest.approx(100.0) for c, p in zip(comm, comp))
 
     def test_fig6_7_8_have_three_series(self):
-        for fig in (
-            fig6_collective_time(procs=[128]),
-            fig7_stencil_time(procs=[128]),
-            fig8_total_runtime(procs=[128]),
-        ):
-            assert set(fig.series) == {"original-xy", "original-yz", "ca"}
-            assert all(v[0] > 0 for v in fig.series.values())
+        model = PerformanceModel(paper_grid())
+        for attr, _ in FIGURES.values():
+            series = figure_series(model, attr, procs=[128])
+            assert set(series) == {"original-xy", "original-yz", "ca"}
+            assert all(v[0] > 0 for v in series.values())
 
     def test_render_contains_rows(self):
-        text = fig8_total_runtime(procs=[128, 256]).render()
+        text = render_figure("fig8", procs=[128, 256])
         assert "Figure 8" in text
         assert "ca" in text
         assert "128" in text and "256" in text
@@ -92,20 +88,15 @@ class TestMeasured:
     def test_small_scale_comparison(self):
         points = small_scale_measured(nsteps=1)
         assert set(points) == {"original-xy", "original-yz", "ca"}
-        for pt in points.values():
-            assert pt.final_state.isfinite()
-            assert pt.diagnostics.makespan > 0
+        for _, diag, final in points.values():
+            assert final.isfinite()
+            assert diag.makespan > 0
         # the executed CA core beats the executed YZ original on
         # stencil communication time (the Figure 7 relation)
-        assert (
-            points["ca"].diagnostics.stencil_comm_time
-            < points["original-yz"].diagnostics.stencil_comm_time
-        )
+        stencil = {alg: diag.stencil_comm_time for alg, (_, diag, _) in points.items()}
+        assert stencil["ca"] < stencil["original-yz"]
 
     def test_states_agree_across_algorithms(self):
-        points = small_scale_measured(nsteps=2)
-        a = points["original-xy"].final_state
-        b = points["original-yz"].final_state
-        c = points["ca"].final_state
+        a, b, c = (final for _, _, final in small_scale_measured(nsteps=2).values())
         assert a.max_difference(b) < 1e-12
         assert a.max_difference(c) < 1e-2  # approximate iteration

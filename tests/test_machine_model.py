@@ -54,10 +54,13 @@ class TestCollectiveFormulas:
 
 class TestValidation:
     def test_negative_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            MachineModel(alpha=-1.0)
-        with pytest.raises(ValueError):
-            MachineModel(beta=-1e-9)
+        # the projection-only terms are validated like the rest
+        for name in ("alpha", "beta", "round_overhead", "sync_base"):
+            with pytest.raises(ValueError):
+                MachineModel(**{name: -1e-9})
+
+    def test_sync_overhead_grows(self):
+        assert TIANHE2_LIKE.sync_overhead(1024) > TIANHE2_LIKE.sync_overhead(128)
 
     def test_presets_valid(self):
         for preset in (TIANHE2_LIKE, LAPTOP_LIKE):

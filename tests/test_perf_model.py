@@ -2,12 +2,8 @@
 import pytest
 
 from repro.grid.latlon import paper_grid
-from repro.perf.model import (
-    ALGORITHMS,
-    Calibration,
-    PAPER_PROC_SWEEP,
-    PerformanceModel,
-)
+from repro.perf.model import ALGORITHMS, PAPER_PROC_SWEEP, PerformanceModel
+from repro.simmpi.machine import TIANHE2_LIKE
 
 
 @pytest.fixture(scope="module")
@@ -114,19 +110,6 @@ class TestModelMechanics:
         with pytest.raises(ValueError):
             model.timing("bogus", 128)
 
-    def test_sweep_shape(self, model):
-        out = model.sweep(["ca"], [128, 256])
-        assert len(out["ca"]) == 2
-        assert out["ca"][0].nprocs == 128
-
-    def test_calibration_validation(self):
-        with pytest.raises(ValueError):
-            Calibration(alpha_msg=-1.0)
-
-    def test_sync_overhead_grows(self):
-        cal = Calibration()
-        assert cal.sync_overhead(1024) > cal.sync_overhead(128)
-
     def test_deeper_halo_batching_is_cheaper(self, model):
         """Exchanging every r updates trades message frequency against
         redundant halo rows; Algorithm 2's r = 3M is the cheapest."""
@@ -147,15 +130,19 @@ class TestModelMechanics:
         assert ratio_tiny > ratio_big > 1.0
 
 
-def test_model_ca_compute_equals_the_executed_cores_charges(monkeypatch):
+def test_model_ca_compute_equals_the_executed_cores_charges():
     """Model = executed: the model's weighted point-updates of one
     steady-state CA step on the busiest rank are, term for term, what the
     executed core charges to its logical clock (polar filter aside, which
     the CA core does not charge) — both read the same row-window
-    schedule, so a pole side contributes no redundant row in either."""
+    schedule, so a pole side contributes no redundant row in either.  Both
+    price one machine: at ``seconds_per_point = 1`` the core's compute
+    seconds are its weighted point-updates, exactly."""
+    from dataclasses import replace
+
     from repro.constants import ModelParameters
     from repro.core.comm_avoiding import ca_rank_program
-    from repro.core.distributed import DistributedConfig, RankContext
+    from repro.core.distributed import DistributedConfig
     from repro.grid.decomposition import Decomposition
     from repro.grid.latlon import LatLonGrid
     from repro.physics import perturbed_rest_state
@@ -167,29 +154,25 @@ def test_model_ca_compute_equals_the_executed_cores_charges(monkeypatch):
         dt_adaptation=60.0, dt_advection=180.0, m_iterations=3
     )
     state0 = perturbed_rest_state(grid, amplitude_k=2.0)
-    charged = []
-    monkeypatch.setattr(
-        RankContext, "charge",
-        lambda self, weight, npoints: charged.append(
-            (self.comm.rank, weight * npoints)
-        ),
-    )
-    pm = PerformanceModel(grid, params=params)
+    pm = PerformanceModel(grid, params=params, machine=TIANHE2_LIKE)
     for py in (1, 2, 3):
         decomp = Decomposition(grid.nx, grid.ny, grid.nz, 1, py, 1)
 
-        def work(nsteps):
-            charged.clear()
-            cfg = DistributedConfig(
-                grid=grid, decomp=decomp, params=params, nsteps=nsteps
-            )
-            run_spmd(
-                py, ca_rank_program, cfg, state0,
-                ModelState.zeros(grid.shape3d),
-            )
-            return [
-                sum(w for r, w in charged if r == rank) for rank in range(py)
-            ]
+        def step_seconds(machine):
+            def compute(nsteps):
+                cfg = DistributedConfig(
+                    grid=grid, decomp=decomp, params=params, nsteps=nsteps
+                )
+                res = run_spmd(
+                    py, ca_rank_program, cfg, state0,
+                    ModelState.zeros(grid.shape3d), machine=machine,
+                )
+                return [s.compute_time for s in res.stats]
 
-        per_step = [a - b for a, b in zip(work(3), work(2))]
-        assert max(per_step) == pm.ca_compute_work(decomp)
+            return max(a - b for a, b in zip(compute(3), compute(2)))
+
+        work = pm.ca_compute_work(decomp)
+        assert step_seconds(replace(pm.machine, seconds_per_point=1.0)) == work
+        assert step_seconds(pm.machine) == pytest.approx(
+            work * pm.machine.seconds_per_point, rel=1e-12
+        )

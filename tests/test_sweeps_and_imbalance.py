@@ -2,11 +2,8 @@
 import pytest
 
 from repro.analysis.imbalance import compare_decompositions, filter_imbalance
-from repro.bench.sweeps import (
-    latency_sweep,
-    m_iterations_sweep,
-    render_sweep,
-    resolution_sweep,
+from repro.bench.figures import (
+    latency_sweep, m_iterations_sweep, render_sweep, resolution_sweep,
 )
 from repro.grid.decomposition import Decomposition, yz_decomposition
 from repro.grid.latlon import LatLonGrid, paper_grid
@@ -14,34 +11,33 @@ from repro.grid.latlon import LatLonGrid, paper_grid
 
 class TestResolutionSweep:
     def test_three_points_by_default(self):
-        pts = resolution_sweep(nprocs=256)
-        assert len(pts) == 3
-        assert pts[-1].label == "720x360x30"
+        rows = resolution_sweep(nprocs=256)
+        assert len(rows) == 3
+        assert rows[-1][0] == "720x360x30"
 
     def test_ca_wins_everywhere(self):
-        for p in resolution_sweep(nprocs=256):
-            assert p.ca_speedup_vs_yz > 1.0
-            assert p.ca_speedup_vs_xy > 1.0
+        for _, ca, yz, xy in resolution_sweep(nprocs=256):
+            assert ca < yz and ca < xy
 
 
 class TestMSweep:
     def test_ca_ahead_for_all_m(self):
-        pts = m_iterations_sweep(nprocs=512, m_values=[1, 2, 3, 4])
-        assert all(p.ca_speedup_vs_yz > 1.0 for p in pts)
+        rows = m_iterations_sweep(nprocs=512, m_values=[1, 2, 3, 4])
+        assert all(ca < yz for _, ca, yz, _ in rows)
 
     def test_redundancy_erodes_speedup_ratio(self):
         """On small blocks the 3M-wide halos' redundant compute grows
         faster than the exchange savings: the speedup *ratio* shrinks
         with M (CA still wins absolutely)."""
-        pts = m_iterations_sweep(nprocs=512, m_values=[1, 2, 3, 4])
-        speedups = [p.ca_speedup_vs_yz for p in pts]
+        rows = m_iterations_sweep(nprocs=512, m_values=[1, 2, 3, 4])
+        speedups = [yz / ca for _, ca, yz, _ in rows]
         assert speedups == sorted(speedups, reverse=True)
 
 
 class TestLatencySweep:
     def test_advantage_grows_with_latency(self):
-        pts = latency_sweep(nprocs=512, factors=[0.25, 1.0, 4.0])
-        speedups = [p.ca_speedup_vs_yz for p in pts]
+        rows = latency_sweep(nprocs=512, factors=[0.25, 1.0, 4.0])
+        speedups = [yz / ca for _, ca, yz, _ in rows]
         assert speedups == sorted(speedups)
 
     def test_render(self):
