@@ -110,6 +110,16 @@ class TestModelMechanics:
         with pytest.raises(ValueError):
             model.timing("bogus", 128)
 
+    def test_calibration_validation(self, model):
+        """The projection's calibration terms live on its machine and are
+        validated there: a negative overhead is refused."""
+        from dataclasses import replace
+
+        for name in ("alpha", "round_overhead", "sync_base",
+                     "sync_per_doubling"):
+            with pytest.raises(ValueError):
+                replace(model.machine, **{name: -1.0})
+
     def test_deeper_halo_batching_is_cheaper(self, model):
         """Exchanging every r updates trades message frequency against
         redundant halo rows; Algorithm 2's r = 3M is the cheapest."""
