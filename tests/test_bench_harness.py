@@ -17,8 +17,7 @@ class TestFigureSeries:
             assert all(0.0 <= v <= 100.0 for v in vals)
         # comm% + comp% == 100 per algorithm
         for alg in ("original-xy", "original-yz"):
-            comm = series[f"{alg} comm%"]
-            comp = series[f"{alg} comp%"]
+            comm, comp = series[f"{alg} comm%"], series[f"{alg} comp%"]
             assert all(c + p == pytest.approx(100.0) for c, p in zip(comm, comp))
 
     def test_fig6_7_8_have_three_series(self):
@@ -89,8 +88,7 @@ class TestMeasured:
         points = small_scale_measured(nsteps=1)
         assert set(points) == {"original-xy", "original-yz", "ca"}
         for _, diag, final in points.values():
-            assert final.isfinite()
-            assert diag.makespan > 0
+            assert final.isfinite() and diag.makespan > 0
         # the executed CA core beats the executed YZ original on
         # stencil communication time (the Figure 7 relation)
         stencil = {alg: diag.stencil_comm_time for alg, (_, diag, _) in points.items()}

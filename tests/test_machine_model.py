@@ -54,7 +54,6 @@ class TestCollectiveFormulas:
 
 class TestValidation:
     def test_negative_parameters_rejected(self):
-        # the projection-only terms are validated like the rest
         for name in ("alpha", "beta", "round_overhead", "sync_base"):
             with pytest.raises(ValueError):
                 MachineModel(**{name: -1e-9})

@@ -1,4 +1,6 @@
 """The projection model: shape claims of Figures 1, 6, 7 and 8."""
+from dataclasses import replace
+
 import pytest
 
 from repro.grid.latlon import paper_grid
@@ -111,12 +113,8 @@ class TestModelMechanics:
             model.timing("bogus", 128)
 
     def test_calibration_validation(self, model):
-        """The projection's calibration terms live on its machine and are
-        validated there: a negative overhead is refused."""
-        from dataclasses import replace
-
-        for name in ("alpha", "round_overhead", "sync_base",
-                     "sync_per_doubling"):
+        # the projection's calibration terms are validated on its machine
+        for name in ("alpha", "round_overhead", "sync_base", "sync_per_doubling"):
             with pytest.raises(ValueError):
                 replace(model.machine, **{name: -1.0})
 
@@ -148,8 +146,6 @@ def test_model_ca_compute_equals_the_executed_cores_charges():
     schedule, so a pole side contributes no redundant row in either.  Both
     price one machine: at ``seconds_per_point = 1`` the core's compute
     seconds are its weighted point-updates, exactly."""
-    from dataclasses import replace
-
     from repro.constants import ModelParameters
     from repro.core.comm_avoiding import ca_rank_program
     from repro.core.distributed import DistributedConfig

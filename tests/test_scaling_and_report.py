@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.figures import (
-    full_report, headline_claims, render_figure, render_scaling, strong_scaling,
+    full_report, headline_claims, main, render_figure, render_scaling, strong_scaling,
 )
 from repro.grid.latlon import paper_grid
 from repro.perf.model import PAPER_PROC_SWEEP, PerformanceModel
@@ -62,8 +62,6 @@ class TestReport:
         assert rep["figures"]["procs"] == PAPER_PROC_SWEEP
 
     def test_report_json_serializable(self, tmp_path, capsys):
-        from repro.bench.figures import main
-
         out = tmp_path / "report.json"
         assert main(["--json", str(out)]) == 0
         assert json.loads(out.read_text()) == json.loads(json.dumps(full_report()))
