@@ -60,7 +60,7 @@ from repro.operators.smoothing import (
 from repro.operators.stencil_meta import row_window_schedule
 from repro.operators.vertical import VerticalDiagnostics
 from repro.simmpi.comm import SimComm
-from repro.state.variables import ModelState
+from repro.state.variables import FIELD_NAMES, ModelState
 
 #: tag base of the stale-bundle y-messages (distinct from halo tags)
 TAG_BUNDLE = 30_000
@@ -74,16 +74,24 @@ POLE_REACH = STRIP
 
 
 def strip_partial(
-    sm: FieldSmoother, a: np.ndarray, rows: slice, offsets: tuple[int, ...]
-) -> np.ndarray:
-    """Rows ``rows`` of ``sm.partial(a, offsets)``.
+    sm: FieldSmoother, a: np.ndarray, rows: slice,
+    offsets: tuple[int, ...], out: np.ndarray, ws, add: bool = False,
+) -> None:
+    """Rows ``rows`` of ``sm.partial_into(a, offsets)`` into (with
+    ``add``: added to) the same rows of ``out``.
 
     Evaluated on the strip's row window only (``rows +- STRIP``, a view):
     every offset of a target row stays inside the window, so the values
     are the whole-array ones at a fraction of the work.
     """
     window = a[..., rows.start - STRIP: rows.stop + STRIP, :]
-    return sm.partial(window, offsets)[..., STRIP:-STRIP, :]
+    part = sm.partial_into(window, offsets, ws.take(window.shape), ws)
+    target = out[..., rows, :]
+    if add:
+        np.add(target, part[..., STRIP:-STRIP, :], out=target)
+    else:
+        target[...] = part[..., STRIP:-STRIP, :]
+    ws.give(part)
 
 
 def update_windows(
@@ -240,56 +248,54 @@ class CommAvoidingRank(RankContext):
         Pole-side edges have valid mirror ghosts, so they are smoothed
         fully; only true rank boundaries need the split.
         """
-        g = self.geom
-        gy = g.gy
-        ny_i = self.extent.ny
         self.smooth_block(pre, out)
-        for name in ("U", "V", "Phi", "psa"):
+        for name in FIELD_NAMES:
             sm = self.smoothers[name]
-            if not sm.has_y_stencil:
-                continue
-            a_pre = getattr(pre, name)
-            a_out = getattr(out, name)
-            if not g.touches_north:
-                rows = slice(gy, gy + STRIP)
-                a_out[..., rows, :] = strip_partial(sm, a_pre, rows, OFFSETS_R)
-            if not g.touches_south:
-                rows = slice(gy + ny_i - STRIP, gy + ny_i)
-                a_out[..., rows, :] = strip_partial(sm, a_pre, rows, OFFSETS_L)
+            if sm.has_y_stencil:
+                self._strips(
+                    sm, getattr(pre, name), getattr(out, name),
+                    OFFSETS_R, OFFSETS_L,
+                )
         return out
+
+    def _strips(self, sm, a, out, north, south, add=False) -> None:
+        """:func:`strip_partial` of ``a`` into ``out`` on the block's
+        rank-boundary strips: over offsets ``north`` on the strip next to
+        a northern neighbour, ``south`` on the one next to a southern."""
+        g = self.geom
+        for lo, offsets, inner in (
+            (g.gy, north, not g.touches_north),
+            (g.gy + self.extent.ny - STRIP, south, not g.touches_south),
+        ):
+            if inner:
+                rows = slice(lo, lo + STRIP)
+                strip_partial(sm, a, rows, offsets, out, self.ws, add)
 
     def later_smoothing(self, smoothed: ModelState, pre: ModelState) -> None:
         """``S2``: complete the strips with the deferred offsets and smooth
         the freshly received halo rows / levels, in place on ``smoothed``."""
         g = self.geom
         gy, gz = g.gy, g.gz
-        ny_i, nz_i = self.extent.ny, self.extent.nz
+        nz_i = self.extent.nz
         # deferred offsets on the strips + the received rows, per y side
         self.charge(
             self.cfg.weights.smoothing,
             (g.shape3d[0] * g.shape3d[2])
             * (len(self.received) * gy + 2 * gz),
         )
-        north_strip = not g.touches_north
-        south_strip = not g.touches_south
-        for name in ("U", "V", "Phi", "psa"):
+        for name in FIELD_NAMES:
             sm = self.smoothers[name]
             a_pre = getattr(pre, name)
             a_out = getattr(smoothed, name)
             if sm.has_y_stencil:
-                if north_strip:
-                    rows = slice(gy, gy + STRIP)
-                    a_out[..., rows, :] += strip_partial(
-                        sm, a_pre, rows, OFFSETS_R_PRIME
-                    )
-                if south_strip:
-                    rows = slice(gy + ny_i - STRIP, gy + ny_i)
-                    a_out[..., rows, :] += strip_partial(
-                        sm, a_pre, rows, OFFSETS_L_PRIME
-                    )
+                self._strips(
+                    sm, a_pre, a_out, OFFSETS_R_PRIME, OFFSETS_L_PRIME, add=True
+                )
             # full smoothing of the received halo rows / levels
             for sl in self.received:
-                sl.smooth_field(self.kernels, self.ws, sm, a_pre, a_out)
+                self.kernels.smooth_field(
+                    sm, a_pre, a_out, self.ws, rows=sl.inner, view=sl.view
+                )
             if a_pre.ndim == 3 and gz > 0:
                 levels = []
                 if not g.touches_top:
@@ -298,7 +304,7 @@ class CommAvoidingRank(RankContext):
                     levels.append(slice(nz_i + gz, None))
                 for lv in levels:
                     self.kernels.smooth_field(
-                        sm, a_pre[lv], a_out[lv], self.ws
+                        sm, a_pre, a_out, self.ws, levels=lv
                     )
 
     # ------------------------------------------------------------------

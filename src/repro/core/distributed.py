@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.constants import DEFAULT_PARAMETERS, ModelParameters
 from repro.core.halo import AntipodalPoleExchanger, HaloExchanger
+from repro.core.rowslab import FIELD_FAMILY
 from repro.core.tendencies import TendencyEngine
 from repro.core.workspace import StateRing, Workspace
 from repro.grid.decomposition import Decomposition
@@ -35,7 +36,7 @@ from repro.operators.smoothing import smoothers_for
 from repro.operators.vertical import VerticalDiagnostics
 from repro.perf.costs import ComputeWeights, DEFAULT_WEIGHTS
 from repro.simmpi.comm import SimComm, SubComm
-from repro.state.variables import ModelState
+from repro.state.variables import FIELD_NAMES, ModelState
 
 #: phase labels used for the paper's time breakdown
 PHASE_STENCIL = "stencil_comm"
@@ -148,14 +149,13 @@ class RankContext:
         )
         # distributed-filter factors (X-Y / 3-D case): full-circle cutoffs
         if not self.geom.full_x:
-            nx = cfg.grid.nx
-            profile = cfg.params.filter_profile
-            self.fmask_c, self.ffactors_c = filter_plan(
-                self.geom.sin_c, nx, cfg.params.filter_latitude, profile
-            )
-            self.fmask_v, self.ffactors_v = filter_plan(
-                self.geom.sin_v, nx, cfg.params.filter_latitude, profile
-            )
+            self._xfilter = {
+                fam: filter_plan(
+                    sin, cfg.grid.nx, cfg.params.filter_latitude,
+                    cfg.params.filter_profile,
+                )
+                for fam, sin in (("c", self.geom.sin_c), ("v", self.geom.sin_v))
+            }
         self.restart()
 
     def restart(self) -> None:
@@ -304,7 +304,7 @@ class RankContext:
         the polar load imbalance of the X-Y decomposition is real and is
         what Figure 6 shows.
         """
-        if not (self.fmask_c.any() or self.fmask_v.any()):
+        if not any(mask.any() for mask, _ in self._xfilter.values()):
             return
         assert self.xsub is not None or self.cfg.decomp.px == 1
         if (
@@ -313,16 +313,16 @@ class RankContext:
         ):
             self._filter_transpose(tend)
             return
-        for arr, fam in (
-            (tend.U, "c"), (tend.V, "v"), (tend.Phi, "c"), (tend.psa, "c"),
-        ):
-            mask, factors = (
-                (self.fmask_c, self.ffactors_c)
-                if fam == "c"
-                else (self.fmask_v, self.ffactors_v)
-            )
+        for arr, mask, factors in self._filter_fields(tend):
+            self._filter_field_allgather(arr, mask, factors)
+
+    def _filter_fields(self, tend: ModelState):
+        """``(field, row mask, damping factors)`` of each field of ``tend``
+        with filtered rows, in field order."""
+        for name in FIELD_NAMES:
+            mask, factors = self._xfilter[FIELD_FAMILY[name]]
             if mask.any():
-                self._filter_field_allgather(arr, mask, factors)
+                yield getattr(tend, name), mask, factors
 
     def _filter_field_allgather(
         self, arr: np.ndarray, mask: np.ndarray, factors: np.ndarray
@@ -364,16 +364,7 @@ class RankContext:
         if nx % decomp.px != 0:
             raise ValueError("transpose filter needs equal x-blocks")
         cx = decomp.coords(self.comm.rank)[0]
-        for arr, fam in (
-            (tend.U, "c"), (tend.V, "v"), (tend.Phi, "c"), (tend.psa, "c"),
-        ):
-            mask, factors = (
-                (self.fmask_c, self.ffactors_c)
-                if fam == "c"
-                else (self.fmask_v, self.ffactors_v)
-            )
-            if not mask.any():
-                continue
+        for arr, mask, factors in self._filter_fields(tend):
             rows = np.ascontiguousarray(arr[..., mask, gx: gx + nx_i])
             R = int(mask.sum())
             nlev = rows.shape[0] if rows.ndim == 3 else 1

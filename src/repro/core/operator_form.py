@@ -46,14 +46,6 @@ class OperatorApplication:
     communication: str      # one of the COMM_* classes
     note: str = ""
 
-    @property
-    def is_stencil(self) -> bool:
-        return self.operator in ("A", "L", "S")
-
-    @property
-    def is_collective(self) -> bool:
-        return self.communication in (COMM_COLLECTIVE_X, COMM_COLLECTIVE_Z)
-
 
 @dataclass(frozen=True)
 class StepSchedule:

@@ -6,8 +6,10 @@ working arrays.  It owns everything such a pass needs: a real
 slab's view rows (so the per-row metric arrays are the same elementwise
 expressions on the same global row indices as the parent geometry —
 bit-identical), per-slab operator caches, and the polar-filter row subset
-restricted to the slab's target rows.  Its user is the CA core's
-halo-batched sweeps, where a slab is one update's still-valid rows
+restricted to the slab's target rows.  Every pass of a
+:class:`~repro.core.tendencies.TendencyEngine` runs on one — the whole
+working array is one more slab — and so do the CA core's halo-batched
+sweeps, where a slab is one update's still-valid rows
 (:func:`repro.operators.stencil_meta.row_window_schedule`), the block rows
 of ``S1`` or the received rows of ``S2``.
 
@@ -31,37 +33,21 @@ import numpy as np
 from repro.kernels.dispatch import Store
 from repro.operators.adaptation import AdaptationGeomCache
 from repro.operators.advection import AdvectionGeomCache
-from repro.operators.filter import PolarFilter, apply_filter_rows
+from repro.operators.filter import PolarFilter
 from repro.operators.geometry import WorkingGeometry
 from repro.operators.smoothing import FieldSmoother
-from repro.operators.vertical import VerticalDiagnostics, VerticalGeomCache
+from repro.operators.vertical import VerticalGeomCache
 from repro.state.variables import FIELD_NAMES, ModelState
 
 #: filter row family per prognostic field (centre rows vs V rows)
 FIELD_FAMILY = {"U": "c", "V": "v", "Phi": "c", "psa": "c"}
 
-
-def state_rows(state: ModelState, rows: slice) -> ModelState:
-    """Row-slab view of a state (no copies)."""
-    return ModelState(
-        U=state.U[:, rows, :],
-        V=state.V[:, rows, :],
-        Phi=state.Phi[:, rows, :],
-        psa=state.psa[rows, :],
-    )
-
-
-def vd_rows(vd: VerticalDiagnostics, rows: slice) -> VerticalDiagnostics:
-    """Row-slab view of a ``C`` diagnostics bundle (no copies)."""
-    return VerticalDiagnostics(
-        div_p=vd.div_p[:, rows, :],
-        column_sum=vd.column_sum[rows, :],
-        pw_iface=vd.pw_iface[:, rows, :],
-        w_iface=vd.w_iface[:, rows, :],
-        sdot_iface=vd.sdot_iface[:, rows, :],
-        phi_prime=vd.phi_prime[:, rows, :],
-        p_fac=vd.p_fac[rows, :],
-    )
+#: the geometry cache type of each operator pass
+GEOM_CACHES = {
+    "adaptation": AdaptationGeomCache,
+    "advection": AdvectionGeomCache,
+    "vertical": VerticalGeomCache,
+}
 
 
 class FilterRows:
@@ -75,6 +61,11 @@ class FilterRows:
     in working coordinates.  Over passes whose target rows partition the
     working rows every masked row is filtered exactly once.  Without a
     filter (a split latitude circle) both are empty.
+
+    :meth:`apply` transforms the masked rows of all four fields as one
+    stack: one ``rfft`` and one ``irfft`` per application.  Each row's
+    transform is independent of the rows stacked with it
+    (``tests/test_fixed_cost.py`` pins that bit for bit).
     """
 
     def __init__(
@@ -96,15 +87,41 @@ class FilterRows:
             self.bands[fam] = [
                 slice(a, b) for a, b in zip(edges[::2], edges[1::2])
             ]
+        #: the masked target rows per family, in working coordinates
+        self._index = {f: np.flatnonzero(self.subset[f][0]) + view.start for f in "cv"}
+        #: masked rows of the whole filter per family: the stack is pooled
+        #: at that height, so all passes of one engine share its buffers
+        self._masked = (int(polar_filter.mask_c.sum()), int(polar_filter.mask_v.sum()))
 
-    def apply(self, tend: ModelState) -> None:
-        """``F`` on the masked target rows of ``tend``, in place."""
-        for name in FIELD_NAMES:
-            mask, factors = self.subset[FIELD_FAMILY[name]]
-            if len(factors):
-                apply_filter_rows(
-                    getattr(tend, name)[..., self.view, :], mask, factors
-                )
+    def apply(self, tend: ModelState, ws) -> None:
+        """``F`` on the masked target rows of ``tend``, in place: the rows
+        of ``U``, ``Phi``, ``p'_sa`` (``c``) and ``V`` (``v``) gathered
+        into one pooled stack, transformed, damped and scattered back."""
+        if not self.subset or not any(map(len, self._index.values())):
+            return
+        (_, fc), (_, fv) = self.subset["c"], self.subset["v"]
+        nz, nx, nc, nv = tend.U.shape[0], tend.U.shape[-1], len(fc), len(fv)
+        planes, m = 2 * nz + 1, nx // 2 + 1  # U and Phi levels, then p'_sa
+        rc, n = planes * nc, planes * nc + nz * nv
+        cap = planes * self._masked[0] + nz * self._masked[1]
+        stack_buf, spec_buf = ws.take((cap, nx)), ws.take((cap, m), np.complex128)
+        stack, spec = stack_buf[:n], spec_buf[:n]
+        c, ic, iv = stack[:rc].reshape(planes, nc, nx), *self._index.values()
+        parts = (
+            (tend.U, c[:nz], ic), (tend.Phi, c[nz:-1], ic), (tend.psa, c[-1], ic),
+            (tend.V, stack[rc:].reshape(nz, nv, nx), iv),
+        )
+        for field, block, idx in parts:
+            np.take(field, idx, axis=-2, out=block, mode="clip")
+        np.fft.rfft(stack, axis=-1, out=spec)
+        for part, factors in (
+            (spec[:rc].reshape(planes, nc, m), fc), (spec[rc:].reshape(nz, nv, m), fv)
+        ):
+            np.multiply(part, factors, out=part)
+        np.fft.irfft(spec, n=nx, axis=-1, out=stack)
+        for field, block, idx in parts:
+            field[..., idx, :] = block
+        ws.give(stack_buf, spec_buf)
 
     def store(
         self, base: ModelState, dt: float, out: ModelState, midpoint: bool
@@ -117,7 +134,7 @@ class FilterRows:
             return None
         v = self.view
         return Store(
-            state_rows(base, v), state_rows(out, v), dt, midpoint,
+            base, out, dt, midpoint,
             (self.rows.start - v.start, self.rows.stop - v.start),
             self.subset["c"][0], self.subset["v"][0],
         )
@@ -151,8 +168,8 @@ class RowSlab:
         self.vhi = min(ny_w, hi + margin)
         #: working-array rows the pass reads
         self.view = slice(self.vlo, self.vhi)
-        #: target rows in slab coordinates
-        self.inner = slice(lo - self.vlo, hi - self.vlo)
+        #: target rows ``(j0, j1)`` in slab coordinates
+        self.inner = (lo - self.vlo, hi - self.vlo)
         #: target rows in working-array coordinates
         self.rows = slice(lo, hi)
         ext = parent.extent
@@ -166,70 +183,17 @@ class RowSlab:
             parent.grid, parent.sigma, slab_ext,
             gy=0, gz=parent.gz, gx=parent.gx,
         )
-        self._adapt_cache: AdaptationGeomCache | None = None
-        self._advec_cache: AdvectionGeomCache | None = None
-        self._vert_cache: VerticalGeomCache | None = None
+        self._caches: dict = {}
         #: the polar filter on this slab's target rows
         self.polar = FilterRows(polar_filter, lo, hi, self.view)
 
     # ---- the operators on the slab ----------------------------------------
-    def tendency(
-        self,
-        kind: str,
-        kernels,
-        params,
-        ws,
-        state: ModelState,
-        vd: VerticalDiagnostics,
-        tend: ModelState,
-        store: Store | None = None,
-    ) -> None:
-        """The ``kind`` tendency (``"adaptation"``: ``C-hat + A-hat``;
-        ``"advection"``: ``L``) of the view rows into the view rows of
-        ``tend`` (valid on the target rows)."""
-        s, v, t = (
-            state_rows(state, self.view), vd_rows(vd, self.view),
-            state_rows(tend, self.view),
-        )
-        if kind == "adaptation":
-            if self._adapt_cache is None:
-                self._adapt_cache = AdaptationGeomCache(self.geom)
-            kernels.adaptation(
-                s, v, self.geom, params, ws, t, self._adapt_cache, store
-            )
-        else:
-            if self._advec_cache is None:
-                self._advec_cache = AdvectionGeomCache(self.geom)
-            kernels.advection(s, v, self.geom, ws, t, self._advec_cache, store)
-
-    def vertical(
-        self,
-        kernels,
-        gather,
-        scan,
-        ws,
-        state: ModelState,
-        out: VerticalDiagnostics,
-    ) -> None:
-        """``C`` of the view rows into the view rows of ``out``."""
-        if self._vert_cache is None:
-            self._vert_cache = VerticalGeomCache(self.geom)
-        s = state_rows(state, self.view)
-        kernels.vertical(
-            s.U, s.V, s.Phi, s.psa, self.geom, gather, ws,
-            self._vert_cache, scan=scan, out=vd_rows(out, self.view),
-        )
-
-    def smooth_field(
-        self, kernels, ws, sm: FieldSmoother, a: np.ndarray, out: np.ndarray
-    ) -> None:
-        """Rows ``[lo, hi)`` of the full smoothing ``S(a)`` into ``out``
-        (the view's edge rows, which in-slab wraps would spoil, are
-        neither written nor needed)."""
-        kernels.smooth_field(
-            sm, a[..., self.view, :], out[..., self.view, :], ws,
-            rows=(self.inner.start, self.inner.stop),
-        )
+    def cache(self, kind: str):
+        """The geometry cache of the ``kind`` operator (``"adaptation"``,
+        ``"advection"``, ``"vertical"``) on this slab, built on first use."""
+        if kind not in self._caches:
+            self._caches[kind] = GEOM_CACHES[kind](self.geom)
+        return self._caches[kind]
 
     def smooth(
         self,
@@ -239,11 +203,13 @@ class RowSlab:
         state: ModelState,
         out: ModelState,
     ) -> None:
-        """Rows ``[lo, hi)`` of ``S(state)`` into ``out``."""
+        """Rows ``[lo, hi)`` of ``S(state)`` into ``out`` (the view's edge
+        rows, which in-slab wraps would spoil, are neither written nor
+        needed)."""
         for name in FIELD_NAMES:
-            self.smooth_field(
-                kernels, ws, smoothers[name],
-                getattr(state, name), getattr(out, name),
+            kernels.smooth_field(
+                smoothers[name], getattr(state, name), getattr(out, name), ws,
+                rows=self.inner, view=self.view,
             )
 
     @property

@@ -26,13 +26,11 @@ from typing import Callable
 import numpy as np
 
 from repro.constants import ModelParameters
-from repro.core.rowslab import FIELD_FAMILY, FilterRows, RowSlab
+from repro.core.rowslab import FIELD_FAMILY, RowSlab
 from repro.core.workspace import Workspace
 from repro.kernels import KernelSet
 from repro.kernels.dispatch import Store
 from repro.obs.spans import span, traced
-from repro.operators.adaptation import AdaptationGeomCache
-from repro.operators.advection import AdvectionGeomCache
 from repro.operators.filter import PolarFilter
 from repro.operators.geometry import WorkingGeometry
 from repro.operators.shifts import (
@@ -40,11 +38,7 @@ from repro.operators.shifts import (
     fill_pole_ghosts_vrow,
     fill_z_edge_ghosts,
 )
-from repro.operators.vertical import (
-    GatherFn,
-    VerticalDiagnostics,
-    VerticalGeomCache,
-)
+from repro.operators.vertical import GatherFn, VerticalDiagnostics
 from repro.state.variables import FIELD_NAMES, ModelState
 
 
@@ -83,14 +77,10 @@ class TendencyEngine:
     def __post_init__(self) -> None:
         if self.polar_filter is None and self.geom.full_x:
             self.polar_filter = PolarFilter(self.geom, self.params)
-        self._vert_cache = VerticalGeomCache(self.geom)
-        self._adapt_cache = AdaptationGeomCache(self.geom)
-        self._advec_cache = AdvectionGeomCache(self.geom)
         self._tend = ModelState.zeros(self.geom.shape3d)
         self._slabs: dict[tuple[int, int, int], RowSlab] = {}
-        #: the filter's rows on the whole working array
-        ny_w = self.geom.shape2d[0]
-        self._polar = FilterRows(self.polar_filter, 0, ny_w, slice(0, ny_w))
+        #: the pass over every working row: what ``slab=None`` means
+        self._whole = self.slab(0, self.geom.shape2d[0], 0)
 
     def slab(self, lo: int, hi: int, margin: int = 1) -> RowSlab:
         """The (cached) row window ``[lo, hi)`` of this engine's working
@@ -139,15 +129,11 @@ class TendencyEngine:
         allgather variant otherwise.  With ``slab`` the (working-height)
         bundle is computed on the slab's rows only.
         """
-        if slab is not None:
-            vd = self.ws.take_vd(self.geom.shape3d)
-            slab.vertical(
-                self.kernels, self.gather_z, self.scan_z, self.ws, state, vd
-            )
-            return vd
+        slab = slab or self._whole
         return self.kernels.vertical(
-            state.U, state.V, state.Phi, state.psa, self.geom,
-            self.gather_z, self.ws, self._vert_cache, scan=self.scan_z,
+            state.U, state.V, state.Phi, state.psa, slab.geom, self.gather_z,
+            self.ws, slab.cache("vertical"), scan=self.scan_z,
+            out=self.ws.take_vd(self.geom.shape3d), view=slab.view,
         )
 
     # ---- composite tendencies ----------------------------------------------------
@@ -155,21 +141,18 @@ class TendencyEngine:
         self, kind: str, state: ModelState, vd: VerticalDiagnostics,
         slab: RowSlab | None, store: Store | None = None,
     ) -> ModelState:
+        slab = slab or self._whole
+        cache = slab.cache(kind)
         with span(kind, "tendency"):
-            if slab is not None:
-                slab.tendency(
-                    kind, self.kernels, self.params, self.ws, state, vd,
-                    self._tend, store,
-                )
-            elif kind == "adaptation":
+            if kind == "adaptation":
                 self.kernels.adaptation(
-                    state, vd, self.geom, self.params,
-                    self.ws, self._tend, self._adapt_cache, store,
+                    state, vd, slab.geom, self.params, self.ws, self._tend,
+                    cache, store, slab.view,
                 )
             else:
                 self.kernels.advection(
-                    state, vd, self.geom, self.ws, self._tend,
-                    self._advec_cache, store,
+                    state, vd, slab.geom, self.ws, self._tend, cache, store,
+                    slab.view,
                 )
         return self._tend
 
@@ -213,7 +196,7 @@ class TendencyEngine:
                 )
             self.filter_x(tend)
         else:
-            (self._polar if slab is None else slab.polar).apply(tend)
+            (slab or self._whole).polar.apply(tend, self.ws)
         return tend
 
     # ---- the internal update ---------------------------------------------------
@@ -243,7 +226,7 @@ class TendencyEngine:
         """
         if out is psi or out is base:
             raise ValueError("an update must not overwrite its inputs")
-        polar = self._polar if slab is None else slab.polar
+        polar = (slab or self._whole).polar
         store = polar.store(base, dt, out, midpoint)
         tend = self.apply_filter(
             self._tendency(kind, psi, vd, slab, store), slab

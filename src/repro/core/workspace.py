@@ -15,8 +15,6 @@ per-step allocations with a reusable buffer pool:
   buffers an integrator rotates through one model step, with explicit
   liveness lists so a buffer is never handed out while its data is still
   needed;
-* :func:`roll_into` is the allocation-free, bit-identical replacement for
-  the ``np.roll`` calls that dominate the stencil operators.
 
 Every workspace code path is required to be **bit-identical** to the seed
 numerics: the same floating-point operations in the same order, only with
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.operators.shifts import roll_into  # noqa: F401  (re-export)
 from repro.operators.vertical import VerticalDiagnostics
 from repro.state.variables import ModelState
 
@@ -108,13 +105,15 @@ class Workspace:
 
         Tolerates bundles produced by the allocating paths (e.g. the scan
         variant of ``C``), whose members may be views: only owning arrays
-        are pooled.
+        are pooled.  Given back in the reverse of :meth:`take_vd`'s order,
+        so a bundle taken next holds each buffer in its old role: the
+        kernels' bound calls see one bundle layout, not a permutation.
         """
         if vd is None:
             return
         for arr in (
-            vd.div_p, vd.column_sum, vd.pw_iface, vd.w_iface,
-            vd.sdot_iface, vd.phi_prime, vd.p_fac,
+            vd.p_fac, vd.phi_prime, vd.sdot_iface, vd.w_iface,
+            vd.pw_iface, vd.column_sum, vd.div_p,
         ):
             if arr.base is None:
                 self.give(arr)

@@ -93,20 +93,6 @@ class LatLonGrid:
         """cos(colatitude) at cell-centre rows, shape ``(ny,)``."""
         return np.cos(self.theta_c)
 
-    @property
-    def sin_theta_v(self) -> np.ndarray:
-        """sin(colatitude) at V (interface) rows, shape ``(ny,)``.
-
-        The last row is the south-pole interface where ``sin == 0``; the
-        operators never divide by it because ``V`` vanishes there.
-        """
-        return np.sin(self.theta_v)
-
-    @property
-    def cos_theta_v(self) -> np.ndarray:
-        """cos(colatitude) at V (interface) rows, shape ``(ny,)``."""
-        return np.cos(self.theta_v)
-
     def coriolis_centre(self) -> np.ndarray:
         """The planetary part ``2*Omega*cos(theta)`` of ``f*`` at centres."""
         return 2.0 * constants.EARTH_OMEGA * self.cos_theta_c

@@ -230,24 +230,18 @@ def plane_stride(*arrays: np.ndarray) -> int | None:
     return ps
 
 
-def smooth_full_c(
-    lib, a: np.ndarray, out: np.ndarray, scratch: np.ndarray,
-    beta_x: float, beta_y: float, cross: bool,
-    ps: int | None = None, rows: tuple[int, int] | None = None,
-) -> None:
-    """One field's full smoothing, bit-identical to ``full_into``.
-
-    ``ps`` is the arrays' common plane stride (default: worked out here);
-    only output rows ``rows`` (default: all) are written.
-    """
-    if ps is None:
-        ps = plane_stride(a, scratch, out)
-        if ps is None:
-            raise ValueError("arrays break the kernel array contract")
+def smooth_args(
+    a: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+    beta_x: float, beta_y: float, cross: bool, ps: int,
+    rows: tuple[int, int] | None = None,
+) -> tuple:
+    """``smooth_full``'s arguments: one field's full smoothing,
+    bit-identical to ``full_into``, on arrays of common plane stride
+    ``ps``; only output rows ``rows`` (default: all) are written."""
     ny, nx = a.shape[-2], a.shape[-1]
     nl = 1 if a.ndim == 2 else a.shape[0]
     j0, j1 = rows or (0, ny)
-    lib.smooth_full(
+    return (
         _p(a), _p(scratch), _p(out),
         nl, ny, nx, ps, j0, j1,
         beta_x / 16.0, beta_y / 16.0, beta_x * beta_y / 256.0,
@@ -255,7 +249,9 @@ def smooth_full_c(
     )
 
 
-def _check_pressure(bad: int) -> None:
+def check_pressure(bad: int) -> None:
+    """Raise for a stencil kernel's "surface pressure at or below the
+    model top" return."""
     if bad:
         raise ValueError("surface pressure must exceed the model-top pressure")
 
@@ -282,13 +278,13 @@ def _store_args(store, ny: int, names: tuple[str, ...]) -> list:
     ]
 
 
-def advection_c(
-    lib, U, V, Phi, psa, sdot, rows, dlam, dth, tab, rowbuf,
+def advection_args(
+    U, V, Phi, psa, sdot, rows, dlam, dth, tab, rowbuf,
     tU, tV, tPhi, ps: int, store=None,
-) -> None:
-    """The full advection tendency (negated), bit-identical to the ws path
-    — or, with ``store``, the update it feeds (the caller finishes the
-    polar rows and ``p'_sa``).
+) -> tuple:
+    """``advection``'s arguments: the full advection tendency (negated),
+    bit-identical to the ws path — or, with ``store``, the update it
+    feeds (the caller finishes the polar rows and ``p'_sa``).
 
     ``rows`` is the dict of flat per-row metric arrays; ``tab`` the
     ``(TABLE_PLANES, ny, nx)`` table block and ``rowbuf`` the flat
@@ -296,7 +292,7 @@ def advection_c(
     plane stride shared by every 3-D array, the table block included.
     """
     nz, ny, nx = U.shape
-    _check_pressure(lib.advection(
+    return (
         _p(U), _p(V), _p(Phi), _p(psa), _p(sdot),
         _p(rows["sin_c"]), _p(rows["sin_v"]),
         _p(rows["pre_c"]), _p(rows["pre_v"]),
@@ -306,23 +302,24 @@ def advection_c(
         _p(tab), _p(rowbuf[nx:]), _p(rowbuf),
         _p(tU), _p(tV), _p(tPhi),
         *_store_args(store, ny, ("U", "V", "Phi")),
-    ))
+    )
 
 
-def adaptation_c(
-    lib, U, V, Phi, psa, t_ref, phi_p, w_if, col_sum, rows,
+def adaptation_args(
+    U, V, Phi, psa, t_ref, phi_p, w_if, col_sum, rows,
     a, dlam, dth, coeff, tab, rowbuf, tU, tV, tPhi, tpsa, ps: int,
     store=None,
-) -> None:
-    """The whole adaptation tendency, ``p'_sa`` part included — or, with
-    ``store``, the update it feeds (the caller finishes the polar rows).
+) -> tuple:
+    """``adaptation``'s arguments: the whole adaptation tendency, ``p'_sa``
+    part included — or, with ``store``, the update it feeds (the caller
+    finishes the polar rows).
 
     ``t_ref`` is the reference temperature at the surface pressure (the
     one non-integer ``pow``, which stays in numpy); ``tab`` and ``rowbuf``
-    are the scratch blocks of :func:`advection_c`.
+    are the scratch blocks of :func:`advection_args`.
     """
     nz, ny, nx = U.shape
-    _check_pressure(lib.adaptation(
+    return (
         _p(U), _p(V), _p(Phi), _p(psa), _p(t_ref),
         _p(phi_p), _p(w_if), _p(col_sum),
         _p(rows["sin_v"]), _p(rows["a_sin_c"]),
@@ -336,17 +333,18 @@ def adaptation_c(
         nz, ny, nx, ps,
         _p(tab), _p(rowbuf), _p(tU), _p(tV), _p(tPhi), _p(tpsa),
         *_store_args(store, ny, ("U", "V", "Phi", "psa")),
-    ))
+    )
 
 
-def vertical_c(
-    lib, U, V, Phi, psa, rows, dlam, dth,
+def vertical_args(
+    U, V, Phi, psa, rows, dlam, dth,
     p_fac, div_p, col_sum, pw, w, sdot, phi_prime, tab, ps: int,
-) -> None:
-    """The ``C`` diagnostics (serial / identity-column case), ``P``
-    included; ``tab`` is the ``(TABLE_PLANES, ny, nx)`` table block."""
+) -> tuple:
+    """``vertical``'s arguments: the ``C`` diagnostics (serial /
+    identity-column case), ``P`` included; ``tab`` is the
+    ``(TABLE_PLANES, ny, nx)`` table block."""
     nz, ny, nx = U.shape
-    _check_pressure(lib.vertical(
+    return (
         _p(U), _p(V), _p(Phi), _p(psa),
         _p(rows["sin_v"]), _p(rows["a_sin_c"]),
         _p(rows["dsig"]), _p(rows["ratio"]), _p(rows["sig_if"]),
@@ -355,4 +353,4 @@ def vertical_c(
         nz, ny, nx, ps,
         _p(p_fac), _p(div_p), _p(col_sum), _p(pw), _p(w), _p(sdot),
         _p(phi_prime), _p(tab),
-    ))
+    )

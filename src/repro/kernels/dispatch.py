@@ -13,9 +13,9 @@ same class with no library.
 Array contract of the fused C kernels: float64, unit x-stride, row stride
 ``nx``, one plane stride shared by all 3-D arrays of a call
 (:func:`repro.kernels.cbackend.plane_stride`).  C-contiguous working
-arrays satisfy it, and so do the *row-slab views* ``a[:, lo:hi, :]`` the
-windowed sweeps of the CA core pass in; their scratch comes from the same
-pool entries as whole-array calls (:class:`RowWindowPool`).
+arrays satisfy it, and so do the *row-slab views* ``a[:, lo:hi, :]`` of
+the windowed sweeps of the CA core, which pass the working arrays and the
+window's rows (``view``).
 
 Every fused call is wrapped in a ``repro.obs`` span with category
 ``"kernel"`` so kernel-level timings appear next to the operator spans in
@@ -24,7 +24,8 @@ traces.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -39,13 +40,17 @@ from repro.operators.vertical import (
     DEFAULT_REFERENCE,
     compute_vertical_diagnostics,
     compute_vertical_diagnostics_scan,
+    vd_rows,
 )
-from repro.state.variables import ModelState
+from repro.state.variables import ModelState, state_rows
 
 TIERS = ("reference", "fused")
 _OPERATORS = ("smoothing", "advection", "adaptation", "vertical")
 
 _WARNED: set[str] = set()
+
+#: every row (or level): the default window of a kernel call
+_ALL = slice(None)
 
 
 def _warn_once(key: str, message: str) -> None:
@@ -72,8 +77,9 @@ class Store:
     row's flag (``polar_c`` for ``U`` / ``Phi`` / ``p'_sa``, ``polar_v``
     for ``V``) says the polar filter still has to rewrite the tendency:
     those rows get the raw tendency, as every row does without a store.
-    ``base`` and ``out`` are laid out like the state of the call and alias
-    neither it nor each other.  A kernel that folded the update names the
+    ``base`` and ``out`` are laid out like the state of the call (the
+    call's row ``view`` cuts them alike) and alias neither it nor each
+    other.  A kernel that folded the update names the
     fields it did that for in ``done``; every other field's rows are
     still the caller's to update.
     """
@@ -119,22 +125,14 @@ class RowWindowPool:
         )
 
 
-def _window_ws(ws, like: np.ndarray, ps: int | None = None):
-    """``ws`` for a call on ``like``: itself when scratch of ``like``'s
-    height already has plane stride ``ps``, else a :class:`RowWindowPool`
-    of the height ``ps`` implies.
-
-    ``ps`` is the plane stride :meth:`KernelSet._c_call` validated; every
-    scratch plane the C kernel indexes must be that far apart.  The numpy
-    fallback (``ps=None``) has no such need — there the window pool only
-    keeps the pool small, so ``like``'s own stride decides.
-    """
+def _window_ws(ws, like: np.ndarray):
+    """``ws`` for a numpy operator on ``like``: itself for a C-contiguous
+    ``like``, else a :class:`RowWindowPool` of the height ``like``'s plane
+    stride implies, which keeps the pool small."""
     rows, nx = like.shape[-2:]
-    if ps is None:
-        if like.ndim != 3 or like.shape[0] == 1:
-            return ws
-        ps = like.strides[0] // 8
-    cap = ps // nx
+    if like.ndim != 3 or like.shape[0] == 1:
+        return ws
+    cap = like.strides[0] // 8 // nx
     return RowWindowPool(ws, cap, rows, nx) if cap > rows else ws
 
 
@@ -145,7 +143,19 @@ class KernelSet:
     ``"fused"``, the library loads and the call meets the array contract,
     from the pooled numpy operator otherwise.  ``tier="reference"`` never
     loads the library, so it *is* the pooled numpy path.
+
+    A C call is *bound* on first use — stride check, scratch and every
+    pointer of its argument tuple taken once — under a key of the
+    identities of the arrays it reads and writes, its row window and its
+    scalars.  The cores hand in the same owning buffers every step (ring
+    members, pooled ``C`` bundles, the engine's tendency) with a row
+    ``view`` instead of fresh views, so a steady step binds nothing.  A
+    binding holds its arrays, so no address under a key is ever reused.
     """
+
+    #: bindings kept before the table is dropped and rebuilt on demand —
+    #: the bound on callers that hand in fresh arrays on every call
+    MAX_BINDINGS = 4096
 
     def __init__(self, tier: str) -> None:
         if tier not in TIERS:
@@ -156,6 +166,10 @@ class KernelSet:
         #: the C kernel and how many the numpy operator (on the reference
         #: tier every call is a fallback)
         self.calls = {op: {"fused": 0, "fallback": 0} for op in _OPERATORS}
+        #: key -> (bound call, or None: runs numpy; what the key names)
+        self._bindings: dict[tuple, tuple] = {}
+        #: (id(ws), shape) -> (ws, a block bound calls point into)
+        self._scratch: dict[tuple, tuple] = {}
 
     @property
     def backend(self) -> str:
@@ -179,50 +193,69 @@ class KernelSet:
                     )
         return self._lib or None
 
-    def _c_call(self, *arrays: np.ndarray):
-        """``(lib, plane stride)`` iff a call on ``arrays`` can run its C
-        kernel, else ``(None, None)``."""
-        lib = self._library()
-        if lib is not None:
-            ps = cbackend.plane_stride(*arrays)
-            if ps is not None:
-                return lib, ps
-        return None, None
+    def _bound(self, op: str, key: tuple, keep: tuple, bind):
+        """The call of ``op`` bound under ``key`` (made by ``bind(lib)`` on
+        first use; ``keep`` holds what ``key`` names), or ``None`` where it
+        runs numpy — counted either way."""
+        entry = self._bindings.get(key)
+        if entry is None:
+            lib = self._library()
+            if lib is not None:
+                if len(self._bindings) >= self.MAX_BINDINGS:
+                    self._bindings.clear()
+                entry = self._bindings[key] = (bind(lib), keep)
+        call = entry and entry[0]
+        self.calls[op]["fused" if call else "fallback"] += 1
+        return call
 
-    def _count(self, op: str, fused: bool) -> None:
-        self.calls[op]["fused" if fused else "fallback"] += 1
+    def _scratch_for(self, ws, shape: tuple[int, ...]) -> np.ndarray:
+        """A block of ``shape`` taken from ``ws`` once and kept for the
+        bound calls to point into (calls of one kernel set never nest)."""
+        hit = self._scratch.get((id(ws), shape))
+        if hit is None:
+            hit = self._scratch[(id(ws), shape)] = (ws, ws.take(shape))
+        return hit[1]
+
+    def _table(self, ws, ps: int, ny: int, nx: int, lead=(TABLE_PLANES,)):
+        """Scratch ``lead + (ny, nx)`` of plane stride ``ps``: the leading
+        ``ny`` rows of a block ``ps // nx`` rows tall."""
+        return self._scratch_for(ws, (*lead, ps // nx, nx))[..., :ny, :]
 
     # ---- smoothing --------------------------------------------------------
 
     def smooth_field(
-        self,
-        sm,
-        a: np.ndarray,
-        out: np.ndarray,
-        ws,
-        rows: tuple[int, int] | None = None,
+        self, sm, a, out, ws, rows=None, view=_ALL, levels=_ALL
     ) -> np.ndarray:
         """``S`` of one field into ``out`` (which must not alias ``a``).
 
-        With ``rows = (j0, j1)`` only those rows of ``out`` are written
-        (``a`` then is typically a row-slab view ``rows`` +- the smoother
-        radius, whose edge rows would come out of in-slab wraps).
+        ``view`` (rows) and ``levels`` cut the pass out of ``a`` and
+        ``out``: it sees only those, wrapping within them.  With ``rows =
+        (j0, j1)`` (view coordinates) only those rows of ``out`` are
+        written (the view's edge rows would come out of in-view wraps).
         """
-        lib, ps = self._c_call(a, out)
-        ws = _window_ws(ws, a, ps)
-        self._count("smoothing", lib is not None)
-        if lib is not None:
-            scratch = ws.take(a.shape)
-            cbackend.smooth_full_c(
-                lib, a, out, scratch, sm.beta_x, sm.beta_y, sm.cross,
-                ps, rows,
-            )
-            ws.give(scratch)
+        key = ("S", sm, rows, _ends(view), _ends(levels), id(ws), id(a), id(out))
+
+        def bind(lib):
+            a_v, o_v = _cut(a, view, levels), _cut(out, view, levels)
+            ps = cbackend.plane_stride(a_v, o_v)
+            if ps is None:
+                return None
+            scratch = self._table(ws, ps, *a_v.shape[-2:], lead=a_v.shape[:-2])
+            return partial(lib.smooth_full, *cbackend.smooth_args(
+                a_v, o_v, scratch, sm.beta_x, sm.beta_y, sm.cross, ps, rows
+            ))
+
+        call = self._bound("smoothing", key, (ws, a, out), bind)
+        if call is not None:
+            call()
             return out
+        a, o = _cut(a, view, levels), _cut(out, view, levels)
+        ws = _window_ws(ws, a)
         if not rows:
-            return sm.full_into(a, out, ws)
+            sm.full_into(a, o, ws)
+            return out
         tmp = sm.full_into(a, ws.take(a.shape), ws)
-        np.copyto(out[..., rows[0]:rows[1], :], tmp[..., rows[0]:rows[1], :])
+        np.copyto(o[..., rows[0]:rows[1], :], tmp[..., rows[0]:rows[1], :])
         ws.give(tmp)
         return out
 
@@ -240,93 +273,135 @@ class KernelSet:
 
     # ---- the stencil tendencies -------------------------------------------
 
-    def advection(self, state, vd, geom, ws, out, cache, store=None):
+    def advection(self, state, vd, geom, ws, out, cache, store=None, view=_ALL):
         """The ``L``-tendency into ``out``; with ``store`` (a
         :class:`Store`) the kernel folds that update into its store and
         says so in ``store.done`` (``p'_sa``, whose ``L``-tendency is
-        zero, stays the caller's)."""
-        U, V, Phi = state.U, state.V, state.Phi
-        sdot = vd.sdot_iface
-        lib, ps = self._c_call(
-            U, V, Phi, state.psa, sdot, out.U, out.V, out.Phi,
-            *_store_fields(store, ("U", "V", "Phi")),
+        zero, stays the caller's).  ``view`` is the working rows of the
+        pass (default: all), whose geometry ``geom`` and ``cache`` are."""
+        arrays = (*_fields(state), vd.sdot_iface, *_fields(out), *_store_arrays(store))
+        key = (
+            "L", store and (store.midpoint, store.rows, store.dt), _ends(view),
+            id(cache), id(ws), *map(id, arrays),
         )
-        ws = _window_ws(ws, U, ps)
-        self._count("advection", lib is not None)
-        if lib is None:
-            return advection_tendency(
-                state, vd, geom, ws=ws, out=out, cache=cache
+
+        def bind(lib):
+            s, o = state_rows(state, view), state_rows(out, view)
+            st, sdot = _cut_store(store, view), _cut(vd.sdot_iface, view)
+            ps = cbackend.plane_stride(
+                s.U, s.V, s.Phi, s.psa, sdot, o.U, o.V, o.Phi,
+                *_store_arrays(st)[:8],
             )
-        rows = _kernel_rows(cache, lambda: {
-            "sin_c": cache.sin_c3, "sin_v": cache.sin_v3,
-            "pre_c": cache.pre_c3, "pre_v": cache.pre_v3,
-            "tas_c": cache.two_a_sin_c3, "tas_v": cache.two_a_sin_v3,
-            "dsig": cache.dsig3,
-        })
+            if ps is None:
+                return None
+            rows = _kernel_rows(cache, lambda: {
+                "sin_c": cache.sin_c3, "sin_v": cache.sin_v3,
+                "pre_c": cache.pre_c3, "pre_v": cache.pre_v3,
+                "tas_c": cache.two_a_sin_c3, "tas_v": cache.two_a_sin_v3,
+                "dsig": cache.dsig3,
+            })
+            nz, ny, nx = s.U.shape
+            args = cbackend.advection_args(
+                s.U, s.V, s.Phi, s.psa, sdot, rows,
+                geom.grid.dlambda, geom.grid.dtheta, self._table(ws, ps, ny, nx),
+                self._scratch_for(ws, (ROW_BUFFERS * nx,)),
+                o.U, o.V, o.Phi, ps, st,
+            )
+            fn, psa_out = lib.advection, o.psa
+
+            def call():
+                cbackend.check_pressure(fn(*args))
+                psa_out[...] = 0.0
+
+            return call
+
+        call = self._bound("advection", key, (cache, ws, *arrays), bind)
+        if call is None:
+            s = state_rows(state, view)
+            advection_tendency(
+                s, vd_rows(vd, view), geom, ws=_window_ws(ws, s.U),
+                out=state_rows(out, view), cache=cache,
+            )
+            return out
         with span("advection-fused[c]", "kernel"):
-            nz, ny, nx = U.shape
-            tab = ws.take((TABLE_PLANES, ny, nx))
-            rowbuf = ws.take((ROW_BUFFERS * nx,))
-            cbackend.advection_c(
-                lib, U, V, Phi, state.psa, sdot, rows,
-                geom.grid.dlambda, geom.grid.dtheta,
-                tab, rowbuf, out.U, out.V, out.Phi, ps, store,
-            )
-            out.psa[...] = 0.0
-            ws.give(tab, rowbuf)
+            call()
         if store is not None:
             store.done = ("U", "V", "Phi")
         return out
 
-    def adaptation(self, state, vd, geom, params, ws, out, cache, store=None):
-        """The ``C-hat + A-hat``-tendency into ``out``; ``store`` as in
-        :meth:`advection`."""
-        U, V, Phi, psa = state.U, state.V, state.Phi, state.psa
-        phi_p = vd.phi_prime
-        w_if = vd.w_iface
-        col_sum = vd.column_sum
-        lib, ps = self._c_call(
-            U, V, Phi, psa, phi_p, w_if, col_sum, out.U, out.V, out.Phi, out.psa,
-            *_store_fields(store, ("U", "V", "Phi", "psa")),
+    def adaptation(
+        self, state, vd, geom, params, ws, out, cache, store=None, view=_ALL
+    ):
+        """The ``C-hat + A-hat``-tendency into ``out``; ``store`` and
+        ``view`` as in :meth:`advection`."""
+        coeff = constants.B_GRAVITY_WAVE * (1.0 + params.delta_c)
+        arrays = (
+            *_fields(state), vd.phi_prime, vd.w_iface, vd.column_sum,
+            *_fields(out), *_store_arrays(store),
         )
-        ws = _window_ws(ws, U, ps)
-        self._count("adaptation", lib is not None)
-        if lib is None:
-            return adaptation_tendency(
-                state, vd, geom, params, ws=ws, out=out, cache=cache
+        key = (
+            "A", coeff, store and (store.midpoint, store.rows, store.dt),
+            _ends(view), id(cache), id(ws), *map(id, arrays),
+        )
+
+        def bind(lib):
+            s, o = state_rows(state, view), state_rows(out, view)
+            st = _cut_store(store, view)
+            phi_p, w_if, col_sum = (
+                _cut(a, view) for a in (vd.phi_prime, vd.w_iface, vd.column_sum)
             )
-        rows = _kernel_rows(cache, lambda: {
-            "sin_v": geom.sin_v, "a_sin_c": cache.a_sin_c3,
-            # the row divisors of surface_dissipation, by its expressions
-            "a2_sin_c": geom.grid.radius**2 * geom.row2(geom.sin_c),
-            "a2_sin2_c": geom.grid.radius**2 * geom.row2(geom.sin_c)**2,
-            "cot_c": cache.cot_c3, "omcos_c": cache.two_omega_cos_c3,
-            "cot_v": cache.cot_v3, "omcos_v": cache.two_omega_cos_v3,
-            "sig_mid": cache.sig_mid3,
-        })
+            ps = cbackend.plane_stride(
+                s.U, s.V, s.Phi, s.psa, phi_p, w_if, col_sum,
+                o.U, o.V, o.Phi, o.psa, *_store_arrays(st)[:8],
+            )
+            if ps is None:
+                return None
+            rows = _kernel_rows(cache, lambda: {
+                "sin_v": geom.sin_v, "a_sin_c": cache.a_sin_c3,
+                # the row divisors of surface_dissipation, by its expressions
+                "a2_sin_c": geom.grid.radius**2 * geom.row2(geom.sin_c),
+                "a2_sin2_c": geom.grid.radius**2 * geom.row2(geom.sin_c)**2,
+                "cot_c": cache.cot_c3, "omcos_c": cache.two_omega_cos_c3,
+                "cot_v": cache.cot_v3, "omcos_v": cache.two_omega_cos_v3,
+                "sig_mid": cache.sig_mid3,
+            })
+            nz, ny, nx = s.U.shape
+            t_ref = self._table(ws, ps, ny, nx, lead=())
+            args = cbackend.adaptation_args(
+                s.U, s.V, s.Phi, s.psa, t_ref, phi_p, w_if, col_sum, rows,
+                geom.grid.radius, geom.grid.dlambda, geom.grid.dtheta, coeff,
+                self._table(ws, ps, ny, nx), self._scratch_for(ws, (nx,)),
+                o.U, o.V, o.Phi, o.psa, ps, st,
+            )
+            fn, psa = lib.adaptation, s.psa
+
+            def call():
+                # The reference-temperature profile uses a non-integer
+                # power, whose numpy SIMD routine libm does not reproduce
+                # bitwise — it stays in numpy, as the reference computes it.
+                np.add(psa, constants.P_REFERENCE, out=t_ref)
+                DEFAULT_REFERENCE.temperature(t_ref, out=t_ref)
+                cbackend.check_pressure(fn(*args))
+
+            return call
+
+        call = self._bound("adaptation", key, (cache, ws, *arrays), bind)
+        if call is None:
+            s = state_rows(state, view)
+            adaptation_tendency(
+                s, vd_rows(vd, view), geom, params, ws=_window_ws(ws, s.U),
+                out=state_rows(out, view), cache=cache,
+            )
+            return out
         with span("adaptation-fused[c]", "kernel"):
-            # The reference-temperature profile uses a non-integer power,
-            # whose numpy SIMD routine libm does not reproduce bitwise —
-            # it stays in numpy, exactly as the reference computes it.
-            t_ref_surf = DEFAULT_REFERENCE.temperature(
-                psa + constants.P_REFERENCE
-            )
-            tab = ws.take((TABLE_PLANES,) + psa.shape)
-            rowbuf = ws.take((psa.shape[-1],))
-            cbackend.adaptation_c(
-                lib, U, V, Phi, psa, t_ref_surf, phi_p, w_if, col_sum,
-                rows, geom.grid.radius,
-                geom.grid.dlambda, geom.grid.dtheta,
-                constants.B_GRAVITY_WAVE * (1.0 + params.delta_c),
-                tab, rowbuf, out.U, out.V, out.Phi, out.psa, ps, store,
-            )
-            ws.give(tab, rowbuf)
+            call()
         if store is not None:
             store.done = ("U", "V", "Phi", "psa")
         return out
 
     def vertical(
-        self, U, V, Phi, psa, geom, gather, ws, cache, scan=None, out=None
+        self, U, V, Phi, psa, geom, gather, ws, cache, scan=None, out=None,
+        view=_ALL,
     ):
         """The ``C`` diagnostics bundle (recycle it with ``ws.give_vd``).
 
@@ -334,60 +409,70 @@ class KernelSet:
         z-collective; it takes precedence over ``gather``.  Only the
         serial / full-column case is fused (no z-collective, no ghost
         levels, identity interface and level maps); everything else runs
-        the numpy operators.  With ``out`` (a bundle of the inputs' shapes,
-        e.g. row-slab views of a working-height bundle) the results are
-        written there instead of into fresh pool buffers.
+        the numpy operators.  With ``out`` (a bundle of the inputs' shapes)
+        the results are written there instead of into fresh pool buffers;
+        ``view`` cuts the rows of the pass out of inputs and ``out`` (which
+        it then requires) alike.
         """
         if scan is not None:
-            self._count("vertical", False)
+            self.calls["vertical"]["fallback"] += 1
             vd = compute_vertical_diagnostics_scan(
-                U, V, Phi, psa, geom, *scan
+                *(_cut(a, view) for a in (U, V, Phi, psa)), geom, *scan
             )
             if out is None:
                 return vd
             for name in vars(vd):
-                np.copyto(getattr(out, name), getattr(vd, name))
+                np.copyto(_cut(getattr(out, name), view), getattr(vd, name))
             return out
-        nz = geom.grid.nz
         full_column = (
             gather is None
             and geom.gz == 0
             and cache.k_if_identity
             and cache.k_lev_identity
-            and U.shape[0] == nz
+            and U.shape[0] == geom.grid.nz
         )
-        lib = ps = None
-        if full_column and self._library() is not None:
-            # the outputs take part in the stride check: a pooled bundle
-            # for row-slab inputs would not share their plane stride
-            if out is None:
-                out = ws.take_vd(U.shape)
-            lib, ps = self._c_call(
-                U, V, Phi, psa,
-                out.div_p, out.column_sum, out.pw_iface, out.w_iface,
-                out.sdot_iface, out.phi_prime, out.p_fac,
+        if full_column and out is None and self._library() is not None:
+            out = ws.take_vd(U.shape)
+        call = None
+        if full_column and out is not None:
+            arrays = (U, V, Phi, psa, *vars(out).values())
+            key = ("C", _ends(view), id(cache), id(ws), *map(id, arrays))
+
+            def bind(lib):
+                # the outputs take part in the stride check: a pooled
+                # bundle for row-slab inputs would not share their stride
+                u, v, phi, p = (_cut(a, view) for a in (U, V, Phi, psa))
+                o = vd_rows(out, view)
+                ps = cbackend.plane_stride(u, v, phi, p, *vars(o).values())
+                if ps is None:
+                    return None
+                rows = _kernel_rows(cache, lambda: {
+                    "sin_v": geom.sin_v, "a_sin_c": cache.a_sin_c3,
+                    "dsig": cache.dsig_own3, "ratio": cache.ratio_own3,
+                    "sig_if": cache.sig_if3,
+                })
+                args = cbackend.vertical_args(
+                    u, v, phi, p, rows, geom.grid.dlambda, geom.grid.dtheta,
+                    o.p_fac, o.div_p, o.column_sum, o.pw_iface,
+                    o.w_iface, o.sdot_iface, o.phi_prime,
+                    self._table(ws, ps, *u.shape[-2:]), ps,
+                )
+                fn = lib.vertical
+                return lambda: cbackend.check_pressure(fn(*args))
+
+            call = self._bound("vertical", key, (cache, ws, *arrays), bind)
+        else:
+            self.calls["vertical"]["fallback"] += 1
+        if call is None:
+            u = _cut(U, view)
+            vd = compute_vertical_diagnostics(
+                u, *(_cut(a, view) for a in (V, Phi, psa)), geom, gather,
+                ws=_window_ws(ws, u), cache=cache,
+                out=out and vd_rows(out, view),
             )
-        self._count("vertical", lib is not None)
-        if lib is None:
-            return compute_vertical_diagnostics(
-                U, V, Phi, psa, geom, gather, ws=_window_ws(ws, U),
-                cache=cache, out=out,
-            )
-        rows = _kernel_rows(cache, lambda: {
-            "sin_v": geom.sin_v, "a_sin_c": cache.a_sin_c3,
-            "dsig": cache.dsig_own3, "ratio": cache.ratio_own3,
-            "sig_if": cache.sig_if3,
-        })
+            return out or vd
         with span("vertical-fused[c]", "kernel"):
-            ws = _window_ws(ws, U, ps)
-            tab = ws.take((TABLE_PLANES,) + psa.shape)
-            cbackend.vertical_c(
-                lib, U, V, Phi, psa, rows,
-                geom.grid.dlambda, geom.grid.dtheta,
-                out.p_fac, out.div_p, out.column_sum, out.pw_iface,
-                out.w_iface, out.sdot_iface, out.phi_prime, tab, ps,
-            )
-            ws.give(tab)
+            call()
         return out
 
     def describe(self) -> dict:
@@ -404,11 +489,33 @@ class KernelSet:
         }
 
 
-def _store_fields(store, names) -> list[np.ndarray]:
-    """The arrays of ``store`` a kernel would touch (for the stride check)."""
+def _ends(s: slice) -> tuple:
+    """A window's key part (slices are unhashable before Python 3.12)."""
+    return (s.start, s.stop)
+
+
+def _cut(a: np.ndarray, view: slice, levels: slice = _ALL):
+    """Rows ``view`` (and levels ``levels``) of a working array."""
+    return a[levels][..., view, :]
+
+
+def _cut_store(store, view: slice):
+    """``store`` with its base and out cut to the call's rows."""
+    return store and replace(
+        store, base=state_rows(store.base, view), out=state_rows(store.out, view)
+    )
+
+
+def _fields(state) -> tuple:
+    return (state.U, state.V, state.Phi, state.psa)
+
+
+def _store_arrays(store) -> tuple:
+    """The arrays a store points a kernel at: its base and out fields (the
+    stride check's), then its polar flags."""
     if store is None:
-        return []
-    return [getattr(s, n) for s in (store.base, store.out) for n in names]
+        return ()
+    return (*_fields(store.base), *_fields(store.out), store.polar_c, store.polar_v)
 
 
 def _kernel_rows(cache, build) -> dict[str, np.ndarray]:

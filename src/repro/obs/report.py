@@ -17,14 +17,6 @@ from collections import defaultdict
 from pathlib import Path
 
 
-def _is_chrome_trace(path: Path) -> bool:
-    with path.open() as fh:
-        head = fh.read(1)
-        while head.isspace():
-            head = fh.read(1)
-    return head in ("{", "[")  # JSONL starts with {, but on every line
-
-
 def _detect_format(path: Path) -> str:
     """``"chrome"``, ``"jsonl"`` or ``"flight"``, sniffed from the file."""
     first = ""

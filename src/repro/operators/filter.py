@@ -13,8 +13,10 @@ filter boundary.
 Under ``p_x > 1`` the per-row FFTs require a collective along x — the
 dominant communication term by Theorem 4.1; under the Y-Z decomposition
 each rank owns full rows and the filter is communication-free.  The filter
-object precomputes its damping factors once per geometry; applying it is
-one rfft / scale / irfft per filtered row family.
+object precomputes its damping factors once per geometry; an application
+gathers the masked rows of all four fields of a tendency into one stack
+and transforms it with one rfft, one scale per row family and one irfft
+(:class:`repro.core.rowslab.FilterRows`).
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ import numpy.fft  # noqa: F401
 
 from repro.constants import ModelParameters
 from repro.operators.geometry import WorkingGeometry
-from repro.state.variables import ModelState
 
 
 #: available damping profiles (see :func:`damping_factors`)
@@ -123,18 +124,17 @@ class PolarFilter:
     """Per-geometry polar filter over full latitude circles.
 
     Requires ``geom.full_x`` (serial or Y-Z decomposition); the X-Y
-    distributed core gathers rows along its x sub-communicator and calls
-    :func:`apply_filter_rows` on the assembled circles instead.
+    distributed core gathers rows along its x sub-communicator and
+    transforms the assembled circles instead.  It holds the masks and
+    damping factors; :class:`repro.core.rowslab.FilterRows` applies them.
     """
 
     def __init__(self, geom: WorkingGeometry, params: ModelParameters) -> None:
         if not geom.full_x:
             raise ValueError(
                 "PolarFilter needs full latitude circles; "
-                "use apply_filter_rows after an x-gather instead"
+                "filter after an x-gather instead"
             )
-        self.geom = geom
-        self.params = params
         nx = geom.grid.nx
         profile = getattr(params, "filter_profile", "quadratic")
         self.mask_c, self.factors_c = filter_plan(
@@ -153,40 +153,3 @@ class PolarFilter:
     def n_filtered_rows(self) -> int:
         """Number of filtered rows across both row families."""
         return int(self.mask_c.sum() + self.mask_v.sum())
-
-    def apply(self, arr: np.ndarray, rows: str = "c") -> None:
-        """Filter ``arr`` in place along x on its filtered rows.
-
-        ``rows`` selects the row family: ``"c"`` for centre-row fields
-        (U, Phi, p'_sa), ``"v"`` for V-row fields.
-        """
-        mask, factors = (
-            (self.mask_c, self.factors_c)
-            if rows == "c"
-            else (self.mask_v, self.factors_v)
-        )
-        if not mask.any():
-            return
-        apply_filter_rows(arr, mask, factors)
-
-    def apply_state(self, state: ModelState) -> ModelState:
-        """Filter all four components of a state/tendency in place; returns it."""
-        self.apply(state.U, rows="c")
-        self.apply(state.V, rows="v")
-        self.apply(state.Phi, rows="c")
-        self.apply(state.psa, rows="c")
-        return state
-
-
-def apply_filter_rows(
-    arr: np.ndarray, mask: np.ndarray, factors: np.ndarray
-) -> None:
-    """rfft / damp / irfft the masked rows of ``arr`` in place.
-
-    ``arr`` is ``(..., ny_w, nx)`` with the *full* longitude circle on the
-    last axis; ``factors`` matches :func:`damping_factors` output.
-    """
-    rows = arr[..., mask, :]
-    spec = np.fft.rfft(rows, axis=-1)
-    spec *= factors
-    arr[..., mask, :] = np.fft.irfft(spec, n=arr.shape[-1], axis=-1)

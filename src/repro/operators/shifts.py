@@ -75,15 +75,16 @@ def sz(a: np.ndarray, d: int) -> np.ndarray:
     return np.roll(a, -d, axis=0)
 
 
-def _mirror_row_into(
+def _mirror_rows_into(
     dst: np.ndarray, src: np.ndarray, half: int, negate: bool
 ) -> None:
     """``dst = (+/-) roll(src, half)`` along x, without the roll temporary.
 
-    The rolled row's left half is the source's right half and vice versa,
+    The rolled rows' left half is the source's right half and vice versa,
     so two slice copies (or :func:`np.negative` writes, an exact sign
     flip) reproduce ``sign * np.roll(src, half, axis=-1)`` bit for bit.
-    ``dst`` and ``src`` are distinct rows, so the slices never alias.
+    ``dst`` and ``src`` are equally tall views of disjoint rows of one
+    array, one of them reversed so that their rows pair up across a pole.
     """
     if negate:
         np.negative(src[..., half:], out=dst[..., :half])
@@ -137,15 +138,14 @@ def fill_pole_ghosts(
         raise ValueError("pole mirror requires even nx")
     half = nx // 2
     if north:
-        for m in range(depth):
-            # ghost row (gy-1-m) mirrors interior row (gy+m)
-            src = a[..., gy + m, :]
-            _mirror_row_into(a[..., gy - 1 - m, :], src, half, vector)
+        # ghost row (gy-1-m) mirrors interior row (gy+m)
+        ghosts = a[..., gy - depth: gy, :][..., ::-1, :]
+        _mirror_rows_into(ghosts, a[..., gy: gy + depth, :], half, vector)
     if south:
-        ny_w = a.shape[-2]
-        for m in range(depth):
-            src = a[..., ny_w - 1 - gy - m, :]
-            _mirror_row_into(a[..., ny_w - gy + m, :], src, half, vector)
+        g0 = a.shape[-2] - gy
+        # ghost row (g0+m) mirrors interior row (g0-1-m)
+        block = a[..., g0 - depth: g0, :][..., ::-1, :]
+        _mirror_rows_into(a[..., g0: g0 + depth, :], block, half, vector)
 
 
 def fill_pole_ghosts_vrow(
@@ -175,16 +175,16 @@ def fill_pole_ghosts_vrow(
     if north:
         pole = gy - 1  # the theta = 0 interface row
         a[..., pole, :] = 0.0
-        for m in range(1, depth):
-            src = a[..., pole + m, :]
-            _mirror_row_into(a[..., pole - m, :], src, half, True)
+        # row (pole-m) mirrors row (pole+m), m = 1 .. depth-1
+        ghosts = a[..., pole + 1 - depth: pole, :][..., ::-1, :]
+        _mirror_rows_into(ghosts, a[..., pole + 1: pole + depth, :], half, True)
     if south:
         ny_w = a.shape[-2]
         pole = ny_w - 1 - gy  # the theta = pi interface row (last interior)
         a[..., pole, :] = 0.0
-        for m in range(1, depth + 1):
-            src = a[..., pole - m, :]
-            _mirror_row_into(a[..., pole + m, :], src, half, True)
+        # row (pole+m) mirrors row (pole-m), m = 1 .. depth
+        block = a[..., pole - depth: pole, :][..., ::-1, :]
+        _mirror_rows_into(a[..., pole + 1: pole + 1 + depth, :], block, half, True)
 
 
 def fill_z_edge_ghosts(

@@ -140,33 +140,39 @@ class FieldSmoother:
         ws.give(dx, tmp, t2)
         return out
 
-    def offset_term(self, a: np.ndarray, m: int) -> np.ndarray:
-        """The contribution ``S~_m`` of row ``j + m`` (Eq. 14).
+    def partial_into(
+        self, a: np.ndarray, offsets: tuple[int, ...], out: np.ndarray, ws
+    ) -> np.ndarray:
+        """``sum_{m in offsets} S~_m(a)`` into ``out`` — one partial
+        smoothing stage, scratch from ``ws``.
 
-        Summing over all five offsets reproduces :meth:`full` exactly
-        (the x-operator commutes with row shifts).
+        ``S~_m`` is the contribution of row ``j + m`` (Eq. 14), each built
+        from zero and summed in ``offsets`` order; over all five offsets
+        the sum reproduces :meth:`full` (the x-operator commutes with row
+        shifts).
         """
-        c = DELTA4_COEFFS[m + 2]
-        shifted = sy(a, m) if m else a
-        term = np.zeros_like(a)
-        if self.beta_y:
-            term = term - (self.beta_y / 16.0) * c * shifted
-        if self.cross:
-            term = term + (
-                self.beta_x * self.beta_y / 256.0
-            ) * c * delta4_x(shifted)
-        if m == 0:
-            term = term + a - (self.beta_x / 16.0) * delta4_x(a)
-        return term
-
-    def partial(self, a: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
-        """``sum_{m in offsets} S~_m(a)`` — one partial smoothing stage."""
         if not offsets:
             raise ValueError("offsets must be non-empty")
-        out = None
-        for m in offsets:
-            term = self.offset_term(a, m)
-            out = term if out is None else out + term
+        term, shifted, t, tmp = (ws.take(a.shape) for _ in range(4))
+        for i, m in enumerate(offsets):
+            c, acc = DELTA4_COEFFS[m + 2], term if i else out
+            a_m = sy_into(a, m, shifted) if m else a
+            acc.fill(0.0)
+            if self.beta_y:
+                np.multiply(a_m, (self.beta_y / 16.0) * c, out=t)
+                np.subtract(acc, t, out=acc)
+            if self.cross:
+                delta4_x_into(a_m, t, tmp)
+                np.multiply(t, (self.beta_x * self.beta_y / 256.0) * c, out=t)
+                np.add(acc, t, out=acc)
+            if m == 0:
+                np.add(acc, a, out=acc)
+                delta4_x_into(a, t, tmp)
+                np.multiply(t, self.beta_x / 16.0, out=t)
+                np.subtract(acc, t, out=acc)
+            if i:
+                np.add(out, term, out=out)
+        ws.give(term, shifted, t, tmp)
         return out
 
     @property

@@ -105,6 +105,11 @@ class VerticalDiagnostics:
     p_fac: np.ndarray
 
 
+def vd_rows(vd: VerticalDiagnostics, rows: slice) -> VerticalDiagnostics:
+    """Row-slab view of a ``C`` diagnostics bundle (no copies)."""
+    return VerticalDiagnostics(**{n: a[..., rows, :] for n, a in vars(vd).items()})
+
+
 def divergence_dp(
     U: np.ndarray, V: np.ndarray, p_fac: np.ndarray, geom: WorkingGeometry
 ) -> np.ndarray:

@@ -14,7 +14,6 @@ z-collective, ``F`` = polar-filter application.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.grid.decomposition import Decomposition
@@ -34,10 +33,6 @@ class ComputeWeights:
     #: per (row-point x log2 nx) unit of the FFT filter
     filter_fft: float = 1.0
     update: float = 1.0
-
-    def filter_seconds_per_point(self, nx: int, seconds_per_point: float) -> float:
-        """Cost of one filtered-row point including the log factor."""
-        return self.filter_fft * math.log2(max(nx, 2)) * seconds_per_point
 
 
 DEFAULT_WEIGHTS = ComputeWeights()

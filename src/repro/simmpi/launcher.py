@@ -102,14 +102,6 @@ class SpmdResult:
         """Per-field max over ranks (critical-path accounting of [16])."""
         return self.stats[0].merge_max(self.stats[1:])
 
-    def total_comm_time(self) -> float:
-        """Max over ranks of (p2p + collective) logical time."""
-        return max(s.comm_time for s in self.stats)
-
-    def total_compute_time(self) -> float:
-        """Max over ranks of compute logical time."""
-        return max(s.compute_time for s in self.stats)
-
     def fault_events(self) -> list:
         """All fault events of all ranks, in rank order."""
         return [e for s in self.stats for e in s.fault_events]

@@ -43,8 +43,11 @@ class StandardAtmosphere:
     p_surface: float = constants.P_REFERENCE
     t_tropopause: float = 216.65
 
-    def temperature(self, p: np.ndarray | float) -> np.ndarray:
-        """Reference temperature ``T~`` at pressure ``p`` [Pa].
+    def temperature(
+        self, p: np.ndarray | float, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Reference temperature ``T~`` at pressure ``p`` [Pa] (into
+        ``out`` if given, which may be ``p`` itself).
 
         Uses the hydrostatic constant-lapse-rate relation
         ``T = T_s * (p / p_s)^(R*gamma/g)`` capped below by the tropopause
@@ -53,8 +56,13 @@ class StandardAtmosphere:
         p = np.asarray(p, dtype=np.float64)
         exponent = constants.R_DRY * self.lapse_rate / constants.GRAVITY
         with np.errstate(invalid="ignore"):
-            t = self.t_surface * (p / self.p_surface) ** exponent
-        return np.maximum(t, self.t_tropopause)
+            if out is None:
+                t = self.t_surface * (p / self.p_surface) ** exponent
+            else:  # the same ufuncs in place
+                t = np.divide(p, self.p_surface, out=out)
+                np.power(t, exponent, out=t)
+                np.multiply(self.t_surface, t, out=t)
+        return np.maximum(t, self.t_tropopause, out=out)
 
     def temperature_at_sigma(
         self, sigma_mid: np.ndarray, ps: np.ndarray | float | None = None

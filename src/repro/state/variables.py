@@ -225,3 +225,8 @@ class ModelState:
     def nbytes(self) -> int:
         """Total payload size of the four components in bytes."""
         return self.U.nbytes + self.V.nbytes + self.Phi.nbytes + self.psa.nbytes
+
+
+def state_rows(state: ModelState, rows: slice) -> ModelState:
+    """Row-slab view of a state (no copies)."""
+    return ModelState(**{n: a[..., rows, :] for n, a in state.fields().items()})

@@ -139,9 +139,9 @@ def kernel_divisors(grid: LatLonGrid) -> np.ndarray:
         pf, pf**2, pes, to_u(pf), to_v(pf), to_u(to_v(pf)), to_u(pes), to_v(pes)
     ]
     rows = [
-        eng._adapt_cache.a_sin_c3,
-        eng._advec_cache.two_a_sin_c3,
-        eng._advec_cache.two_a_sin_v3,
+        eng._whole.cache("adaptation").a_sin_c3,
+        eng._whole.cache("advection").two_a_sin_c3,
+        eng._whole.cache("advection").two_a_sin_v3,
         a**2 * geom.sin_c,
         a**2 * geom.sin_c**2,
         geom.sigma_mid,

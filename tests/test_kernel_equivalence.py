@@ -371,17 +371,17 @@ def test_every_kernel_method_returns_a_result(
 
     vd = ks.vertical(
         state.U, state.V, state.Phi, state.psa, geom, None, ws,
-        eng._vert_cache,
+        eng._whole.cache("vertical"),
     )
     assert vd is not None
     for f in ("div_p", "column_sum", "pw_iface", "sdot_iface", "phi_prime"):
         assert np.array_equal(getattr(vd, f), getattr(want_vd, f)), f
     got = {
         "adaptation": ks.adaptation(
-            state, vd, geom, params, ws, blank(), eng._adapt_cache
+            state, vd, geom, params, ws, blank(), eng._whole.cache("adaptation")
         ),
         "advection": ks.advection(
-            state, vd, geom, ws, blank(), eng._advec_cache
+            state, vd, geom, ws, blank(), eng._whole.cache("advection")
         ),
         "smoothing": ks.smooth_state_into(
             state, params, blank(), ws, smoothers_for(params)

@@ -8,7 +8,9 @@ and after each array, every row of a working-height array outside the
 row-slab view of the call, every row of an updated state outside the
 target rows, and the whole of every input.  ``smooth_full``, ``vertical``,
 ``adaptation`` and ``advection`` (the latter two in every store mode) run
-on whole arrays and on row-slab views, ``nz == 1`` included.
+on whole arrays and on row-slab views, ``nz == 1`` included; the store
+modes as the cores call them — working arrays and a row view — twice, the
+second call through the binding the first one made.
 
 :func:`check_library` is the whole sweep for one compiled library: the
 test runs it on both flag sets, CI's ``kernels`` job once more on an
@@ -21,7 +23,7 @@ import pytest
 
 from repro.constants import ModelParameters
 from repro.core.integrator import SerialCore
-from repro.core.rowslab import FilterRows, RowSlab, state_rows, vd_rows
+from repro.core.rowslab import FilterRows, RowSlab
 from repro.grid.latlon import LatLonGrid
 from repro.kernels import KernelSet, c_available, cbackend
 from repro.kernels.dispatch import Store
@@ -29,9 +31,13 @@ from repro.operators.adaptation import AdaptationGeomCache
 from repro.operators.advection import AdvectionGeomCache
 from repro.operators.filter import PolarFilter
 from repro.operators.smoothing import smoothers_for
-from repro.operators.vertical import VerticalDiagnostics, VerticalGeomCache
+from repro.operators.vertical import (
+    VerticalDiagnostics,
+    VerticalGeomCache,
+    vd_rows,
+)
 from repro.physics import balanced_random_state
-from repro.state.variables import FIELD_NAMES, ModelState
+from repro.state.variables import FIELD_NAMES, ModelState, state_rows
 
 #: canary words either side of every array
 BAND = 96
@@ -196,23 +202,34 @@ def check_mesh(lib, nx: int, ny: int, nz: int, window) -> None:
                 if midpoint is None:
                     return None
                 return Store(
-                    rows_of(b), rows_of(out), 30.0, midpoint, inner,
+                    b, out, 30.0, midpoint, inner,
                     polar.subset["c"][0], polar.subset["v"][0],
                 )
 
-            def adaptation(ws, state, bundle, tend, b, out):
-                v, bd = rows_of(state, bundle)
-                ks.adaptation(
-                    v, bd, g, params, ws, rows_of(tend),
-                    AdaptationGeomCache(g), store(b, out),
+            def twice(method, state, bundle, tend, b, out, *head):
+                """Without a store on views of the pass's rows; with one
+                as the cores call: working arrays and the row ``view``,
+                twice on the same buffers — the second call runs through
+                the binding the first one made."""
+                cache = (
+                    AdaptationGeomCache(g) if method == ks.adaptation
+                    else AdvectionGeomCache(g)
                 )
+                if midpoint is None:
+                    v, bd = rows_of(state, bundle)
+                    method(v, bd, g, *head, rows_of(tend), cache)
+                    return
+                args = (state, bundle, g, *head, tend, cache)
+                method(*args, store(b, out), view)
+                bound = len(ks._bindings)
+                method(*args, store(b, out), view)
+                assert len(ks._bindings) == bound, label
+
+            def adaptation(ws, state, bundle, tend, b, out):
+                twice(ks.adaptation, state, bundle, tend, b, out, params, ws)
 
             def advection(ws, state, bundle, tend, b, out):
-                v, bd = rows_of(state, bundle)
-                ks.advection(
-                    v, bd, g, ws, rows_of(tend), AdvectionGeomCache(g),
-                    store(b, out),
-                )
+                twice(ks.advection, state, bundle, tend, b, out, ws)
 
             for fn in (adaptation, advection):
                 writes = {"tend": view}

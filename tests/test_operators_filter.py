@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from repro.constants import ModelParameters
+from repro.core.rowslab import FilterRows
+from repro.core.workspace import Workspace
 from repro.grid.sigma import SigmaLevels
 from repro.operators.filter import (
     PolarFilter,
-    apply_filter_rows,
     clear_plan_cache,
     damping_factors,
     filter_plan,
@@ -25,6 +26,21 @@ def geom(small_grid):
 @pytest.fixture
 def pfilter(geom):
     return PolarFilter(geom, ModelParameters())
+
+
+def filter_state(pfilter, state):
+    """``F`` on every working row of ``state``, in place (the whole-array
+    pass of the engine); returns it."""
+    ny_w = state.psa.shape[0]
+    FilterRows(pfilter, 0, ny_w, slice(0, ny_w)).apply(state, Workspace())
+    return state
+
+
+def filter_c(pfilter, arr):
+    """``F`` on a centre-row field ``arr``, in place (carried as ``U``)."""
+    state = ModelState.zeros(arr.shape)
+    state.U[...] = arr
+    arr[...] = filter_state(pfilter, state).U
 
 
 class TestDampingFactors:
@@ -72,7 +88,7 @@ class TestApplication:
         arr[:, :, :] = np.cos(2 * np.pi * m_high * i / nx)
         pole_row = geom.gy  # first interior row (closest to the north pole)
         before = arr[0, pole_row].copy()
-        pfilter.apply(arr, rows="c")
+        filter_c(pfilter, arr)
         after = arr[0, pole_row]
         assert np.abs(after).max() < 0.1 * np.abs(before).max()
 
@@ -81,14 +97,14 @@ class TestApplication:
         arr = rng.standard_normal((nz_w, ny_w, nx))
         eq = ny_w // 2
         before = arr[:, eq].copy()
-        pfilter.apply(arr, rows="c")
+        filter_c(pfilter, arr)
         assert np.array_equal(arr[:, eq], before)
 
     def test_zonal_mean_preserved_everywhere(self, geom, pfilter, rng):
         nz_w, ny_w, nx = geom.shape3d
         arr = rng.standard_normal((nz_w, ny_w, nx))
         mean_before = arr.mean(axis=-1).copy()
-        pfilter.apply(arr, rows="c")
+        filter_c(pfilter, arr)
         assert np.allclose(arr.mean(axis=-1), mean_before, atol=1e-12)
 
     def test_apply_state_touches_all_fields(self, geom, pfilter, rng):
@@ -99,7 +115,7 @@ class TestApplication:
         for arr in (state.U, state.V, state.Phi):
             arr[:, :, :] = wave
         state.psa[:, :] = wave
-        pfilter.apply_state(state)
+        filter_state(pfilter, state)
         pole = geom.gy
         for arr in (state.U, state.Phi, state.psa):
             assert np.abs(arr[..., pole, :]).max() < 0.1
@@ -109,9 +125,9 @@ class TestApplication:
         second time for already-damped high modes (soft idempotence)."""
         nz_w, ny_w, nx = geom.shape3d
         arr = rng.standard_normal((nz_w, ny_w, nx))
-        pfilter.apply(arr, rows="c")
+        filter_c(pfilter, arr)
         once = arr.copy()
-        pfilter.apply(arr, rows="c")
+        filter_c(pfilter, arr)
         # second pass damps by at most the same factors: differences are
         # bounded by the first-pass residual
         assert np.abs(arr - once).max() <= np.abs(once).max()
@@ -125,18 +141,25 @@ class TestApplication:
         with pytest.raises(ValueError):
             PolarFilter(geom, ModelParameters())
 
-    def test_apply_filter_rows_matches_manual_fft(self, geom, rng):
-        nz_w, ny_w, nx = geom.shape3d
-        arr = rng.standard_normal((2, ny_w, nx))
-        mask = np.zeros(ny_w, dtype=bool)
-        mask[1] = True
-        factors = np.full((1, nx // 2 + 1), 0.5)
-        factors[0, 0] = 1.0
-        expected = np.fft.irfft(
-            np.fft.rfft(arr[:, 1, :], axis=-1) * factors[0], n=nx, axis=-1
-        )
-        apply_filter_rows(arr, mask, factors)
-        assert np.allclose(arr[:, 1, :], expected)
+    def test_stacked_rows_match_manual_fft(self, geom, pfilter, rng):
+        """Every masked row of every field, transformed in one stack,
+        equals its own rfft / damp / irfft (to the bit)."""
+        state = ModelState.random(geom.shape3d, rng)
+        want = state.copy()
+        filter_state(pfilter, state)
+        nx = geom.grid.nx
+        for name in ("U", "V", "Phi", "psa"):
+            mask, factors = (
+                (pfilter.mask_v, pfilter.factors_v) if name == "V"
+                else (pfilter.mask_c, pfilter.factors_c)
+            )
+            a = getattr(want, name)
+            for r, row in enumerate(np.flatnonzero(mask)):
+                a[..., row, :] = np.fft.irfft(
+                    np.fft.rfft(a[..., row, :], axis=-1) * factors[r],
+                    n=nx, axis=-1,
+                )
+            assert np.array_equal(getattr(state, name), a), name
 
 
 class TestPlanCache:

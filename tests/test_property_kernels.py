@@ -25,7 +25,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import constants
-from repro.constants import ModelParameters
 from repro.core.integrator import SerialCore
 from repro.core.tendencies import TendencyEngine
 from repro.core.workspace import Workspace
@@ -58,7 +57,7 @@ def test_fused_equals_sequential_stages_on_plan_shapes(bx, by, cross, data):
     ks = KernelSet("fused")
     out = ks.smooth_field(sm, a, np.empty_like(a), Workspace())
     assert ks.calls["smoothing"]["fused"] == c_available()
-    seq = sm.partial(a, OFFSETS_FULL)
+    seq = sm.partial_into(a, OFFSETS_FULL, np.empty_like(a), Workspace())
     assert np.allclose(out, seq, rtol=1e-12, atol=1e-8)
 
 
@@ -66,12 +65,14 @@ def test_fused_equals_sequential_stages_on_plan_shapes(bx, by, cross, data):
 @settings(max_examples=15, deadline=None)
 @given(a=fields, bx=betas, by=betas, cross=st.booleans())
 def test_c_backend_bit_identical_to_reference(a, bx, by, cross):
-    from repro.kernels.cbackend import load_library, smooth_full_c
+    from repro.kernels.cbackend import load_library, smooth_args
 
     sm = FieldSmoother(beta_x=bx, beta_y=by, cross=cross)
     ref = sm.full_into(a, np.empty_like(a), Workspace())
     out = np.empty_like(a)
-    smooth_full_c(load_library(), a, out, np.empty_like(a), bx, by, cross)
+    scratch = np.empty_like(a)  # alive until the call returns
+    ps = a.shape[-2] * a.shape[-1]
+    load_library().smooth_full(*smooth_args(a, out, scratch, bx, by, cross, ps))
     assert np.array_equal(ref, out)
     assert np.array_equal(np.signbit(ref), np.signbit(out))
 

@@ -5,7 +5,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.operators.filter import FILTER_PROFILES, damping_factors, apply_filter_rows
+from repro.operators.filter import FILTER_PROFILES, damping_factors
+
+
+def apply_filter_rows(arr, mask, factors):
+    """rfft / damp / irfft the masked rows of ``arr`` in place."""
+    spec = np.fft.rfft(arr[..., mask, :], axis=-1) * factors
+    arr[..., mask, :] = np.fft.irfft(spec, n=arr.shape[-1], axis=-1)
 
 
 rows_arrays = hnp.arrays(

@@ -33,6 +33,7 @@ from repro.core.resilience import (
     ResilienceExhausted,
 )
 from repro.grid.latlon import LatLonGrid
+from repro.kernels import c_available
 from repro.obs.spans import tracing
 from repro.physics import perturbed_rest_state
 from repro.simmpi import FaultPlan, NodeLoss, SpmdError
@@ -160,7 +161,9 @@ class TestBitIdentity:
         assert report.rank_launches == 1
 
     def test_pool_counters_are_per_command(self):
-        """Warm ranks: the second command allocates nothing new."""
+        """Warm ranks: the second command allocates nothing new, and every
+        warm command takes the same buffers — all those of the first but
+        the kernels' scratch blocks, which its C calls bound and kept."""
         core = make_core("ca", "process")
         cfg = DistributedConfig(
             grid=core.config.grid, params=PARAMS,
@@ -172,14 +175,20 @@ class TestBitIdentity:
             first = world.call(initial(core), 2)
             after_first = area.copy()
             second = world.call(initial(core), 2)
+            third = world.call(initial(core), 2)
         finally:
             world.close()
-        for a, b in zip(first.results, second.results):
+        for a, b, c in zip(first.results, second.results, third.results):
             assert a.ws_counters["fresh_allocations"] > 0
             assert b.ws_counters["fresh_allocations"] == 0
-            assert b.ws_counters["reuses"] == (
+            assert b.ws_counters == c.ws_counters
+            bound = (
                 a.ws_counters["reuses"] + a.ws_counters["fresh_allocations"]
+                - b.ws_counters["reuses"]
             )
+            # the table block, the reference-temperature surface, two row
+            # buffers and a smoothing block per field shape and view height
+            assert bound == (7 if c_available() else 0)
             assert (a.c_calls, a.exchanges) == (b.c_calls, b.exchanges)
         assert same(after_first, area)
         assert first.clocks == second.clocks
