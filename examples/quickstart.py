@@ -46,7 +46,7 @@ def main() -> None:
     report = cfl_report(grid, params.dt_adaptation)
     print(
         f"CFL: zonal(worst/pole)={report.cfl_zonal_worst:.2f} "
-        f"zonal(equator)={report.cfl_zonal_equator:.3f} "
+        f"zonal(filtered)={report.cfl_zonal_filtered:.3f} "
         f"meridional={report.cfl_meridional:.3f} "
         f"-> stable with polar filter: {report.stable_filtered}"
     )

@@ -147,6 +147,8 @@ class RankContext:
             filter_x=None if self.geom.full_x else self._filter_distributed,
             **z_hook,
         )
+        #: the rows an update writes: the next halo refresh rewrites the rest
+        self.owned = self.engine.slab(gy, self.geom.shape2d[0] - gy)
         # distributed-filter factors (X-Y / 3-D case): full-circle cutoffs
         if not self.geom.full_x:
             self._xfilter = {
@@ -279,7 +281,7 @@ class RankContext:
         out: ModelState,
         midpoint: bool = False,
     ) -> ModelState:
-        """One charged internal update on the whole working array
+        """One internal update on the owned rows, charged on the whole array
         (:meth:`TendencyEngine.update`): ``base + dt * F(T(psi))``, ``F``
         local under full x and the x-line collective otherwise."""
         W = self.cfg.weights
@@ -291,7 +293,7 @@ class RankContext:
                 W.filter_fft * math.log2(g.grid.nx) * pf.n_filtered_rows,
                 g.shape3d[0] * g.grid.nx,
             )
-        self.engine.update(kind, psi, base, vd, dt, out, midpoint=midpoint)
+        self.engine.update(kind, psi, base, vd, dt, out, self.owned, midpoint)
         self.charge(W.update, self._wpoints)
         return out
 

@@ -21,6 +21,7 @@ frequency claim directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -35,7 +36,7 @@ from repro.grid.sigma import SigmaLevels
 from repro.operators.geometry import WorkingGeometry
 from repro.operators.smoothing import smoothers_for
 from repro.operators.vertical import VerticalDiagnostics
-from repro.state.variables import ModelState
+from repro.state.variables import ModelState, state_rows
 
 #: Ghost width of the serial working arrays: the smoothing radius (2)
 #: dominates the unit stencil radius of the tendency terms.
@@ -75,6 +76,9 @@ class SerialCore:
         self.engine = TendencyEngine(
             geom, self.params, ws=self.ws, kernels=self.kernels
         )
+        #: an update writes the owned rows; the pole fill after it the rest
+        owned = self.engine.slab(geom.gy, geom.shape2d[0] - geom.gy)
+        self._update = partial(self.engine.update, slab=owned)
         self._vd_stale: VerticalDiagnostics | None = None
         self._ring = StateRing(self.ws, geom.shape3d)
         self._smoothers = smoothers_for(self.params)
@@ -89,22 +93,14 @@ class SerialCore:
         ``out`` if given (every cell is written) or a new one."""
         g = self.geom
         w = ModelState.zeros(g.shape3d) if out is None else out
-        gy = g.gy
-        for name, arr in state.fields().items():
-            target = getattr(w, name)
-            target[..., gy:-gy, :] = arr
+        state.copy_into(state_rows(w, slice(g.gy, -g.gy)))
         self.engine.fill_physical_ghosts(w)
         return w
 
     def strip(self, wstate: ModelState) -> ModelState:
         """Working state -> interior copy."""
         gy = self.geom.gy
-        return ModelState(
-            U=wstate.U[:, gy:-gy, :].copy(),
-            V=wstate.V[:, gy:-gy, :].copy(),
-            Phi=wstate.Phi[:, gy:-gy, :].copy(),
-            psa=wstate.psa[gy:-gy, :].copy(),
-        )
+        return state_rows(wstate, slice(gy, -gy)).copy()
 
     def restart(self) -> None:
         """Zero what a run counts and drop the stale ``C`` bundle (a run
@@ -144,20 +140,20 @@ class SerialCore:
             vd1 = self._vd_stale  # the stale bundle: C(psi^{i-2}) + O(dt1)
         else:
             vd1 = self._vertical_fresh(psi)
-        eta1 = eng.update("adaptation", psi, psi, vd1, dt1, ring.scratch(psi))
+        eta1 = self._update("adaptation", psi, psi, vd1, dt1, ring.scratch(psi))
         eng.fill_physical_ghosts(eta1)
 
         # the second update lands as the midpoint (psi + eta2) / 2 — the
         # state the third one evaluates; eta2 itself is never needed
         vd2 = self._vertical_fresh(eta1)
-        mid = eng.update(
+        mid = self._update(
             "adaptation", eta1, psi, vd2, dt1, ring.scratch(psi, eta1),
             midpoint=True,
         )
         eng.fill_physical_ghosts(mid)
 
         vd3 = self._vertical_fresh(mid)
-        eta3 = eng.update(
+        eta3 = self._update(
             "adaptation", mid, psi, vd3, dt1, ring.scratch(psi, mid)
         )
         eng.fill_physical_ghosts(eta3)
@@ -177,16 +173,14 @@ class SerialCore:
 
         # advection with the sigma-dot bundle frozen from the adaptation
         vd = self._vd_stale
-        if vd is None:  # pragma: no cover - adaptation always ran
-            vd = self._vertical_fresh(psi)
-        zeta1 = eng.update("advection", psi, psi, vd, dt2, ring.scratch(psi))
+        zeta1 = self._update("advection", psi, psi, vd, dt2, ring.scratch(psi))
         eng.fill_physical_ghosts(zeta1)
-        mid = eng.update(
+        mid = self._update(
             "advection", zeta1, psi, vd, dt2, ring.scratch(psi, zeta1),
             midpoint=True,
         )
         eng.fill_physical_ghosts(mid)
-        zeta3 = eng.update(
+        zeta3 = self._update(
             "advection", mid, psi, vd, dt2, ring.scratch(psi, mid)
         )
         eng.fill_physical_ghosts(zeta3)

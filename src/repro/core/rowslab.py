@@ -58,9 +58,9 @@ class FilterRows:
     row mask in view coordinates — also the per-row flag by which a
     tendency kernel leaves a row's update to the caller — with the damping
     factors of its rows; ``bands[fam]`` the same rows as contiguous slices
-    in working coordinates.  Over passes whose target rows partition the
-    working rows every masked row is filtered exactly once.  Without a
-    filter (a split latitude circle) both are empty.
+    in working coordinates, each after its slice of the filter's stack.
+    Over passes whose target rows partition the working rows every masked
+    row is filtered exactly once.  Without a filter both are empty.
 
     :meth:`apply` transforms the masked rows of all four fields as one
     stack: one ``rfft`` and one ``irfft`` per application.  Each row's
@@ -73,7 +73,7 @@ class FilterRows:
     ) -> None:
         self.view, self.rows = view, slice(lo, hi)
         self.subset: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self.bands: dict[str, list[slice]] = {}
+        self.bands: dict[str, list[tuple[slice, slice]]] = {}
         if polar_filter is None:
             return
         for fam, mask, factors in (
@@ -84,44 +84,46 @@ class FilterRows:
             sub[lo:hi] = mask[lo:hi]
             self.subset[fam] = (sub[view].copy(), factors[sub[mask]])
             edges = np.flatnonzero(np.diff(sub, prepend=False, append=False))
-            self.bands[fam] = [
-                slice(a, b) for a, b in zip(edges[::2], edges[1::2])
-            ]
+            at = np.cumsum([0, *(edges[1::2] - edges[::2])]).tolist()
+            self.bands[fam] = list(zip(
+                map(slice, at, at[1:]), map(slice, edges[::2], edges[1::2])
+            ))
         #: the masked target rows per family, in working coordinates
         self._index = {f: np.flatnonzero(self.subset[f][0]) + view.start for f in "cv"}
-        #: masked rows of the whole filter per family: the stack is pooled
-        #: at that height, so all passes of one engine share its buffers
-        self._masked = (int(polar_filter.mask_c.sum()), int(polar_filter.mask_v.sum()))
 
-    def apply(self, tend: ModelState, ws) -> None:
-        """``F`` on the masked target rows of ``tend``, in place: the rows
-        of ``U``, ``Phi``, ``p'_sa`` (``c``) and ``V`` (``v``) gathered
-        into one pooled stack, transformed, damped and scattered back."""
+    def apply(self, tend: ModelState, bufs, finish=None, done=()) -> None:
+        """``F`` on the masked target rows of ``tend``: the rows of ``U``,
+        ``Phi``, ``p'_sa`` (``c``) and ``V`` (``v``) gathered band by band
+        into the stack of ``bufs`` (stack, spectrum), transformed, damped,
+        then back into ``tend`` — or, for a field in ``done``, handed to
+        ``finish(stack, name, at, rows)``: from row ``at`` on, its rows."""
         if not self.subset or not any(map(len, self._index.values())):
             return
         (_, fc), (_, fv) = self.subset["c"], self.subset["v"]
         nz, nx, nc, nv = tend.U.shape[0], tend.U.shape[-1], len(fc), len(fv)
         planes, m = 2 * nz + 1, nx // 2 + 1  # U and Phi levels, then p'_sa
         rc, n = planes * nc, planes * nc + nz * nv
-        cap = planes * self._masked[0] + nz * self._masked[1]
-        stack_buf, spec_buf = ws.take((cap, nx)), ws.take((cap, m), np.complex128)
-        stack, spec = stack_buf[:n], spec_buf[:n]
-        c, ic, iv = stack[:rc].reshape(planes, nc, nx), *self._index.values()
+        stack, spec = bufs[0][:n], bufs[1][:n]
+        c = stack[:rc].reshape(planes, nc, nx)
         parts = (
-            (tend.U, c[:nz], ic), (tend.Phi, c[nz:-1], ic), (tend.psa, c[-1], ic),
-            (tend.V, stack[rc:].reshape(nz, nv, nx), iv),
+            ("U", 0, c[:nz]), ("Phi", nz * nc, c[nz:-1]),
+            ("psa", 2 * nz * nc, c[-1]), ("V", rc, stack[rc:].reshape(nz, nv, nx)),
         )
-        for field, block, idx in parts:
-            np.take(field, idx, axis=-2, out=block, mode="clip")
+        for name, _, block in parts:
+            for at, rows in self.bands[FIELD_FAMILY[name]]:
+                np.copyto(block[..., at, :], getattr(tend, name)[..., rows, :])
         np.fft.rfft(stack, axis=-1, out=spec)
         for part, factors in (
             (spec[:rc].reshape(planes, nc, m), fc), (spec[rc:].reshape(nz, nv, m), fv)
         ):
             np.multiply(part, factors, out=part)
         np.fft.irfft(spec, n=nx, axis=-1, out=stack)
-        for field, block, idx in parts:
-            field[..., idx, :] = block
-        ws.give(stack_buf, spec_buf)
+        for name, at, block in parts:
+            idx = self._index[FIELD_FAMILY[name]]
+            if name in done:
+                finish(bufs[0], name, at, idx)
+            else:
+                getattr(tend, name)[..., idx, :] = block
 
     def store(
         self, base: ModelState, dt: float, out: ModelState, midpoint: bool

@@ -21,15 +21,14 @@ job and happens before these evaluations are called.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
-import numpy as np
-
 from repro.constants import ModelParameters
-from repro.core.rowslab import FIELD_FAMILY, RowSlab
+from repro.core.rowslab import RowSlab
 from repro.core.workspace import Workspace
 from repro.kernels import KernelSet
-from repro.kernels.dispatch import Store
+from repro.kernels.dispatch import Store, update_into
 from repro.obs.spans import span, traced
 from repro.operators.filter import PolarFilter
 from repro.operators.geometry import WorkingGeometry
@@ -81,6 +80,12 @@ class TendencyEngine:
         self._slabs: dict[tuple[int, int, int], RowSlab] = {}
         #: the pass over every working row: what ``slab=None`` means
         self._whole = self.slab(0, self.geom.shape2d[0], 0)
+        #: the polar filter's stack and spectrum, one pair for every pass
+        (nz, _, nx), pf = self.geom.shape3d, self.polar_filter
+        n = pf and (2 * nz + 1) * int(pf.mask_c.sum()) + nz * int(pf.mask_v.sum())
+        self._fft = pf and (
+            self.ws.take((n, nx)), self.ws.take((n, nx // 2 + 1), complex)
+        )
 
     def slab(self, lo: int, hi: int, margin: int = 1) -> RowSlab:
         """The (cached) row window ``[lo, hi)`` of this engine's working
@@ -184,19 +189,17 @@ class TendencyEngine:
 
     @traced("polar-filter", "tendency")
     def apply_filter(
-        self, tend: ModelState, slab: RowSlab | None = None
+        self, tend: ModelState, slab: RowSlab | None = None, finish=None, done=()
     ) -> ModelState:
         """The ``F`` operator: the local full-circle variant where
-        ``geom.full_x`` (with ``slab``, on its masked target rows only),
-        else the ``filter_x`` hook."""
+        ``geom.full_x`` (with ``slab``, on its masked target rows only, the
+        fields in ``done`` left to ``finish``), else the ``filter_x`` hook."""
         if self.polar_filter is None:
             if self.filter_x is None:
-                raise RuntimeError(
-                    "no local polar filter on a split-x geometry"
-                )
+                raise RuntimeError("no local polar filter on a split-x geometry")
             self.filter_x(tend)
         else:
-            (slab or self._whole).polar.apply(tend, self.ws)
+            (slab or self._whole).polar.apply(tend, self._fft, finish, done)
         return tend
 
     # ---- the internal update ---------------------------------------------------
@@ -220,29 +223,18 @@ class TendencyEngine:
 
         Bit for bit tendency -> :meth:`apply_filter` -> ``axpy_into``
         (-> ``midpoint_into``): a fused kernel folds the update into its
-        store wherever the polar filter leaves the row alone; the
-        filtered rows, and every row of a field no kernel finished, are
-        updated here with the same ufuncs.
+        store wherever the polar filter leaves the row alone, the filter's
+        store pass (``KernelSet.store_rows``) on the rows it filters; every
+        row of a field no kernel finished is updated here, same ufuncs.
         """
         if out is psi or out is base:
             raise ValueError("an update must not overwrite its inputs")
         polar = (slab or self._whole).polar
         store = polar.store(base, dt, out, midpoint)
-        tend = self.apply_filter(
-            self._tendency(kind, psi, vd, slab, store), slab
-        )
-        for name in FIELD_NAMES:
-            if store is not None and name in store.done:
-                bands = polar.bands[FIELD_FAMILY[name]]
-            else:
-                bands = [polar.rows]
-            for rows in bands:
-                b, t, o = (
-                    getattr(s, name)[..., rows, :] for s in (base, tend, out)
-                )
-                np.multiply(t, dt, out=o)
-                np.add(b, o, out=o)
-                if midpoint:
-                    np.add(b, o, out=o)
-                    np.multiply(o, 0.5, out=o)
+        tend = self._tendency(kind, psi, vd, slab, store)
+        done = store.done if store is not None else ()
+        self.apply_filter(tend, slab, partial(self.kernels.store_rows, kind, store), done)
+        for name in (n for n in FIELD_NAMES if n not in done):
+            b, t, o = (getattr(s, name)[..., polar.rows, :] for s in (base, tend, out))
+            update_into(b, t, dt, midpoint, o)
         return out

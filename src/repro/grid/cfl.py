@@ -8,8 +8,10 @@ the examples and by the tests of the filter's stabilizing effect.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from repro.constants import DEFAULT_PARAMETERS
 from repro.grid.latlon import LatLonGrid
 
 
@@ -26,6 +28,7 @@ class CflReport:
     cfl_zonal_worst: float
     cfl_zonal_equator: float
     cfl_meridional: float
+    cfl_zonal_filtered: float
 
     @property
     def stable_unfiltered(self) -> bool:
@@ -34,14 +37,16 @@ class CflReport:
 
     @property
     def stable_filtered(self) -> bool:
-        """Whether the equatorial zonal and meridional CFL are below 1.
+        """Whether the meridional CFL and the zonal CFL at the finest ``dx``
+        the polar filter leaves (:func:`filtered_dx`) are below 1."""
+        return self.cfl_zonal_filtered < 1.0 and self.cfl_meridional < 1.0
 
-        The polar filter removes the high zonal wavenumbers near the poles,
-        so the effective zonal resolution there matches the equator; the
-        relevant stability numbers are then the equatorial zonal CFL and the
-        meridional CFL.
-        """
-        return self.cfl_zonal_equator < 1.0 and self.cfl_meridional < 1.0
+
+def filtered_dx(grid: LatLonGrid) -> float:
+    """The finest zonal spacing [m] the polar filter leaves: ``dx`` at the
+    default filter latitude, or at the polemost row if that is coarser."""
+    dx_f = grid.radius * math.cos(DEFAULT_PARAMETERS.filter_latitude) * grid.dlambda
+    return max(float(grid.cell_dx().min()), dx_f)
 
 
 def polar_clustering_ratio(grid: LatLonGrid) -> float:
@@ -77,6 +82,7 @@ def cfl_report(
         cfl_zonal_worst=float(speed * dt / dx.min()),
         cfl_zonal_equator=float(speed * dt / dx.max()),
         cfl_meridional=float(speed * dt / dy),
+        cfl_zonal_filtered=float(speed * dt / filtered_dx(grid)),
     )
 
 
@@ -89,7 +95,5 @@ def max_stable_dt(
 ) -> float:
     """Largest stable explicit time step [s] with/without the polar filter."""
     speed = max_wind + gravity_wave_speed
-    dx = grid.cell_dx()
-    dy = grid.cell_dy()
-    limit = min(dx.max() if filtered else dx.min(), dy)
-    return safety * limit / speed
+    dx = filtered_dx(grid) if filtered else grid.cell_dx().min()
+    return safety * min(dx, grid.cell_dy()) / speed

@@ -148,6 +148,7 @@ _SIGNATURES = {
         _I, [_VP] * 17 + [_D] * 11 + [_L] * 4 + [_VP] * 6 + _STORE + [_VP] * 8,
     ),
     "vertical": (_I, [_VP] * 9 + [_D] * 5 + [_L] * 4 + [_VP] * 8),
+    "store_rows": (None, [_VP] * 4 + [_L] * 4 + [_D, _I]),
     "rdiv_array": (None, [_VP] * 3 + [_L]),
     "division_is_reciprocal_fma": (_I, []),
 }
@@ -276,6 +277,15 @@ def _store_args(store, ny: int, names: tuple[str, ...]) -> list:
         *(_p(getattr(store.base, n)) for n in names),
         *(_p(getattr(store.out, n)) for n in names),
     ]
+
+
+def store_rows_args(t, b, o, rows: np.ndarray, ps: int, dt, midpoint) -> tuple:
+    """``store_rows``' arguments: working rows ``rows`` (int64, in range) of
+    ``o`` = the update of ``b`` by the C-contiguous stack rows ``t``."""
+    if rows.dtype != np.int64 or not t.flags.c_contiguous:
+        raise ValueError("stack rows / row indices do not fit the arrays")
+    nl, ptr = b.shape[0] if b.ndim == 3 else 1, rows.ctypes.data
+    return _p(t), _p(b), _p(o), ptr, len(rows), nl, b.shape[-1], ps, dt, 1 + midpoint
 
 
 def advection_args(

@@ -31,7 +31,7 @@ never share a byte of it.
 and have three *store modes* for it: the plain tendency, or — the update
 being a radius-0 stage — the next iterate ``base + dt t`` or the midpoint
 ``((base + dt t) + base) / 2`` straight from the row buffer, the tendency
-never reaching memory (see ``store_row``).
+never reaching memory (see ``store_row``, and ``store_rows`` after it).
 
 Compiled with ``-ffp-contract=off`` so no FMA *contraction* can change
 rounding; the two explicit ``fma`` calls inside ``rdiv`` are the only
@@ -275,6 +275,19 @@ static void store_row(const double *restrict t, const double *restrict b,
             p = b[i] + p;
             o[i] = p * 0.5;
         }
+}
+
+/* The rows the polar filter rewrites, from its stack: rows[0..nr) of nl
+   levels of out, by the tendency rows that lie level-major in t.       */
+void store_rows(const double *restrict t, const double *restrict b,
+                double *restrict o, const long *restrict rows, long nr,
+                long nl, long nx, long ps, double dt, int mode)
+{
+    long e;
+    for (e = 0; e < nl * nr; e++) {
+        long at = e / nr * ps + rows[e % nr] * nx;
+        store_row(t + e * nx, b + at, dt, mode, nx, o + at);
+    }
 }
 
 /* ---- advection: the row stages ---------------------------------------- */

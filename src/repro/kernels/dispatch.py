@@ -73,15 +73,15 @@ class Store:
     """An internal update for a tendency kernel to fold into its store.
 
     ``out = base + dt * tendency`` — with ``midpoint`` the mean of that and
-    ``base`` — on rows ``rows`` of the call's arrays, except where the
-    row's flag (``polar_c`` for ``U`` / ``Phi`` / ``p'_sa``, ``polar_v``
-    for ``V``) says the polar filter still has to rewrite the tendency:
-    those rows get the raw tendency, as every row does without a store.
-    ``base`` and ``out`` are laid out like the state of the call (the
-    call's row ``view`` cuts them alike) and alias neither it nor each
-    other.  A kernel that folded the update names the
-    fields it did that for in ``done``; every other field's rows are
-    still the caller's to update.
+    ``base`` — on rows ``rows`` of the call's arrays.  The kernel's store
+    writes every such row of ``out`` but those whose flag (``polar_c`` for
+    ``U`` / ``Phi`` / ``p'_sa``, ``polar_v`` for ``V``) says the polar
+    filter still has to rewrite the tendency: those get the raw tendency,
+    and the filter's store pass (:meth:`KernelSet.store_rows`) writes
+    their ``out`` rows.  ``base`` and ``out`` are laid out like the state
+    of the call (its row ``view`` cuts them alike) and alias neither it
+    nor each other.  A kernel that folded the update names those fields
+    in ``done``; every row of any other field is the caller's to update.
     """
 
     base: ModelState
@@ -92,6 +92,17 @@ class Store:
     polar_c: np.ndarray
     polar_v: np.ndarray
     done: tuple[str, ...] = ()
+
+
+def update_into(base, t, dt: float, midpoint: bool, out):
+    """``out = base + dt * t`` — with ``midpoint`` the mean of that and
+    ``base`` — in the ufunc order every store of the kernels rounds like."""
+    np.multiply(t, dt, out=out)
+    np.add(base, out, out=out)
+    if midpoint:
+        np.add(base, out, out=out)
+        np.multiply(out, 0.5, out=out)
+    return out
 
 
 class RowWindowPool:
@@ -398,6 +409,25 @@ class KernelSet:
         if store is not None:
             store.done = ("U", "V", "Phi", "psa")
         return out
+
+    def store_rows(self, op, store, stack, name, at, rows):
+        """``store``'s update of field ``name`` on working rows ``rows``
+        (int64) by the rows of ``stack`` from ``at`` on, level-major, in C,
+        after a fused kernel's store took them (``store.done``); a call of
+        ``op``, the tendency it ends."""
+        base, out, dt = getattr(store.base, name), getattr(store.out, name), store.dt
+        t = stack[at: at + len(rows) * (base.shape[0] if base.ndim == 3 else 1)]
+        key = ("F", at, dt, store.midpoint, *map(id, (stack, base, out, rows)))
+
+        def bind(lib):
+            ps = cbackend.plane_stride(base, out)
+            return ps and partial(lib.store_rows, *cbackend.store_rows_args(
+                t, base, out, rows, ps, dt, store.midpoint
+            ))
+
+        call = self._bound(op, key, (stack, base, out, rows), bind)
+        assert call, "a store pass follows a fused kernel's store only"
+        call()
 
     def vertical(
         self, U, V, Phi, psa, geom, gather, ws, cache, scan=None, out=None,

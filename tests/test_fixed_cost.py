@@ -4,16 +4,17 @@ and of ctypes, and that the C-call bindings behind it are safe.
 * The polar filter transforms the masked rows of all four fields as one
   stack: one ``rfft`` and one ``irfft`` per application, 24 calls per
   step at ``M = 3`` (12 applications) — on the serial core and on every
-  CA rank.  That rests on pocketfft transforming each row of a stack
-  exactly as it transforms the row alone, which
+  CA rank.  The serial core's updates run on its owned rows, so no ghost
+  row reaches the stack.  That rests on pocketfft transforming each row
+  of a stack exactly as it transforms the row alone, which
   :func:`test_batched_rows_equal_single_row_transforms` checks
   generatively: a numpy that vectorised across rows would fail here
   before it could change a trajectory.
 * Every C kernel call is bound on first use (pointers and stride check
-  once); a steady step builds no pointer and adds no binding.  The ring
-  alternates the member a step lands in, so the schedule repeats every
-  two steps.  Without a compiler nothing is bound and every call counts
-  as a fallback.
+  once), the filter's store pass included; a steady step builds no
+  pointer and adds no binding.  The ring alternates the member a step
+  lands in, so the schedule repeats every two steps.  Without a compiler
+  nothing is bound and every call counts as a fallback.
 * A binding keeps the arrays it points into alive, so results after a
   restart, on a second core of the same grid and after pool churn are
   ``==`` a fresh core's.
@@ -75,22 +76,27 @@ def library(request, monkeypatch):
 
 
 class Counter:
-    """Counts calls of ``np.fft.rfft`` / ``irfft`` and of the pointer
-    builder ``cbackend._p`` while active."""
+    """Counts calls of ``np.fft.rfft`` / ``irfft``, the rows handed to
+    ``rfft`` and calls of the pointer builder ``cbackend._p`` while
+    active."""
 
     def __init__(self) -> None:
-        self.n = {"fft": 0, "pointers": 0}
+        self.n = {"fft": 0, "rfft_rows": 0, "pointers": 0}
 
-    def _wrap(self, fn, what):
+    def _wrap(self, fn, what, rows=False):
         def counted(*args, **kwargs):
             self.n[what] += 1
+            if rows:
+                self.n["rfft_rows"] += len(args[0])
             return fn(*args, **kwargs)
 
         return counted
 
     def __enter__(self):
         self._patches = [
-            mock.patch.object(np.fft, "rfft", self._wrap(np.fft.rfft, "fft")),
+            mock.patch.object(
+                np.fft, "rfft", self._wrap(np.fft.rfft, "fft", rows=True)
+            ),
             mock.patch.object(np.fft, "irfft", self._wrap(np.fft.irfft, "fft")),
             mock.patch.object(
                 cbackend, "_p", self._wrap(cbackend._p, "pointers")
@@ -105,7 +111,7 @@ class Counter:
             p.stop()
 
     def take(self) -> dict:
-        n, self.n = self.n, {"fft": 0, "pointers": 0}
+        n, self.n = self.n, dict.fromkeys(self.n, 0)
         return n
 
 
@@ -132,11 +138,21 @@ def test_serial_step_fft_pointer_and_binding_counts(library):
             per_step.append(count.take())
             bindings[k] = len(core.kernels._bindings)
     assert all(n["fft"] == FFT_CALLS_PER_STEP for n in per_step)
+    # the stack holds the masked rows [gy, ny_w - gy) of U, Phi, p'_sa (c)
+    # and V (v): the ghost rows are masked too, but no longer transformed
+    pf, gy, nz = core.engine.polar_filter, core.geom.gy, grid.nz
+    owned = (2 * nz + 1) * pf.mask_c[gy:-gy].sum() + nz * pf.mask_v[gy:-gy].sum()
+    assert owned < (2 * nz + 1) * pf.mask_c.sum() + nz * pf.mask_v.sum()
+    assert all(
+        n["rfft_rows"] == FFT_CALLS_PER_STEP // 2 * owned for n in per_step
+    )
     if library:
         assert per_step[0]["pointers"] > 0
     assert [n["pointers"] for n in per_step[2:]] == [0] * 18
     assert bindings[2] == bindings[20]
     assert (bindings[20] > 0) == library
+    # the store pass is one of the bound calls
+    assert any(key[0] == "F" for key in core.kernels._bindings) == library
     _check_calls(core.kernels, library)
 
 

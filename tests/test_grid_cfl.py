@@ -1,7 +1,13 @@
 """CFL and pole-clustering diagnostics."""
+import math
+
+import numpy as np
 import pytest
 
-from repro.grid.cfl import cfl_report, max_stable_dt, polar_clustering_ratio
+from repro.constants import DEFAULT_PARAMETERS
+from repro.grid.cfl import (
+    cfl_report, filtered_dx, max_stable_dt, polar_clustering_ratio,
+)
 from repro.grid.latlon import LatLonGrid, paper_grid
 
 
@@ -36,3 +42,33 @@ class TestCflReport:
     def test_unfiltered_dt_much_smaller(self):
         g = paper_grid()
         assert max_stable_dt(g, filtered=False) < max_stable_dt(g, filtered=True) / 50
+
+
+class TestFilteredTimeStep:
+    """With the filter the limit is ``dx`` at the filter latitude — the
+    smallest ``dx`` of the rows it leaves alone — not the equator's; the
+    report's ``stable_filtered`` judges by the same ``dx``."""
+
+    def test_small_mesh(self):
+        g = LatLonGrid(nx=32, ny=16, nz=4)
+        lat_f = DEFAULT_PARAMETERS.filter_latitude
+        dt = max_stable_dt(g)
+        dx_f = g.radius * math.cos(lat_f) * g.dlambda
+        assert filtered_dx(g) == dx_f
+        assert dt == pytest.approx(0.7 * dx_f / 400.0, rel=1e-12)
+        # no row the filter leaves alone is finer; the equator is far coarser
+        kept = np.abs(g.latitude_degrees()) <= math.degrees(lat_f)
+        assert dx_f <= g.cell_dx()[kept].min()
+        assert 2 * dx_f < g.cell_dx().max()
+
+    @pytest.mark.parametrize("grid", [LatLonGrid(nx=32, ny=16, nz=4), paper_grid()])
+    def test_limit_is_the_reports_threshold(self, grid):
+        limit = max_stable_dt(grid, safety=1.0)
+        assert cfl_report(grid, limit * (1 - 1e-12)).stable_filtered
+        assert not cfl_report(grid, limit * (1 + 1e-12)).stable_filtered
+
+    def test_paper_grid(self):
+        # 97.3 s by the equatorial dx; 33.3 s by dx at 70 degrees
+        assert max_stable_dt(paper_grid()) == pytest.approx(33.28, abs=0.01)
+        # 90 s passed the equatorial test; it is 2.7x the filtered limit
+        assert not cfl_report(paper_grid(), 90.0).stable_filtered

@@ -10,7 +10,9 @@ target rows, and the whole of every input.  ``smooth_full``, ``vertical``,
 ``adaptation`` and ``advection`` (the latter two in every store mode) run
 on whole arrays and on row-slab views, ``nz == 1`` included; the store
 modes as the cores call them — working arrays and a row view — twice, the
-second call through the binding the first one made.
+second call through the binding the first one made.  So does
+``store_rows``, the filter's store pass, on the filtered rows of each
+window: only those rows of ``out`` may change.
 
 :func:`check_library` is the whole sweep for one compiled library: the
 test runs it on both flag sets, CI's ``kernels`` job once more on an
@@ -18,12 +20,14 @@ AddressSanitizer build (which also sees a stray *read*).
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.constants import ModelParameters
 from repro.core.integrator import SerialCore
-from repro.core.rowslab import FilterRows, RowSlab
+from repro.core.rowslab import FIELD_FAMILY, FilterRows, RowSlab
 from repro.grid.latlon import LatLonGrid
 from repro.kernels import KernelSet, c_available, cbackend
 from repro.kernels.dispatch import Store
@@ -247,6 +251,34 @@ def check_mesh(lib, nx: int, ny: int, nz: int, window) -> None:
                     # a row lands raw in the tendency or updated in out
                     assert np.isfinite(t[:, flag]).all(), label
                     assert np.isfinite(o[:, ~flag]).all(), label
+
+        # the filter's store pass: each field's filtered rows from a stack
+        # with a canary row either side, into those rows of out alone —
+        # twice, the second call through the binding the first one made
+        for name, midpoint in itertools.product(FIELD_NAMES, (False, True)):
+            idx = polar._index[FIELD_FAMILY[name]]
+            gd = Guarded()
+            b, o = (
+                ModelState(**{
+                    n: gd.array(a.shape, a if fill else None)
+                    for n, a in base.fields().items()
+                })
+                for fill in (True, False)
+            )
+            field = getattr(o, name)
+            nl = field.shape[0] if field.ndim == 3 else 1
+            filled = np.full((nl * len(idx) + 2, nx), CANARY).view(np.float64)
+            filled[1:-1] = rng.standard_normal((nl * len(idx), nx))
+            stack = gd.array(filled.shape, filled)
+            for r in idx:
+                gd.allow(field[..., r, :])
+            st = Store(b, o, 30.0, midpoint, (0, 0), None, None)
+            ks.store_rows("adaptation", st, stack, name, 1, idx)
+            bound = len(ks._bindings)
+            ks.store_rows("adaptation", st, stack, name, 1, idx)
+            assert len(ks._bindings) == bound, label
+            gd.check(f"{label}: store_rows {name}")
+            assert np.isfinite(field[..., idx, :]).all(), f"{label}: read a canary"
 
     for op, n in ks.calls.items():
         assert n["fallback"] == 0 and n["fused"] > 0, (label, op, n)

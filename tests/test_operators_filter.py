@@ -4,7 +4,6 @@ import pytest
 
 from repro.constants import ModelParameters
 from repro.core.rowslab import FilterRows
-from repro.core.workspace import Workspace
 from repro.grid.sigma import SigmaLevels
 from repro.operators.filter import (
     PolarFilter,
@@ -31,8 +30,11 @@ def pfilter(geom):
 def filter_state(pfilter, state):
     """``F`` on every working row of ``state``, in place (the whole-array
     pass of the engine); returns it."""
-    ny_w = state.psa.shape[0]
-    FilterRows(pfilter, 0, ny_w, slice(0, ny_w)).apply(state, Workspace())
+    nz, ny_w, nx = state.U.shape
+    stack = np.empty(((3 * nz + 1) * ny_w, nx))  # room for every row
+    FilterRows(pfilter, 0, ny_w, slice(0, ny_w)).apply(
+        state, (stack, np.empty((len(stack), nx // 2 + 1), np.complex128))
+    )
     return state
 
 

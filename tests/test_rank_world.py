@@ -163,7 +163,8 @@ class TestBitIdentity:
     def test_pool_counters_are_per_command(self):
         """Warm ranks: the second command allocates nothing new, and every
         warm command takes the same buffers — all those of the first but
-        the kernels' scratch blocks, which its C calls bound and kept."""
+        the kernels' scratch blocks, which its C calls bound and kept, and
+        the polar filter's stack and spectrum, which the engine holds."""
         core = make_core("ca", "process")
         cfg = DistributedConfig(
             grid=core.config.grid, params=PARAMS,
@@ -187,8 +188,9 @@ class TestBitIdentity:
                 - b.ws_counters["reuses"]
             )
             # the table block, the reference-temperature surface, two row
-            # buffers and a smoothing block per field shape and view height
-            assert bound == (7 if c_available() else 0)
+            # buffers and a smoothing block per field shape and view height;
+            # the filter's stack and spectrum
+            assert bound == (7 if c_available() else 0) + 2
             assert (a.c_calls, a.exchanges) == (b.c_calls, b.exchanges)
         assert same(after_first, area)
         assert first.clocks == second.clocks

@@ -52,14 +52,18 @@ def test_filter_subset_partitions_mask():
 
 def test_bands_are_the_masked_target_rows():
     """``polar.bands`` lists, as slices of working rows, exactly the rows
-    ``polar.subset`` flags: the rows an update leaves to the caller."""
+    ``polar.subset`` flags — the rows an update leaves to the caller —
+    each after the consecutive stack rows that hold it."""
     g = working_geometry()
     pf = PolarFilter(g, DEFAULT_PARAMETERS)
     for lo, hi in ((0, 3), (2, 3), (3, 17), (1, 19), (17, g.shape2d[0])):
         sl = RowSlab(g, lo, hi, 1, pf)
         for fam, mask in (("c", pf.mask_c), ("v", pf.mask_v)):
             rows = np.zeros(mask.shape, dtype=bool)
-            for band in sl.polar.bands[fam]:
+            at = 0
+            for stacked, band in sl.polar.bands[fam]:
+                assert stacked == slice(at, at + band.stop - band.start)
+                at = stacked.stop
                 assert not rows[band].any()
                 rows[band] = True
             want = np.zeros_like(rows)
