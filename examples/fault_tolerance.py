@@ -3,31 +3,32 @@
 
 Part 1 — resilience: run the communication-avoiding core with a fault
 plan that crashes rank 1 partway through the integration.  The resilient
-driver checkpoints after every chunk, detects the crash, rolls back to
-the last checkpoint and re-runs the chunk; the recovered run ends
-bit-identical to a fault-free run of the same chunked driver.
+driver checkpoints after every chunk, detects the crash, rewinds to the
+last committed chunk boundary it holds in memory and re-runs the chunk;
+the recovered run ends bit-identical to a fault-free run of the same
+chunked driver.
 
 Part 2 — perturbed schedules: run one step under a degraded-network
 window plus a straggler rank, with tracing on, and render the Gantt
 timeline next to the clean schedule.  The injected X marks and the
 stretched compute/wait spans show exactly where the perturbation landed.
 
-Chaos mode (``--chaos``): run the escalation ladder under an aggressive
+Chaos mode (``--chaos``): run the recovery ladder under an aggressive
 seeded fault plan — background message drops and corruption on every
 link plus one rank crash — and verify that the whole run self-heals
-*without touching disk*: transients are absorbed by message-level
-retransmission and the crash by one in-memory buddy restore.  The
-process exits nonzero if any disk rollback happened or the result
-diverged, which makes it a CI gate; with ``--trace-dir`` the
-observability trace and event log are written there as artifacts.
+*without reading disk*: transients are absorbed by message-level
+retransmission and the crash by one in-memory rewind.  The process
+exits nonzero if a checkpoint was read back, the rewind count is not 1
+or the result diverged, which makes it a CI gate; with ``--trace-dir``
+the observability trace and event log are written there as artifacts.
 
-Rank-loss mode (``--rankloss``): the elastic-recovery gate.  A node
-loss permanently removes rank 1 of 4 mid-run — on the process backend
-this is a real SIGKILL of the rank's OS process — and the run must
-complete on the shrunken 3-rank layout, bit-identical to a fault-free
-run re-decomposed at the same chunk boundary, with zero leaked shared
-memory segments and a flight-recorder dump naming the lost rank.  Exits
-nonzero on any miss, which makes it the CI permanent-loss gate.
+Rank-kill mode (``--rankloss``): a node loss kills rank 1 of 4 mid-run
+— on the process backend a real SIGKILL of the rank's OS process — and
+the run must rewind, relaunch the world at the same 4-rank layout and
+end bit-identical to the fault-free run, with two rank worlds forked, no
+child process or shared memory segment left behind and a flight-recorder
+dump naming the killed rank.  Exits nonzero on any miss, which makes it
+the CI rank-kill gate.
 
 Usage::
 
@@ -109,6 +110,9 @@ def demo_recovery(args) -> None:
 
 def demo_chaos(args) -> int:
     """Self-healing under drops + corruption + one crash; 0 on success."""
+    from unittest import mock
+
+    from repro.core import resilience
     from repro.obs import ObsConfig
     from repro.obs.flightrec import FlightRecorder
 
@@ -154,12 +158,15 @@ def demo_chaos(args) -> int:
             grid, algorithm="original-yz", nprocs=args.nprocs,
             params=params, observe=observe,
         )
-        rec, _, report = core.run_resilient(
-            state0, args.steps,
-            ResilienceConfig(
-                checkpoint_dir=dch, checkpoint_interval=1, faults=chaos
-            ),
-        )
+        with mock.patch.object(
+            resilience, "load_state", wraps=resilience.load_state
+        ) as disk_reads:
+            rec, _, report = core.run_resilient(
+                state0, args.steps,
+                ResilienceConfig(
+                    checkpoint_dir=dch, checkpoint_interval=1, faults=chaos
+                ),
+            )
         print(report.describe())
         reg = core.observation.registry
         retransmits = sum(
@@ -168,31 +175,33 @@ def demo_chaos(args) -> int:
         )
         diff = ref.max_difference(rec)
         print(f"retransmits absorbed in place:  {retransmits:.0f}")
-        print(f"buddy restores (diskless):      {report.buddy_restores}")
-        print(f"disk rollbacks:                 {report.disk_rollbacks}")
+        print(f"rewinds (in memory):            {report.nrestarts}")
+        print(f"checkpoints read back:          {disk_reads.call_count}")
         print(f"max |recovered - fault-free| = {diff:.3e}  "
               f"({'bit-identical' if diff == 0.0 else 'DIVERGED'})")
         if args.trace_dir:
             print(f"obs artifacts written to {args.trace_dir}")
         ok = (
             diff == 0.0
-            and report.buddy_restores == 1
-            and report.disk_rollbacks == 0
+            and report.nrestarts == 1
+            and disk_reads.call_count == 0
         )
         if recorder is not None:
             recorder.note(
                 "chaos-run", retransmits=int(retransmits),
-                buddy_restores=report.buddy_restores,
-                disk_rollbacks=report.disk_rollbacks, max_diff=diff,
+                rewinds=report.nrestarts,
+                disk_reads=disk_reads.call_count, max_diff=diff,
             )
             recorder.dump(f"chaos gate {'PASS' if ok else 'FAIL'}")
-        print("CHAOS GATE:", "PASS — healed without touching disk"
+        print("CHAOS GATE:", "PASS — healed in memory, no disk read"
               if ok else "FAIL")
         return 0 if ok else 1
 
 
 def demo_rankloss(args) -> int:
-    """Permanent 1-of-4 loss healed by the elastic tier; 0 on success."""
+    """A killed rank healed by a relaunch at the same layout; 0 on success."""
+    import multiprocessing
+
     from repro.obs import flightrec
     from repro.obs.flightrec import load_dump
     from repro.simmpi import NodeLoss
@@ -204,75 +213,60 @@ def demo_rankloss(args) -> int:
     )
     state0 = perturbed_rest_state(grid, amplitude_k=2.0)
     plan = FaultPlan(seed=7, node_losses=(NodeLoss(rank=1, at_call=30),))
-    chunk = 2
 
-    print(f"== Rank loss: rank 1 of {args.nprocs} permanently lost mid-run "
-          f"({args.backend} backend), policy=shrink ==")
+    def run(ckdir, faults=None):
+        core = DynamicalCore(
+            grid, algorithm="original-yz", nprocs=args.nprocs,
+            params=params, backend=args.backend,
+        )
+        return core.run_resilient(
+            state0, args.steps,
+            ResilienceConfig(
+                checkpoint_dir=ckdir, checkpoint_interval=2, faults=faults,
+            ),
+        )
+
+    print(f"== Rank kill: rank 1 of {args.nprocs} killed mid-run "
+          f"({args.backend} backend), relaunch at the same layout ==")
     with tempfile.TemporaryDirectory() as droot:
+        ref, _, _ = run(Path(droot) / "ref")
         flight_dir = Path(droot) / "flight"
         prev = flightrec.get_recorder()
         flightrec.install(
             flight_dir / "run.json", signals=False, logs=False,
         )
         try:
-            core = DynamicalCore(
-                grid, algorithm="original-yz", nprocs=args.nprocs,
-                params=params, backend=args.backend,
-            )
-            rec, _, report = core.run_resilient(
-                state0, args.steps,
-                ResilienceConfig(
-                    checkpoint_dir=Path(droot) / "ck",
-                    checkpoint_interval=chunk,
-                    rank_loss_policy="shrink", faults=plan,
-                ),
-            )
+            rec, _, report = run(Path(droot) / "ck", plan)
         finally:
             flightrec._installed = prev
         print(report.describe())
-        rl = report.rank_losses[0]
-        print(f"  lost {rl.lost} at step {rl.step}: policy {rl.policy}, "
-              f"epoch {rl.epoch}, restored via {rl.source}, "
-              f"mttr {rl.mttr:.3e} s, now {rl.new_size} ranks")
-
-        # reference: fault-free 4-rank run to the loss boundary, then a
-        # fault-free run at the recovered layout — same chunking
-        transport = ResilienceConfig(checkpoint_dir="/unused").transport
-        ref, step = state0, 0
-        for nprocs, until in ((args.nprocs, rl.step),
-                              (report.final_nranks, args.steps)):
-            seg = DynamicalCore(
-                grid, algorithm="original-yz", nprocs=nprocs, params=params
-            )
-            while step < until:
-                c = min(chunk, args.steps - step)
-                ref, _, _ = seg._run_once(
-                    ref, c, faults=None, verify_checksums=True,
-                    transport=transport, timeout=None, step0=step,
-                )
-                step += c
         diff = rec.max_difference(ref)
-
+        launches = 2 if args.backend == "process" else 0
         leaked = live_segment_names()
+        children = multiprocessing.active_children()
         dumps = sorted(flight_dir.glob("*lostrank*"))
         dump_ok = args.backend != "process" or (
             bool(dumps) and "rank 1" in load_dump(dumps[0])["reason"]
         )
-        print(f"max |recovered - fault-free@new-layout| = {diff:.3e}  "
+        print(f"max |recovered - fault-free| = {diff:.3e}  "
               f"({'bit-identical' if diff == 0.0 else 'DIVERGED'})")
+        print(f"rank worlds forked:             {report.rank_launches} "
+              f"(want {launches})")
+        print(f"leftover child processes:       {children or 'none'}")
         print(f"leaked shm segments:            {leaked or 'none'}")
         if args.backend == "process":
             print(f"flight dump from killed rank:   "
                   f"{dumps[0].name if dumps else 'MISSING'}")
         ok = (
             diff == 0.0
-            and report.final_nranks == args.nprocs - 1
-            and report.membership_epoch == 1
+            and [r.kind for r in report.restarts] == ["crash"]
+            and report.rank_launches == launches
+            and not children
             and not leaked
             and dump_ok
         )
-        print("RANK-LOSS GATE:", "PASS — healed on the shrunken layout"
-              if ok else "FAIL")
+        print("RANK-KILL GATE:", "PASS — healed by a relaunch at the same "
+              "layout" if ok else "FAIL")
         return 0 if ok else 1
 
 
@@ -330,11 +324,12 @@ def main() -> None:
                         help="CI-sized run (overrides size flags)")
     parser.add_argument("--chaos", action="store_true",
                         help="run only the chaos gate: drops + corruption "
-                             "+ one crash must heal with zero disk rollbacks")
+                             "+ one crash must heal with one in-memory "
+                             "rewind and zero disk reads")
     parser.add_argument("--rankloss", action="store_true",
-                        help="run only the rank-loss gate: a permanent "
-                             "1-of-4 loss must heal elastically (shrink), "
-                             "bit-identical, no shm leaks")
+                        help="run only the rank-kill gate: a killed rank "
+                             "of 4 must heal by a relaunch at the same "
+                             "layout, bit-identical, nothing left behind")
     parser.add_argument("--trace-dir", default=None,
                         help="with --chaos: write obs trace artifacts here")
     parser.add_argument("--backend", choices=("thread", "process"),

@@ -346,7 +346,8 @@ class DynamicalCore:
         in place.  Only ``run_resilient`` sends a second command, and it
         is done with a chunk's state once the next chunk commits: the
         deferred checkpoint runs during that next chunk, which writes the
-        other area, and the buddy mirror copies.
+        other area, and a rewind starts from a copy it makes of the
+        committed state when it recovers.
         """
         if transport is _UNSET:
             transport = self.config.transport
@@ -444,7 +445,7 @@ class DynamicalCore:
         # in-process delivery; clean runs honour the configured backend.
         # Node-loss-only plans are the exception: the process backend
         # supports them natively (the victim's OS process is killed), and
-        # the elastic-recovery tests exercise exactly that path.
+        # the rank-kill tests exercise exactly that path.
         plan = getattr(faults, "plan", faults)
         if (
             cfg.backend == "process"
@@ -478,7 +479,7 @@ class DynamicalCore:
                 initial, k = state0, 0
             elif state0 is not self._areas[(k - 1) % 2]:
                 # a reused world starting from a state other than the
-                # previous result (a rollback): the parent writes it into
+                # previous result (a rewind): the parent writes it into
                 # the area the command reads
                 state0.copy_into(self._areas[(k - 1) % 2])
             self._commands = k + 1

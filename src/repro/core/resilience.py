@@ -1,39 +1,26 @@
 """Self-healing resilience for :class:`~repro.core.driver.DynamicalCore`.
 
-Long climate integrations survive faults through an *escalation ladder*:
-each layer absorbs what it can locally and hands the rest up, so the
-expensive global recoveries run only when the cheap local ones fail:
+A host can have two faults: a rank process dies, or the state blows up
+or is silently corrupted.  The resilient driver heals both with one
+rewind, on a ladder of three rungs:
 
 1. **message retransmit** (:mod:`repro.simmpi.transport`, on by default
-   here) — dropped or corrupted point-to-point payloads are retried at
-   the message level inside the running chunk; the application never
-   notices;
-2. **buddy restore** (:mod:`repro.core.buddy`) — each rank's block state
-   is mirrored in memory on a buddy rank at every chunk boundary, so a
-   rank crash (or any other chunk failure) rewinds *disklessly* by
-   reassembling the boundary state from surviving copies;
-3. **elastic rank-loss recovery** (``rank_loss_policy``, default off) —
-   when the failure detector (:mod:`repro.simmpi.membership`) declares a
-   loss *permanent* (node death, killed OS process, flapping crasher),
-   the run does not retry at the old membership: the boundary state is
-   restored buddy-first, the communicator is rebuilt — a hot **spare**
-   adopts the lost rank id, or the world **shrinks** to the survivors
-   and the grid is re-decomposed — and blocks migrate live to their new
-   owners (:mod:`repro.core.migrate`) before the chunk re-runs;
-4. **disk rollback** — the seed behavior, now the escalation path: when
-   the buddy snapshot cannot serve (double fault: a block's owner and
-   its buddy both lost), the last ``ckpt_XXXXXXXX.npz`` is reloaded —
-   elastic recoveries escalate here too, feeding the migration from a
-   rank-0 scatter of the reloaded checkpoint;
-5. **abort** — ``max_restarts`` recoveries of any kind exhaust into
+   here) — injected drops and corruption of point-to-point payloads are
+   retried at the message level inside the running chunk; the
+   application never notices;
+2. **rewind** — the failed chunk re-runs from the last committed chunk
+   boundary, a state the driver already holds in memory.  When the failed
+   command killed the rank world (a dead rank process on the process
+   backend), the retry forks a fresh world at the same layout;
+3. **abort** — ``max_restarts`` rewinds exhaust into
    :class:`ResilienceExhausted`.
 
-The recovery loop divides the run into chunks of ``checkpoint_interval``
-steps; each chunk executes through ``DynamicalCore._run_once``.  A chunk
-that raises a *retryable* failure — ``RankCrash``, ``CorruptedMessage``,
-``MessageLost``, ``DeadlockError``, or any ``SpmdError`` carrying one —
-triggers a buddy-first rewind and a retry; a chunk that completes is
-vetted before commit:
+The run is divided into chunks of ``checkpoint_interval`` steps; each
+chunk executes through ``DynamicalCore._run_once``.  A chunk that raises a
+*retryable* failure — ``RankCrash`` (``RankLost`` included),
+``CorruptedMessage``, ``MessageLost``, ``DeadlockError``, or an
+``SpmdError`` carrying one or a killed rank's ``ChildProcessError`` — is
+rewound and retried; a chunk that completes is vetted before commit:
 
 * the **blowup guard** (``blowup_policy``) rejects non-finite or
   exploding fields, using the staged per-step telemetry to catch
@@ -44,15 +31,14 @@ vetted before commit:
   near-zero mass proxy, fractional for energy) — an ABFT-style check
   that catches silent corruption checksums cannot see.
 
-Committed chunks refresh the buddy mirror and append a disk checkpoint —
-on the process backend while the ranks of the call's one rank world
-already compute the next chunk (a failed command discards that world; the
-retry forks a new one).
+Every committed chunk appends a disk checkpoint — on the process backend
+while the ranks of the call's one rank world already compute the next
+chunk.  Disk is read only to start a run with ``resume=True``.
 
 Determinism: because the simulated cluster advances logical clocks only,
 a retry replays the chunk bit-identically when no new faults fire — the
 property tests assert crash-interrupted runs end byte-equal to
-fault-free ones, whether the rewind came from buddy memory or disk.
+fault-free ones.
 """
 from __future__ import annotations
 
@@ -61,12 +47,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from repro.core.buddy import BuddyLost, BuddyStore, buddy_of
 from repro.core.driver import StepDiagnostics
-from repro.core.migrate import migrate_state
-from repro.grid.decomposition import redecompose
 from repro.grid.sigma import SigmaLevels
-from repro.obs import flightrec
 from repro.obs.spans import span
 from repro.obs.telemetry import TelemetryRecord, record_for_state
 from repro.simmpi.faults import (
@@ -76,13 +58,6 @@ from repro.simmpi.faults import (
     RankCrash,
 )
 from repro.simmpi.launcher import SpmdError
-from repro.simmpi.membership import (
-    FailureDetector,
-    MembershipConfig,
-    MembershipView,
-    RankLossUnrecoverable,
-    evidence_from_failure,
-)
 from repro.simmpi.network import DeadlockError, MessageLost
 from repro.simmpi.transport import TransportConfig
 from repro.state.io import (
@@ -113,16 +88,10 @@ class ResilienceConfig:
     checkpoint_dir:
         Directory for ``ckpt_XXXXXXXX.npz`` files (created if missing).
     checkpoint_interval:
-        Model steps per chunk; buddy mirrors refresh and a checkpoint is
-        written after every committed chunk.
+        Model steps per chunk; a checkpoint is written after every
+        committed chunk.
     max_restarts:
-        Total recoveries (of any kind) before giving up.
-    backoff_base / backoff_factor / backoff_max:
-        Settle time before retry ``k`` is
-        ``min(backoff_base * backoff_factor**(k-1), backoff_max)``
-        seconds, charged to the *logical* makespan (the simulated
-        cluster must not block real wall-clock); the default base of 0
-        disables it.
+        Total rewinds before giving up.
     blowup_policy:
         ``"abort"`` or ``"rollback"`` — what to do when a chunk completes
         with non-finite fields or ``max_abs() > blowup_threshold``.
@@ -138,10 +107,7 @@ class ResilienceConfig:
         Reliable-transport policy injected into every chunk (default: a
         stock :class:`~repro.simmpi.transport.TransportConfig`, i.e.
         message-level retransmit on).  ``None`` models the raw seed
-        network, making every drop/corruption escalate to a rollback.
-    buddy_checkpoints:
-        Keep the diskless buddy mirror (default on; it only engages on
-        distributed runs with at least two ranks).
+        network, making every drop/corruption escalate to a rewind.
     sdc_mass_tol / sdc_energy_tol:
         SDC acceptance gates, measured against the last accepted chunk
         boundary: maximum *absolute* drift of the telemetry mass (the
@@ -163,55 +129,24 @@ class ResilienceConfig:
         (restart-after-process-death).  Checkpoints failing their
         checksum sidecar — e.g. torn by a crash mid-write — are skipped,
         so the resume falls back to the previous good checkpoint.
-    rank_loss_policy:
-        What a *permanent* rank loss (node death, killed OS process, or
-        a flapping rank escalated by the failure detector) recovers to:
-        ``"abort"`` (default — the loss is fatal), ``"spare"`` (a rank
-        from the hot-spare pool adopts the lost rank id; falls back to
-        shrink when the pool is dry), or ``"shrink"`` (the communicator
-        is rebuilt over the survivors and the grid re-decomposed onto
-        them).  Either elastic tier sits between the buddy restore and
-        the disk rollback: the chunk-boundary state is recovered
-        buddy-first (disk on a double fault), then the membership is
-        rebuilt and blocks migrate live to their new owners.
-    spare_ranks:
-        Size of the pre-forked hot-spare pool the ``"spare"`` policy
-        draws from.
-    membership:
-        Failure-detector knobs (:class:`~repro.simmpi.membership.
-        MembershipConfig`); ``None`` uses the stock configuration.
     """
 
     checkpoint_dir: str | Path
     checkpoint_interval: int = 1
     max_restarts: int = 8
-    backoff_base: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
     blowup_policy: str = "rollback"
     blowup_threshold: float = 1e8
     verify_halo_checksums: bool = True
     transport: TransportConfig | None = field(default_factory=TransportConfig)
-    buddy_checkpoints: bool = True
     sdc_mass_tol: float | None = None
     sdc_energy_tol: float | None = None
     faults: FaultPlan | FaultInjector | None = None
     spmd_timeout: float | None = None
     resume: bool = False
-    rank_loss_policy: str = "abort"
-    spare_ranks: int = 0
-    membership: MembershipConfig | None = None
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
-        if self.rank_loss_policy not in ("abort", "spare", "shrink"):
-            raise ValueError(
-                f"rank_loss_policy must be 'abort', 'spare' or 'shrink', "
-                f"got {self.rank_loss_policy!r}"
-            )
-        if self.spare_ranks < 0:
-            raise ValueError("spare_ranks must be >= 0")
         if self.blowup_policy not in ("abort", "rollback"):
             raise ValueError(
                 f"blowup_policy must be 'abort' or 'rollback', "
@@ -225,29 +160,12 @@ class ResilienceConfig:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """One recovery event of the resilient driver."""
+    """One rewind of the resilient driver."""
 
     step: int          # model step the run was rewound to
-    kind: str          # "crash" | "corruption" | "loss" | "deadlock" | "blowup" | "sdc" | "rank-loss"
+    kind: str          # "crash" | "corruption" | "loss" | "deadlock" | "blowup" | "sdc"
     attempt: int       # retry count for the failing chunk (1-based)
     detail: str = ""
-    source: str = "disk"   # where the rewound state came from: "buddy" | "disk"
-
-
-@dataclass(frozen=True)
-class RankLossRecord:
-    """One elastic recovery from a permanent rank loss."""
-
-    step: int                 # chunk boundary the run was rewound to
-    lost: tuple[int, ...]     # rank ids declared permanently lost
-    policy: str               # rebuild kind that ran: "spare" | "shrink"
-    epoch: int                # membership epoch after the rebuild
-    source: str               # boundary state source: "buddy" | "disk"
-    mttr: float               # logical seconds: detect + consensus + migrate
-    new_size: int             # communicator size after the rebuild
-    #: MTTR decomposition: suspicion-to-consensus, block migration
-    detect_s: float = 0.0
-    migrate_s: float = 0.0
 
 
 @dataclass
@@ -259,21 +177,6 @@ class ResilienceReport:
     chunk_makespans: list[float] = field(default_factory=list)
     fault_events: list = field(default_factory=list)
     resumed_from_step: int = 0
-    buddy_restores: int = 0
-    disk_rollbacks: int = 0
-    #: logical seconds charged to the makespan by retry backoff
-    backoff_time: float = 0.0
-    #: elastic recoveries from permanent rank losses
-    rank_losses: list[RankLossRecord] = field(default_factory=list)
-    #: logical seconds charged to the makespan by rank-loss recovery
-    #: (failure detection + survivor consensus + block migration)
-    recovery_time: float = 0.0
-    spare_adoptions: int = 0
-    shrinks: int = 0
-    #: membership epoch at the end of the run (0: original membership)
-    membership_epoch: int = 0
-    #: communicator size at the end of the run
-    final_nranks: int = 0
     #: rank worlds forked during the call (process backend: 1 + failed chunks)
     rank_launches: int = 0
 
@@ -286,27 +189,13 @@ class ResilienceReport:
             f"chunks committed: {len(self.chunk_makespans)}",
             f"checkpoints written: {len(self.checkpoints)}",
             f"rank worlds forked: {self.rank_launches}",
-            f"restarts: {self.nrestarts} "
-            f"({self.buddy_restores} buddy, {self.disk_rollbacks} disk)",
+            f"restarts: {self.nrestarts}",
         ]
         for r in self.restarts:
             lines.append(
-                f"  rewound to step {r.step} from {r.source} ({r.kind}, "
+                f"  rewound to step {r.step} ({r.kind}, "
                 f"attempt {r.attempt}): {r.detail}"
             )
-        if self.rank_losses:
-            lines.append(
-                f"rank losses recovered: {len(self.rank_losses)} "
-                f"({self.spare_adoptions} spare, {self.shrinks} shrink), "
-                f"epoch {self.membership_epoch}, "
-                f"MTTR total {self.recovery_time:.3g} s logical"
-            )
-            for rl in self.rank_losses:
-                lines.append(
-                    f"  epoch {rl.epoch}: lost {list(rl.lost)} at step "
-                    f"{rl.step} -> {rl.policy} ({rl.source} restore, "
-                    f"{rl.new_size} rank(s), MTTR {rl.mttr:.3g} s)"
-                )
         if self.fault_events:
             lines.append(f"fault events observed: {len(self.fault_events)}")
         return "\n".join(lines)
@@ -314,7 +203,7 @@ class ResilienceReport:
 
 def _classify(exc: BaseException) -> str | None:
     """Retryable-failure kind of one exception, or None if fatal."""
-    if isinstance(exc, RankCrash):
+    if isinstance(exc, (RankCrash, ChildProcessError)):
         return "crash"
     if isinstance(exc, CorruptedMessage):
         return "corruption"
@@ -333,8 +222,9 @@ def classify_failure(exc: BaseException) -> str | None:
     For an :class:`SpmdError` the *root cause* wins: a rank crash aborts
     every surviving rank with a ``DeadlockError``, so crash outranks
     corruption outranks message loss outranks deadlock when classifying
-    the per-rank exceptions.  Returns ``None`` for failures that should
-    propagate (programming errors, bad configuration, ...).
+    the per-rank exceptions.  A rank process that died without reporting
+    (a ``ChildProcessError``) is a crash.  Returns ``None`` for failures
+    that should propagate (programming errors, bad configuration, ...).
     """
     if isinstance(exc, SpmdError):
         kinds = {
@@ -350,11 +240,12 @@ def classify_failure(exc: BaseException) -> str | None:
 
 
 def crashed_ranks(exc: BaseException) -> tuple[int, ...]:
-    """The ranks that died of an injected crash in ``exc`` (sorted)."""
+    """The ranks that died in ``exc`` (sorted): an injected crash or node
+    loss, or a rank process that died without reporting."""
     if isinstance(exc, SpmdError):
         return tuple(sorted(
             r for r, e in exc.exceptions.items()
-            if r >= 0 and isinstance(e, RankCrash)
+            if r >= 0 and isinstance(e, (RankCrash, ChildProcessError))
         ))
     if isinstance(exc, RankCrash):
         return (exc.rank,)
@@ -374,7 +265,7 @@ def run_resilient(
     nsteps: int,
     rcfg: ResilienceConfig,
 ) -> tuple[ModelState, StepDiagnostics, ResilienceReport]:
-    """Advance ``nsteps`` with the full escalation ladder armed.
+    """Advance ``nsteps`` with the recovery ladder armed.
 
     ``core`` is a :class:`~repro.core.driver.DynamicalCore`.  Returns the
     final gathered state, diagnostics accumulated over committed chunks
@@ -392,23 +283,6 @@ def run_resilient(
         else rcfg.faults
     )
 
-    decomp = core.config.resolve_decomposition()
-    buddy: BuddyStore | None = None
-    if rcfg.buddy_checkpoints and decomp.nranks >= 2:
-        buddy = BuddyStore(decomp)
-
-    # Elastic membership: armed only when a non-abort policy asks for it.
-    detector: FailureDetector | None = None
-    view: MembershipView | None = None
-    if rcfg.rank_loss_policy != "abort" and decomp.nranks >= 2:
-        detector = FailureDetector(
-            decomp.nranks,
-            rcfg.membership if rcfg.membership is not None
-            else MembershipConfig(),
-            core.config.machine,
-        )
-        view = MembershipView(decomp.nranks, spares=rcfg.spare_ranks)
-
     sdc_armed = (
         rcfg.sdc_mass_tol is not None or rcfg.sdc_energy_tol is not None
     )
@@ -420,13 +294,11 @@ def run_resilient(
 
     logger.info(
         "resilient run: %d step(s), chunks of %d — integrity mode: "
-        "payload checksums %s, reliable transport %s, buddy checkpoints "
-        "%s, SDC gates %s",
+        "payload checksums %s, reliable transport %s, SDC gates %s",
         nsteps, rcfg.checkpoint_interval,
         "ON" if rcfg.verify_halo_checksums else "OFF",
         "ON" if rcfg.transport is not None and rcfg.transport.reliable
         else "OFF",
-        "ON" if buddy is not None else "OFF",
         "ON" if sdc_armed else "OFF",
     )
 
@@ -448,8 +320,6 @@ def run_resilient(
         path = checkpoint_path(ckdir, 0)
         save_state(path, state0, step=0)
         report.checkpoints.append((0, path))
-    if buddy is not None:
-        buddy.store(step, state)
     accepted: TelemetryRecord | None = (
         record_for_state(step, state, core.config.grid, sigma)
         if sdc_armed else None
@@ -458,46 +328,14 @@ def run_resilient(
     restarts_left = rcfg.max_restarts
     chunk_attempt = 1
 
-    def _restore_boundary(lost: tuple[int, ...]) -> tuple[ModelState, str]:
-        """State of the last committed boundary and where it came from:
-        the buddy mirrors that survive ``lost``, else — the escalation
-        path — the disk checkpoint, exactly as a process restarted from
-        scratch would reload it."""
-        if buddy is not None:
-            buddy.drop_ranks(lost)
-            try:
-                with span("buddy-restore", "resilience"):
-                    restored = buddy.restore(step)
-                report.buddy_restores += 1
-                logger.info(
-                    "restored step %d from buddy memory (lost ranks: %s)",
-                    step, list(lost) or "none",
-                )
-                return restored, "buddy"
-            except BuddyLost as why:
-                logger.warning(
-                    "buddy restore unavailable at step %d (%s) — "
-                    "escalating to disk rollback", step, why,
-                )
-        with span("rollback", "resilience"):
-            found = latest_verified_checkpoint(ckdir)
-            if found is None:
-                raise ResilienceExhausted(
-                    f"no checkpoint to roll back to in {ckdir}"
-                )
-            restored, saved_step = load_state(found[0])
-        if saved_step != step:
-            raise ResilienceExhausted(
-                f"latest checkpoint is for step {saved_step}, "
-                f"expected step {step} — checkpoint directory corrupted?"
-            )
-        report.disk_rollbacks += 1
-        logger.info("restored checkpoint for step %d from %s", step, found[0])
-        return restored, "disk"
+    def _recover(kind: str, detail: str) -> ModelState:
+        """Rewind to the committed boundary state ``state``.
 
-    def _recover(
-        kind: str, detail: str, crashed: tuple[int, ...] = ()
-    ) -> ModelState:
+        Returns a copy: on the process backend ``state`` may be a state
+        area of the rank world, which the world overwrites two commands
+        later — a retry that started from the area itself would, after a
+        second rejection, rewind to what the retry wrote there.
+        """
         nonlocal restarts_left, chunk_attempt
         core._discard_observation()
         if restarts_left <= 0:
@@ -515,171 +353,25 @@ def run_resilient(
             "chunk at step %d failed (%s, attempt %d): %s — rewinding",
             step, kind, chunk_attempt, detail,
         )
-        if rcfg.backoff_base > 0.0:
-            # Settle time is logical: it lands in the makespan, never in
-            # wall-clock (the simulated cluster must not sleep for real).
-            report.backoff_time += min(
-                rcfg.backoff_base * rcfg.backoff_factor ** (chunk_attempt - 1),
-                rcfg.backoff_max,
-            )
-        chunk_attempt += 1
-
-        restored, source = _restore_boundary(crashed)
         report.restarts.append(
-            RestartRecord(step=step, kind=kind, attempt=chunk_attempt - 1,
-                          detail=detail, source=source)
+            RestartRecord(step=step, kind=kind, attempt=chunk_attempt,
+                          detail=detail)
         )
-        _metric("resilience_restarts_total", "chunk recoveries", kind=kind)
-        _metric(
-            "resilience_buddy_restores_total"
-            if source == "buddy" else "resilience_disk_rollbacks_total",
-            "diskless buddy restores"
-            if source == "buddy" else "disk checkpoint rollbacks",
-        )
-        if buddy is not None:
-            # Re-mirror: the replacement rank needs a fresh primary and
-            # every surviving rank a fresh mirror of it.
-            buddy.store(step, restored)
-        return restored
-
-    def _recover_rank_loss(decision, exc: BaseException) -> ModelState:
-        """The elastic tier: restore, rebuild the membership, migrate.
-
-        Runs between the buddy restore and the disk rollback of the
-        ladder: the chunk-boundary state is recovered buddy-first (disk
-        when the owner AND its buddy are both among the lost — the
-        double fault), the communicator is rebuilt per the policy, and
-        every block migrates live to its owner under the new layout.
-        """
-        nonlocal restarts_left, chunk_attempt, decomp, buddy
-        core._discard_observation()
-        lost = decision.lost
-        old_n = decomp.nranks
-        if restarts_left <= 0:
-            raise ResilienceExhausted(
-                f"gave up at step {step} after {rcfg.max_restarts} "
-                f"restarts (last failure: rank-loss: ranks {list(lost)} "
-                f"permanently lost)"
-            )
-        restarts_left -= 1
         chunk_attempt += 1
-        logger.warning(
-            "permanent loss of rank(s) %s at step %d (epoch %d, policy "
-            "%s) — rebuilding", list(lost), step, decision.epoch,
-            rcfg.rank_loss_policy,
-        )
-
-        # 1. Recover the chunk-boundary state: buddy mirrors first, the
-        # disk checkpoint when the loss took a block AND its mirror.
-        restored, source = _restore_boundary(lost)
-
-        # 2. Rebuild the communicator: spare adoption or survivor shrink.
-        with span("membership-rebuild", "resilience",
-                  args={"lost": list(lost), "policy": rcfg.rank_loss_policy}):
-            try:
-                plan = view.rebuild(lost, rcfg.rank_loss_policy)
-            except RankLossUnrecoverable as why:
-                raise ResilienceExhausted(str(why)) from why
-        if injector is not None:
-            # The victims fired their one-shot node-loss specs in their
-            # own (possibly forked) injector copies; mark them consumed
-            # here so the retry does not lose the same node twice.
-            injector.consume_node_losses(lost)
-        if plan.kind == "spare":
-            new_decomp = decomp  # layout unchanged; spares adopt rank ids
-        else:
-            try:
-                new_decomp = redecompose(decomp, plan.new_size)
-            except ValueError as why:
-                raise ResilienceExhausted(
-                    f"cannot re-decompose {decomp.kind} layout onto "
-                    f"{plan.new_size} rank(s): {why}"
-                ) from why
-
-        # 3. Migrate blocks from wherever their bytes live (survivors,
-        # buddy-mirror hosts, or rank 0 after a disk rollback) to their
-        # owners under the new layout, over the simulated transport.
-        if source == "disk":
-            carrier_of = {o: 0 for o in range(old_n)}
-        else:
-            carrier_of = {}
-            for o in range(old_n):
-                host = buddy_of(o, old_n) if o in lost else o
-                carrier_of[o] = plan.rank_map.get(host, host)
-        with span("block-migrate", "resilience",
-                  args={"kind": plan.kind, "new_size": plan.new_size}):
-            migrated, mig = migrate_state(
-                restored, decomp, new_decomp, carrier_of,
-                machine=core.config.machine,
-                timeout=rcfg.spmd_timeout
-                if rcfg.spmd_timeout is not None else 60.0,
-            )
-        if migrated.max_difference(restored) != 0.0:
-            raise ResilienceExhausted(
-                f"block migration corrupted the state at step {step} "
-                f"(max diff {migrated.max_difference(restored):.3e})"
-            )
-
-        # 4. Adopt the new layout everywhere the run references it.
-        decomp = new_decomp
-        core.config.decomp = new_decomp
-        core.config.nprocs = new_decomp.nranks
-        if rcfg.buddy_checkpoints and new_decomp.nranks >= 2:
-            buddy = BuddyStore(new_decomp)
-            buddy.store(step, migrated)
-        else:
-            buddy = None
-
-        mttr = decision.overhead + mig.makespan
-        report.recovery_time += mttr
-        report.rank_losses.append(RankLossRecord(
-            step=step, lost=lost, policy=plan.kind, epoch=view.epoch,
-            source=source, mttr=mttr, new_size=plan.new_size,
-            detect_s=decision.overhead, migrate_s=mig.makespan,
-        ))
-        if plan.kind == "spare":
-            report.spare_adoptions += 1
-        else:
-            report.shrinks += 1
-        report.restarts.append(RestartRecord(
-            step=step, kind="rank-loss", attempt=chunk_attempt - 1,
-            detail=f"{plan.describe()}; {mig.describe()}", source=source,
-        ))
-        _metric("resilience_rank_losses_total",
-                "permanent rank losses recovered", policy=plan.kind)
-        obs = core.observation
-        if obs is not None and obs.config.metrics:
-            obs.registry.gauge(
-                "membership_epoch", "current membership epoch"
-            ).set(view.epoch)
-            obs.registry.histogram(
-                "recovery_mttr_seconds",
-                "logical detect+consensus+migrate time per rank loss",
-            ).observe(mttr)
-        flightrec.note(
-            "rank-loss-recovered", lost=list(lost), policy=plan.kind,
-            epoch=view.epoch, step=step, source=source, mttr=mttr,
-            new_size=plan.new_size,
-        )
-        logger.info(
-            "epoch %d: %s; %s; MTTR %.3g s logical",
-            view.epoch, plan.describe(), mig.describe(), mttr,
-        )
-        return migrated
+        _metric("resilience_restarts_total", "chunk recoveries", kind=kind)
+        return state.copy()
 
     def _persist(step: int, state: ModelState) -> None:
-        """Mirror and checkpoint the chunk committed at ``step``."""
-        if buddy is not None:
-            buddy.store(step, state)
+        """Checkpoint the chunk committed at ``step``."""
         path = checkpoint_path(ckdir, step)
         save_state(path, state, step=step)
         report.checkpoints.append((step, path))
 
     launches0 = core.rank_launches
     # Activate the core's span tracer for the whole resilient run, so the
-    # chunk/rollback spans below land in the same trace as the per-step
-    # spans, and own the rank world across the chunks; the per-chunk
-    # _run_once scopes no-op inside these.
+    # chunk spans below land in the same trace as the per-step spans, and
+    # own the rank world across the chunks; the per-chunk _run_once
+    # scopes no-op inside these.
     with core._obs_scope(), core._world_scope():
         while step < nsteps:
             chunk = min(rcfg.checkpoint_interval, nsteps - step)
@@ -705,29 +397,6 @@ def run_resilient(
                     report.fault_events.extend(
                         e for s in exc.stats for e in s.fault_events
                     )
-                evidence = evidence_from_failure(exc)
-                if detector is not None and evidence:
-                    # Survivor-side detection round: every failure with
-                    # rank evidence feeds the detector; only a permanent
-                    # verdict (node loss, process death, flapping
-                    # escalation) takes the elastic path — transient
-                    # crashes fall through to the ordinary rewind.
-                    with span("failure-detect", "resilience",
-                              args={"evidence": [
-                                  (e.rank, e.kind) for e in evidence]}):
-                        decision = detector.decide(evidence)
-                    if decision.permanent:
-                        state = _recover_rank_loss(decision, exc)
-                        continue
-                elif any(e.directly_permanent for e in evidence):
-                    perm = sorted(
-                        {e.rank for e in evidence if e.directly_permanent}
-                    )
-                    raise ResilienceExhausted(
-                        f"rank(s) {perm} permanently lost at step {step} "
-                        f"and rank_loss_policy is 'abort' — set it to "
-                        f"'spare' or 'shrink' to recover elastically"
-                    ) from exc
                 if kind is None:
                     raise
                 if kind == "blowup" and rcfg.blowup_policy == "abort":
@@ -735,9 +404,12 @@ def run_resilient(
                         f"model blew up in chunk starting at step {step}: "
                         f"{exc}"
                     ) from exc
-                state = _recover(
-                    kind, str(exc).splitlines()[0], crashed_ranks(exc)
-                )
+                if injector is not None:
+                    # a killed process rank fired its node loss in a
+                    # forked copy of the injector: spend it here too, so
+                    # the relaunched world does not lose the rank again
+                    injector.consume_node_losses(crashed_ranks(exc))
+                state = _recover(kind, str(exc).splitlines()[0])
                 continue
 
             if stats is not None:
@@ -788,10 +460,7 @@ def run_resilient(
             else:
                 _persist(step, state)
 
-    diag.makespan += report.backoff_time + report.recovery_time
     report.rank_launches = core.rank_launches - launches0
-    report.membership_epoch = view.epoch if view is not None else 0
-    report.final_nranks = decomp.nranks
     obs = getattr(core, "_observation", None)
     if obs is not None:
         obs.finalize_outputs()

@@ -89,35 +89,6 @@ class BlockExtent:
         """Slices selecting this block out of a global ``(ny, nx)`` array."""
         return (slice(self.y0, self.y1), slice(self.x0, self.x1))
 
-    @property
-    def cells(self) -> int:
-        """Number of 3-D grid cells in this extent."""
-        return self.nx * self.ny * self.nz
-
-    def overlap(self, other: "BlockExtent") -> "BlockExtent | None":
-        """The index intersection with ``other``, or ``None`` if disjoint."""
-        x0, x1 = max(self.x0, other.x0), min(self.x1, other.x1)
-        y0, y1 = max(self.y0, other.y0), min(self.y1, other.y1)
-        z0, z1 = max(self.z0, other.z0), min(self.z1, other.z1)
-        if x0 >= x1 or y0 >= y1 or z0 >= z1:
-            return None
-        return BlockExtent(x0, x1, y0, y1, z0, z1)
-
-    def local3d(self, within: "BlockExtent") -> tuple[slice, slice, slice]:
-        """Slices selecting this extent out of ``within``'s local block."""
-        return (
-            slice(self.z0 - within.z0, self.z1 - within.z0),
-            slice(self.y0 - within.y0, self.y1 - within.y0),
-            slice(self.x0 - within.x0, self.x1 - within.x0),
-        )
-
-    def local2d(self, within: "BlockExtent") -> tuple[slice, slice]:
-        """2-D (surface) variant of :meth:`local3d`."""
-        return (
-            slice(self.y0 - within.y0, self.y1 - within.y0),
-            slice(self.x0 - within.x0, self.x1 - within.x0),
-        )
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -339,76 +310,3 @@ def yz_decomposition(nx: int, ny: int, nz: int, p: int) -> Decomposition:
     """Best Y-Z decomposition (``p_x = 1``) of ``p`` ranks (Sec. 4.2.1)."""
     py, pz = best_2d_factorization(p, ny, nz)
     return Decomposition(nx, ny, nz, 1, py, pz)
-
-
-# ---------------------------------------------------------------------------
-# live re-decomposition (elastic rank-loss recovery)
-# ---------------------------------------------------------------------------
-def redecompose(old: Decomposition, nranks: int) -> Decomposition:
-    """Repartition ``old``'s mesh onto ``nranks`` ranks, same family.
-
-    The elastic-recovery path of :mod:`repro.core.resilience` calls this
-    after a communicator shrink: the surviving ranks need a fresh block
-    layout of the *same* decomposition family (Y-Z stays Y-Z, so the
-    communication-avoiding algorithm's polar-filter locality is
-    preserved), re-balanced over the new count.
-    """
-    if nranks < 1:
-        raise ValueError("nranks must be >= 1")
-    if nranks == 1:
-        return Decomposition(old.nx, old.ny, old.nz, 1, 1, 1)
-    kind = old.kind
-    if kind in ("yz", "serial"):
-        return yz_decomposition(old.nx, old.ny, old.nz, nranks)
-    if kind == "xy":
-        return xy_decomposition(old.nx, old.ny, old.nz, nranks)
-    # 3-D: keep the z split when it still divides the rank count
-    pz = old.pz if old.pz >= 1 and nranks % old.pz == 0 else 1
-    px, py = best_2d_factorization(nranks // pz, old.nx, old.ny)
-    return Decomposition(old.nx, old.ny, old.nz, px, py, pz)
-
-
-@dataclass(frozen=True)
-class BlockTransfer:
-    """One region move of a live re-decomposition: the cells of
-    ``region`` leave ``old_owner``'s block (old layout) for
-    ``new_owner``'s block (new layout)."""
-
-    region: BlockExtent
-    old_owner: int
-    new_owner: int
-
-
-def plan_migration(
-    old: Decomposition, new: Decomposition
-) -> list[BlockTransfer]:
-    """Every region that must move to turn ``old``'s layout into ``new``'s.
-
-    Covers the whole mesh exactly once: for each (old rank, new rank)
-    pair whose extents intersect, one transfer of the intersection.  The
-    plan is canonical (sorted by new owner, then old owner), so every
-    rank of a migration program iterates transfers in the same global
-    order — which is what makes tag assignment and message matching
-    deterministic.
-    """
-    if (old.nx, old.ny, old.nz) != (new.nx, new.ny, new.nz):
-        raise ValueError(
-            f"cannot migrate between meshes "
-            f"{old.nx}x{old.ny}x{old.nz} and {new.nx}x{new.ny}x{new.nz}"
-        )
-    old_exts = old.extents()
-    new_exts = new.extents()
-    plan: list[BlockTransfer] = []
-    for j, next_ in enumerate(new_exts):
-        for o, oext in enumerate(old_exts):
-            region = oext.overlap(next_)
-            if region is not None:
-                plan.append(BlockTransfer(region, o, j))
-    plan.sort(key=lambda t: (t.new_owner, t.old_owner))
-    covered = sum(t.region.cells for t in plan)
-    if covered != old.nx * old.ny * old.nz:
-        raise AssertionError(
-            f"migration plan covers {covered} cells of "
-            f"{old.nx * old.ny * old.nz}"
-        )
-    return plan

@@ -42,18 +42,6 @@ from repro.simmpi.faults import (
 )
 from repro.simmpi.comm import SimComm, Request
 from repro.simmpi.launcher import BACKENDS, run_spmd, SpmdResult, SpmdError
-from repro.simmpi.membership import (
-    CommRebuild,
-    FailureDetector,
-    MembershipConfig,
-    MembershipDecision,
-    MembershipView,
-    RankFailureEvidence,
-    RankLossUnrecoverable,
-    SparePool,
-    evidence_from_failure,
-    shrink_map,
-)
 
 __all__ = [
     "BACKENDS",
@@ -82,14 +70,4 @@ __all__ = [
     "RankCrash",
     "RankLost",
     "CorruptedMessage",
-    "CommRebuild",
-    "FailureDetector",
-    "MembershipConfig",
-    "MembershipDecision",
-    "MembershipView",
-    "RankFailureEvidence",
-    "RankLossUnrecoverable",
-    "SparePool",
-    "evidence_from_failure",
-    "shrink_map",
 ]

@@ -23,7 +23,9 @@ runs actually see):
   flapping link; clocks silently inflate;
 * **compute straggler** (:class:`Straggler`) — a per-rank compute
   slowdown factor over a window, modelling a thermally-throttled or
-  oversubscribed node.
+  oversubscribed node;
+* **node loss** (:class:`NodeLoss`) — a rank's host dies: on the process
+  backend its OS process is really SIGKILLed.
 
 Every injected fault is recorded as a :class:`FaultEvent` in the
 victim's :class:`~repro.simmpi.stats.CommStats` (and in its trace, when
@@ -53,11 +55,6 @@ logger = logging.getLogger(__name__)
 class RankCrash(RuntimeError):
     """An injected fatal failure of one simulated rank."""
 
-    #: whether the failed rank is gone for good (node loss) or merely
-    #: crashed-and-replaceable; the failure detector uses this as direct
-    #: evidence when classifying transient vs permanent failures
-    permanent = False
-
     def __init__(self, rank: int, detail: str = "") -> None:
         self.rank = rank
         suffix = f": {detail}" if detail else ""
@@ -65,12 +62,10 @@ class RankCrash(RuntimeError):
 
 
 class RankLost(RankCrash):
-    """A *permanent* node loss: the rank's host is gone and will not
-    return at this rank count.  On the thread backend the victim raises
-    this; on the process backend the victim's OS process is SIGKILLed
-    instead (the parent sees the pipe EOF as a ``ChildProcessError``)."""
-
-    permanent = True
+    """A node loss: the rank's host is gone.  On the thread backend the
+    victim raises this; on the process backend the victim's OS process is
+    SIGKILLed instead (the parent sees the pipe EOF as a
+    ``ChildProcessError``)."""
 
     def __init__(self, rank: int, detail: str = "") -> None:
         super().__init__(rank, detail)
@@ -116,16 +111,15 @@ class CrashSpec:
 
 @dataclass(frozen=True)
 class NodeLoss:
-    """Permanently kill ``rank``'s node when every trigger condition holds.
+    """Kill ``rank``'s node when every trigger condition holds.
 
     Trigger semantics match :class:`CrashSpec` (logical time, cumulative
-    comm-call count, launch attempt; at least one required).  Unlike a
-    crash the failure is *permanent*: on the thread backend the victim
-    raises :class:`RankLost`, on the process backend the victim's OS
-    process SIGKILLs itself — in both cases a replacement at the same
-    rank id only exists if the recovery policy provides one (hot spare),
-    otherwise the run must shrink.  Node losses are one-shot per
-    injector, like crash specs.
+    comm-call count, launch attempt; at least one required).  On the
+    thread backend the victim raises :class:`RankLost`, on the process
+    backend the victim's OS process SIGKILLs itself — the one injected
+    fault that is a real failure of the host.  Node losses are one-shot
+    per injector, like crash specs: the relaunched rank is the replaced
+    node.
     """
 
     rank: int
@@ -246,7 +240,7 @@ class FaultPlan:
 
     @property
     def node_loss_only(self) -> bool:
-        """True when the plan injects nothing but permanent node losses.
+        """True when the plan injects nothing but node losses.
 
         Such plans are *process-safe*: the victim kills its own OS
         process (no cross-rank RNG coordination needed), so the launcher
@@ -403,11 +397,11 @@ class FaultInjector:
     def consume_node_losses(self, ranks) -> None:
         """Mark every node-loss spec targeting ``ranks`` as fired.
 
-        The recovery driver calls this once a loss has been detected and
-        absorbed: on the process backend the victim died in a *forked
+        The resilient driver calls this for the ranks that died in a
+        failed chunk: on the process backend the victim died in a *forked
         copy* of this injector, so the parent's copy must be told the
-        spec is spent — otherwise a relaunch (spare adoption at the same
-        rank id) would kill the replacement too.
+        spec is spent — otherwise the relaunched world would lose the
+        same rank again.
         """
         targets = set(ranks)
         with self._lock:

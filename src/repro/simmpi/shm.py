@@ -43,8 +43,8 @@ Design notes
 Fault injection stays on the thread backend (deterministic in-process
 delivery) with one exception: *node-loss-only* plans, whose victims
 SIGKILL their own OS process (see ``SimComm._die_hard``) — the genuine
-kill-the-process failure mode the membership layer
-(:mod:`repro.simmpi.membership`) detects and recovers from.
+kill-the-process failure mode the resilient driver recovers from by
+relaunching the world.
 :func:`~repro.simmpi.launcher.run_spmd` enforces the restriction.
 """
 from __future__ import annotations
@@ -391,8 +391,8 @@ class ShmWorld:
     copies_on_deliver = True
 
     #: a node-loss fault on this backend kills the victim's OS process
-    #: outright (SIGKILL) instead of raising — the real failure mode the
-    #: membership layer exists to detect (see ``SimComm._die_hard``)
+    #: outright (SIGKILL) instead of raising — the real failure mode of a
+    #: host (see ``SimComm._die_hard``)
     hard_kill_on_node_loss = True
 
     def __init__(

@@ -128,37 +128,56 @@ class TestBitIdentity:
         assert rt.rank_launches == 0
         assert rp.rank_launches == 1
 
-    def test_sdc_rejection_midrun_replays_on_the_warm_world(self, tmp_path):
-        """The ``_run_once`` flip of test_buddy_resilience, process backend:
-        the rejected command did not fail, so the world survives and the
-        replay on its warm ranks equals the clean run."""
-        from repro.state.variables import ModelState
-
-        ref, *_ = chunked(make_core("ca", "process"), tmp_path / "ref", 1)
-        core = make_core("ca", "process")
+    @staticmethod
+    def _flipping(core, flipped):
+        """``core._run_once`` with a silent upset of the results of the
+        calls numbered in ``flipped`` (1-based)."""
         real, calls = core._run_once, [0]
 
-        def flip_second_chunk(state, n, **kw):
+        def flip(state, n, **kw):
             out, diag, stats = real(state, n, **kw)
             calls[0] += 1
-            if calls[0] == 2:
+            if calls[0] in flipped:
                 out = ModelState(
                     U=out.U, V=out.V, Phi=out.Phi, psa=out.psa + 1e-2
                 )
             return out, diag, stats
 
-        core._run_once = flip_second_chunk
-        final, _, report = core.run_resilient(
+        return flip
+
+    def _sdc_run(self, tmp_path, flipped):
+        core = make_core("ca", "process")
+        core._run_once = self._flipping(core, flipped)
+        return core.run_resilient(
             initial(core), NSTEPS,
             ResilienceConfig(
                 checkpoint_dir=tmp_path / "sdc", checkpoint_interval=1,
                 sdc_mass_tol=1e-3,
             ),
         )
+
+    def test_sdc_rejection_midrun_replays_on_the_warm_world(self, tmp_path):
+        """A result flipped in memory, process backend: the rejected
+        command did not fail, so the world survives and the replay on its
+        warm ranks equals the clean run."""
+        ref, *_ = chunked(make_core("ca", "process"), tmp_path / "ref", 1)
+        final, _, report = self._sdc_run(tmp_path, {2})
         assert same(final, ref)
         assert [r.kind for r in report.restarts] == ["sdc"]
-        assert report.restarts[0].source == "buddy"
         assert report.rank_launches == 1
+
+    def test_a_chunk_rejected_twice_rewinds_from_the_committed_state(
+        self, tmp_path
+    ):
+        """The committed state is a state area the world writes again two
+        commands later: the first replay writes it, so a rewind that did
+        not copy it would start the second replay from the first one's
+        result."""
+        ref, *_ = chunked(make_core("ca", "process"), tmp_path / "ref", 1)
+        final, _, report = self._sdc_run(tmp_path, {2, 3})
+        assert [r.kind for r in report.restarts] == ["sdc", "sdc"]
+        assert report.rank_launches == 1
+        assert same(final, ref)
 
     def test_pool_counters_are_per_command(self):
         """Warm ranks: the second command allocates nothing new, and every
@@ -201,22 +220,11 @@ class TestStateAreas:
     """A process-backend result is the area its command wrote, not a copy:
     it must hold still for as long as anyone reads it."""
 
-    def test_every_checkpoint_and_buddy_snapshot_equals_the_chained_runs(
-        self, tmp_path, monkeypatch
-    ):
+    def test_every_checkpoint_equals_the_chained_runs(self, tmp_path):
         """The deferred checkpoint of chunk k runs during chunk k + 1; a
         command writing the area it reads would show here."""
-        from repro.core.buddy import BuddyStore
         from repro.state.io import load_state
 
-        snapshots = []
-        store = BuddyStore.store
-
-        def keeping(self, step, state):
-            store(self, step, state)
-            snapshots.append((step, self._primary, self._mirror))
-
-        monkeypatch.setattr(BuddyStore, "store", keeping)
         core = make_core("ca", "process")
         _, _, report = core.run_resilient(
             initial(core), NSTEPS,
@@ -229,15 +237,6 @@ class TestStateAreas:
         assert [s for s, _ in report.checkpoints] == list(range(NSTEPS + 1))
         for step, path in report.checkpoints:
             assert same(load_state(path)[0], boundary[step]), step
-        assert [s for s, _, _ in snapshots] == list(range(NSTEPS + 1))
-        decomp = core.config.resolve_decomposition()
-        for step, primary, mirror in snapshots:
-            for blocks in (primary, mirror):
-                got = ModelState(**{
-                    k: decomp.gather([blocks[r][k] for r in range(2)])
-                    for k in ("U", "V", "Phi", "psa")
-                })
-                assert same(got, boundary[step]), step
 
     def test_earlier_results_survive_later_calls(self):
         results = {}
@@ -283,36 +282,35 @@ class TestRankLaunches:
                 raise FloatingPointError("injected")
         return forcing
 
-    @pytest.mark.parametrize("buddy", [True, False], ids=["buddy", "disk"])
-    def test_each_failed_command_forks_a_new_world(self, tmp_path, buddy):
+    def test_each_failed_command_forks_a_new_world(self, tmp_path):
         core = make_core(
             "original-yz", "process", observe=True,
             forcing=self._failing_once(tmp_path / "fired"),
         )
-        _, _, report, _ = chunked(
-            core, tmp_path / "ck", 2, buddy_checkpoints=buddy
-        )
+        _, _, report, _ = chunked(core, tmp_path / "ck", 2)
         assert [r.kind for r in report.restarts] == ["blowup"]
-        assert report.restarts[0].source == ("buddy" if buddy else "disk")
         assert report.rank_launches == 2
         assert "rank worlds forked: 2" in report.describe()
         reg = core.observation.registry
         assert reg.counter("spmd_launches_total").value == 2
         assert_nothing_left()
 
-    @pytest.mark.parametrize("policy", ["spare", "shrink"])
-    def test_elastic_recovery_forks_the_world_at_its_new_size(
-        self, tmp_path, policy
-    ):
+    def test_a_killed_rank_relaunches_at_the_same_size(self, tmp_path):
+        """A SIGKILLed rank fails its command; the retry forks a world of
+        the same four ranks and the run equals the clean one."""
         plan = FaultPlan(seed=7, node_losses=(NodeLoss(rank=1, at_call=30),))
-        core = make_core("original-yz", "process", nprocs=4)
-        _, _, report, _ = chunked(
-            core, tmp_path, 2, nsteps=4, faults=plan,
-            rank_loss_policy=policy, spare_ranks=1,
+        clean, *_ = chunked(
+            make_core("original-yz", "process", nprocs=4), tmp_path / "ref",
+            2, nsteps=4,
         )
-        assert len(report.rank_losses) == 1
-        assert report.final_nranks == (4 if policy == "spare" else 3)
+        core = make_core("original-yz", "process", nprocs=4)
+        final, _, report, _ = chunked(
+            core, tmp_path / "ck", 2, nsteps=4, faults=plan
+        )
+        assert [r.kind for r in report.restarts] == ["crash"]
         assert report.rank_launches == 2
+        assert core.config.resolve_decomposition().nranks == 4
+        assert same(final, clean)
         assert_nothing_left()
 
     def test_plain_run_forks_one_world_per_call(self):

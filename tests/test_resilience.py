@@ -1,12 +1,16 @@
 """Checkpoint/restart resilience of the dynamical-core driver."""
+import logging
+
 import pytest
 
 from repro.constants import ModelParameters
 from repro.core.driver import ALGORITHMS, DynamicalCore, default_spmd_timeout
+from repro.core import resilience
 from repro.core.resilience import (
     BlowupError,
     ResilienceConfig,
     ResilienceExhausted,
+    telemetry_drift,
 )
 from repro.grid.latlon import LatLonGrid
 from repro.physics import perturbed_rest_state
@@ -35,10 +39,10 @@ def state0(grid):
     return perturbed_rest_state(grid, amplitude_k=2.0)
 
 
-def make_core(grid, params, algorithm):
+def make_core(grid, params, algorithm, **kwargs):
     nprocs = 1 if algorithm == "serial" else NPROCS
     return DynamicalCore(
-        grid, algorithm=algorithm, nprocs=nprocs, params=params
+        grid, algorithm=algorithm, nprocs=nprocs, params=params, **kwargs
     )
 
 
@@ -223,7 +227,6 @@ class TestCorruptionRecovery:
                 # raw network: corruption must escalate to a rollback
                 # instead of being healed in place by retransmission
                 transport=None,
-                buddy_checkpoints=False,
             ),
         )
         assert ref.max_difference(recovered) == 0.0
@@ -376,3 +379,146 @@ class TestVerifiedResumeFallback:
         final, _, report = core.run_resilient(state0, NSTEPS, rcfg)
         assert report.resumed_from_step == 1  # not 2: torn file skipped
         assert plain.max_difference(final) < 1e-12
+
+
+class TestChaos:
+    def test_chaos_run_heals_with_one_rewind_and_no_disk(
+        self, tmp_path, grid, params, state0, monkeypatch
+    ):
+        """Background drops and corruption plus one rank crash:
+        transients are absorbed by retransmission, the crash by one
+        in-memory rewind, and the result is bit-identical to the
+        fault-free run — no checkpoint is read back."""
+        ref, _, _ = make_core(grid, params, "original-yz").run_resilient(
+            state0, NSTEPS,
+            ResilienceConfig(checkpoint_dir=tmp_path / "ref",
+                             checkpoint_interval=1),
+        )
+        reads = []
+        monkeypatch.setattr(resilience, "load_state", reads.append)
+        chaos = FaultPlan(
+            seed=7,
+            crashes=(CrashSpec(rank=1, at_attempt=2, at_call=5),),
+            link_faults=(LinkFault(
+                drop_probability=0.1, corrupt_probability=0.1,
+            ),),
+        )
+        core = make_core(grid, params, "original-yz", observe=True)
+        recovered, _, report = core.run_resilient(
+            state0, NSTEPS,
+            ResilienceConfig(
+                checkpoint_dir=tmp_path / "chaos",
+                checkpoint_interval=1,
+                faults=chaos,
+            ),
+        )
+        assert ref.max_difference(recovered) == 0.0
+        assert [r.kind for r in report.restarts] == ["crash"]
+        assert reads == []
+        reg = core.observation.registry
+        assert reg.counter(
+            "resilience_restarts_total", kind="crash"
+        ).value == 1
+        retransmits = sum(
+            reg.counter("simmpi_retransmits_total", rank=str(r)).value
+            for r in range(NPROCS)
+        )
+        assert retransmits > 0  # the background noise was healed in place
+
+
+class TestSdcAcceptanceGate:
+    def test_gate_catches_silent_memory_corruption(
+        self, tmp_path, grid, params, state0
+    ):
+        """A bit-flip in memory never crosses the wire, so no checksum
+        can see it, and a small one stays finite and bounded — only the
+        invariant drift gate rejects it, and the rewound retry completes
+        bit-identically."""
+        from repro.state.variables import ModelState
+
+        ref, _, _ = make_core(grid, params, "original-yz").run_resilient(
+            state0, NSTEPS,
+            ResilienceConfig(checkpoint_dir=tmp_path / "ref",
+                             checkpoint_interval=1),
+        )
+        core = make_core(grid, params, "original-yz", observe=True)
+        real_run_once = core._run_once
+        chunk_calls = [0]
+
+        def flip_first_chunk(state, nsteps, **kwargs):
+            out, diag, stats = real_run_once(state, nsteps, **kwargs)
+            chunk_calls[0] += 1
+            if chunk_calls[0] == 1:  # silent upset, once
+                out = ModelState(
+                    U=out.U, V=out.V, Phi=out.Phi, psa=out.psa + 1e-2
+                )
+            return out, diag, stats
+
+        core._run_once = flip_first_chunk
+        recovered, _, report = core.run_resilient(
+            state0, NSTEPS,
+            ResilienceConfig(
+                checkpoint_dir=tmp_path / "sdc",
+                checkpoint_interval=1,
+                sdc_mass_tol=1e-3,  # absolute: clean drift is ~1e-7
+            ),
+        )
+        assert ref.max_difference(recovered) == 0.0
+        assert [r.kind for r in report.restarts] == ["sdc"]
+        reg = core.observation.registry
+        assert reg.counter("resilience_sdc_rejections_total").value == 1
+
+    def test_loose_tolerances_accept_a_clean_run(
+        self, tmp_path, grid, params, state0
+    ):
+        core = make_core(grid, params, "original-yz")
+        final, _, report = core.run_resilient(
+            state0, NSTEPS,
+            ResilienceConfig(
+                checkpoint_dir=tmp_path,
+                checkpoint_interval=1,
+                sdc_mass_tol=0.5,
+                sdc_energy_tol=0.5,
+            ),
+        )
+        assert report.nrestarts == 0
+
+    def test_impossible_tolerance_exhausts(
+        self, tmp_path, grid, params, state0
+    ):
+        """A tolerance below the model's own drift rejects every retry of
+        the same (deterministic) chunk until the budget runs out."""
+        core = make_core(grid, params, "original-yz")
+        with pytest.raises(ResilienceExhausted) as exc_info:
+            core.run_resilient(
+                state0, NSTEPS,
+                ResilienceConfig(
+                    checkpoint_dir=tmp_path,
+                    checkpoint_interval=1,
+                    max_restarts=2,
+                    sdc_energy_tol=1e-16,
+                ),
+            )
+        assert "sdc" in str(exc_info.value)
+
+    def test_drift_is_symmetric_and_scaled(self):
+        assert telemetry_drift(1.0, 1.0) == 0.0
+        assert telemetry_drift(2.0, 1.0) == pytest.approx(0.5)
+        assert telemetry_drift(1.0, 2.0) == pytest.approx(0.5)
+        assert telemetry_drift(0.0, 0.0) == 0.0  # no division blowup
+
+
+class TestStartupLogging:
+    def test_effective_integrity_mode_is_logged(
+        self, tmp_path, grid, params, state0, caplog
+    ):
+        core = make_core(grid, params, "original-yz")
+        with caplog.at_level(logging.INFO, logger="repro.core.resilience"):
+            core.run_resilient(
+                state0, 1,
+                ResilienceConfig(checkpoint_dir=tmp_path),
+            )
+        assert "integrity mode" in caplog.text
+        assert "payload checksums ON" in caplog.text
+        assert "reliable transport ON" in caplog.text
+        assert "SDC gates OFF" in caplog.text
