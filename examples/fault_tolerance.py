@@ -59,9 +59,7 @@ from repro.simmpi.trace import render_gantt
 from repro.state.variables import ModelState
 
 #: communication-heavy machine so waits are visible in the Gantt chart
-COMM_HEAVY = MachineModel(
-    alpha=2.0e-5, beta=2.0e-9, gamma=1.0e-9, seconds_per_point=4.0e-10
-)
+COMM_HEAVY = MachineModel(alpha=2.0e-5, beta=2.0e-9, seconds_per_point=4.0e-10)
 
 
 def demo_recovery(args) -> None:

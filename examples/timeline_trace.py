@@ -31,9 +31,7 @@ from repro.state.variables import ModelState
 #: a communication-heavy machine (high latency, fast cores) — the regime
 #: of the paper's Figure 1, where the CA schedule pays off; at toy problem
 #: sizes a laptop-like model would be compute-bound instead
-COMM_HEAVY = MachineModel(
-    alpha=2.0e-5, beta=2.0e-9, gamma=1.0e-9, seconds_per_point=4.0e-10
-)
+COMM_HEAVY = MachineModel(alpha=2.0e-5, beta=2.0e-9, seconds_per_point=4.0e-10)
 
 
 def main() -> None:

@@ -7,10 +7,10 @@ fresh z-collective for every ``C`` application (3 per nonlinear
 iteration), and — when longitude is decomposed — an x-line collective for
 every Fourier-filter application.
 
-The rank programs are written against :class:`repro.simmpi.SimComm`; the
-same code runs serially (``nranks = 1``) and must then agree with
-:class:`repro.core.integrator.SerialCore` to round-off, which is what the
-integration tests assert.
+The rank programs are written against :class:`repro.simmpi.SimComm`; on
+every decomposition the gathered state must equal
+:class:`repro.core.integrator.SerialCore`'s bit for bit (``==``), which is
+what the integration tests assert.
 """
 from __future__ import annotations
 
@@ -55,22 +55,11 @@ class DistributedConfig:
     nsteps: int = 1
     forcing: Callable | None = None
     weights: ComputeWeights = DEFAULT_WEIGHTS
-    #: set False to skip logical-clock compute charging (pure numerics tests)
-    charge_compute: bool = True
     #: CA ablation switches (Sec. 4.2.2 / 4.3.1): disable to isolate the
     #: contribution of the approximate nonlinear iteration or of the
     #: computation-communication overlap
     ca_approximate_c: bool = True
     ca_overlap: bool = True
-    #: z-collective implementation of the C operator: "allgather" (each
-    #: rank reconstructs the full column) or "scan" (exscan + allreduce,
-    #: the volume-optimal variant matching Theorem 4.2's ring constant)
-    c_method: str = "allgather"
-    #: distributed polar-filter implementation (X-Y / 3-D only):
-    #: "allgather" (every rank assembles and FFTs the full circles,
-    #: replicated work) or "transpose" (alltoall row redistribution, the
-    #: work-sharing method of parallel FFT libraries; needs equal x-blocks)
-    filter_method: str = "allgather"
     #: kernel tier per rank: ``"reference"`` or ``"fused"`` (bit-identical
     #: fused kernels with per-call fallback inside the kernel object)
     kernel_tier: str = "reference"
@@ -79,10 +68,6 @@ class DistributedConfig:
     telemetry: bool = False
 
     def __post_init__(self) -> None:
-        if self.c_method not in ("allgather", "scan"):
-            raise ValueError(f"unknown c_method {self.c_method!r}")
-        if self.filter_method not in ("allgather", "transpose"):
-            raise ValueError(f"unknown filter_method {self.filter_method!r}")
         if self.sigma is None:
             self.sigma = SigmaLevels.uniform(self.grid.nz)
         d, g = self.decomp, self.grid
@@ -137,15 +122,10 @@ class RankContext:
         self.kernels = KernelSet(cfg.kernel_tier)
         self.smoothers = smoothers_for(cfg.params)
         self._vd_last: VerticalDiagnostics | None = None
-        z_hook = (
-            {"scan_z": self._make_scan()}
-            if cfg.c_method == "scan" and decomp.pz > 1
-            else {"gather_z": self._make_gather()}
-        )
         self.engine = TendencyEngine(
             self.geom, cfg.params, ws=self.ws, kernels=self.kernels,
+            gather_z=self._make_gather(),
             filter_x=None if self.geom.full_x else self._filter_distributed,
-            **z_hook,
         )
         #: the rows an update writes: the next halo refresh rewrites the rest
         self.owned = self.engine.slab(gy, self.geom.shape2d[0] - gy)
@@ -170,11 +150,10 @@ class RankContext:
 
     # ---- cost charging ----------------------------------------------------
     def charge(self, weight: float, npoints: int) -> None:
-        if self.cfg.charge_compute:
-            self.comm.compute(
-                weight * npoints * self.comm.machine.seconds_per_point,
-                phase=PHASE_COMPUTE,
-            )
+        self.comm.compute(
+            weight * npoints * self.comm.machine.seconds_per_point,
+            phase=PHASE_COMPUTE,
+        )
 
     @property
     def _wpoints(self) -> int:
@@ -184,38 +163,17 @@ class RankContext:
 
     # ---- the z-collective hook ------------------------------------------------
     def _make_gather(self):
-        if self.cfg.decomp.pz == 1:
+        zsub = self.zsub
+        if zsub is None:
             return None
-        zsub = None
 
         def gather(stack: np.ndarray) -> np.ndarray:
             self.comm.set_phase(PHASE_COLLECTIVE)
-            pieces = self._zsub().allgather(stack)
+            pieces = zsub.allgather(stack)
             self.comm.set_phase(None)
             return np.concatenate(pieces, axis=1)
 
         return gather
-
-    def _make_scan(self):
-        """The (exscan, allreduce) pair of the scan-based C variant."""
-
-        def exscan(x: np.ndarray) -> np.ndarray:
-            self.comm.set_phase(PHASE_COLLECTIVE)
-            out = self._zsub().exscan(x)
-            self.comm.set_phase(None)
-            return out
-
-        def allreduce(x: np.ndarray) -> np.ndarray:
-            self.comm.set_phase(PHASE_COLLECTIVE)
-            out = self._zsub().allreduce(x)
-            self.comm.set_phase(None)
-            return out
-
-        return exscan, allreduce
-
-    def _zsub(self) -> SubComm:
-        assert self.zsub is not None
-        return self.zsub
 
     # ---- boundary conditions -----------------------------------------------------
     def fill_bc(self, state: ModelState) -> None:
@@ -309,22 +267,10 @@ class RankContext:
         if not any(mask.any() for mask, _ in self._xfilter.values()):
             return
         assert self.xsub is not None or self.cfg.decomp.px == 1
-        if (
-            self.cfg.filter_method == "transpose"
-            and self.cfg.decomp.px > 1
-        ):
-            self._filter_transpose(tend)
-            return
-        for arr, mask, factors in self._filter_fields(tend):
-            self._filter_field_allgather(arr, mask, factors)
-
-    def _filter_fields(self, tend: ModelState):
-        """``(field, row mask, damping factors)`` of each field of ``tend``
-        with filtered rows, in field order."""
         for name in FIELD_NAMES:
             mask, factors = self._xfilter[FIELD_FAMILY[name]]
             if mask.any():
-                yield getattr(tend, name), mask, factors
+                self._filter_field_allgather(getattr(tend, name), mask, factors)
 
     def _filter_field_allgather(
         self, arr: np.ndarray, mask: np.ndarray, factors: np.ndarray
@@ -350,64 +296,6 @@ class RankContext:
         spec *= factors
         full = np.fft.irfft(spec, n=nx, axis=-1)
         arr[..., mask, gx: gx + nx_i] = full[..., x0: x0 + nx_i]
-
-    def _filter_transpose(self, tend: ModelState) -> None:
-        """Transpose (alltoall) distributed filter: redistribute the
-        filtered row-slots over the x line so each rank FFTs only its
-        share, then transpose back.  Halves neither the total volume nor
-        the latency of the allgather method, but divides the FFT *work*
-        by p_x — the classic parallel-FFT layout trade."""
-        from repro.grid.decomposition import balanced_partition
-
-        decomp = self.cfg.decomp
-        g = self.geom
-        gx, nx_i = g.gx, g.extent.nx
-        nx = g.grid.nx
-        if nx % decomp.px != 0:
-            raise ValueError("transpose filter needs equal x-blocks")
-        cx = decomp.coords(self.comm.rank)[0]
-        for arr, mask, factors in self._filter_fields(tend):
-            rows = np.ascontiguousarray(arr[..., mask, gx: gx + nx_i])
-            R = int(mask.sum())
-            nlev = rows.shape[0] if rows.ndim == 3 else 1
-            slots = rows.reshape(nlev * R, nx_i)
-            S = slots.shape[0]
-            if S < decomp.px:
-                # too few row-slots to share: the whole x line falls back
-                # to the replicated method for this field (S is identical
-                # line-wide, so the branch is collectively consistent)
-                self._filter_field_allgather(arr, mask, factors)
-                continue
-            bounds = balanced_partition(S, decomp.px)
-            # forward transpose: send member i its slots (my columns)
-            self.comm.set_phase(PHASE_COLLECTIVE)
-            received = self.xsub.alltoall(
-                [np.ascontiguousarray(slots[a:b]) for a, b in bounds]
-            )
-            self.comm.set_phase(None)
-            a, b = bounds[cx]
-            mine = np.concatenate(
-                [blk.reshape(b - a, nx_i) for blk in received], axis=-1
-            )
-            # FFT only my share of the slots
-            self.charge(
-                self.cfg.weights.filter_fft * math.log2(nx), (b - a) * nx
-            )
-            slot_rows = np.arange(a, b) % R  # row family index per slot
-            spec = np.fft.rfft(mine, axis=-1)
-            spec *= factors[slot_rows]
-            mine = np.fft.irfft(spec, n=nx, axis=-1)
-            # backward transpose: return each member its columns
-            col_blocks = [
-                np.ascontiguousarray(mine[:, i * nx_i: (i + 1) * nx_i])
-                for i in range(decomp.px)
-            ]
-            self.comm.set_phase(PHASE_COLLECTIVE)
-            back = self.xsub.alltoall(col_blocks)
-            self.comm.set_phase(None)
-            for (a2, b2), blk in zip(bounds, back):
-                slots[a2:b2] = blk.reshape(b2 - a2, nx_i)
-            arr[..., mask, gx: gx + nx_i] = slots.reshape(rows.shape)
 
     # ---- the block in and out of the global state ---------------------------
     def pad_local(

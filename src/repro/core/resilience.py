@@ -252,6 +252,24 @@ def crashed_ranks(exc: BaseException) -> tuple[int, ...]:
     return ()
 
 
+def failure_detail(exc: BaseException, kind: str) -> str:
+    """What a restart record says of ``exc``, classified as ``kind``.
+
+    For an :class:`SpmdError`, the ``rank r: ExcType: message`` line of
+    every rank whose own failure is of that kind: the survivors a crash
+    aborts would only repeat it, each from wherever thread scheduling
+    left it blocked, so leaving them out keeps the record reproducible.
+    Any other exception gives its first line.
+    """
+    if isinstance(exc, SpmdError):
+        return "; ".join(
+            f"rank {r}: {summary}"
+            for r, summary in sorted(exc.summaries.items())
+            if _classify(exc.exceptions.get(r)) == kind
+        )
+    return str(exc).splitlines()[0]
+
+
 #: retryable exception types of one chunk run
 _RETRYABLE = (
     SpmdError, RankCrash, CorruptedMessage, MessageLost, DeadlockError,
@@ -409,7 +427,7 @@ def run_resilient(
                     # forked copy of the injector: spend it here too, so
                     # the relaunched world does not lose the rank again
                     injector.consume_node_losses(crashed_ranks(exc))
-                state = _recover(kind, str(exc).splitlines()[0])
+                state = _recover(kind, failure_detail(exc, kind))
                 continue
 
             if stats is not None:

@@ -61,9 +61,6 @@ class TendencyEngine:
     params: ModelParameters
     polar_filter: PolarFilter | None = None
     gather_z: GatherFn | None = None
-    #: alternative volume-optimal C collective: (exscan_fn, allreduce_fn)
-    #: on the z line; takes precedence over ``gather_z`` when set
-    scan_z: tuple | None = None
     #: the ``F`` operator where the latitude circle is split (``geom.full_x``
     #: false): filters a tendency in place through the x-line collective
     filter_x: Callable[[ModelState], None] | None = None
@@ -129,15 +126,14 @@ class TendencyEngine:
     ) -> VerticalDiagnostics:
         """Apply ``C``: the vertical-integral diagnostics bundle.
 
-        This is the only tendency ingredient that needs the z-collective.
-        Uses the scan-based variant when ``scan_z`` is configured, the
-        allgather variant otherwise.  With ``slab`` the (working-height)
+        This is the only tendency ingredient that needs the z-collective
+        (the ``gather_z`` allgather).  With ``slab`` the (working-height)
         bundle is computed on the slab's rows only.
         """
         slab = slab or self._whole
         return self.kernels.vertical(
             state.U, state.V, state.Phi, state.psa, slab.geom, self.gather_z,
-            self.ws, slab.cache("vertical"), scan=self.scan_z,
+            self.ws, slab.cache("vertical"),
             out=self.ws.take_vd(self.geom.shape3d), view=slab.view,
         )
 

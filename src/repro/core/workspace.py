@@ -101,22 +101,18 @@ class Workspace:
         )
 
     def give_vd(self, vd) -> None:
-        """Recycle a dead :class:`VerticalDiagnostics` bundle's buffers.
+        """Recycle a dead :class:`VerticalDiagnostics` bundle of
+        :meth:`take_vd`'s buffers.
 
-        Tolerates bundles produced by the allocating paths (e.g. the scan
-        variant of ``C``), whose members may be views: only owning arrays
-        are pooled.  Given back in the reverse of :meth:`take_vd`'s order,
-        so a bundle taken next holds each buffer in its old role: the
-        kernels' bound calls see one bundle layout, not a permutation.
+        Given back in the reverse of :meth:`take_vd`'s order, so a bundle
+        taken next holds each buffer in its old role: the kernels' bound
+        calls see one bundle layout, not a permutation.
         """
-        if vd is None:
-            return
-        for arr in (
-            vd.p_fac, vd.phi_prime, vd.sdot_iface, vd.w_iface,
-            vd.pw_iface, vd.column_sum, vd.div_p,
-        ):
-            if arr.base is None:
-                self.give(arr)
+        if vd is not None:
+            self.give(
+                vd.p_fac, vd.phi_prime, vd.sdot_iface, vd.w_iface,
+                vd.pw_iface, vd.column_sum, vd.div_p,
+            )
 
     @property
     def pooled_bytes(self) -> int:

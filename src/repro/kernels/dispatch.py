@@ -39,7 +39,6 @@ from repro.operators.smoothing import smooth_state_into
 from repro.operators.vertical import (
     DEFAULT_REFERENCE,
     compute_vertical_diagnostics,
-    compute_vertical_diagnostics_scan,
     vd_rows,
 )
 from repro.state.variables import ModelState, state_rows
@@ -430,30 +429,17 @@ class KernelSet:
         call()
 
     def vertical(
-        self, U, V, Phi, psa, geom, gather, ws, cache, scan=None, out=None,
-        view=_ALL,
+        self, U, V, Phi, psa, geom, gather, ws, cache, out=None, view=_ALL
     ):
         """The ``C`` diagnostics bundle (recycle it with ``ws.give_vd``).
 
-        ``scan`` is the ``(exscan, allreduce)`` pair of the volume-optimal
-        z-collective; it takes precedence over ``gather``.  Only the
-        serial / full-column case is fused (no z-collective, no ghost
+        Only the serial / full-column case is fused (no z-collective, no ghost
         levels, identity interface and level maps); everything else runs
         the numpy operators.  With ``out`` (a bundle of the inputs' shapes)
         the results are written there instead of into fresh pool buffers;
         ``view`` cuts the rows of the pass out of inputs and ``out`` (which
         it then requires) alike.
         """
-        if scan is not None:
-            self.calls["vertical"]["fallback"] += 1
-            vd = compute_vertical_diagnostics_scan(
-                *(_cut(a, view) for a in (U, V, Phi, psa)), geom, *scan
-            )
-            if out is None:
-                return vd
-            for name in vars(vd):
-                np.copyto(_cut(getattr(out, name), view), getattr(vd, name))
-            return out
         full_column = (
             gather is None
             and geom.gz == 0

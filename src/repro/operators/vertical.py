@@ -381,105 +381,3 @@ def _compute_vertical_diagnostics_ws(
         phi_prime=phi_prime,
         p_fac=p_fac,
     )
-
-
-@traced("vertical-scan", "operator")
-def compute_vertical_diagnostics_scan(
-    U: np.ndarray,
-    V: np.ndarray,
-    Phi: np.ndarray,
-    psa: np.ndarray,
-    geom: WorkingGeometry,
-    exscan: Callable[[np.ndarray], np.ndarray],
-    allreduce: Callable[[np.ndarray], np.ndarray],
-    reference: StandardAtmosphere = DEFAULT_REFERENCE,
-) -> VerticalDiagnostics:
-    """The ``C`` operator via exscan + allreduce (volume-optimal variant).
-
-    The allgather implementation moves ``(p_z - 1) * n`` words per rank;
-    prefix sums only need each rank's *partial sums*, so an exclusive scan
-    plus an allreduce of the column totals moves ``O(n)`` — matching the
-    Theorem 4.2 lower bound's ring constant.  Identical results to
-    :func:`compute_vertical_diagnostics` (up to summation order round-off).
-
-    ``exscan(x)`` must return the sum of ``x`` over all z-ranks *before*
-    this one (zeros on the first); ``allreduce(x)`` the sum over all
-    z-ranks.  Both operate on arrays of shape ``(2, ny_w, nx_w)`` — the
-    stacked divergence and phi' contributions.
-    """
-    ps = psa + constants.P_REFERENCE
-    p_fac = p_factor(ps)
-    div_p = divergence_dp(U, V, p_fac, geom)
-
-    gz = geom.gz
-    nz_w = U.shape[0]
-    nz_own = geom.extent.nz
-    owned = slice(gz, gz + nz_own)
-
-    # contributions on ALL working levels (D(P) has no z-stencil, so ghost
-    # levels are locally computable); ghost rows use clipped sigma values
-    dsig_w = geom.lev3(geom.dsigma)
-    sig_w = geom.lev3(geom.sigma_mid)
-    contrib_div_w = dsig_w * div_p
-    contrib_phi_w = (dsig_w / sig_w) * Phi
-    # zero the ghost contributions that fall outside the physical column
-    # (edge-replicated sigma would otherwise double-count at the domain
-    # top/bottom)
-    for k in range(gz):
-        if geom.extent.z0 - gz + k < 0:
-            contrib_div_w[k] = 0.0
-            contrib_phi_w[k] = 0.0
-        kk = nz_w - 1 - k
-        if geom.extent.z1 + gz - 1 - k >= geom.grid.nz:
-            contrib_div_w[kk] = 0.0
-            contrib_phi_w[kk] = 0.0
-
-    own_sum = np.stack(
-        [
-            contrib_div_w[owned].sum(axis=0),
-            contrib_phi_w[owned].sum(axis=0),
-        ]
-    )
-    prefix = exscan(own_sum)      # sums over ranks below (smaller z0)
-    total = allreduce(own_sum)
-    column_sum = total[0]
-    h_total = total[1]
-
-    # S at the top interface of the working window: the prefix over all
-    # earlier ranks minus this rank's ghost-below contributions
-    ghost_below_div = contrib_div_w[:gz].sum(axis=0)
-    ghost_below_phi = contrib_phi_w[:gz].sum(axis=0)
-    s_start = prefix[0] - ghost_below_div
-    h_start = prefix[1] - ghost_below_phi
-
-    ny_w, nx_w = p_fac.shape
-    s_iface_w = np.empty((nz_w + 1, ny_w, nx_w))
-    s_iface_w[0] = s_start
-    np.cumsum(contrib_div_w, axis=0, out=s_iface_w[1:])
-    s_iface_w[1:] += s_start
-
-    # suffix sums of phi contributions: H_suffix[k] = sum_{l >= k} h_l
-    h_prefix_w = np.empty((nz_w + 1, ny_w, nx_w))
-    h_prefix_w[0] = h_start
-    np.cumsum(contrib_phi_w, axis=0, out=h_prefix_w[1:])
-    h_prefix_w[1:] += h_start
-    h_suffix_w = h_total[None] - h_prefix_w  # at interfaces
-
-    sig_if = geom.sigma_iface[:, None, None]
-    pw_iface = sig_if * column_sum[None] - s_iface_w
-    w_iface = pw_iface / p_fac[None]
-    sdot_iface = pw_iface / (p_fac[None] ** 2)
-    phi_prime = (
-        constants.B_GRAVITY_WAVE / p_fac[None]
-        * (h_suffix_w[:-1] - 0.5 * contrib_phi_w)
-    )
-
-    return VerticalDiagnostics(
-        div_p=div_p,
-        column_sum=column_sum,
-        pw_iface=pw_iface,
-        w_iface=w_iface,
-        sdot_iface=sdot_iface,
-        phi_prime=phi_prime,
-        p_fac=p_fac,
-    )

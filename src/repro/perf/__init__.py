@@ -1,7 +1,6 @@
-"""Performance model: per-operator compute weights, closed-form per-step
-event counts for each algorithm/decomposition, and the projection to the
-paper's scale (720x360x30, 10 model years, up to 1024 ranks)."""
-from repro.perf.costs import ComputeWeights, DEFAULT_WEIGHTS, StepEvents, step_events
+"""Performance model: per-operator compute weights and the projection to
+the paper's scale (720x360x30, 10 model years, up to 1024 ranks)."""
+from repro.perf.costs import ComputeWeights, DEFAULT_WEIGHTS
 from repro.perf.model import (
     ALGORITHMS,
     AlgorithmTiming,
@@ -12,8 +11,6 @@ from repro.perf.model import (
 __all__ = [
     "ComputeWeights",
     "DEFAULT_WEIGHTS",
-    "StepEvents",
-    "step_events",
     "ALGORITHMS",
     "AlgorithmTiming",
     "PAPER_PROC_SWEEP",

@@ -6,8 +6,9 @@ in DESIGN.md: an SPMD runtime where every rank is a Python thread (or,
 with ``run_spmd(..., backend="process")``, an OS process communicating
 over shared-memory rings — see :mod:`repro.simmpi.shm`) with a
 private mailbox, tag-matched point-to-point messages, sub-communicators and
-collectives — plus a deterministic **logical clock** driven by an
-alpha-beta machine model.  All reported "times" come from the logical
+the two collectives the cores send (``allgather`` for the ``C`` and ``F``
+operators, ``barrier``) — plus a deterministic **logical clock** driven by
+an alpha-beta machine model.  All reported "times" come from the logical
 clock, never from wall-clock, so results are reproducible and independent
 of the host machine; the communication *structure* (message counts, bytes,
 synchronisations) is exactly that of the real algorithms.
@@ -17,7 +18,8 @@ Public API
 :func:`run_spmd`
     Launch ``fn(comm, *args)`` on ``nranks`` simulated ranks.
 :class:`SimComm`
-    The per-rank communicator handle (p2p, collectives, sub-communicators).
+    The per-rank communicator handle (p2p, allgather/barrier,
+    sub-communicators).
 :class:`MachineModel`
     The alpha-beta-compute cost model.
 :class:`CommStats`

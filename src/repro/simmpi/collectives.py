@@ -13,8 +13,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.simmpi.machine import MachineModel
 from repro.simmpi.network import AbortFlag, DeadlockError
 
@@ -128,46 +126,12 @@ class GroupContext:
         return result, t_end
 
 
-# ---- combine functions ---------------------------------------------------
-
-
-def combine_sum(contribs: dict[int, np.ndarray]) -> np.ndarray:
-    """Elementwise sum (deterministic: accumulate in rank order)."""
-    total = None
-    for r in sorted(contribs):
-        arr = contribs[r]
-        total = arr.astype(np.float64, copy=True) if total is None else total + arr
-    return total
-
-
-def combine_max(contribs: dict[int, np.ndarray]) -> np.ndarray:
-    """Elementwise max."""
-    out = None
-    for r in sorted(contribs):
-        arr = np.asarray(contribs[r])
-        out = arr.copy() if out is None else np.maximum(out, arr)
-    return out
-
-
-def combine_min(contribs: dict[int, np.ndarray]) -> np.ndarray:
-    """Elementwise min."""
-    out = None
-    for r in sorted(contribs):
-        arr = np.asarray(contribs[r])
-        out = arr.copy() if out is None else np.minimum(out, arr)
-    return out
+# ---- allgather's combine and the cost of both collectives --------------
 
 
 def combine_gather(contribs: dict[int, Any]) -> list[Any]:
     """Rank-ordered list of all contributions."""
     return [contribs[r] for r in sorted(contribs)]
-
-
-REDUCE_OPS: dict[str, Callable[[dict[int, np.ndarray]], np.ndarray]] = {
-    "sum": combine_sum,
-    "max": combine_max,
-    "min": combine_min,
-}
 
 
 def collective_cost(
@@ -176,21 +140,8 @@ def collective_cost(
     """(duration, modelled bytes moved per rank) of collective ``op``."""
     if q <= 1:
         return 0.0, 0
-    if op == "allreduce":
-        return model.allreduce_time(q, nbytes), int(2 * (q - 1) / q * nbytes)
-    if op == "reduce":
-        return model.reduce_time(q, nbytes), nbytes
-    if op == "bcast":
-        return model.bcast_time(q, nbytes), nbytes
     if op == "allgather":
         return model.allgather_time(q, nbytes), (q - 1) * nbytes
-    if op == "alltoall":
-        return model.alltoall_time(q, nbytes), (q - 1) * nbytes
-    if op == "scan":
-        return model.scan_time(q, nbytes), nbytes
-    if op == "gather" or op == "scatter":
-        # binomial tree to/from the root; the root moves (q-1) payloads
-        return model.bcast_time(q, nbytes), (q - 1) * nbytes
     if op == "barrier":
         return model.barrier_time(q), 0
     raise ValueError(f"unknown collective {op!r}")

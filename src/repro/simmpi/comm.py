@@ -1,10 +1,11 @@
 """The per-rank communicator of the simulated cluster.
 
 :class:`SimComm` is what the distributed dynamical cores program against.
-It deliberately mirrors the mpi4py surface (``send``/``recv``/``isend``/
-``irecv``/``allreduce``/``bcast``/``barrier``/sub-communicators) so the
-algorithms read like the MPI codes they model, but every operation also
-advances a deterministic logical clock and updates :class:`CommStats`.
+It mirrors the part of the mpi4py surface the cores send through
+(``send``/``recv``/``isend``/``irecv``, sub-communicators and their
+``allgather``/``barrier``) so the algorithms read like the MPI codes they
+model, but every operation also advances a deterministic logical clock and
+updates :class:`CommStats`.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import numpy as np
 from repro.obs.spans import point as obs_point, span as obs_span
 from repro.simmpi.collectives import (
     GroupContext,
-    REDUCE_OPS,
     collective_cost,
     combine_gather,
 )
@@ -455,15 +455,6 @@ class SimComm:
         """Post a non-blocking receive; completion happens in ``wait``."""
         return Request(self, "irecv", source=source, tag=tag)
 
-    def sendrecv(
-        self, dest: int, array: np.ndarray, source: int, tag: int = 0
-    ) -> np.ndarray:
-        """Exchange with (possibly different) partners without deadlock."""
-        req = self.isend(dest, array, tag)
-        out = self.recv(source, tag)
-        req.wait()
-        return out
-
     # ---- sub-communicators -----------------------------------------------------
     def subcomm(self, ranks: Sequence[int]) -> "SubComm":
         """Sub-communicator over ``ranks`` (must include this rank).
@@ -481,20 +472,11 @@ class SimComm:
         return self.subcomm(range(self.size))
 
     # ---- world-wide collectives (convenience) -------------------------------------
-    def allreduce(self, array: np.ndarray, op: str = "sum") -> np.ndarray:
-        return self.world_comm().allreduce(array, op)
-
     def barrier(self) -> None:
         self.world_comm().barrier()
 
-    def bcast(self, array: np.ndarray | None, root: int = 0) -> np.ndarray:
-        return self.world_comm().bcast(array, root)
-
     def allgather(self, array: np.ndarray) -> list[np.ndarray]:
         return self.world_comm().allgather(array)
-
-    def allgather_obj(self, obj: Any) -> list[Any]:
-        return self.world_comm().allgather_obj(obj)
 
 
 class SubComm:
@@ -563,119 +545,10 @@ class SubComm:
         return result
 
     # ---- collectives --------------------------------------------------------------
-    def allreduce(self, array: np.ndarray, op: str = "sum") -> np.ndarray:
-        """Elementwise reduction, result available on all members."""
-        arr = np.ascontiguousarray(array)
-        combine = REDUCE_OPS[op]
-        result = self._run("allreduce", arr.copy(), arr.nbytes, combine)
-        return np.array(result, copy=True)
-
-    def reduce(
-        self, array: np.ndarray, root: int = 0, op: str = "sum"
-    ) -> np.ndarray | None:
-        """Reduction to the group-local ``root``; others get ``None``."""
-        arr = np.ascontiguousarray(array)
-        combine = REDUCE_OPS[op]
-        result = self._run("reduce", arr.copy(), arr.nbytes, combine)
-        return np.array(result, copy=True) if self.rank == root else None
-
-    def bcast(self, array: np.ndarray | None, root: int = 0) -> np.ndarray:
-        """Broadcast from group-local ``root``."""
-        contribution = None
-        nbytes = 0
-        if self.rank == root:
-            if array is None:
-                raise ValueError("root must supply the broadcast payload")
-            contribution = np.ascontiguousarray(array).copy()
-            nbytes = contribution.nbytes
-        root_world = self.ranks[root]
-
-        def combine(contribs):
-            return contribs[root_world]
-
-        # every member must agree on nbytes for the cost model: gather it
-        # from the root's contribution inside combine; cost uses sender value
-        # which only the root knows — non-roots pass 0 and the max is taken
-        # by using the root's nbytes via a fixed convention: all members are
-        # required to know the payload size in this simulated setting, so we
-        # conservatively cost with the local estimate (root's actual size).
-        result = self._run("bcast", contribution, nbytes, combine)
-        return np.array(result, copy=True)
-
     def allgather(self, array: np.ndarray) -> list[np.ndarray]:
         """Rank-ordered list of every member's array."""
         arr = np.ascontiguousarray(array).copy()
         return self._run("allgather", arr, arr.nbytes, combine_gather)
-
-    def allgather_obj(self, obj: Any) -> list[Any]:
-        """Allgather of arbitrary Python objects (zero modelled bytes).
-
-        For test plumbing and result assembly only — not for modelling
-        communication cost.
-        """
-        return self._run("allgather", obj, 0, combine_gather)
-
-    def gather(self, array: np.ndarray, root: int = 0) -> list[np.ndarray] | None:
-        """Rank-ordered list at the group-local ``root``; others get None."""
-        arr = np.ascontiguousarray(array).copy()
-        result = self._run("gather", arr, arr.nbytes, combine_gather)
-        return result if self.rank == root else None
-
-    def scatter(
-        self, arrays: list[np.ndarray] | None, root: int = 0
-    ) -> np.ndarray:
-        """Distribute ``arrays[i]`` from the group-local ``root`` to member ``i``."""
-        contribution = None
-        nbytes = 0
-        if self.rank == root:
-            if arrays is None or len(arrays) != self.size:
-                raise ValueError("root must supply one payload per member")
-            contribution = [np.ascontiguousarray(a).copy() for a in arrays]
-            nbytes = contribution[0].nbytes if contribution else 0
-        root_world = self.ranks[root]
-
-        def combine(contribs):
-            return contribs[root_world]
-
-        payloads = self._run("scatter", contribution, nbytes, combine)
-        return np.array(payloads[self.rank], copy=True)
-
-    def alltoall(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        """Personalized exchange: ``blocks[i]`` goes to member ``i``;
-        returns the blocks every member addressed to this rank, in group
-        order.  (The transpose primitive of distributed FFTs.)"""
-        if len(blocks) != self.size:
-            raise ValueError(
-                f"alltoall needs {self.size} blocks, got {len(blocks)}"
-            )
-        payload = [np.ascontiguousarray(b).copy() for b in blocks]
-        nbytes_pair = payload[0].nbytes if payload else 0
-
-        def combine(contribs):
-            # full exchange matrix: row = sender (world rank order)
-            return {r: contribs[r] for r in contribs}
-
-        matrix = self._run("alltoall", payload, nbytes_pair, combine)
-        me = self.rank
-        return [matrix[r][me] for r in sorted(matrix)]
-
-    def exscan(self, array: np.ndarray, op: str = "sum") -> np.ndarray:
-        """Exclusive prefix reduction in group rank order.
-
-        Member ``i`` receives ``op`` over members ``0..i-1``; member 0
-        receives zeros.
-        """
-        arr = np.ascontiguousarray(array).astype(np.float64)
-
-        def combine(contribs):
-            ordered = [contribs[r] for r in sorted(contribs)]
-            return ordered
-
-        ordered = self._run("scan", arr.copy(), arr.nbytes, combine)
-        out = np.zeros_like(arr)
-        for i in range(self.rank):
-            out += ordered[i]
-        return out
 
     def barrier(self) -> None:
         """Synchronize all members (clocks aligned to the max)."""

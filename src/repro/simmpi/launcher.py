@@ -54,6 +54,9 @@ class SpmdError(RuntimeError):
     stats:
         Per-rank :class:`CommStats` captured at failure time (fault
         events of the doomed attempt survive here), or ``None``.
+    summaries:
+        ``{rank: "ExcType: message"}`` (same keys as ``failures``): the
+        per-rank lines of the message, without header or traceback.
     """
 
     def __init__(
@@ -65,6 +68,7 @@ class SpmdError(RuntimeError):
         self.failures = failures
         self.exceptions = exceptions or {}
         self.stats = stats
+        self.summaries: dict[int, str] = {}
         ranks = ", ".join(str(r) for r in sorted(failures))
         lines = [f"SPMD ranks [{ranks}] failed:"]
         for r in sorted(failures):
@@ -74,6 +78,7 @@ class SpmdError(RuntimeError):
             else:
                 tb_lines = failures[r].strip().splitlines()
                 summary = tb_lines[-1] if tb_lines else "unknown failure"
+            self.summaries[r] = summary
             lines.append(f"  rank {r}: {summary}")
         first = failures[min(failures)]
         lines.append(f"first failing rank traceback:\n{first}")

@@ -1,12 +1,12 @@
 """Alpha-beta machine model used by the logical clocks and the projection.
 
 The standard two-parameter point-to-point cost ``T(n) = alpha + beta * n``
-(latency + inverse bandwidth) plus a per-point compute rate.  Collective
-costs are derived from these in :mod:`repro.simmpi.collectives` using the
-algorithms of Thakur, Rabenseifner & Gropp (2005), the paper's reference
-[19] for optimal collectives.  Three more terms (round and synchronization
-overheads) are read only by the paper-scale projection,
-:class:`repro.perf.model.PerformanceModel`.
+(latency + inverse bandwidth) plus a per-point compute rate.  The two
+collectives the cores send, the ring allgather (the ``C`` and ``F``
+operators) and the dissemination barrier, are costed from these with the
+formulas of Thakur, Rabenseifner & Gropp (2005), the paper's reference
+[19].  Three more terms (round and synchronization overheads) are read
+only by the paper-scale projection, :class:`repro.perf.model.PerformanceModel`.
 """
 from __future__ import annotations
 
@@ -27,9 +27,6 @@ class MachineModel:
         Per-message latency [s].
     beta:
         Per-byte transfer time [s/B] (inverse bandwidth).
-    gamma:
-        Per-byte reduction-compute time [s/B] for collectives with
-        arithmetic (allreduce).
     seconds_per_point:
         Baseline cost of one stencil point-update [s]; the dynamical-core
         layer multiplies this by a per-operator weight (see
@@ -43,26 +40,16 @@ class MachineModel:
 
     alpha: float = 2.0e-6
     beta: float = 1.0e-9
-    gamma: float = 0.5e-9
     seconds_per_point: float = 2.0e-8
-    #: allreduce algorithm: "ring" (bandwidth-optimal, Rabenseifner) or
-    #: "recursive_doubling" (latency-optimal for short messages) — the
-    #: trade-off analyzed by Thakur, Rabenseifner & Gropp (2005), the
-    #: paper's reference [19]
-    allreduce_algorithm: str = "ring"
     round_overhead: float = 0.0
     sync_base: float = 0.0
     sync_per_doubling: float = 0.0
 
     def __post_init__(self) -> None:
-        terms = (self.alpha, self.beta, self.gamma, self.seconds_per_point)
+        terms = (self.alpha, self.beta, self.seconds_per_point)
         terms += (self.round_overhead, self.sync_base, self.sync_per_doubling)
         if min(terms) < 0:
             raise ValueError("machine parameters must be non-negative")
-        if self.allreduce_algorithm not in ("ring", "recursive_doubling"):
-            raise ValueError(
-                f"unknown allreduce algorithm {self.allreduce_algorithm!r}"
-            )
 
     def sync_overhead(self, nprocs: int) -> float:
         """Per-collective synchronization overhead of an ``nprocs``-rank job
@@ -76,75 +63,11 @@ class MachineModel:
         return self.alpha + self.beta * nbytes
 
     # ---- collectives (Thakur et al. 2005 cost formulas) --------------------
-    def allreduce_time(self, q: int, nbytes: int) -> float:
-        """Allreduce over ``q`` ranks of ``nbytes``.
-
-        Ring (Rabenseifner): ``2 (q-1) alpha + 2 (q-1)/q n beta +
-        (q-1)/q n gamma`` — bandwidth-optimal, matching the data-movement
-        lower bound Theorem 4.2 cites.  Recursive doubling:
-        ``ceil(log2 q) (alpha + n beta + n gamma)`` — latency-optimal,
-        preferable for short messages.
-        """
-        if q <= 1:
-            return 0.0
-        if self.allreduce_algorithm == "recursive_doubling":
-            return math.ceil(math.log2(q)) * (
-                self.alpha + nbytes * (self.beta + self.gamma)
-            )
-        return (
-            2.0 * (q - 1) * self.alpha
-            + 2.0 * (q - 1) / q * nbytes * self.beta
-            + (q - 1) / q * nbytes * self.gamma
-        )
-
-    def allreduce_crossover_bytes(self, q: int) -> float:
-        """Message size at which ring and recursive doubling cost the same.
-
-        Below this size recursive doubling wins (latency-bound); above it
-        the ring wins (bandwidth-bound) — the [19] selection rule.
-        """
-        if q <= 2:
-            return 0.0
-        lg = math.ceil(math.log2(q))
-        alpha_gap = (2.0 * (q - 1) - lg) * self.alpha
-        beta_gap = (lg - 2.0 * (q - 1) / q) * self.beta + (
-            lg - (q - 1) / q
-        ) * self.gamma
-        if beta_gap <= 0:
-            return float("inf")
-        return alpha_gap / beta_gap
-
-    def reduce_time(self, q: int, nbytes: int) -> float:
-        """Binomial-tree reduce."""
-        if q <= 1:
-            return 0.0
-        return math.ceil(math.log2(q)) * (
-            self.alpha + nbytes * (self.beta + self.gamma)
-        )
-
-    def bcast_time(self, q: int, nbytes: int) -> float:
-        """Binomial-tree broadcast."""
-        if q <= 1:
-            return 0.0
-        return math.ceil(math.log2(q)) * (self.alpha + nbytes * self.beta)
-
     def allgather_time(self, q: int, nbytes_each: int) -> float:
         """Ring allgather; every rank contributes ``nbytes_each``."""
         if q <= 1:
             return 0.0
         return (q - 1) * (self.alpha + nbytes_each * self.beta)
-
-    def alltoall_time(self, q: int, nbytes_each_pair: int) -> float:
-        """Pairwise-exchange all-to-all."""
-        if q <= 1:
-            return 0.0
-        return (q - 1) * (self.alpha + nbytes_each_pair * self.beta)
-
-    def scan_time(self, q: int, nbytes: int) -> float:
-        """Linear-pipeline (ex)scan."""
-        if q <= 1:
-            return 0.0
-        return (q - 1) * (self.alpha + nbytes * (self.beta + self.gamma))
 
     def barrier_time(self, q: int) -> float:
         """Dissemination barrier."""
@@ -156,12 +79,10 @@ class MachineModel:
 #: The paper's machine (Tianhe-2: TH Express-2 fabric, Ivy Bridge cores),
 #: fitted once by grid search to the paper's anchor numbers — the machine
 #: of Figs. 1 and 6-8: ~4 us per message, ~6 GB/s effective per-rank
-#: bandwidth, optimized-Fortran point-update rate.  ``gamma`` is not fitted
-#: (the projection never reads it).
+#: bandwidth, optimized-Fortran point-update rate.
 TIANHE2_LIKE = MachineModel(
     alpha=4.0e-6,
     beta=1.7e-10,
-    gamma=1.0e-10,
     seconds_per_point=1.2e-9,
     round_overhead=2.2e-3,
     sync_base=1.2e-2,
@@ -171,5 +92,5 @@ TIANHE2_LIKE = MachineModel(
 #: A single multicore box with shared-memory "messages" — used by tests
 #: to keep simulated numbers small and by the quickstart example.
 LAPTOP_LIKE = MachineModel(
-    alpha=5.0e-7, beta=5.0e-11, gamma=5.0e-11, seconds_per_point=5.0e-9
+    alpha=5.0e-7, beta=5.0e-11, seconds_per_point=5.0e-9
 )

@@ -1,8 +1,8 @@
 """Per-rank communication/computation accounting.
 
 These counters are the ground truth for the Section 5.3 verification: the
-closed-form event-count formulas of :mod:`repro.perf.costs` are asserted
-equal to these instrumented values in the test suite.
+per-step communication relationships the projection (:mod:`repro.perf.model`)
+assumes are asserted against them in ``tests/test_perf_counts.py``.
 """
 from __future__ import annotations
 
@@ -17,9 +17,9 @@ class CommStats:
     -----------------
     * ``p2p_messages_sent/received`` — number of point-to-point messages.
     * ``p2p_bytes_sent/received`` — their payload bytes.
-    * ``collective_ops`` — number of collective calls (allreduce etc.).
+    * ``collective_ops`` — number of collective calls (allgather, barrier).
     * ``collective_bytes`` — modelled bytes moved by this rank inside
-      collectives (e.g. ``2 (q-1)/q * n`` for a ring allreduce).
+      collectives (``(q-1) * n`` for a ring allgather of ``n`` bytes each).
     * ``synchronizations`` — events at which this rank's clock was forced
       to wait for another rank (blocking recv/wait that actually waited,
       plus every collective/barrier); this is the instrumented analogue of

@@ -178,20 +178,6 @@ def _checkpoints_by_step(directory: Path) -> list[tuple[Path, int]]:
     return found
 
 
-def latest_checkpoint(directory: str | Path) -> tuple[Path, int] | None:
-    """Newest (highest-step) checkpoint in ``directory``, or ``None``.
-
-    Only files matching the :func:`checkpoint_path` naming scheme are
-    considered, so foreign ``.npz`` files in the directory are ignored.
-    No integrity check — see :func:`latest_verified_checkpoint`.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
-        return None
-    found = _checkpoints_by_step(directory)
-    return found[0] if found else None
-
-
 def latest_verified_checkpoint(
     directory: str | Path,
 ) -> tuple[Path, int] | None:

@@ -53,7 +53,7 @@ class TestEquivalence:
             nsteps=nsteps, forcing=HeldSuarezForcing(),
         )
         gathered, _ = run_program(original_rank_program, cfg, state0)
-        assert ref.max_difference(gathered) < 1e-12
+        assert ref.max_difference(gathered) == 0.0
 
 
 class TestCommunicationSchedule:

@@ -10,7 +10,7 @@ class TestSubstrateFailures:
         """One rank skipping a collective must raise, not hang forever."""
         def prog(comm):
             if comm.rank != 0:
-                comm.allreduce(np.zeros(4))
+                comm.allgather(np.zeros(4))
 
         with pytest.raises(SpmdError):
             run_spmd(3, prog, timeout=0.5)
@@ -69,7 +69,7 @@ class TestFailureDiagnostics:
     def test_collective_timeout_names_arrived_and_missing_ranks(self):
         def prog(comm):
             if comm.rank != 2:
-                comm.allreduce(np.zeros(4))
+                comm.allgather(np.zeros(4))
 
         with pytest.raises(SpmdError) as exc_info:
             run_spmd(3, prog, timeout=0.5)

@@ -18,8 +18,6 @@ and of ctypes, and that the C-call bindings behind it are safe.
 * A binding keeps the arrays it points into alive, so results after a
   restart, on a second core of the same grid and after pool churn are
   ``==`` a fresh core's.
-* Every pass hands the kernels a pooled ``C`` bundle, so the pool keeps
-  its size across commands on the scan-based ``C`` too.
 
 Counts, not speed-ups: the wall-clock side is the benchmark's.
 """
@@ -292,26 +290,3 @@ def test_fresh_arrays_every_call_keep_the_table_bounded(library, monkeypatch):
         assert out.tobytes() == want.tobytes()
         assert len(ks._bindings) <= 8
 
-
-def test_scan_c_bundles_do_not_pile_up_in_the_pool():
-    """The scan-based ``C`` computes fresh arrays; the engine copies them
-    into a pooled bundle, so the pool stays the same size command after
-    command (it used to gain every bundle it was given back)."""
-    from repro.core.distributed import original_program
-
-    grid = LatLonGrid(nx=32, ny=16, nz=8)
-    cfg = DistributedConfig(
-        grid=grid, decomp=Decomposition(32, 16, 8, 1, 2, 2),
-        params=_params(), kernel_tier="fused", c_method="scan",
-    )
-    s0 = balanced_random_state(grid, np.random.default_rng(7))
-
-    def program(comm, cfg):
-        advance = original_program(comm, cfg)
-        out = ModelState.zeros(grid.shape3d)
-        return [
-            advance(s0, 2, out).ws_counters["pooled_bytes"] for _ in range(3)
-        ]
-
-    for pooled in run_spmd(4, program, cfg).results:
-        assert pooled[0] == pooled[1] == pooled[2], pooled

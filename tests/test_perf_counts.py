@@ -1,4 +1,4 @@
-"""Instrumented simulated-MPI counters vs the closed-form event counts.
+"""Instrumented simulated-MPI counters of the executed cores.
 
 This is the bridge that justifies projecting to paper scale: the
 per-step communication *relationships* the projection model assumes

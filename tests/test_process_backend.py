@@ -70,11 +70,11 @@ class TestCollectives:
     def test_collectives_and_clocks_match(self):
         def program(comm):
             x = np.full(3, float(comm.rank + 1))
-            total = comm.allreduce(x)
+            stacked = comm.allgather(x)
             gathered = comm.allgather(np.array([float(comm.rank)]))
             comm.barrier()
             comm.compute(1e-4)
-            return total.sum() + sum(g.sum() for g in gathered)
+            return sum(s.sum() for s in stacked) + sum(g.sum() for g in gathered)
 
         rt = run_spmd(4, program, backend="thread")
         rp = run_spmd(4, program, backend="process")

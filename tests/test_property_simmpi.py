@@ -22,7 +22,8 @@ def test_random_ring_traffic_deterministic(nranks, seed, rounds):
             comm.compute(float(rng.random()) * 1e-4)
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
-            got = comm.sendrecv(right, rng.random(8), left)
+            comm.send(right, rng.random(8))
+            got = comm.recv(left)
             acc += float(got.sum())
         return acc
 
@@ -50,19 +51,6 @@ def test_barrier_clock_is_max(nranks, compute):
     expected = max(compute[r % len(compute)] for r in range(nranks))
     assert all(c == res.clocks[0] for c in res.clocks)
     assert res.clocks[0] >= expected - 1e-12
-
-
-@settings(max_examples=15, deadline=None)
-@given(nranks=st.integers(2, 6), nelem=st.integers(1, 64))
-def test_allreduce_matches_numpy(nranks, nelem):
-    def prog(comm):
-        data = np.full(nelem, float(comm.rank + 1))
-        return comm.allreduce(data)
-
-    res = run_spmd(nranks, prog)
-    expected = sum(range(1, nranks + 1))
-    for out in res.results:
-        assert np.allclose(out, expected)
 
 
 @settings(max_examples=10, deadline=None)

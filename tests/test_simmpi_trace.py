@@ -1,4 +1,4 @@
-"""Event tracing and the extra collectives of the simulated cluster."""
+"""Event tracing of the simulated cluster."""
 import numpy as np
 import pytest
 
@@ -42,12 +42,12 @@ class TestTracing:
     def test_collective_events_recorded(self):
         def prog(comm):
             comm.compute(0.1 * comm.rank)
-            comm.allreduce(np.zeros(8))
+            comm.allgather(np.zeros(8))
 
         res = run_spmd(3, prog, trace=True)
         colls = [e for e in res.traces[0].events if e.kind == "collective"]
         assert len(colls) == 1
-        assert "allreduce" in colls[0].detail
+        assert "allgather" in colls[0].detail
 
     def test_merge_timeline_ordered(self):
         def prog(comm):
@@ -134,7 +134,7 @@ class TestTraceEdgeCases:
 
         def prog(comm):
             comm.compute(0.5, phase="stencil")
-            comm.allreduce(np.zeros(4))
+            comm.allgather(np.zeros(4))
 
         res = run_spmd(2, prog, trace=True)
         events = logical_events(res.traces)
@@ -157,85 +157,3 @@ class TestTraceEdgeCases:
         with pytest.raises(ValueError):
             load_chrome_trace(p)
 
-
-class TestGatherScatter:
-    def test_gather_to_root(self):
-        def prog(comm):
-            out = comm.world_comm().gather(
-                np.array([float(comm.rank)]), root=1
-            )
-            return None if out is None else [float(a[0]) for a in out]
-
-        res = run_spmd(3, prog)
-        assert res.results == [None, [0.0, 1.0, 2.0], None]
-
-    def test_scatter_from_root(self):
-        def prog(comm):
-            payloads = None
-            if comm.rank == 0:
-                payloads = [np.full(2, float(i) * 10) for i in range(comm.size)]
-            got = comm.world_comm().scatter(payloads, root=0)
-            return float(got[0])
-
-        res = run_spmd(4, prog)
-        assert res.results == [0.0, 10.0, 20.0, 30.0]
-
-    def test_scatter_validates_count(self):
-        def prog(comm):
-            payloads = [np.zeros(2)] if comm.rank == 0 else None
-            comm.world_comm().scatter(payloads, root=0)
-
-        with pytest.raises(Exception):
-            run_spmd(2, prog, timeout=2.0)
-
-
-class TestAllreduceAlgorithms:
-    def test_recursive_doubling_cheaper_for_small_messages(self):
-        ring = MachineModel(alpha=1e-3, beta=1e-9, gamma=0.0)
-        rd = MachineModel(
-            alpha=1e-3, beta=1e-9, gamma=0.0,
-            allreduce_algorithm="recursive_doubling",
-        )
-        q, small = 16, 64
-        assert rd.allreduce_time(q, small) < ring.allreduce_time(q, small)
-
-    def test_ring_cheaper_for_large_messages(self):
-        ring = MachineModel(alpha=1e-6, beta=1e-9, gamma=0.0)
-        rd = MachineModel(
-            alpha=1e-6, beta=1e-9, gamma=0.0,
-            allreduce_algorithm="recursive_doubling",
-        )
-        q, big = 16, 10_000_000
-        assert ring.allreduce_time(q, big) < rd.allreduce_time(q, big)
-
-    def test_crossover_separates_regimes(self):
-        m = MachineModel(alpha=1e-5, beta=1e-9, gamma=5e-10)
-        q = 8
-        x = m.allreduce_crossover_bytes(q)
-        ring = MachineModel(alpha=1e-5, beta=1e-9, gamma=5e-10)
-        rd = MachineModel(
-            alpha=1e-5, beta=1e-9, gamma=5e-10,
-            allreduce_algorithm="recursive_doubling",
-        )
-        assert rd.allreduce_time(q, int(x * 0.5)) < ring.allreduce_time(
-            q, int(x * 0.5)
-        )
-        assert ring.allreduce_time(q, int(x * 2)) < rd.allreduce_time(
-            q, int(x * 2)
-        )
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            MachineModel(allreduce_algorithm="telepathy")
-
-    def test_results_identical_across_algorithms(self):
-        """The algorithm choice changes cost only, never the result."""
-        def prog(comm):
-            return comm.allreduce(np.full(5, float(comm.rank + 1)))
-
-        ring = run_spmd(4, prog)
-        rd = run_spmd(
-            4, prog,
-            machine=MachineModel(allreduce_algorithm="recursive_doubling"),
-        )
-        assert np.array_equal(ring.results[0], rd.results[0])

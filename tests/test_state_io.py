@@ -124,6 +124,7 @@ class TestVerifiedResume:
         state = ModelState.random((2, 4, 6), rng)
         for step in (2, 4, 6):
             save_state(checkpoint_path(tmp_path, step), state, step=step)
+        (tmp_path / "other.npz").write_bytes(b"not a checkpoint")
         newest = checkpoint_path(tmp_path, 6)
         newest.write_bytes(newest.read_bytes()[:40])  # truncate = torn
         found = latest_verified_checkpoint(tmp_path)

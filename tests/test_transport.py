@@ -27,10 +27,8 @@ def exchange(comm):
     out = []
     for i in range(NROUNDS):
         data = np.arange(8.0) + comm.rank + 10 * i
-        got = comm.sendrecv(
-            (comm.rank + 1) % comm.size, data, (comm.rank - 1) % comm.size,
-            tag=i,
-        )
+        comm.send((comm.rank + 1) % comm.size, data, tag=i)
+        got = comm.recv((comm.rank - 1) % comm.size, tag=i)
         out.append(float(got.sum()))
     return out
 

@@ -38,7 +38,6 @@ from repro.operators.smoothing import (
 from repro.operators.vertical import (
     VerticalGeomCache,
     compute_vertical_diagnostics,
-    compute_vertical_diagnostics_scan,
 )
 from repro.physics.initial import balanced_random_state
 from repro.state.variables import FIELD_NAMES, ModelState
@@ -205,21 +204,6 @@ def test_vertical_pooled_equals_allocating(case, identity_gather):
         VerticalGeomCache(geom),
     )
     _assert_identical(want, got, VD_FIELDS, "C")
-
-
-@settings(max_examples=10, deadline=None)
-@given(case=cases)
-def test_vertical_scan_goes_through_the_same_door(case):
-    geom, s = _working_case(*case)
-    scan = (lambda x: np.zeros_like(x), lambda x: x.copy())
-    want = compute_vertical_diagnostics_scan(
-        s.U, s.V, s.Phi, s.psa, geom, *scan
-    )
-    got = KernelSet("reference").vertical(
-        s.U, s.V, s.Phi, s.psa, geom, None, Workspace(),
-        VerticalGeomCache(geom), scan=scan,
-    )
-    _assert_identical(want, got, VD_FIELDS, "C(scan)")
 
 
 @settings(max_examples=20, deadline=None)
